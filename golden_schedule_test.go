@@ -6,7 +6,10 @@ package hilight_test
 //
 //   - a schedule fingerprint (FNV-1a over every layer/braid/path) per
 //     path-finder on a Table 1 subset, and
-//   - latency/ResUtil per public method preset.
+//   - latency/ResUtil per public method preset,
+//   - a schedule fingerprint of the speculative route step
+//     (hilight-map-parallel at one route worker) per Table 1 subset row
+//     and defect fixture.
 //
 // Regenerate with `go test -run TestGolden -update` — but only when a
 // change is *supposed* to alter schedules; performance work must keep
@@ -44,6 +47,11 @@ type goldenFile struct {
 	// compile on a defective grid (faultinject rate 5%, seed 1): pins
 	// defect-aware routing, not just the pristine path.
 	DefectHash map[string]string `json:"defect_hash"`
+	// ParallelHash maps "<benchmark>" (and "defect/<benchmark>" for the
+	// defect fixtures) to the schedule fingerprint of hilight-map-parallel
+	// at one route worker: the speculative step's own output, which
+	// presets pins only by latency and ResUtil.
+	ParallelHash map[string]string `json:"parallel_hash"`
 }
 
 // goldenBenchmarks is the Table 1 subset the finder-identity test runs:
@@ -96,6 +104,7 @@ func computeGolden(t testing.TB) *goldenFile {
 		ScheduleHash: map[string]string{},
 		Presets:      map[string]string{},
 		DefectHash:   map[string]string{},
+		ParallelHash: map[string]string{},
 	}
 	for _, name := range goldenBenchmarks {
 		e, ok := bench.ByName(name)
@@ -115,6 +124,7 @@ func computeGolden(t testing.TB) *goldenFile {
 			}
 			gf.ScheduleHash[name+"/"+finder] = hashSchedule(res.Schedule)
 		}
+		gf.ParallelHash[name] = parallelHash(t, name, c, g)
 	}
 	for _, name := range []string{"sqrt8_260", "QFT-16", "Ising-10"} {
 		c, ok := hilight.Benchmark(name)
@@ -159,8 +169,26 @@ func computeGolden(t testing.TB) *goldenFile {
 			t.Fatalf("defect golden %s: schedule grid lost its defects", fix.name)
 		}
 		gf.DefectHash[fix.name] = hashSchedule(res.Schedule)
+		gf.ParallelHash["defect/"+fix.name] = parallelHash(t, fix.name, c, g, hilight.WithDefects(dm))
 	}
 	return gf
+}
+
+// parallelHash compiles c with hilight-map-parallel at one route worker
+// and seed 1, validates the schedule and fingerprints it.
+func parallelHash(t testing.TB, name string, c *hilight.Circuit, g *hilight.Grid, opts ...hilight.Option) string {
+	t.Helper()
+	opts = append([]hilight.Option{
+		hilight.WithMethod("hilight-map-parallel"), hilight.WithSeed(1), hilight.WithRouteWorkers(1),
+	}, opts...)
+	res, err := hilight.Compile(c, g, opts...)
+	if err != nil {
+		t.Fatalf("parallel golden %s: %v", name, err)
+	}
+	if err := res.Schedule.Validate(res.Circuit); err != nil {
+		t.Fatalf("parallel golden %s: invalid schedule: %v", name, err)
+	}
+	return hashSchedule(res.Schedule)
 }
 
 // TestGoldenSchedules pins routing behavior: every path-finder must keep
@@ -197,6 +225,7 @@ func TestGoldenSchedules(t *testing.T) {
 	diffMaps(t, "schedule_hash", want.ScheduleHash, got.ScheduleHash)
 	diffMaps(t, "presets", want.Presets, got.Presets)
 	diffMaps(t, "defect_hash", want.DefectHash, got.DefectHash)
+	diffMaps(t, "parallel_hash", want.ParallelHash, got.ParallelHash)
 }
 
 func diffMaps(t *testing.T, label string, want, got map[string]string) {
