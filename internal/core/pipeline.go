@@ -10,7 +10,6 @@ import (
 	"hilight/internal/grid"
 	"hilight/internal/obs"
 	"hilight/internal/place"
-	"hilight/internal/route"
 	"hilight/internal/sched"
 )
 
@@ -178,7 +177,7 @@ type RunOptions struct {
 	// Adjuster, when non-nil, replaces the spec's adjuster.
 	Adjuster LayoutAdjuster
 	// RouteWorkers, when non-nil, overrides the spec's worker count for
-	// the parallel route pass (0 sequential, n ≥ 1 workers, negative =
+	// the speculative step (0 sequential, n ≥ 1 workers, negative =
 	// GOMAXPROCS). The schedule is byte-identical for every n ≥ 1.
 	RouteWorkers *int
 	// Lookahead, when non-nil, overrides the spec's windowed-lookahead
@@ -265,13 +264,12 @@ func NewPipeline(sp Spec, opt RunOptions) (*Pipeline, error) {
 			p.Passes = append(p.Passes, passQCO)
 		}
 	}
-	routePass := passRoute
 	placePass := passPlace
 	if cfg.Warm != nil {
-		// The sequential router owns prefix replay; the speculative
-		// parallel pass would re-derive the prefix cycles from scratch.
 		placePass = passPlaceWarm
-	} else if cfg.RouteWorkers != 0 && parallelCompatible(cfg) {
+	}
+	routePass := passRoute
+	if cfg.RouteWorkers != 0 && parallelCompatible(cfg) {
 		routePass = passRouteParallel
 	}
 	p.Passes = append(p.Passes, passCapacity, placePass, routePass)
@@ -446,76 +444,22 @@ var (
 		return nil
 	}}
 
-	// passRoute is the Alg. 2 main loop: per-cycle ready-set collection,
-	// gate ordering, braiding path-finding, and (when an adjuster is
-	// configured) in-flight SWAP insertion.
+	// passRoute is the Alg. 2 main loop with the sequential step:
+	// per-cycle ready-set collection, gate ordering, braiding path-finding
+	// with the spec's finder, and (when an adjuster is configured)
+	// in-flight SWAP insertion.
 	passRoute = Pass{Name: "route", Run: func(st *State) error {
-		s, err := routeCircuit(st.Circuit, st.Grid, st.Layout, st.cfg)
-		if err != nil {
-			return err
-		}
-		st.Schedule = s
-		braids := int64(braidCount(s))
-		st.Count("cycles", int64(s.Latency()))
-		st.Count("braids", braids)
-		// Search-effort stats (A* pops, DFS stack pops), when the finder
-		// tracks them: surfaced both as trace counters and, with a
-		// registry attached, as routing-layer totals.
-		var stats route.SearchStats
-		if sr, ok := st.cfg.Finder.(route.StatsReporter); ok {
-			stats = sr.Stats()
-			st.Count("search-pops", stats.Pops)
-			st.Count("searches", stats.Searches)
-		}
-		if m := st.cfg.Metrics; m != nil {
-			m.Counter("route/braids-routed").Add(braids)
-			m.Counter("route/cycles").Add(int64(s.Latency()))
-			m.Counter("route/search-pops").Add(stats.Pops)
-			m.Counter("route/searches").Add(stats.Searches)
-		}
-		return nil
+		return runRoute(st, &router{})
 	}}
 
-	// passRouteParallel is the parallel Alg. 2 variant: per cycle, the
-	// independent braids of the dependency layer are speculated by a
-	// worker pool against a shared occupancy snapshot (with free-component
-	// pruning and windowed-lookahead tie-breaking) and committed in the
-	// deterministic ordered-ready sequence, retrying conflicts in further
-	// rounds. Emits the same route counters as passRoute plus the
-	// parallel-engine contention stats.
+	// passRouteParallel is the same loop with the speculative step: per
+	// cycle, the independent braids of the dependency layer are
+	// speculated by a worker pool against a shared occupancy snapshot
+	// (with free-component pruning and windowed-lookahead tie-breaking)
+	// and committed in the deterministic ordered-ready sequence. It emits
+	// the route counters plus the step's contention stats.
 	passRouteParallel = Pass{Name: "route-parallel", Run: func(st *State) error {
-		var pr parallelRouter
-		s, err := pr.route(st.Circuit, st.Grid, st.Layout, st.cfg)
-		if err != nil {
-			return err
-		}
-		st.Schedule = s
-		braids := int64(braidCount(s))
-		st.Count("cycles", int64(s.Latency()))
-		st.Count("braids", braids)
-		var stats route.SearchStats
-		for _, f := range pr.finders {
-			fs := f.Stats()
-			stats.Pops += fs.Pops
-			stats.Searches += fs.Searches
-		}
-		st.Count("search-pops", stats.Pops)
-		st.Count("searches", stats.Searches)
-		st.Count("workers", int64(pr.workers))
-		st.Count("conflicts", pr.stats.Conflicts)
-		st.Count("retries", pr.stats.Retries)
-		st.Count("stall-cycles", pr.stats.StallCycles)
-		if m := st.cfg.Metrics; m != nil {
-			m.Counter("route/braids-routed").Add(braids)
-			m.Counter("route/cycles").Add(int64(s.Latency()))
-			m.Counter("route/search-pops").Add(stats.Pops)
-			m.Counter("route/searches").Add(stats.Searches)
-			m.Gauge("route/parallel/workers").Set(int64(pr.workers))
-			m.Counter("route/parallel/conflicts").Add(pr.stats.Conflicts)
-			m.Counter("route/parallel/retries").Add(pr.stats.Retries)
-			m.Counter("route/parallel/stall-cycles").Add(pr.stats.StallCycles)
-		}
-		return nil
+		return runRoute(st, &router{spec: &specState{}})
 	}}
 
 	// passAdjust reconciles the layout adjustment that ran interleaved
@@ -562,6 +506,47 @@ var (
 		return nil
 	}}
 )
+
+// runRoute routes st.Circuit with rt and records the route counters:
+// trace counters on the running pass and, with a registry attached,
+// route/... totals. Search-effort stats (A* pops, DFS stack pops) are
+// reported when the finder tracks them; the speculative step adds its
+// worker count and contention stats.
+func runRoute(st *State, rt *router) error {
+	s, err := rt.route(st.Circuit, st.Grid, st.Layout, st.cfg)
+	if err != nil {
+		return err
+	}
+	st.Schedule = s
+	braids := int64(braidCount(s))
+	st.Count("cycles", int64(s.Latency()))
+	st.Count("braids", braids)
+	stats, tracked := rt.searchStats()
+	if tracked {
+		st.Count("search-pops", stats.Pops)
+		st.Count("searches", stats.Searches)
+	}
+	sp := rt.spec
+	if sp != nil {
+		st.Count("workers", int64(sp.workers))
+		st.Count("conflicts", sp.stats.Conflicts)
+		st.Count("retries", sp.stats.Retries)
+		st.Count("stall-cycles", sp.stats.StallCycles)
+	}
+	if m := st.cfg.Metrics; m != nil {
+		m.Counter("route/braids-routed").Add(braids)
+		m.Counter("route/cycles").Add(int64(s.Latency()))
+		m.Counter("route/search-pops").Add(stats.Pops)
+		m.Counter("route/searches").Add(stats.Searches)
+		if sp != nil {
+			m.Gauge("route/parallel/workers").Set(int64(sp.workers))
+			m.Counter("route/parallel/conflicts").Add(sp.stats.Conflicts)
+			m.Counter("route/parallel/retries").Add(sp.stats.Retries)
+			m.Counter("route/parallel/stall-cycles").Add(sp.stats.StallCycles)
+		}
+	}
+	return nil
+}
 
 // braidCount counts the braids of every layer.
 func braidCount(s *sched.Schedule) int {

@@ -7,8 +7,9 @@
 // placement/ordering/finder/adjuster factories — covering every variant
 // the paper evaluates (hilight-map/-pg/-gm, the Fig. 9 baseline) plus
 // the hooks the AutoBraid baseline plugs its SWAP-inserting layout
-// adjustment into. This file holds the route pass's engine: the Alg. 2
-// main loop, kept allocation-free in steady state.
+// adjustment into. This file holds the route passes' engine: the one
+// Alg. 2 main loop and its sequential step, kept allocation-free in
+// steady state.
 package core
 
 import (
@@ -119,15 +120,15 @@ type config struct {
 	Sink ScheduleSink
 	// FinderName is the registry name Finder was resolved from ("" when
 	// the default applied). The pipeline uses it to decide whether the
-	// parallel route pass — which substitutes the windowed finder — may
+	// speculative step — which substitutes the windowed finder — may
 	// take over without changing which gates are routable.
 	FinderName string
-	// RouteWorkers selects the parallel route pass: 0 keeps the
-	// sequential Alg. 2 loop, n ≥ 1 routes each dependency layer with n
-	// speculative workers, and negative means GOMAXPROCS. The schedule is
+	// RouteWorkers selects the route step: 0 keeps the sequential step,
+	// n ≥ 1 routes each dependency layer with the speculative step over n
+	// workers, and negative means GOMAXPROCS. The schedule is
 	// deterministic for any n ≥ 1.
 	RouteWorkers int
-	// Lookahead is the windowed-lookahead depth of the parallel pass:
+	// Lookahead is the windowed-lookahead depth of the speculative step:
 	// congestion from the next k pending two-qubit gates per qubit breaks
 	// equal-cost path ties. ≤ 0 disables the field.
 	Lookahead int
@@ -137,8 +138,8 @@ type config struct {
 	// Ctx, when non-nil, is honored at every cycle boundary of the
 	// routing loop: once done, Map returns an error wrapping ErrCanceled.
 	Ctx context.Context
-	// Warm, when non-nil, makes the route pass replay Warm.Prefix
-	// verbatim before entering the Alg. 2 loop (see WarmStart).
+	// Warm, when non-nil, makes the router replay Warm.Prefix verbatim
+	// before routing the rest with its step (see WarmStart).
 	Warm *WarmStart
 }
 
@@ -164,18 +165,14 @@ type swapOp struct {
 	remaining int
 }
 
-// routeCircuit is the Alg. 2 main loop on a one-shot router.
-func routeCircuit(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cfg config) (*sched.Schedule, error) {
-	var rt router
-	return rt.route(c, g, layout, cfg)
-}
-
 // router holds every piece of scratch state the Alg. 2 main loop needs,
 // so repeated route calls (batch compilation, benchmarks) run without
 // heap allocations once the buffers have warmed up. The zero value is
-// ready to use. A router is not safe for concurrent use, and the schedule
-// returned by route is owned by the router: it is valid only until the
-// next route call on the same router.
+// ready to use and routes with the sequential step; a router whose spec
+// field is set routes with the speculative step instead (see
+// router_parallel.go). A router is not safe for concurrent use, and the
+// schedule returned by route is owned by the router: it is valid only
+// until the next route call on the same router.
 type router struct {
 	// Per-call inputs, stored to keep the helper methods argument-free.
 	c      *circuit.Circuit
@@ -216,6 +213,10 @@ type router struct {
 	sch        *sched.Schedule
 	arena      []int
 	braidArena []sched.Braid
+
+	// spec, when non-nil, selects the speculative step and holds its
+	// worker pool, finders and lookahead field.
+	spec *specState
 }
 
 // init sizes the scratch for a (circuit, grid, layout) triple and resets
@@ -231,7 +232,8 @@ func (r *router) init(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cfg
 	}
 
 	r.ql.Fill(c)
-	r.cursor = resizeZeroed(r.cursor, c.NumQubits)
+	r.cursor = resize(r.cursor, c.NumQubits)
+	clear(r.cursor)
 	r.computeHeights()
 
 	r.ready = r.ready[:0]
@@ -258,14 +260,23 @@ func (r *router) init(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cfg
 	}
 }
 
-// route runs the Alg. 2 main loop. The returned schedule is owned by the
-// router and valid until the next route call.
+// route runs the Alg. 2 main loop: per cycle, collect the ready set,
+// order it, and braid it with the router's step. The returned schedule
+// is owned by the router and valid until the next route call.
 func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cfg config) (*sched.Schedule, error) {
 	r.init(c, g, layout, cfg)
 	if cfg.Sink != nil {
 		if err := cfg.Sink.OnStart(g, r.sch.Initial); err != nil {
 			return nil, fmt.Errorf("core: schedule sink: %w", err)
 		}
+	}
+	step := r.routeSequential
+	if r.spec != nil {
+		r.initSpeculation()
+		if r.spec.workers > 1 {
+			defer close(r.spec.workCh)
+		}
+		step = r.routeSpeculative
 	}
 
 	// skip1Q advances each qubit's cursor past single-qubit gates: they
@@ -294,9 +305,7 @@ func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cf
 			return nil, &ErrUnroutable{Gate: -1, Reason: fmt.Sprintf(
 				"router exceeded %d cycles with %d gates left — scheduling livelock", maxCycles, remaining)}
 		}
-		r.occ.Reset()
-		r.busyEpoch++
-		r.layerBuf = r.layerBuf[:0]
+		r.resetCycle()
 
 		// 1) Keep in-flight SWAP braids going; they occupy their tiles.
 		for i := range r.active {
@@ -325,52 +334,11 @@ func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cf
 		}
 
 		// 3) Braiding path-finding per ready gate (Alg. 2 lines 7–11).
-		for _, rd := range ready {
-			if r.isBusy(rd.CtlTile) || r.isBusy(rd.TgtTile) {
-				continue
-			}
-			p, ok := cfg.Finder.Find(g, r.occ, rd.CtlTile, rd.TgtTile, r.pathBuf[:0])
-			if !ok {
-				continue // deferred to the next cycle
-			}
-			r.pathBuf = p
-			r.occ.Add(g, p)
-			r.layerBuf = append(r.layerBuf, sched.Braid{
-				Gate: rd.Gate, CtlTile: rd.CtlTile, TgtTile: rd.TgtTile, Path: r.storePath(p),
-			})
-			r.markBusy(rd.CtlTile, rd.TgtTile)
-			gate := c.Gates[rd.Gate]
-			r.cursor[gate.Q0]++
-			r.cursor[gate.Q1]++
-			r.skip1Q(gate.Q0)
-			r.skip1Q(gate.Q1)
-			if cfg.Adjuster != nil {
-				// The executed gate is at the front of both pending lists.
-				r.pending[gate.Q0] = r.pending[gate.Q0][1:]
-				r.pending[gate.Q1] = r.pending[gate.Q1][1:]
-			}
-			remaining--
-		}
+		remaining -= step(ready)
 
 		if len(r.layerBuf) > 0 {
-			if cfg.Observer != nil {
-				stats := CycleStats{Cycle: cycle, Ready: len(ready)}
-				for _, b := range r.layerBuf {
-					stats.PathLength += len(b.Path)
-					if b.Gate >= 0 {
-						stats.Executed++
-					} else {
-						stats.SwapBraids++
-					}
-				}
-				stats.Deferred = stats.Ready - stats.Executed
-				cfg.Observer.OnCycle(stats)
-			}
-			r.flushLayer()
-			if cfg.Sink != nil {
-				if err := cfg.Sink.OnLayer(cycle, r.sch.Layers[len(r.sch.Layers)-1]); err != nil {
-					return nil, fmt.Errorf("core: schedule sink: %w", err)
-				}
+			if err := r.sealLayer(cycle, len(ready)); err != nil {
+				return nil, err
 			}
 			cycle++
 		}
@@ -424,6 +392,109 @@ func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cf
 	return r.sch, nil
 }
 
+// routeSequential is the paper's step (Alg. 2 lines 7–11): each ordered
+// ready gate, in turn, path-finds with cfg.Finder against the live
+// occupancy; a gate with no path is deferred to the next cycle. It
+// returns the number of gates executed.
+func (r *router) routeSequential(ready []order.Ready) int {
+	executed := 0
+	for _, rd := range ready {
+		if r.isBusy(rd.CtlTile) || r.isBusy(rd.TgtTile) {
+			continue
+		}
+		p, ok := r.cfg.Finder.Find(r.g, r.occ, rd.CtlTile, rd.TgtTile, r.pathBuf[:0])
+		if !ok {
+			continue // deferred to the next cycle
+		}
+		r.pathBuf = p
+		r.commit(rd, p)
+		executed++
+	}
+	return executed
+}
+
+// commit executes ready gate rd along path p in the cycle under
+// construction: occupancy, the stored braid, busy tiles, the operand
+// cursors and (with an adjuster) the pending lists.
+func (r *router) commit(rd order.Ready, p route.Path) {
+	r.occ.Add(r.g, p)
+	r.layerBuf = append(r.layerBuf, sched.Braid{
+		Gate: rd.Gate, CtlTile: rd.CtlTile, TgtTile: rd.TgtTile, Path: r.storePath(p),
+	})
+	r.markBusy(rd.CtlTile, rd.TgtTile)
+	gate := r.c.Gates[rd.Gate]
+	r.cursor[gate.Q0]++
+	r.cursor[gate.Q1]++
+	r.skip1Q(gate.Q0)
+	r.skip1Q(gate.Q1)
+	if r.cfg.Adjuster != nil {
+		// The executed gate is at the front of both pending lists.
+		r.pending[gate.Q0] = r.pending[gate.Q0][1:]
+		r.pending[gate.Q1] = r.pending[gate.Q1][1:]
+	}
+}
+
+// searchStats reports the search effort of the step's finders; tracked
+// is false when the sequential step's finder does not count it.
+func (r *router) searchStats() (stats route.SearchStats, tracked bool) {
+	if r.spec == nil {
+		sr, ok := r.cfg.Finder.(route.StatsReporter)
+		if !ok {
+			return stats, false
+		}
+		return sr.Stats(), true
+	}
+	for _, f := range r.spec.finders {
+		fs := f.Stats()
+		stats.Pops += fs.Pops
+		stats.Searches += fs.Searches
+	}
+	return stats, true
+}
+
+// resetCycle starts a braiding cycle on an empty lattice: no occupied
+// vertex, no busy tile, no braid.
+func (r *router) resetCycle() {
+	r.occ.Reset()
+	r.busyEpoch++
+	r.layerBuf = r.layerBuf[:0]
+}
+
+// sealLayer closes the cycle under construction: it reports the cycle
+// to the observer, appends a copy of layerBuf to the schedule and hands
+// the sealed layer to the sink. ready is the cycle's ready-set size.
+//
+// Braids live in a shared arena so a schedule with thousands of
+// single-braid layers (the session replay shape) costs O(log braids)
+// allocations, not one per layer. An arena growth leaves earlier layers
+// on the old backing array, which stays valid — layers never alias each
+// other.
+func (r *router) sealLayer(cycle, ready int) error {
+	if r.cfg.Observer != nil {
+		stats := CycleStats{Cycle: cycle, Ready: ready}
+		for _, b := range r.layerBuf {
+			stats.PathLength += len(b.Path)
+			if b.Gate >= 0 {
+				stats.Executed++
+			} else {
+				stats.SwapBraids++
+			}
+		}
+		stats.Deferred = stats.Ready - stats.Executed
+		r.cfg.Observer.OnCycle(stats)
+	}
+	n := len(r.braidArena)
+	r.braidArena = append(r.braidArena, r.layerBuf...)
+	layer := sched.Layer(r.braidArena[n:len(r.braidArena):len(r.braidArena)])
+	r.sch.Layers = append(r.sch.Layers, layer)
+	if r.cfg.Sink != nil {
+		if err := r.cfg.Sink.OnLayer(cycle, layer); err != nil {
+			return fmt.Errorf("core: schedule sink: %w", err)
+		}
+	}
+	return nil
+}
+
 // replayPrefix re-emits the warm-start prefix layers verbatim, verifying
 // every braid against the current circuit, layout, grid and defect map —
 // the same invariants sched.Validate would check — so a stale prefix can
@@ -462,27 +533,15 @@ func (r *router) replayPrefix(prefix []sched.Layer, remaining *int) (int, error)
 		if len(layer) == 0 {
 			return 0, fmt.Errorf("core: %w: empty layer %d", ErrWarmStart, li)
 		}
-		r.occ.Reset()
-		r.busyEpoch++
-		r.layerBuf = r.layerBuf[:0]
+		r.resetCycle()
 		for _, b := range layer {
 			if err := r.replayBraid(b); err != nil {
 				return 0, fmt.Errorf("core: %w: cycle %d: %v", ErrWarmStart, li, err)
 			}
 			*remaining--
 		}
-		if r.cfg.Observer != nil {
-			stats := CycleStats{Cycle: li, Ready: len(layer), Executed: len(layer)}
-			for _, b := range r.layerBuf {
-				stats.PathLength += len(b.Path)
-			}
-			r.cfg.Observer.OnCycle(stats)
-		}
-		r.flushLayer()
-		if r.cfg.Sink != nil {
-			if err := r.cfg.Sink.OnLayer(li, r.sch.Layers[len(r.sch.Layers)-1]); err != nil {
-				return 0, fmt.Errorf("core: schedule sink: %w", err)
-			}
+		if err := r.sealLayer(li, len(layer)); err != nil {
+			return 0, err
 		}
 	}
 	return len(prefix), nil
@@ -527,15 +586,7 @@ func (r *router) replayBraid(b sched.Braid) error {
 	if r.occ.Conflicts(r.g, b.Path) {
 		return fmt.Errorf("gate %d path conflicts within its cycle", b.Gate)
 	}
-	r.occ.Add(r.g, b.Path)
-	r.layerBuf = append(r.layerBuf, sched.Braid{
-		Gate: b.Gate, CtlTile: b.CtlTile, TgtTile: b.TgtTile, Path: r.storePath(b.Path),
-	})
-	r.markBusy(b.CtlTile, b.TgtTile)
-	r.cursor[gate.Q0]++
-	r.cursor[gate.Q1]++
-	r.skip1Q(gate.Q0)
-	r.skip1Q(gate.Q1)
+	r.commit(order.Ready{Gate: b.Gate, CtlTile: b.CtlTile, TgtTile: b.TgtTile}, b.Path)
 	return nil
 }
 
@@ -608,26 +659,19 @@ func (r *router) storePath(p route.Path) route.Path {
 	return route.Path(r.arena[n:len(r.arena):len(r.arena)])
 }
 
-// flushLayer appends a copy of layerBuf to the schedule. Braids live in
-// a shared arena so a schedule with thousands of single-braid layers
-// (the session replay shape) costs O(log braids) allocations, not one
-// per layer. An arena growth leaves earlier layers on the old backing
-// array, which stays valid — layers never alias each other.
-func (r *router) flushLayer() {
-	n := len(r.braidArena)
-	r.braidArena = append(r.braidArena, r.layerBuf...)
-	r.sch.Layers = append(r.sch.Layers, sched.Layer(r.braidArena[n:len(r.braidArena):len(r.braidArena)]))
-}
-
 // computeHeights computes, per two-qubit gate, the length of the longest
 // chain of dependent two-qubit gates below it — the priority the
 // CriticalPath ordering consumes. One backward sweep over the gate list.
 func (r *router) computeHeights() {
 	c := r.c
-	r.heights = resizeZeroed(r.heights, len(c.Gates))
+	r.heights = resize(r.heights, len(c.Gates))
+	clear(r.heights)
 	// nextCX[q] is the height of the next two-qubit gate after the sweep
 	// position on qubit q (-1 when none).
-	r.nextCX = resizeFilled(r.nextCX, c.NumQubits, -1)
+	r.nextCX = resize(r.nextCX, c.NumQubits)
+	for q := range r.nextCX {
+		r.nextCX[q] = -1
+	}
 	for gi := len(c.Gates) - 1; gi >= 0; gi-- {
 		g := c.Gates[gi]
 		if !g.TwoQubit() {
@@ -651,9 +695,9 @@ func (r *router) computeHeights() {
 // the front of both operands' lists.
 func (r *router) initPending() {
 	c := r.c
-	r.pending = resizeSlices(r.pending, c.NumQubits)
+	r.pending = resize(r.pending, c.NumQubits)
 	r.pendingBack = r.pendingBack[:0]
-	r.pendingOffs = resizeZeroed(r.pendingOffs, c.NumQubits+1)
+	r.pendingOffs = resize(r.pendingOffs, c.NumQubits+1)
 	for q := 0; q < c.NumQubits; q++ {
 		r.pendingOffs[q] = len(r.pendingBack)
 		for _, gi := range r.ql.Lists[q][r.cursor[q]:] {
@@ -677,35 +721,15 @@ func tileInFlight(active []swapOp, t int) bool {
 	return false
 }
 
-// resizeZeroed returns s with length n and every element zero, reusing
-// capacity when possible.
-func resizeZeroed(s []int, n int) []int {
+// resize returns s with length n, reusing its capacity when it
+// suffices. Elements are not cleared: callers that need zeroes clear
+// them. Growing copies the old elements over, so per-slot buffers (the
+// speculative step's paths) keep their capacity across cycles.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// resizeFilled returns s with length n and every element set to fill.
-func resizeFilled(s []int, n, fill int) []int {
-	if cap(s) < n {
-		s = make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = fill
-	}
-	return s
-}
-
-// resizeSlices returns s with length n, reusing capacity when possible.
-func resizeSlices(s [][]int, n int) [][]int {
-	if cap(s) < n {
-		return make([][]int, n)
+		ns := make([]T, n)
+		copy(ns, s)
+		return ns
 	}
 	return s[:n]
 }

@@ -1,21 +1,18 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"hilight/internal/circuit"
-	"hilight/internal/grid"
 	"hilight/internal/order"
 	"hilight/internal/route"
-	"hilight/internal/sched"
 )
 
-// This file holds the route-parallel pass engine: Alg. 2 with the
-// independent braids of each dependency layer routed speculatively in
-// parallel and committed in a deterministic order.
+// This file holds the speculative step of the Alg. 2 loop (the
+// route-parallel pass): the independent braids of each dependency layer
+// are routed speculatively in parallel and committed in a deterministic
+// order.
 //
 // Each cycle runs three phases:
 //
@@ -32,7 +29,7 @@ import (
 //     deferred to the next cycle (occupancy only grows within a cycle,
 //     so failure against the cycle-start snapshot is monotone).
 //   - Finish: conflicting candidates re-route one by one against the
-//     live occupancy, exactly like the sequential router but with the
+//     live occupancy, exactly like the sequential step but with the
 //     component labeling refreshed after every commit — so a gate that
 //     cannot route under this cycle's braids is deferred by two label
 //     loads instead of a full-lattice search flood, and each gate costs
@@ -47,11 +44,14 @@ import (
 // commit order always commits (nothing precedes it to conflict with),
 // and the finish phase is a linear sequential sweep.
 //
-// The pass does not support layout adjusters (inserted SWAPs serialize
-// the cycle anyway); NewPipeline falls back to the sequential route pass
-// for specs that configure one or that use a non-A*-family finder.
+// The step does not support layout adjusters (inserted SWAPs serialize
+// the cycle anyway); NewPipeline keeps the sequential step for specs
+// that configure one or that use a non-A*-family finder. Ready gates
+// never share a tile (each qubit has one front gate and one tile), and
+// without inserted SWAPs no tile is busy before a commit, so the step
+// needs no busy-tile checks.
 
-// parStats aggregates the parallel router's contention counters,
+// parStats aggregates the speculative step's contention counters,
 // surfaced as route-parallel trace counters and route/parallel/...
 // metrics.
 type parStats struct {
@@ -66,11 +66,11 @@ type parStats struct {
 }
 
 // parallelCompatible reports whether the resolved components allow the
-// parallel route pass to substitute its windowed finder without changing
+// speculative step to substitute its windowed finder without changing
 // which gates are routable: no layout adjuster (inserted SWAPs serialize
 // the cycle), and a finder from the complete A*-closest family (the
 // windowed finder accepts and rejects exactly like it). Incompatible
-// specs silently keep the sequential pass, so a process-wide worker
+// specs silently keep the sequential step, so a process-wide worker
 // default is always safe to set.
 func parallelCompatible(cfg config) bool {
 	if cfg.Adjuster != nil {
@@ -95,13 +95,10 @@ func resolveRouteWorkers(n int) int {
 	return n
 }
 
-// parallelRouter embeds the sequential router's scratch (occupancy,
-// cursors, ready set, layer buffers, arena) and adds the speculation
-// state. Like router, a parallelRouter is one-shot per route call and
-// owns the returned schedule.
-type parallelRouter struct {
-	router
-
+// specState is the speculative step's state on top of the router's
+// shared scratch: the worker pool, its finders, the free-component
+// labeling and the windowed-lookahead field.
+type specState struct {
 	workers int
 	finders []*route.Windowed
 	comp    route.Components
@@ -128,12 +125,10 @@ type parallelRouter struct {
 	q2off   []int32
 	q2ptr   []int32
 
-	// Per-round speculation state. readyOrd is the cycle's ordered ready
-	// slice; cands/retry hold indices into it; specOK/specPath receive
-	// each candidate's speculation result (workers write disjoint
-	// entries).
-	readyOrd []order.Ready
-	cands    []int
+	// Per-cycle speculation state. ready is the cycle's ordered ready
+	// slice; retry holds indices into it; specOK/specPath receive each
+	// candidate's speculation result (workers write disjoint entries).
+	ready    []order.Ready
 	retry    []int
 	specOK   []bool
 	specPath []route.Path
@@ -145,298 +140,204 @@ type parallelRouter struct {
 	stats parStats
 }
 
-// route runs the parallel Alg. 2 main loop. The returned schedule is
-// owned by the router and valid until the next route call.
-func (pr *parallelRouter) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cfg config) (*sched.Schedule, error) {
-	pr.init(c, g, layout, cfg)
-	if cfg.Sink != nil {
-		if err := cfg.Sink.OnStart(g, pr.sch.Initial); err != nil {
-			return nil, fmt.Errorf("core: schedule sink: %w", err)
+// initSpeculation prepares the speculative step for the current route
+// call: the finders, the parked helper goroutines (stopped by closing
+// workCh), the empty-lattice labeling and the lookahead index.
+func (r *router) initSpeculation() {
+	s := r.spec
+	c, g := r.c, r.g
+	s.workers = resolveRouteWorkers(r.cfg.RouteWorkers)
+	s.finders = s.finders[:0]
+	for i := 0; i < s.workers; i++ {
+		s.finders = append(s.finders, &route.Windowed{Comp: &s.comp})
+	}
+	if s.workers > 1 {
+		s.workCh = make(chan struct{})
+		for w := 1; w < s.workers; w++ {
+			go r.workerLoop(w)
 		}
-	}
-	pr.workers = resolveRouteWorkers(cfg.RouteWorkers)
-
-	pr.finders = pr.finders[:0]
-	for i := 0; i < pr.workers; i++ {
-		pr.finders = append(pr.finders, &route.Windowed{Comp: &pr.comp})
-	}
-	if pr.workers > 1 {
-		pr.workCh = make(chan struct{})
-		defer close(pr.workCh)
-		for w := 1; w < pr.workers; w++ {
-			go pr.workerLoop(w)
-		}
-	}
-
-	remaining := c.CXCount()
-	for q := 0; q < c.NumQubits; q++ {
-		pr.skip1Q(q)
 	}
 
 	// The empty-lattice labeling depends only on the defect map: compute
 	// it once against the reset occupancy and restore it by copy each
 	// cycle. Without an adjuster the layout is immutable, so per-qubit
 	// tile coordinates for the congestion field are also cached here.
-	pr.occ.Reset()
-	pr.emptyComp.Compute(g, pr.occ)
-	if cfg.Lookahead > 0 {
-		pr.qtx = resizeZeroed32(pr.qtx, c.NumQubits)
-		pr.qty = resizeZeroed32(pr.qty, c.NumQubits)
-		for q := 0; q < c.NumQubits; q++ {
-			x, y := g.TileXY(layout.QubitTile[q])
-			pr.qtx[q], pr.qty[q] = int32(x), int32(y)
-		}
-		// Index each qubit's two-qubit gates once; the congestion sweep
-		// then jumps straight to the pending window every cycle. The stamp
-		// rectangle (operand tiles' corner-vertex bounding box, normalized
-		// and widened to the far corner column/row) is resolved here too —
-		// the layout never moves without an adjuster.
-		pr.q2arena = pr.q2arena[:0]
-		pr.q2rect = pr.q2rect[:0]
-		pr.q2off = resizeZeroed32(pr.q2off, c.NumQubits+1)
-		pr.q2ptr = resizeZeroed32(pr.q2ptr, c.NumQubits)
-		for q := 0; q < c.NumQubits; q++ {
-			pr.q2off[q] = int32(len(pr.q2arena))
-			for i, gi := range pr.ql.Lists[q] {
-				gate := pr.c.Gates[gi]
-				if !gate.TwoQubit() {
-					continue
-				}
-				pr.q2arena = append(pr.q2arena, int32(i))
-				rect := int64(-1)
-				if gate.Q0 == q { // count each gate once, from its control side
-					x0, y0 := pr.qtx[gate.Q0], pr.qty[gate.Q0]
-					x1, y1 := pr.qtx[gate.Q1], pr.qty[gate.Q1]
-					if x1 < x0 {
-						x0, x1 = x1, x0
-					}
-					if y1 < y0 {
-						y0, y1 = y1, y0
-					}
-					x1++ // tile corners span one extra vertex column/row
-					y1++
-					rect = int64(x0) | int64(y0)<<16 | int64(x1)<<32 | int64(y1)<<48
-				}
-				pr.q2rect = append(pr.q2rect, rect)
-			}
-		}
-		pr.q2off[c.NumQubits] = int32(len(pr.q2arena))
+	r.occ.Reset()
+	s.emptyComp.Compute(g, r.occ)
+	if r.cfg.Lookahead <= 0 {
+		return
 	}
-
-	cycle := 0
-	guard := 0
-	maxCycles := 16*(remaining+len(c.Gates)) + 4*g.Tiles() + 64
-
-	// compDirty tracks whether pr.comp's labeling has drifted from the
-	// occupancy it will next be read against (any Add since the last
-	// Compute, or the cycle-boundary Reset after one).
-	compDirty := true
-
-	for remaining > 0 {
-		if err := ctxErr(cfg.Ctx); err != nil {
-			return nil, fmt.Errorf("%w at cycle %d", err, cycle)
-		}
-		if guard++; guard > maxCycles {
-			return nil, &ErrUnroutable{Gate: -1, Reason: fmt.Sprintf(
-				"router exceeded %d cycles with %d gates left — scheduling livelock", maxCycles, remaining)}
-		}
-		pr.occ.Reset()
-		pr.busyEpoch++
-		pr.layerBuf = pr.layerBuf[:0]
-
-		ready := pr.collectReady()
-		if len(ready) > cfg.OrderingThreshold {
-			ready = cfg.Ordering.Order(ready, g)
-			pr.ready = ready[:0] // adopt whatever backing Order returned
-		}
-		pr.readyOrd = ready
-
-		var cong []int32
-		if cfg.Lookahead > 0 {
-			pr.computeCongestion()
-			cong = pr.cong
-		}
-		for _, f := range pr.finders {
-			f.Cong = cong
-		}
-
-		pr.cands = pr.cands[:0]
-		for i := range ready {
-			pr.cands = append(pr.cands, i)
-		}
-		pr.specOK = resizeBools(pr.specOK, len(ready))
-		pr.specPath = resizePaths(pr.specPath, len(ready))
-
-		// Speculation round: every ready gate path-finds in parallel
-		// against the cycle's empty-lattice snapshot, whose component
-		// labeling only changes when the defect map does — restore the
-		// cached labeling when the finish phase dirtied it.
-		if compDirty {
-			pr.comp.CopyFrom(&pr.emptyComp)
-			compDirty = false
-		}
-		pr.speculate()
-
-		// Commit phase: walk the ordered ready sequence, committing every
-		// speculative path that is disjoint from the braids committed
-		// before it. Conflicting candidates fall through to the finish
-		// phase; candidates whose speculation failed are deferred to the
-		// next cycle (occupancy only grows within a cycle, so failure
-		// against the cycle-start snapshot is final).
-		pr.retry = pr.retry[:0]
-		for _, ci := range pr.cands {
-			rd := ready[ci]
-			if !pr.specOK[ci] || pr.isBusy(rd.CtlTile) || pr.isBusy(rd.TgtTile) {
-				continue // deferred to the next cycle
-			}
-			if pr.occ.Conflicts(g, pr.specPath[ci]) {
-				pr.retry = append(pr.retry, ci)
-				pr.stats.Conflicts++
-				continue // speculation lost the commit race; finish phase
-			}
-			remaining -= pr.commit(ci)
-			compDirty = true
-		}
-
-		// Finish phase: the conflicting candidates re-route sequentially
-		// against the live occupancy — each gate is path-found at most
-		// twice per cycle, and the component labeling is refreshed after
-		// every commit so a deferral costs two label loads, never a
-		// full-lattice search flood (on a congested lattice nearly every
-		// deferral would otherwise flood; labeling is the cheaper side of
-		// that trade by an order of magnitude).
-		if len(pr.retry) > 0 {
-			pr.stats.StallCycles++
-			f := pr.finders[0]
-			for _, ci := range pr.retry {
-				rd := ready[ci]
-				if pr.isBusy(rd.CtlTile) || pr.isBusy(rd.TgtTile) {
-					continue
-				}
-				if compDirty {
-					pr.comp.Compute(g, pr.occ)
-					compDirty = false
-				}
-				pr.stats.Retries++
-				p, ok := f.Find(g, pr.occ, rd.CtlTile, rd.TgtTile, pr.specPath[ci][:0])
-				if !ok {
-					continue // disconnected under this cycle's braids; next cycle
-				}
-				pr.specPath[ci] = p
-				remaining -= pr.commit(ci)
-				compDirty = true
-			}
-		}
-
-		if len(pr.layerBuf) > 0 {
-			// The labels may have last been computed against this cycle's
-			// live occupancy; the coming Reset invalidates that.
-			compDirty = true
-			if cfg.Observer != nil {
-				stats := CycleStats{Cycle: cycle, Ready: len(ready), Executed: len(pr.layerBuf)}
-				for _, b := range pr.layerBuf {
-					stats.PathLength += len(b.Path)
-				}
-				stats.Deferred = stats.Ready - stats.Executed
-				cfg.Observer.OnCycle(stats)
-			}
-			pr.flushLayer()
-			if cfg.Sink != nil {
-				if err := cfg.Sink.OnLayer(cycle, pr.sch.Layers[len(pr.sch.Layers)-1]); err != nil {
-					return nil, fmt.Errorf("core: schedule sink: %w", err)
-				}
-			}
-			cycle++
-			continue
-		}
-
-		// Stuck-progress detection, mirroring the sequential router: the
-		// cycle started from an empty lattice and still placed nothing.
-		if len(ready) > 0 {
-			rd := ready[0]
-			return nil, &ErrUnroutable{
-				Gate: rd.Gate, CtlTile: rd.CtlTile, TgtTile: rd.TgtTile,
-				Reason: fmt.Sprintf("no braiding path on an empty lattice (%d gates remaining); defects or reserved regions disconnect the tiles", remaining),
-			}
-		}
-		return nil, &ErrUnroutable{Gate: -1, Reason: fmt.Sprintf(
-			"%d gates remaining but none ready — dependency deadlock", remaining)}
+	s.qtx = resize(s.qtx, c.NumQubits)
+	s.qty = resize(s.qty, c.NumQubits)
+	for q := 0; q < c.NumQubits; q++ {
+		x, y := g.TileXY(r.layout.QubitTile[q])
+		s.qtx[q], s.qty[q] = int32(x), int32(y)
 	}
-	return pr.sch, nil
+	// Index each qubit's two-qubit gates once; the congestion sweep then
+	// jumps straight to the pending window every cycle. The stamp
+	// rectangle (operand tiles' corner-vertex bounding box, normalized and
+	// widened to the far corner column/row) is resolved here too — the
+	// layout never moves without an adjuster.
+	s.q2arena = s.q2arena[:0]
+	s.q2rect = s.q2rect[:0]
+	s.q2off = resize(s.q2off, c.NumQubits+1)
+	s.q2ptr = resize(s.q2ptr, c.NumQubits)
+	clear(s.q2ptr)
+	for q := 0; q < c.NumQubits; q++ {
+		s.q2off[q] = int32(len(s.q2arena))
+		for i, gi := range r.ql.Lists[q] {
+			gate := c.Gates[gi]
+			if !gate.TwoQubit() {
+				continue
+			}
+			s.q2arena = append(s.q2arena, int32(i))
+			rect := int64(-1)
+			if gate.Q0 == q { // count each gate once, from its control side
+				x0, y0 := s.qtx[gate.Q0], s.qty[gate.Q0]
+				x1, y1 := s.qtx[gate.Q1], s.qty[gate.Q1]
+				if x1 < x0 {
+					x0, x1 = x1, x0
+				}
+				if y1 < y0 {
+					y0, y1 = y1, y0
+				}
+				x1++ // tile corners span one extra vertex column/row
+				y1++
+				rect = int64(x0) | int64(y0)<<16 | int64(x1)<<32 | int64(y1)<<48
+			}
+			s.q2rect = append(s.q2rect, rect)
+		}
+	}
+	s.q2off[c.NumQubits] = int32(len(s.q2arena))
 }
 
-// commit places candidate ci's speculated (or finish-phase) path into
-// the cycle's layer: occupancy, busy tiles, cursors, and the schedule
-// arena. It returns the number of gates executed (always 1) so call
-// sites read as remaining -= commit(ci).
-func (pr *parallelRouter) commit(ci int) int {
-	rd := pr.readyOrd[ci]
-	p := pr.specPath[ci]
-	pr.occ.Add(pr.g, p)
-	pr.layerBuf = append(pr.layerBuf, sched.Braid{
-		Gate: rd.Gate, CtlTile: rd.CtlTile, TgtTile: rd.TgtTile, Path: pr.storePath(p),
-	})
-	pr.markBusy(rd.CtlTile, rd.TgtTile)
-	gate := pr.c.Gates[rd.Gate]
-	pr.cursor[gate.Q0]++
-	pr.cursor[gate.Q1]++
-	pr.skip1Q(gate.Q0)
-	pr.skip1Q(gate.Q1)
-	return 1
+// routeSpeculative is the speculative step: speculate every ordered
+// ready gate, commit the disjoint paths in ready order, and finish the
+// conflicting ones against the live occupancy. It returns the number of
+// gates executed.
+func (r *router) routeSpeculative(ready []order.Ready) int {
+	s := r.spec
+	g := r.g
+	s.ready = ready
+	var cong []int32
+	if r.cfg.Lookahead > 0 {
+		r.computeCongestion()
+		cong = s.cong
+	}
+	for _, f := range s.finders {
+		f.Cong = cong
+	}
+	s.specOK = resize(s.specOK, len(ready))
+	s.specPath = resize(s.specPath, len(ready))
+
+	// Speculation round: every ready gate path-finds in parallel against
+	// the cycle's empty-lattice snapshot, whose component labeling only
+	// changes when the defect map does.
+	s.comp.CopyFrom(&s.emptyComp)
+	r.speculate()
+
+	// Commit phase: walk the ordered ready sequence, committing every
+	// speculative path that is disjoint from the braids committed before
+	// it. Conflicting candidates fall through to the finish phase;
+	// candidates whose speculation failed are deferred to the next cycle
+	// (occupancy only grows within a cycle, so failure against the
+	// cycle-start snapshot is final). dirty tracks whether the labeling
+	// has drifted from the live occupancy.
+	executed, dirty := 0, false
+	s.retry = s.retry[:0]
+	for ci, rd := range ready {
+		if !s.specOK[ci] {
+			continue // deferred to the next cycle
+		}
+		if r.occ.Conflicts(g, s.specPath[ci]) {
+			s.retry = append(s.retry, ci)
+			s.stats.Conflicts++
+			continue // speculation lost the commit race; finish phase
+		}
+		r.commit(rd, s.specPath[ci])
+		executed++
+		dirty = true
+	}
+
+	// Finish phase: the conflicting candidates re-route sequentially
+	// against the live occupancy — each gate is path-found at most twice
+	// per cycle, and the component labeling is refreshed after every
+	// commit so a deferral costs two label loads, never a full-lattice
+	// search flood (on a congested lattice nearly every deferral would
+	// otherwise flood; labeling is the cheaper side of that trade by an
+	// order of magnitude).
+	if len(s.retry) == 0 {
+		return executed
+	}
+	s.stats.StallCycles++
+	f := s.finders[0]
+	for _, ci := range s.retry {
+		rd := ready[ci]
+		if dirty {
+			s.comp.Compute(g, r.occ)
+			dirty = false
+		}
+		s.stats.Retries++
+		p, ok := f.Find(g, r.occ, rd.CtlTile, rd.TgtTile, s.specPath[ci][:0])
+		if !ok {
+			continue // disconnected under this cycle's braids; next cycle
+		}
+		s.specPath[ci] = p
+		r.commit(rd, p)
+		executed++
+		dirty = true
+	}
+	return executed
 }
 
-// speculate path-finds every current candidate against the round
-// snapshot, spreading the work over the pool. Worker 0 is the calling
-// goroutine; helpers beyond the candidate count stay parked.
-func (pr *parallelRouter) speculate() {
-	pr.next.Store(0)
-	helpers := pr.workers - 1
-	if n := len(pr.cands) - 1; helpers > n {
+// speculate path-finds every ready gate against the round snapshot,
+// spreading the work over the pool. Worker 0 is the calling goroutine;
+// helpers beyond the candidate count stay parked.
+func (r *router) speculate() {
+	s := r.spec
+	s.next.Store(0)
+	helpers := s.workers - 1
+	if n := len(s.ready) - 1; helpers > n {
 		helpers = n
 	}
 	if helpers <= 0 {
-		pr.speculateWorker(0)
+		r.speculateWorker(0)
 		return
 	}
-	pr.wg.Add(helpers)
+	s.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
-		pr.workCh <- struct{}{}
+		s.workCh <- struct{}{}
 	}
-	pr.speculateWorker(0)
-	pr.wg.Wait()
+	r.speculateWorker(0)
+	s.wg.Wait()
 }
 
 // workerLoop parks a helper goroutine between rounds; each channel
 // receive corresponds to one round's Add(1).
-func (pr *parallelRouter) workerLoop(w int) {
-	for range pr.workCh {
-		pr.speculateWorker(w)
-		pr.wg.Done()
+func (r *router) workerLoop(w int) {
+	for range r.spec.workCh {
+		r.speculateWorker(w)
+		r.spec.wg.Done()
 	}
 }
 
 // speculateWorker claims candidates off the shared cursor and routes
-// them with this worker's finder. All shared state (occupancy, busy
-// tiles, components, congestion) is read-only during a round; results
-// land in per-candidate slots, so workers never contend on data.
-func (pr *parallelRouter) speculateWorker(w int) {
-	f := pr.finders[w]
-	g := pr.g
+// them with this worker's finder. All shared state (occupancy,
+// components, congestion) is read-only during a round; results land in
+// per-candidate slots, so workers never contend on data.
+func (r *router) speculateWorker(w int) {
+	s := r.spec
+	f := s.finders[w]
 	for {
-		i := int(pr.next.Add(1)) - 1
-		if i >= len(pr.cands) {
+		ci := int(s.next.Add(1)) - 1
+		if ci >= len(s.ready) {
 			return
 		}
-		ci := pr.cands[i]
-		rd := pr.readyOrd[ci]
-		if pr.isBusy(rd.CtlTile) || pr.isBusy(rd.TgtTile) {
-			pr.specOK[ci] = false
-			continue
-		}
-		p, ok := f.Find(g, pr.occ, rd.CtlTile, rd.TgtTile, pr.specPath[ci][:0])
-		pr.specOK[ci] = ok
+		rd := s.ready[ci]
+		p, ok := f.Find(r.g, r.occ, rd.CtlTile, rd.TgtTile, s.specPath[ci][:0])
+		s.specOK[ci] = ok
 		if ok {
-			pr.specPath[ci] = p
+			s.specPath[ci] = p
 		}
 	}
 }
@@ -448,22 +349,22 @@ func (pr *parallelRouter) speculateWorker(w int) {
 // prefix-sum sweep. The result is a per-vertex count of how many
 // upcoming braids want to cross that vertex's neighborhood — the
 // tie-break field the Windowed finders consume.
-func (pr *parallelRouter) computeCongestion() {
-	g := pr.g
-	c := pr.c
-	vw, vh := g.VW(), g.VH()
+func (r *router) computeCongestion() {
+	s := r.spec
+	vw, vh := r.g.VW(), r.g.VH()
 	w := vw + 1 // difference-array stride: one sink column past the vertices
-	pr.congDiff = resizeZeroed32(pr.congDiff, w*(vh+1))
-	k := pr.cfg.Lookahead
-	for q := 0; q < c.NumQubits; q++ {
-		off := int(pr.q2off[q])
-		pos := pr.q2arena[off:pr.q2off[q+1]]
-		rects := pr.q2rect[off:pr.q2off[q+1]]
-		p := int(pr.q2ptr[q])
-		for p < len(pos) && int(pos[p]) < pr.cursor[q] {
+	s.congDiff = resize(s.congDiff, w*(vh+1))
+	clear(s.congDiff)
+	k := r.cfg.Lookahead
+	for q := 0; q < r.c.NumQubits; q++ {
+		off := int(s.q2off[q])
+		pos := s.q2arena[off:s.q2off[q+1]]
+		rects := s.q2rect[off:s.q2off[q+1]]
+		p := int(s.q2ptr[q])
+		for p < len(pos) && int(pos[p]) < r.cursor[q] {
 			p++ // cursors only advance, so this pointer is monotone too
 		}
-		pr.q2ptr[q] = int32(p)
+		s.q2ptr[q] = int32(p)
 		// Window: the imminent gate at pos[p] routes this wavefront and is
 		// not "pending"; the k gates after it stamp the field.
 		end := p + k
@@ -471,61 +372,30 @@ func (pr *parallelRouter) computeCongestion() {
 			end = len(pos) - 1
 		}
 		for j := p + 1; j <= end; j++ {
-			r := rects[j]
-			if r < 0 {
+			rc := rects[j]
+			if rc < 0 {
 				continue // counted from the gate's control side instead
 			}
-			x0, y0 := int(r&0xffff), int(r>>16&0xffff)
-			x1, y1 := int(r>>32&0xffff), int(r>>48)
-			pr.congDiff[y0*w+x0]++
-			pr.congDiff[y0*w+x1+1]--
-			pr.congDiff[(y1+1)*w+x0]--
-			pr.congDiff[(y1+1)*w+x1+1]++
+			x0, y0 := int(rc&0xffff), int(rc>>16&0xffff)
+			x1, y1 := int(rc>>32&0xffff), int(rc>>48)
+			s.congDiff[y0*w+x0]++
+			s.congDiff[y0*w+x1+1]--
+			s.congDiff[(y1+1)*w+x0]--
+			s.congDiff[(y1+1)*w+x1+1]++
 		}
 	}
-	pr.cong = resizeZeroed32(pr.cong, vw*vh)
+	s.cong = resize(s.cong, vw*vh)
 	for y := 0; y < vh; y++ {
-		row := pr.congDiff[y*w:]
+		row := s.congDiff[y*w:]
 		var acc int32
 		for x := 0; x < vw; x++ {
 			acc += row[x]
 			v := acc
 			if y > 0 {
-				v += pr.congDiff[(y-1)*w+x]
+				v += s.congDiff[(y-1)*w+x]
 			}
 			row[x] = v
-			pr.cong[y*vw+x] = v
+			s.cong[y*vw+x] = v
 		}
 	}
-}
-
-// resizeZeroed32 returns s with length n and every element zero.
-func resizeZeroed32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// resizeBools returns s with length n, reusing capacity.
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// resizePaths returns s with length n, preserving the per-slot buffer
-// capacities accumulated by earlier cycles.
-func resizePaths(s []route.Path, n int) []route.Path {
-	if cap(s) < n {
-		ns := make([]route.Path, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
 }

@@ -35,14 +35,14 @@ type Spec struct {
 	// OrderingThreshold invokes Ordering only when the ready set is
 	// strictly larger; ≤0 means DefaultOrderingThreshold.
 	OrderingThreshold int
-	// RouteWorkers selects the parallel route pass: 0 keeps the
-	// sequential Alg. 2 loop, n ≥ 1 speculatively routes each dependency
-	// layer over n workers, negative means GOMAXPROCS. Output schedules
+	// RouteWorkers selects the route step: 0 keeps the sequential step,
+	// n ≥ 1 routes each dependency layer with the speculative step over n
+	// workers, negative means GOMAXPROCS. Output schedules
 	// are byte-identical for every n ≥ 1, so the worker count is an
 	// execution knob, not part of a method's semantic identity.
 	RouteWorkers int
-	// Lookahead is the windowed-lookahead depth used by the parallel
-	// route pass to break equal-cost path ties with congestion from the
+	// Lookahead is the windowed-lookahead depth used by the speculative
+	// step to break equal-cost path ties with congestion from the
 	// next k pending two-qubit gates per qubit. ≤ 0 disables it. Like
 	// RouteWorkers it never changes which gates route, only which of the
 	// equally short paths is preferred.
