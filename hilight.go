@@ -300,11 +300,12 @@ func WithCompaction() Option {
 	return func(o *options) { o.compact = true }
 }
 
-// WithRouteWorkers sets the speculative worker-pool size of the parallel
-// route pass used by the *-parallel methods (see Methods): n goroutines
-// path-find each cycle's ready gates concurrently against an immutable
-// snapshot, and a deterministic commit order makes the emitted schedule
-// byte-identical for every pool size. Any n ≤ 0 selects GOMAXPROCS at
+// WithRouteWorkers sets the worker-pool size of the speculative route
+// step used by the *-parallel methods (see Methods), in Compile and in
+// Recompile's warm suffix alike: n goroutines path-find each cycle's
+// ready gates concurrently against an immutable snapshot, and a
+// deterministic commit order makes the emitted schedule byte-identical
+// for every pool size. Any n ≤ 0 selects GOMAXPROCS at
 // route time. Methods that route sequentially ignore the option, so a
 // process-wide default is always safe to set. Because the output never
 // depends on the value, the option is excluded from Fingerprint.
@@ -317,9 +318,9 @@ func WithRouteWorkers(n int) Option {
 	}
 }
 
-// WithLookahead sets the windowed-lookahead depth of the parallel route
-// pass: equal-length path ties break toward vertices that the next k
-// pending two-qubit gates per qubit are least likely to need, reducing
+// WithLookahead sets the windowed-lookahead depth of the speculative
+// route step: equal-length path ties break toward vertices that the next
+// k pending two-qubit gates per qubit are least likely to need, reducing
 // future serialization stalls. The depth never changes which gates route
 // or how many braids execute — only which of the equally-short paths
 // each braid takes — so schedules compiled under different depths are
@@ -365,21 +366,11 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 		return nil, fmt.Errorf("hilight: invalid circuit: %w", err)
 	}
 
-	ctx := o.ctx
-	if o.timeout > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.timeout)
-		defer cancel()
+	ctx, cancel, err := o.compileContext()
+	if err != nil {
+		return nil, err
 	}
-	if ctx != nil {
-		// Fail an already-dead context before any placement or routing.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("hilight: %w (%v)", ErrCanceled, err)
-		}
-	}
+	defer cancel()
 
 	chain := append([]string{o.method}, o.fallback...)
 	specs := make([]core.Spec, len(chain))
@@ -409,25 +400,7 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 		}
 		// Each attempt gets a fresh seeded rng, so a method sees the same
 		// random stream whether it runs as primary or as fallback.
-		ro := core.RunOptions{
-			Rng:       rand.New(rand.NewSource(o.seed)),
-			QCO:       o.qco,
-			Observer:  o.observer,
-			Sink:      o.sink,
-			Metrics:   o.metrics,
-			Ctx:       ctx,
-			Compact:   o.compact,
-			Placement: o.placement,
-		}
-		// The execution knobs apply only to methods that already route in
-		// parallel: overriding them can then never change which route pass
-		// runs, which keeps both options inert on sequential methods and
-		// output-stable on parallel ones — the contract that lets
-		// Fingerprint exclude them.
-		if specs[i].RouteWorkers != 0 {
-			ro.RouteWorkers = o.routeWorkers
-			ro.Lookahead = o.lookahead
-		}
+		ro := o.runOptions(ctx, specs[i], rand.New(rand.NewSource(o.seed)))
 		res, err := core.Run(c, g, specs[i], ro)
 		if err != nil {
 			if firstErr == nil {
@@ -454,6 +427,52 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 		return res, nil
 	}
 	return nil, firstErr
+}
+
+// compileContext returns the compile's context — o.ctx with o.timeout
+// layered on top — and the cancel func the caller defers. An
+// already-done context fails with ErrCanceled before any placement or
+// routing.
+func (o *options) compileContext() (context.Context, context.CancelFunc, error) {
+	ctx, cancel := o.ctx, context.CancelFunc(func() {})
+	if o.timeout > 0 {
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
+	}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			cancel()
+			return nil, nil, fmt.Errorf("hilight: %w (%v)", ErrCanceled, err)
+		}
+	}
+	return ctx, cancel, nil
+}
+
+// runOptions builds the core options of one compile attempt of sp, cold
+// or warm.
+func (o *options) runOptions(ctx context.Context, sp core.Spec, rng *rand.Rand) core.RunOptions {
+	ro := core.RunOptions{
+		Rng:       rng,
+		QCO:       o.qco,
+		Observer:  o.observer,
+		Sink:      o.sink,
+		Metrics:   o.metrics,
+		Ctx:       ctx,
+		Compact:   o.compact,
+		Placement: o.placement,
+	}
+	// The execution knobs apply only to methods that already route in
+	// parallel: overriding them can then never change which route step
+	// runs, which keeps both options inert on sequential methods and
+	// output-stable on parallel ones — the contract that lets
+	// Fingerprint exclude them.
+	if sp.RouteWorkers != 0 {
+		ro.RouteWorkers = o.routeWorkers
+		ro.Lookahead = o.lookahead
+	}
+	return ro
 }
 
 // Benchmark builds a named Table 1 benchmark circuit (see BenchmarkNames).

@@ -253,7 +253,7 @@ func TestMapRejectsNonAdjacentSwap(t *testing.T) {
 // and latency is bounded below by the per-qubit serialization and above
 // by total CX count (plus swap stalls, absent here).
 func TestMapScheduleProperty(t *testing.T) {
-	presets := []Spec{MustMethod("hilight-map"), MustMethod("hilight-pg"), MustMethod("hilight-gm")}
+	presets := []Spec{MustMethod("hilight-map"), MustMethod("hilight-pg"), MustMethod("hilight-gm"), MustMethod("hilight-map-parallel")}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(12)

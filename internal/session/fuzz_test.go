@@ -11,26 +11,34 @@ import (
 	"hilight/internal/sched"
 )
 
-// fuzzParent caches one cold compile shared by every fuzz execution —
-// the corpus mutates deltas, not the parent.
+// fuzzMethods are the parent methods every fuzz case replays from, one
+// per route step (sequential and speculative). Both run QCO, so one
+// working-circuit prefix serves both.
+var fuzzMethods = []string{"hilight", "hilight-parallel"}
+
+// fuzzParent caches one cold compile per fuzz method, shared by every
+// fuzz execution — the corpus mutates deltas, not the parents.
 var fuzzParent struct {
 	once sync.Once
 	c    *circuit.Circuit
 	g    *grid.Grid
-	res  *core.Result
+	res  []*core.Result // parallel to fuzzMethods
 }
 
-func fuzzSetup(f *testing.F) (*circuit.Circuit, *grid.Grid, *core.Result) {
+func fuzzSetup(f *testing.F) (*circuit.Circuit, *grid.Grid, []*core.Result) {
 	fuzzParent.once.Do(func() {
 		c := qft(6)
 		g := grid.Rect(c.NumQubits)
-		res, err := core.Run(c, g, core.MustMethod("hilight"), core.RunOptions{
-			Rng: rand.New(rand.NewSource(1)),
-		})
-		if err != nil {
-			f.Fatalf("fuzz parent compile: %v", err)
+		for _, method := range fuzzMethods {
+			res, err := core.Run(c, g, core.MustMethod(method), core.RunOptions{
+				Rng: rand.New(rand.NewSource(1)),
+			})
+			if err != nil {
+				f.Fatalf("fuzz parent compile %s: %v", method, err)
+			}
+			fuzzParent.res = append(fuzzParent.res, res)
 		}
-		fuzzParent.c, fuzzParent.g, fuzzParent.res = c, g, res
+		fuzzParent.c, fuzzParent.g = c, g
 	})
 	return fuzzParent.c, fuzzParent.g, fuzzParent.res
 }
@@ -53,18 +61,18 @@ func decodeEdits(data []byte) []Edit {
 }
 
 // FuzzDelta throws hostile delta inputs at the whole session path:
-// edits are applied (or rejected), the plan is computed, and when a
-// warm start is possible the pipeline must either fail cleanly or
-// produce a schedule that fully validates — an invalid schedule is the
-// one outcome that must never happen.
+// edits are applied (or rejected), the plan is computed from each fuzz
+// parent, and when a warm start is possible the pipeline must either
+// fail cleanly or produce a schedule that fully validates — an invalid
+// schedule is the one outcome that must never happen.
 func FuzzDelta(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 9, 3})                 // append CX
-	f.Add([]byte{1, 2, 0, 9, 5, 2, 1, 0, 0, 0})  // insert + remove
-	f.Add([]byte{3, 255, 255, 200, 7})           // replace at -1 with bogus kind
-	f.Add([]byte{4, 0, 0, 0, 0})                 // unknown op
-	f.Add([]byte{2, 0, 0, 0, 0, 2, 0, 0, 0, 0})  // remove head twice
+	f.Add([]byte{0, 0, 0, 9, 3})                // append CX
+	f.Add([]byte{1, 2, 0, 9, 5, 2, 1, 0, 0, 0}) // insert + remove
+	f.Add([]byte{3, 255, 255, 200, 7})          // replace at -1 with bogus kind
+	f.Add([]byte{4, 0, 0, 0, 0})                // unknown op
+	f.Add([]byte{2, 0, 0, 0, 0, 2, 0, 0, 0, 0}) // remove head twice
 
-	c, g, parent := fuzzSetup(f)
+	c, g, parents := fuzzSetup(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		edits := decodeEdits(data)
 		edited, err := ApplyEdits(c, edits)
@@ -75,27 +83,30 @@ func FuzzDelta(f *testing.F) {
 			t.Fatalf("ApplyEdits accepted an invalid circuit: %v", err)
 		}
 		p := CommonPrefixGates(WorkingCircuit(c, true), WorkingCircuit(edited, true))
-		plan := PlanPrefix(parent.Schedule, p, g)
-		if plan.PrefixLen > len(parent.Schedule.Layers) {
-			t.Fatalf("plan prefix %d exceeds parent layers %d", plan.PrefixLen, len(parent.Schedule.Layers))
+		for i, parent := range parents {
+			method := fuzzMethods[i]
+			plan := PlanPrefix(parent.Schedule, p, g)
+			if plan.PrefixLen > len(parent.Schedule.Layers) {
+				t.Fatalf("%s: plan prefix %d exceeds parent layers %d", method, plan.PrefixLen, len(parent.Schedule.Layers))
+			}
+			if plan.PrefixLen == 0 {
+				continue
+			}
+			res, err := core.Run(edited, g, core.MustMethod(method), core.RunOptions{
+				Rng:  rand.New(rand.NewSource(1)),
+				Warm: &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix},
+			})
+			if err != nil {
+				continue // a clean warm failure degrades to cold in the public API
+			}
+			if err := res.Schedule.Validate(res.Circuit); err != nil {
+				t.Fatalf("%s: warm schedule invalid after edits %v: %v", method, edits, err)
+			}
+			if res.WarmCycles != plan.PrefixLen {
+				t.Fatalf("%s: WarmCycles %d != plan %d", method, res.WarmCycles, plan.PrefixLen)
+			}
+			checkPrefixIdentical(t, parent.Schedule, res.Schedule, plan.PrefixLen)
 		}
-		if plan.PrefixLen == 0 {
-			return
-		}
-		res, err := core.Run(edited, g, core.MustMethod("hilight"), core.RunOptions{
-			Rng:  rand.New(rand.NewSource(1)),
-			Warm: &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix},
-		})
-		if err != nil {
-			return // a clean warm failure degrades to cold in the public API
-		}
-		if err := res.Schedule.Validate(res.Circuit); err != nil {
-			t.Fatalf("warm schedule invalid after edits %v: %v", edits, err)
-		}
-		if res.WarmCycles != plan.PrefixLen {
-			t.Fatalf("WarmCycles %d != plan %d", res.WarmCycles, plan.PrefixLen)
-		}
-		checkPrefixIdentical(t, parent.Schedule, res.Schedule, plan.PrefixLen)
 	})
 }
 

@@ -1,7 +1,6 @@
 package hilight
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -213,34 +212,16 @@ func recompileFrom(parentCircuit, parentWorking, childWorking *Circuit, parentSc
 }
 
 // runWarm executes one warm-start pipeline attempt for the resolved
-// method spec and plan. It mirrors Compile's single-attempt execution
-// (fresh seeded rng, context/timeout handling) minus the fallback
-// chain, which the caller owns.
+// method spec and plan. It shares Compile's context and option setup but
+// not its fallback chain, which the caller owns.
 func runWarm(c *Circuit, dg *Grid, sp core.Spec, o *options, plan *session.Plan, working *Circuit) (*Result, error) {
-	ctx := o.ctx
-	if o.timeout > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.timeout)
-		defer cancel()
+	ctx, cancel, err := o.compileContext()
+	if err != nil {
+		return nil, err
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("hilight: %w (%v)", ErrCanceled, err)
-		}
-	}
-	ro := core.RunOptions{
-		Rng:       rand.New(&warmSource{s: uint64(o.seed)}),
-		QCO:       o.qco,
-		Observer:  o.observer,
-		Sink:      o.sink,
-		Metrics:   o.metrics,
-		Ctx:       ctx,
-		Placement: o.placement,
-		Warm:      &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix, Working: working},
-	}
+	defer cancel()
+	ro := o.runOptions(ctx, sp, rand.New(&warmSource{s: uint64(o.seed)}))
+	ro.Warm = &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix, Working: working}
 	return core.Run(c, dg, sp, ro)
 }
 

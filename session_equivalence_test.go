@@ -36,11 +36,14 @@ func sameLayerPrefix(t *testing.T, a, b *hilight.Schedule, n int, label string) 
 }
 
 // TestRecompileEquivalenceTable1 is the session equivalence suite: for
-// every Table 1 benchmark, a single-gate edit recompile must (1) replay
-// a prefix byte-identical to the parent, (2) produce a schedule that
-// fully validates, and (3) stay within the cold-compile envelope of the
-// edited circuit — warm starting buys time, never schedule quality
-// beyond a bounded slack.
+// every Table 1 benchmark and both route steps (hilight routes
+// sequentially, hilight-map-parallel speculatively), a single-gate edit
+// recompile must (1) replay a prefix byte-identical to the parent, (2)
+// produce a schedule that fully validates, and (3) stay within the
+// cold-compile envelope of the edited circuit — warm starting buys
+// time, never schedule quality beyond a bounded slack. The two methods
+// run as parallel subtests, so the speculative one does not lengthen
+// the slowest benchmark's run.
 func TestRecompileEquivalenceTable1(t *testing.T) {
 	names := hilight.BenchmarkNames()
 	if len(names) == 0 {
@@ -57,44 +60,92 @@ func TestRecompileEquivalenceTable1(t *testing.T) {
 			if !ok {
 				t.Fatalf("benchmark %q vanished", name)
 			}
-			g := hilight.RectGrid(c.NumQubits)
-			parent, err := hilight.Compile(c, g)
-			if err != nil {
-				t.Fatalf("cold compile: %v", err)
-			}
-
-			edit := hilight.Edit{Op: hilight.OpAppend, Gate: hilight.Gate{Kind: hilight.CX, Q0: 0, Q1: c.NumQubits - 1}}
-			warm, err := hilight.Recompile(parent, hilight.Delta{Edits: []hilight.Edit{edit}})
-			if err != nil {
-				t.Fatalf("recompile: %v", err)
-			}
-			if warm.Delta == nil {
-				t.Fatal("Result.Delta not set")
-			}
-			if err := warm.Schedule.Validate(warm.Circuit); err != nil {
-				t.Fatalf("warm schedule invalid: %v", err)
-			}
-			sameLayerPrefix(t, parent.Schedule, warm.Schedule, warm.WarmCycles, "edit")
-
-			// Envelope: recompiling the edited circuit cold bounds what the
-			// warm path may cost. The replayed prefix pins the parent's
-			// routing, so a couple of cycles and the appended gate's path
-			// are the only slack a warm start may need.
-			cold, err := hilight.Compile(warm.Input, g)
-			if err != nil {
-				t.Fatalf("cold compile of edited circuit: %v", err)
-			}
-			// QCO may weave the appended gate into the middle of the edited
-			// working circuit; the pinned prefix then defers it where a cold
-			// route wouldn't, so the envelope is proportional, not constant.
-			if slack := cold.Latency/8 + 2; warm.Latency > cold.Latency+slack {
-				t.Errorf("warm latency %d vs cold %d: outside envelope", warm.Latency, cold.Latency)
-			}
-			if cold.PathLen > 0 && float64(warm.PathLen) > 1.25*float64(cold.PathLen)+32 {
-				t.Errorf("warm pathlen %d vs cold %d: outside envelope", warm.PathLen, cold.PathLen)
+			for _, method := range []string{"hilight", "hilight-map-parallel"} {
+				method := method
+				t.Run(method, func(t *testing.T) {
+					t.Parallel()
+					checkRecompileEnvelope(t, c, method)
+				})
 			}
 		})
 	}
+}
+
+// checkRecompileEnvelope runs one TestRecompileEquivalenceTable1 case:
+// c compiled cold with method, then recompiled warm after appending one
+// CX.
+func checkRecompileEnvelope(t *testing.T, c *hilight.Circuit, method string) {
+	g := hilight.RectGrid(c.NumQubits)
+	parent, err := hilight.Compile(c, g, hilight.WithMethod(method))
+	if err != nil {
+		t.Fatalf("cold compile: %v", err)
+	}
+
+	edit := hilight.Edit{Op: hilight.OpAppend, Gate: hilight.Gate{Kind: hilight.CX, Q0: 0, Q1: c.NumQubits - 1}}
+	warm, err := hilight.Recompile(parent, hilight.Delta{Edits: []hilight.Edit{edit}})
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	if warm.Delta == nil {
+		t.Fatal("Result.Delta not set")
+	}
+	if err := warm.Schedule.Validate(warm.Circuit); err != nil {
+		t.Fatalf("warm schedule invalid: %v", err)
+	}
+	sameLayerPrefix(t, parent.Schedule, warm.Schedule, warm.WarmCycles, "edit")
+
+	// Envelope: recompiling the edited circuit cold bounds what the
+	// warm path may cost. The replayed prefix pins the parent's
+	// routing, so a couple of cycles and the appended gate's path
+	// are the only slack a warm start may need.
+	cold, err := hilight.Compile(warm.Input, g, hilight.WithMethod(method))
+	if err != nil {
+		t.Fatalf("cold compile of edited circuit: %v", err)
+	}
+	// QCO may weave the appended gate into the middle of the edited
+	// working circuit; the pinned prefix then defers it where a cold
+	// route wouldn't, so the envelope is proportional, not constant.
+	if slack := cold.Latency/8 + 2; warm.Latency > cold.Latency+slack {
+		t.Errorf("warm latency %d vs cold %d: outside envelope", warm.Latency, cold.Latency)
+	}
+	if cold.PathLen > 0 && float64(warm.PathLen) > 1.25*float64(cold.PathLen)+32 {
+		t.Errorf("warm pathlen %d vs cold %d: outside envelope", warm.PathLen, cold.PathLen)
+	}
+}
+
+// TestRecompileParallelWarm checks that a parallel method recompiles
+// warm with its own step: the prefix replays, the suffix routes in a
+// route-parallel stage, and WithRouteWorkers reaches that stage.
+func TestRecompileParallelWarm(t *testing.T) {
+	c, _ := hilight.Benchmark("QFT-16")
+	g := hilight.RectGrid(c.NumQubits)
+	workers := hilight.WithRouteWorkers(3)
+	parent, err := hilight.Compile(c, g, hilight.WithMethod("hilight-map-parallel"), workers)
+	if err != nil {
+		t.Fatalf("cold compile: %v", err)
+	}
+	edit := hilight.Edit{Op: hilight.OpAppend, Gate: hilight.Gate{Kind: hilight.CX, Q0: 0, Q1: c.NumQubits - 1}}
+	warm, err := hilight.Recompile(parent, hilight.Delta{Edits: []hilight.Edit{edit}}, workers)
+	if err != nil {
+		t.Fatalf("recompile: %v", err)
+	}
+	if warm.WarmCycles == 0 {
+		t.Fatal("recompile ran cold: WarmCycles = 0")
+	}
+	if err := warm.Schedule.Validate(warm.Circuit); err != nil {
+		t.Fatalf("warm schedule invalid: %v", err)
+	}
+	sameLayerPrefix(t, parent.Schedule, warm.Schedule, warm.WarmCycles, "parallel edit")
+	for _, st := range warm.Trace {
+		if st.Stage != "route-parallel" {
+			continue
+		}
+		if n, _ := st.Counter("workers"); n != 3 {
+			t.Errorf("route-parallel workers = %d, want 3", n)
+		}
+		return
+	}
+	t.Fatalf("warm recompile ran no route-parallel stage: %+v", warm.Trace)
 }
 
 // TestRecompileDefectDelta checks the live-defect path: a DefectMap
