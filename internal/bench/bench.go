@@ -45,7 +45,7 @@ func QFT(n int) *circuit.Circuit {
 		c.Add1(circuit.H, i)
 		for j := i + 1; j < n; j++ {
 			c.Add2(circuit.CX, j, i)
-			c.AddRot(circuit.RZ, i, math.Pi/float64(int(1)<<uint(j-i)))
+			c.AddRot(circuit.RZ, i, math.Ldexp(math.Pi, -(j-i))) // π/2^(j−i), exact for any width
 		}
 	}
 	return c

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hilight/internal/circuit"
+	"hilight/internal/qasm"
 )
 
 func TestQFTShape(t *testing.T) {
@@ -213,6 +214,23 @@ func TestTable1AllBuildable(t *testing.T) {
 		}
 		if c.NumQubits != e.N {
 			t.Errorf("%s: qubits %d != %d", e.Name, c.NumQubits, e.N)
+		}
+		// Every circuit must survive the QASM round trip gate for gate,
+		// rotation angles included, so it can be sent as QASM.
+		back, err := qasm.Parse(e.Name, qasm.Format(c))
+		if err != nil {
+			t.Errorf("%s: QASM round trip: %v", e.Name, err)
+			continue
+		}
+		if len(back.Gates) != len(c.Gates) {
+			t.Errorf("%s: QASM round trip has %d gates, want %d", e.Name, len(back.Gates), len(c.Gates))
+			continue
+		}
+		for i, g := range c.Gates {
+			if back.Gates[i] != g {
+				t.Errorf("%s: QASM round trip gate %d = %+v, want %+v", e.Name, i, back.Gates[i], g)
+				break
+			}
 		}
 	}
 }
