@@ -157,19 +157,19 @@ func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	m := cfg.Metrics
 	s := &Server{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		cache:     newScheduleCache(cfg.CacheBytes, m),
-		admit:     newAdmission(cfg.Workers, cfg.QueueDepth, cfg.TenantQuota, m),
-		jobs:      newJobStore(cfg.MaxStoredJobs, m),
-		watchdog:  newWatchdog(cfg.WatchdogWindow, m, cfg.Events),
-		requests:  m.Counter("service/requests"),
-		succeeded: m.Counter("service/requests-ok"),
-		failed:    m.Counter("service/requests-failed"),
-		canceled:  m.Counter("service/requests-canceled"),
-		panics:    m.Counter("service/panics"),
-		seconds:   m.Histogram("service/request-seconds", obs.DurationBuckets),
-		compileSeconds: m.Histogram("service/compile-seconds", obs.DurationBuckets),
+		cfg:              cfg,
+		mux:              http.NewServeMux(),
+		cache:            newScheduleCache(cfg.CacheBytes, m),
+		admit:            newAdmission(cfg.Workers, cfg.QueueDepth, cfg.TenantQuota, m),
+		jobs:             newJobStore(cfg.MaxStoredJobs, m),
+		watchdog:         newWatchdog(cfg.WatchdogWindow, m, cfg.Events),
+		requests:         m.Counter("service/requests"),
+		succeeded:        m.Counter("service/requests-ok"),
+		failed:           m.Counter("service/requests-failed"),
+		canceled:         m.Counter("service/requests-canceled"),
+		panics:           m.Counter("service/panics"),
+		seconds:          m.Histogram("service/request-seconds", obs.DurationBuckets),
+		compileSeconds:   m.Histogram("service/compile-seconds", obs.DurationBuckets),
 		sessions:         m.Counter("service/sessions"),
 		sessionCold:      m.Counter("service/session-cold-fallbacks"),
 		sessionMisses:    m.Counter("service/session-parent-misses"),
@@ -608,7 +608,7 @@ func negotiate(r *http.Request) respMode {
 			if mt == wire.BinaryEnvelopeContentType {
 				return modeEnvelope
 			}
-			if c, ok := wire.ByContentType(mt); ok && c.Name() != wire.JSON.Name() {
+			if mt == wire.Binary.ContentType() {
 				return modeBinary
 			}
 		}

@@ -57,7 +57,7 @@ const (
 	headerLen = 4
 )
 
-// binaryCodec implements the compact format. Registered as wire.Binary.
+// binaryCodec implements the compact format, exported as wire.Binary.
 type binaryCodec struct{}
 
 func (binaryCodec) Name() string        { return "binary" }

@@ -1,9 +1,9 @@
-// Package wire is the serialization layer of the HiLight stack: an
-// explicit codec registry that every tier — the service schedule cache,
-// the job journal, the HTTP API, and the CLIs — routes schedule and
-// defect-map bytes through, instead of hard-coding one encoding.
+// Package wire is the serialization layer of the HiLight stack: the
+// codecs every tier — the service schedule cache, the job journal, the
+// HTTP API, and the CLIs — routes schedule and defect-map bytes through,
+// instead of hard-coding one encoding.
 //
-// Two codecs are registered:
+// There are two codecs:
 //
 //   - "json": the verbose, human-readable debug/interop format. It
 //     delegates to the original sched/grid JSON encoders, so its bytes
@@ -21,10 +21,6 @@
 package wire
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"hilight/internal/grid"
 	"hilight/internal/sched"
 )
@@ -34,8 +30,7 @@ import (
 // (equal inputs yield equal bytes) because cache keys, goldens, and the
 // chaos harness's determinism ledger all rely on it.
 type Codec interface {
-	// Name is the registry key ("json", "binary") — also the value of
-	// the CLI -format flag and the service's ?format= parameter.
+	// Name identifies the codec ("json", "binary").
 	Name() string
 	// ContentType is the MIME type used for HTTP content negotiation.
 	ContentType() string
@@ -60,7 +55,7 @@ type Codec interface {
 // binary sibling so the wire contract has one home.
 const BinaryEnvelopeContentType = "application/x-hilight-sched+json"
 
-// The registered codecs, also reachable by name via Lookup.
+// The codecs.
 var (
 	// JSON is the debug/interop codec: byte-identical to the historical
 	// sched.EncodeJSON / grid.EncodeDefects output.
@@ -69,62 +64,6 @@ var (
 	// layout).
 	Binary Codec = binaryCodec{}
 )
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Codec{}
-	byCT     = map[string]Codec{}
-)
-
-func init() {
-	Register(JSON)
-	Register(Binary)
-}
-
-// Register adds a codec under its Name and ContentType. Registering a
-// duplicate name or content type panics — codec identity is a wire
-// contract, not something to silently overwrite.
-func Register(c Codec) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[c.Name()]; dup {
-		panic(fmt.Sprintf("wire: duplicate codec name %q", c.Name()))
-	}
-	if _, dup := byCT[c.ContentType()]; dup {
-		panic(fmt.Sprintf("wire: duplicate codec content type %q", c.ContentType()))
-	}
-	registry[c.Name()] = c
-	byCT[c.ContentType()] = c
-}
-
-// Lookup returns the codec registered under name.
-func Lookup(name string) (Codec, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := registry[name]
-	return c, ok
-}
-
-// ByContentType returns the codec whose ContentType matches ct exactly
-// (parameters stripped by the caller).
-func ByContentType(ct string) (Codec, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := byCT[ct]
-	return c, ok
-}
-
-// Names lists the registered codec names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // jsonCodec adapts the historical JSON encoders to the Codec interface.
 // Its bytes are pinned by the existing golden fixtures: it MUST stay a

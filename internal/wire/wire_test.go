@@ -283,25 +283,6 @@ func TestStreamTruncated(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	if got := Names(); !reflect.DeepEqual(got, []string{"binary", "json"}) {
-		t.Errorf("Names() = %v", got)
-	}
-	for _, c := range []Codec{JSON, Binary} {
-		byName, ok := Lookup(c.Name())
-		if !ok || byName.Name() != c.Name() {
-			t.Errorf("Lookup(%q) = %v, %v", c.Name(), byName, ok)
-		}
-		byType, ok := ByContentType(c.ContentType())
-		if !ok || byType.Name() != c.Name() {
-			t.Errorf("ByContentType(%q) = %v, %v", c.ContentType(), byType, ok)
-		}
-	}
-	if _, ok := Lookup("protobuf"); ok {
-		t.Error("Lookup of unregistered codec succeeded")
-	}
-}
-
 func TestBinaryMuchSmallerThanJSON(t *testing.T) {
 	// Build a schedule with paper-plausible shape: many layers of long
 	// paths. The 40%-of-JSON acceptance bound is asserted on real Table 1
