@@ -34,6 +34,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,6 +135,14 @@ type life struct {
 	base   string
 	m      *obs.Registry
 	client *http.Client
+
+	// handlers counts the life's running handler calls. crash waits for
+	// them, so counters are read only once every request of the life has
+	// ended, as after a real kill -9. dead, under mu, stops new calls
+	// from starting once the crash has begun.
+	mu       sync.Mutex
+	dead     bool
+	handlers sync.WaitGroup
 }
 
 func boot(cfg *Config) (*life, error) {
@@ -152,21 +161,44 @@ func boot(cfg *Config) (*life, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: listen: %w", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return &life{
-		srv: srv, hs: hs,
+	l := &life{
+		srv:    srv,
 		base:   "http://" + ln.Addr().String(),
 		m:      m,
 		client: &http.Client{},
-	}, nil
+	}
+	l.hs = &http.Server{Handler: l.track(srv.Handler())}
+	go l.hs.Serve(ln)
+	return l, nil
+}
+
+// track counts h's running calls in l.handlers; after a crash it turns
+// requests away without running h, as a dead process would.
+func (l *life) track(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		if l.dead {
+			l.mu.Unlock()
+			return
+		}
+		l.handlers.Add(1)
+		l.mu.Unlock()
+		defer l.handlers.Done()
+		h.ServeHTTP(w, r)
+	})
 }
 
 // crash emulates kill -9: connections dropped, no drain, journal tail
-// beyond the last fsync lost.
+// beyond the last fsync lost. It returns once the handlers the dropped
+// connections canceled have returned — a client that walked away
+// earlier can leave one still compiling.
 func (l *life) crash() {
+	l.mu.Lock()
+	l.dead = true
+	l.mu.Unlock()
 	l.hs.Close()
 	l.srv.Kill()
+	l.handlers.Wait()
 	l.client.CloseIdleConnections()
 }
 
@@ -255,7 +287,7 @@ func Run(cfg Config) (*Report, error) {
 	defer service.SetChaosHooks(nil)
 
 	var acked []ackedBatch
-	recentFrom := 0 // index in acked of the first batch from the previous life
+	recentFrom := 0                // index in acked of the first batch from the previous life
 	ledger := map[string]outcome{} // fingerprint -> first-seen outcome
 
 	for cycle := 0; cycle < cfg.Cycles; cycle++ {
