@@ -61,9 +61,9 @@ fuzz:
 golden:
 	$(GO) test -run TestGoldenSchedules -update .
 
-# Wire-format compatibility gate (CI job wire-compat): every checked-in
-# testdata/golden_wire fixture must decode and re-encode byte-identically
-# — the v1 freeze. Refresh with `go test -run TestGoldenWire -update .`
+# Wire-format compatibility tests, for a focused run (`make test` runs
+# them too): every checked-in testdata/golden_wire fixture must decode
+# and re-encode byte-identically — the v1 freeze. Refresh with `go test -run TestGoldenWire -update .`
 # only alongside a format version bump.
 wire-compat:
 	$(GO) test -run 'TestGoldenWire|TestBinaryRoundTrip|TestStreamRoundTrip' -v . ./internal/wire/
