@@ -459,7 +459,7 @@ var (
 	// and committed in the deterministic ordered-ready sequence. It emits
 	// the route counters plus the step's contention stats.
 	passRouteParallel = Pass{Name: "route-parallel", Run: func(st *State) error {
-		return runRoute(st, &router{spec: &specState{}})
+		return runRoute(st, &router{speculator: &speculator{}})
 	}}
 
 	// passAdjust reconciles the layout adjustment that ran interleaved
@@ -526,23 +526,23 @@ func runRoute(st *State, rt *router) error {
 		st.Count("search-pops", stats.Pops)
 		st.Count("searches", stats.Searches)
 	}
-	sp := rt.spec
-	if sp != nil {
-		st.Count("workers", int64(sp.workers))
-		st.Count("conflicts", sp.stats.Conflicts)
-		st.Count("retries", sp.stats.Retries)
-		st.Count("stall-cycles", sp.stats.StallCycles)
+	par := rt.speculator
+	if par != nil {
+		st.Count("workers", int64(par.workers))
+		st.Count("conflicts", par.stats.Conflicts)
+		st.Count("retries", par.stats.Retries)
+		st.Count("stall-cycles", par.stats.StallCycles)
 	}
 	if m := st.cfg.Metrics; m != nil {
 		m.Counter("route/braids-routed").Add(braids)
 		m.Counter("route/cycles").Add(int64(s.Latency()))
 		m.Counter("route/search-pops").Add(stats.Pops)
 		m.Counter("route/searches").Add(stats.Searches)
-		if sp != nil {
-			m.Gauge("route/parallel/workers").Set(int64(sp.workers))
-			m.Counter("route/parallel/conflicts").Add(sp.stats.Conflicts)
-			m.Counter("route/parallel/retries").Add(sp.stats.Retries)
-			m.Counter("route/parallel/stall-cycles").Add(sp.stats.StallCycles)
+		if par != nil {
+			m.Gauge("route/parallel/workers").Set(int64(par.workers))
+			m.Counter("route/parallel/conflicts").Add(par.stats.Conflicts)
+			m.Counter("route/parallel/retries").Add(par.stats.Retries)
+			m.Counter("route/parallel/stall-cycles").Add(par.stats.StallCycles)
 		}
 	}
 	return nil

@@ -168,8 +168,8 @@ type swapOp struct {
 // router holds every piece of scratch state the Alg. 2 main loop needs,
 // so repeated route calls (batch compilation, benchmarks) run without
 // heap allocations once the buffers have warmed up. The zero value is
-// ready to use and routes with the sequential step; a router whose spec
-// field is set routes with the speculative step instead (see
+// ready to use and routes with the sequential step; a router with a
+// speculator routes with the speculative step instead (see
 // router_parallel.go). A router is not safe for concurrent use, and the
 // schedule returned by route is owned by the router: it is valid only
 // until the next route call on the same router.
@@ -214,9 +214,9 @@ type router struct {
 	arena      []int
 	braidArena []sched.Braid
 
-	// spec, when non-nil, selects the speculative step and holds its
+	// speculator, when non-nil, selects the speculative step and holds its
 	// worker pool, finders and lookahead field.
-	spec *specState
+	speculator *speculator
 }
 
 // init sizes the scratch for a (circuit, grid, layout) triple and resets
@@ -271,10 +271,10 @@ func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cf
 		}
 	}
 	step := r.routeSequential
-	if r.spec != nil {
+	if r.speculator != nil {
 		r.initSpeculation()
-		if r.spec.workers > 1 {
-			defer close(r.spec.workCh)
+		if r.speculator.workers > 1 {
+			defer close(r.speculator.workCh)
 		}
 		step = r.routeSpeculative
 	}
@@ -437,14 +437,14 @@ func (r *router) commit(rd order.Ready, p route.Path) {
 // searchStats reports the search effort of the step's finders; tracked
 // is false when the sequential step's finder does not count it.
 func (r *router) searchStats() (stats route.SearchStats, tracked bool) {
-	if r.spec == nil {
+	if r.speculator == nil {
 		sr, ok := r.cfg.Finder.(route.StatsReporter)
 		if !ok {
 			return stats, false
 		}
 		return sr.Stats(), true
 	}
-	for _, f := range r.spec.finders {
+	for _, f := range r.speculator.finders {
 		fs := f.Stats()
 		stats.Pops += fs.Pops
 		stats.Searches += fs.Searches

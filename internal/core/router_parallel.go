@@ -95,10 +95,10 @@ func resolveRouteWorkers(n int) int {
 	return n
 }
 
-// specState is the speculative step's state on top of the router's
+// speculator is the speculative step's state on top of the router's
 // shared scratch: the worker pool, its finders, the free-component
 // labeling and the windowed-lookahead field.
-type specState struct {
+type speculator struct {
 	workers int
 	finders []*route.Windowed
 	comp    route.Components
@@ -144,7 +144,7 @@ type specState struct {
 // call: the finders, the parked helper goroutines (stopped by closing
 // workCh), the empty-lattice labeling and the lookahead index.
 func (r *router) initSpeculation() {
-	s := r.spec
+	s := r.speculator
 	c, g := r.c, r.g
 	s.workers = resolveRouteWorkers(r.cfg.RouteWorkers)
 	s.finders = s.finders[:0]
@@ -216,7 +216,7 @@ func (r *router) initSpeculation() {
 // conflicting ones against the live occupancy. It returns the number of
 // gates executed.
 func (r *router) routeSpeculative(ready []order.Ready) int {
-	s := r.spec
+	s := r.speculator
 	g := r.g
 	s.ready = ready
 	var cong []int32
@@ -294,7 +294,7 @@ func (r *router) routeSpeculative(ready []order.Ready) int {
 // spreading the work over the pool. Worker 0 is the calling goroutine;
 // helpers beyond the candidate count stay parked.
 func (r *router) speculate() {
-	s := r.spec
+	s := r.speculator
 	s.next.Store(0)
 	helpers := s.workers - 1
 	if n := len(s.ready) - 1; helpers > n {
@@ -315,9 +315,9 @@ func (r *router) speculate() {
 // workerLoop parks a helper goroutine between rounds; each channel
 // receive corresponds to one round's Add(1).
 func (r *router) workerLoop(w int) {
-	for range r.spec.workCh {
+	for range r.speculator.workCh {
 		r.speculateWorker(w)
-		r.spec.wg.Done()
+		r.speculator.wg.Done()
 	}
 }
 
@@ -326,7 +326,7 @@ func (r *router) workerLoop(w int) {
 // components, congestion) is read-only during a round; results land in
 // per-candidate slots, so workers never contend on data.
 func (r *router) speculateWorker(w int) {
-	s := r.spec
+	s := r.speculator
 	f := s.finders[w]
 	for {
 		ci := int(s.next.Add(1)) - 1
@@ -350,7 +350,7 @@ func (r *router) speculateWorker(w int) {
 // upcoming braids want to cross that vertex's neighborhood — the
 // tie-break field the Windowed finders consume.
 func (r *router) computeCongestion() {
-	s := r.spec
+	s := r.speculator
 	vw, vh := r.g.VW(), r.g.VH()
 	w := vw + 1 // difference-array stride: one sink column past the vertices
 	s.congDiff = resize(s.congDiff, w*(vh+1))
