@@ -63,8 +63,9 @@ golden:
 
 # Wire-format compatibility tests, for a focused run (`make test` runs
 # them too): every checked-in testdata/golden_wire fixture must decode
-# and re-encode byte-identically — the v1 freeze. Refresh with `go test -run TestGoldenWire -update .`
-# only alongside a format version bump.
+# and re-encode byte-identically — the v1 freeze. Refresh with
+# `go test -run TestGoldenWire -update .` only alongside a format version
+# bump.
 wire-compat:
 	$(GO) test -run 'TestGoldenWire|TestBinaryRoundTrip|TestStreamRoundTrip' -v . ./internal/wire/
 
