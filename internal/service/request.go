@@ -197,15 +197,15 @@ type stageTrace struct {
 // inline, an Accept: application/x-hilight-sched request gets the binary
 // wire payload (base64 in the JSON envelope) instead.
 type compileResponse struct {
-	Fingerprint    string          `json:"fingerprint"`
-	Cached         bool            `json:"cached"`
-	Method         string          `json:"method"`
-	Degraded       bool            `json:"degraded,omitempty"`
-	FallbackMethod string          `json:"fallback_method,omitempty"`
-	LatencyCycles  int             `json:"latency_cycles"`
-	PathLen        int             `json:"path_len"`
-	ResUtil        float64         `json:"resutil"`
-	RuntimeNS      int64           `json:"runtime_ns"`
+	Fingerprint    string  `json:"fingerprint"`
+	Cached         bool    `json:"cached"`
+	Method         string  `json:"method"`
+	Degraded       bool    `json:"degraded,omitempty"`
+	FallbackMethod string  `json:"fallback_method,omitempty"`
+	LatencyCycles  int     `json:"latency_cycles"`
+	PathLen        int     `json:"path_len"`
+	ResUtil        float64 `json:"resutil"`
+	RuntimeNS      int64   `json:"runtime_ns"`
 	// WarmCycles, Parent and Delta are set on session recompiles
 	// (If-Fingerprint-Match): how many parent layers were replayed
 	// verbatim, the parent fingerprint, and the sched.Compare diff
@@ -225,21 +225,26 @@ type compileResponse struct {
 // journal are charged the compact encoding — the HTTP layer transcodes
 // to JSON on demand. Stored entries are immutable and shared; copy
 // before flipping Cached.
+//
+// Cached and ScheduleBin are omitted from the marshaled form when zero:
+// a cached entry always holds Cached false, and sizeOf charges the
+// payload at its binary size, so neither may add bytes to the metadata
+// an entry is charged for.
 type storedResult struct {
-	Fingerprint    string       `json:"fingerprint"`
-	Cached         bool         `json:"cached"`
-	Method         string       `json:"method"`
-	Degraded       bool         `json:"degraded,omitempty"`
-	FallbackMethod string       `json:"fallback_method,omitempty"`
-	LatencyCycles  int          `json:"latency_cycles"`
-	PathLen        int          `json:"path_len"`
-	ResUtil        float64      `json:"resutil"`
-	RuntimeNS      int64        `json:"runtime_ns"`
-	WarmCycles     int          `json:"warm_cycles,omitempty"`
-	Parent         string       `json:"parent,omitempty"`
+	Fingerprint    string          `json:"fingerprint"`
+	Cached         bool            `json:"cached,omitempty"`
+	Method         string          `json:"method"`
+	Degraded       bool            `json:"degraded,omitempty"`
+	FallbackMethod string          `json:"fallback_method,omitempty"`
+	LatencyCycles  int             `json:"latency_cycles"`
+	PathLen        int             `json:"path_len"`
+	ResUtil        float64         `json:"resutil"`
+	RuntimeNS      int64           `json:"runtime_ns"`
+	WarmCycles     int             `json:"warm_cycles,omitempty"`
+	Parent         string          `json:"parent,omitempty"`
 	Delta          json.RawMessage `json:"delta,omitempty"`
-	Trace          []stageTrace `json:"trace,omitempty"`
-	ScheduleBin    []byte       `json:"schedule_bin"`
+	Trace          []stageTrace    `json:"trace,omitempty"`
+	ScheduleBin    []byte          `json:"schedule_bin,omitempty"`
 	// ReqJSON is the canonical compile request that produced this
 	// result. It makes the entry a viable session parent — building the
 	// request is deterministic, so If-Fingerprint-Match reconstructs the
