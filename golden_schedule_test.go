@@ -9,7 +9,10 @@ package hilight_test
 //   - latency/ResUtil per public method preset,
 //   - a schedule fingerprint of the speculative route step
 //     (hilight-map-parallel at one route worker) per Table 1 subset row
-//     and defect fixture.
+//     and defect fixture,
+//   - a schedule fingerprint per sequential method on large Table 1
+//     circuits, where the lattice is congested enough that Find fails
+//     hundreds to thousands of times per compile.
 //
 // Regenerate with `go test -run TestGolden -update` — but only when a
 // change is *supposed* to alter schedules; performance work must keep
@@ -52,7 +55,22 @@ type goldenFile struct {
 	// at one route worker: the speculative step's own output, which
 	// presets pins only by latency and ResUtil.
 	ParallelHash map[string]string `json:"parallel_hash"`
+	// CongestedHash maps "<benchmark>/<method>" to the schedule
+	// fingerprint of a seed-1 compile of a large Table 1 circuit. The
+	// subset rows above rarely fail a Find; these compiles fail it
+	// often, so they pin how each finder handles gates that cannot
+	// route this cycle.
+	CongestedHash map[string]string `json:"congested_hash"`
 }
+
+// congestedBenchmarks and congestedMethods span the congested fixtures:
+// the paper's method and its mapping-only variant, plus the two
+// baselines whose finders (full-16, stack-dfs) are the other complete
+// searches.
+var (
+	congestedBenchmarks = []string{"QFT-100", "BWT-254", "QAOA-100", "Shor-471"}
+	congestedMethods    = []string{"hilight", "hilight-map", "baseline", "autobraid-sp"}
+)
 
 // goldenBenchmarks is the Table 1 subset the finder-identity test runs:
 // every deterministic small row plus one representative per family, kept
@@ -101,10 +119,11 @@ func hashSchedule(s *sched.Schedule) string {
 
 func computeGolden(t testing.TB) *goldenFile {
 	gf := &goldenFile{
-		ScheduleHash: map[string]string{},
-		Presets:      map[string]string{},
-		DefectHash:   map[string]string{},
-		ParallelHash: map[string]string{},
+		ScheduleHash:  map[string]string{},
+		Presets:       map[string]string{},
+		DefectHash:    map[string]string{},
+		ParallelHash:  map[string]string{},
+		CongestedHash: map[string]string{},
 	}
 	for _, name := range goldenBenchmarks {
 		e, ok := bench.ByName(name)
@@ -171,6 +190,23 @@ func computeGolden(t testing.TB) *goldenFile {
 		gf.DefectHash[fix.name] = hashSchedule(res.Schedule)
 		gf.ParallelHash["defect/"+fix.name] = parallelHash(t, fix.name, c, g, hilight.WithDefects(dm))
 	}
+	for _, name := range congestedBenchmarks {
+		c, ok := hilight.Benchmark(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", name)
+		}
+		g := hilight.RectGrid(c.NumQubits)
+		for _, method := range congestedMethods {
+			res, err := hilight.Compile(c, g, hilight.WithMethod(method), hilight.WithSeed(1))
+			if err != nil {
+				t.Fatalf("congested golden %s/%s: %v", name, method, err)
+			}
+			if err := res.Schedule.Validate(res.Circuit); err != nil {
+				t.Fatalf("congested golden %s/%s: invalid schedule: %v", name, method, err)
+			}
+			gf.CongestedHash[name+"/"+method] = hashSchedule(res.Schedule)
+		}
+	}
 	return gf
 }
 
@@ -226,6 +262,7 @@ func TestGoldenSchedules(t *testing.T) {
 	diffMaps(t, "presets", want.Presets, got.Presets)
 	diffMaps(t, "defect_hash", want.DefectHash, got.DefectHash)
 	diffMaps(t, "parallel_hash", want.ParallelHash, got.ParallelHash)
+	diffMaps(t, "congested_hash", want.CongestedHash, got.CongestedHash)
 }
 
 func diffMaps(t *testing.T, label string, want, got map[string]string) {
