@@ -15,10 +15,13 @@ import (
 // — the same proof is a pair of array loads: two free vertices are
 // connected iff their labels match.
 //
-// A labeling is valid only for the occupancy state it was computed from;
-// recompute after every Occupancy.Add/Reset batch. The zero value is
-// ready to use, buffers are reused across Compute calls, and a computed
-// labeling is safe for concurrent readers.
+// A labeling is exact only for the occupancy state it was computed from.
+// Since an occupancy only grows within an epoch, a labeling taken earlier
+// in the same epoch still proves two vertices disconnected, though no
+// longer connected: the sequential step's complete finders rely on this
+// (freeLabels), while the speculative step relabels after each commit.
+// The zero value is ready to use, buffers are reused across Compute
+// calls, and a computed labeling is safe for concurrent readers.
 type Components struct {
 	label  []int32
 	parent []int32
