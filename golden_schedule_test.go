@@ -12,7 +12,9 @@ package hilight_test
 //     and defect fixture,
 //   - a schedule fingerprint per sequential method on large Table 1
 //     circuits, where the lattice is congested enough that Find fails
-//     hundreds to thousands of times per compile.
+//     hundreds to thousands of times per compile,
+//   - and the route stage's search work (searches and search pops) of
+//     those same congested compiles.
 //
 // Regenerate with `go test -run TestGolden -update` — but only when a
 // change is *supposed* to alter schedules; performance work must keep
@@ -61,6 +63,11 @@ type goldenFile struct {
 	// often, so they pin how each finder handles gates that cannot
 	// route this cycle.
 	CongestedHash map[string]string `json:"congested_hash"`
+	// RouteWork maps each congested_hash key to "<searches>/<pops>", the
+	// route stage's searches and search-pops trace counters. Schedules
+	// are deterministic, so the work is an exact number: a change that
+	// raises it must say why, and regenerate this file with -update.
+	RouteWork map[string]string `json:"route_work"`
 }
 
 // congestedBenchmarks and congestedMethods span the congested fixtures:
@@ -124,6 +131,7 @@ func computeGolden(t testing.TB) *goldenFile {
 		DefectHash:    map[string]string{},
 		ParallelHash:  map[string]string{},
 		CongestedHash: map[string]string{},
+		RouteWork:     map[string]string{},
 	}
 	for _, name := range goldenBenchmarks {
 		e, ok := bench.ByName(name)
@@ -205,9 +213,29 @@ func computeGolden(t testing.TB) *goldenFile {
 				t.Fatalf("congested golden %s/%s: invalid schedule: %v", name, method, err)
 			}
 			gf.CongestedHash[name+"/"+method] = hashSchedule(res.Schedule)
+			gf.RouteWork[name+"/"+method] = routeWork(t, name+"/"+method, res)
 		}
 	}
 	return gf
+}
+
+// routeWork reads the route stage's search counters off res.Trace as
+// "<searches>/<pops>".
+func routeWork(t testing.TB, key string, res *hilight.Result) string {
+	t.Helper()
+	for _, st := range res.Trace {
+		if st.Stage != "route" {
+			continue
+		}
+		searches, ok1 := st.Counter("searches")
+		pops, ok2 := st.Counter("search-pops")
+		if !ok1 || !ok2 {
+			t.Fatalf("route work %s: route stage has no search counters", key)
+		}
+		return fmt.Sprintf("%d/%d", searches, pops)
+	}
+	t.Fatalf("route work %s: no route stage in the trace", key)
+	return ""
 }
 
 // parallelHash compiles c with hilight-map-parallel at one route worker
@@ -263,6 +291,7 @@ func TestGoldenSchedules(t *testing.T) {
 	diffMaps(t, "defect_hash", want.DefectHash, got.DefectHash)
 	diffMaps(t, "parallel_hash", want.ParallelHash, got.ParallelHash)
 	diffMaps(t, "congested_hash", want.CongestedHash, got.CongestedHash)
+	diffMaps(t, "route_work", want.RouteWork, got.RouteWork)
 }
 
 func diffMaps(t *testing.T, label string, want, got map[string]string) {

@@ -18,9 +18,13 @@ import (
 	"hilight/internal/place"
 )
 
-// BenchmarkRouteCircuit measures one full routing pass over QFT-64 with
-// the default (HiLight) configuration and a fixed pre-computed placement.
-func BenchmarkRouteCircuit(b *testing.B) {
+// warmRouteQFT64 is BenchmarkRouteCircuit's setup: QFT-64 on its
+// rectangular grid with the default (HiLight) configuration, a fixed
+// pre-computed placement, and one warm-up route that sizes all per-grid,
+// per-circuit and result scratch. It returns a call that routes the
+// circuit again; in the steady state after the warm-up that call must
+// be allocation-free.
+func warmRouteQFT64(tb testing.TB) func() {
 	c := bench.QFT(64).DecomposeSWAPs()
 	g := grid.Rect(64)
 	var cfg config
@@ -29,17 +33,33 @@ func BenchmarkRouteCircuit(b *testing.B) {
 	// mutates the layout and one placement serves every iteration.
 	layout := place.HiLight{}.Place(c, g)
 	var rt router
-	// Warm up: the first pass sizes all per-grid, per-circuit, and result
-	// scratch; the steady state after it must be allocation-free.
-	if _, err := rt.route(c, g, layout, cfg); err != nil {
-		b.Fatal(err)
+	routeOnce := func() {
+		if _, err := rt.route(c, g, layout, cfg); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	routeOnce()
+	return routeOnce
+}
+
+// BenchmarkRouteCircuit measures one full routing pass over QFT-64 with
+// the default (HiLight) configuration and a fixed pre-computed placement.
+func BenchmarkRouteCircuit(b *testing.B) {
+	routeOnce := warmRouteQFT64(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.route(c, g, layout, cfg); err != nil {
-			b.Fatal(err)
-		}
+		routeOnce()
+	}
+}
+
+// TestRouteCircuitZeroAllocs pins BenchmarkRouteCircuit's 0 allocs/op:
+// after the warm-up, routing QFT-64 again must not allocate, so a lost
+// fast path fails go test instead of only moving a benchmark figure.
+func TestRouteCircuitZeroAllocs(t *testing.T) {
+	routeOnce := warmRouteQFT64(t)
+	if allocs := testing.AllocsPerRun(3, routeOnce); allocs != 0 {
+		t.Errorf("route QFT-64: %.1f allocs/op in steady state, want 0", allocs)
 	}
 }
 
