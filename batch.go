@@ -62,10 +62,7 @@ func CompileAll(jobs []BatchJob, parallelism int, opts ...Option) []BatchResult 
 
 	// Resolve the batch-level options (context, metrics, events) from the
 	// same option list each job's Compile will consume.
-	o := options{method: "hilight", seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newOptions(opts)
 	bm := newBatchMetrics(o.metrics)
 	bm.jobs(int64(len(jobs)))
 

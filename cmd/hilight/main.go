@@ -44,7 +44,6 @@ func main() {
 		metrics = flag.Bool("metrics", false, "print aggregated compile metrics (Prometheus text format) after the output")
 		magicP  = flag.Int("magic-period", 0, "analyze magic-state throughput: cycles per distilled state (0 = off)")
 		routeW  = flag.Int("route-workers", 0, "worker pool for *-parallel route methods (0 = method preset, negative = GOMAXPROCS); the schedule is identical at any setting")
-		lookahd = flag.Int("lookahead", -1, "dependency-layer lookahead window for *-parallel route methods (-1 = method preset, 0 = off); tie-breaks equal-length paths only")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file after compiling")
 		diffF   = flag.Bool("diff", false, "compare two schedule files (canonical JSON or binary wire format) and print the differences: hilight -diff a.json b.json")
@@ -73,7 +72,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(*inFile, *benchN, *list, *method, *gridKin, *factory, *seed, *show, *format, *magicP, *routeW, *lookahd, *trace, *metrics)
+	err := run(*inFile, *benchN, *list, *method, *gridKin, *factory, *seed, *show, *format, *magicP, *routeW, *trace, *metrics)
 	if *memProf != "" {
 		f, merr := os.Create(*memProf)
 		if merr != nil {
@@ -138,7 +137,7 @@ func loadSchedule(path string) (*hilight.Schedule, error) {
 	return s, nil
 }
 
-func run(inFile, benchName string, list bool, method, gridKind, factory string, seed int64, show, format string, magicPeriod, routeWorkers, lookahead int, trace, metrics bool) error {
+func run(inFile, benchName string, list bool, method, gridKind, factory string, seed int64, show, format string, magicPeriod, routeWorkers int, trace, metrics bool) error {
 	if list {
 		fmt.Println("methods:")
 		for _, m := range hilight.Methods() {
@@ -196,9 +195,6 @@ func run(inFile, benchName string, list bool, method, gridKind, factory string, 
 	copts := []hilight.Option{hilight.WithMethod(method), hilight.WithSeed(seed)}
 	if routeWorkers != 0 {
 		copts = append(copts, hilight.WithRouteWorkers(routeWorkers))
-	}
-	if lookahead >= 0 {
-		copts = append(copts, hilight.WithLookahead(lookahead))
 	}
 	var reg *hilight.Metrics
 	if metrics {

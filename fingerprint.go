@@ -21,19 +21,14 @@ const fingerprintVersion = "hilight-fp-v1"
 // reserved tiles or defects, a WithDefects map, the method, the seed,
 // the QCO override, compaction, or the fallback chain — produces a
 // different digest. Options that cannot change the produced schedule
-// (WithContext, WithTimeout, WithObserver, WithMetrics, WithEvents) are
-// excluded, so a cache keyed by the fingerprint may serve a result
-// compiled under different instrumentation.
-//
-// The parallel-routing execution knobs are excluded too. WithRouteWorkers
-// never changes the output at all: for a fixed method the parallel route
-// pass emits byte-identical schedules at every pool size (pinned by the
-// determinism suite), and on sequential methods the option is inert.
-// WithLookahead selects only among equally-short braiding paths — it
-// never changes which gates route or how many braids execute — so a
-// fingerprint-keyed cache may serve a schedule compiled under any
-// concurrency settings: the result is an equivalent, fully valid
-// schedule for the same compile.
+// (WithContext, WithTimeout, WithObserver, WithMetrics, WithEvents,
+// WithRouteWorkers) are excluded, so one fingerprint names one
+// schedule: a cache keyed by it may serve a result compiled under
+// different instrumentation or concurrency, byte for byte the schedule
+// this call would compile. WithRouteWorkers is inert on sequential
+// methods, and for a parallel method the speculative route step emits
+// byte-identical schedules at every pool size (pinned by the
+// determinism suite).
 //
 // The circuit is canonicalized through its OpenQASM rendering (gate list
 // and width; the circuit's display name does not participate), and
@@ -47,10 +42,7 @@ func Fingerprint(c *Circuit, g *Grid, opts ...Option) (string, error) {
 	if g == nil {
 		return "", ErrNilGrid
 	}
-	o := options{method: "hilight", seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newOptions(opts)
 
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n", fingerprintVersion)

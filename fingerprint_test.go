@@ -3,6 +3,7 @@ package hilight_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"hilight"
 )
@@ -39,28 +40,53 @@ func TestFingerprintStable(t *testing.T) {
 	}
 }
 
-// TestFingerprintExcludesParallelKnobs pins the cache-key contract for
-// the parallel route pass: worker count and lookahead depth are
-// execution knobs, so compiles differing only in them share a
-// fingerprint — on parallel and sequential methods alike.
+// TestFingerprintExcludesParallelKnobs pins the cache-key contract: the
+// options Fingerprint excludes are output-neutral. Compiles differing
+// only in them share a fingerprint, on parallel and sequential methods
+// alike, and a hilight-parallel compile under each of them encodes byte
+// for byte the same schedule — one fingerprint, one schedule.
 func TestFingerprintExcludesParallelKnobs(t *testing.T) {
+	excluded := map[string]hilight.Option{
+		"workers-1":    hilight.WithRouteWorkers(1),
+		"workers-2":    hilight.WithRouteWorkers(2),
+		"workers-8":    hilight.WithRouteWorkers(8),
+		"workers-auto": hilight.WithRouteWorkers(0),
+		"observer":     hilight.WithObserver(func(hilight.CycleStats) {}),
+		"metrics":      hilight.WithMetrics(hilight.NewMetrics()),
+		"timeout":      hilight.WithTimeout(time.Minute),
+	}
 	c := hilight.QFT(8)
 	g := hilight.RectGrid(8)
 	for _, method := range []string{"hilight", "hilight-parallel"} {
 		base := fp(t, c, g, hilight.WithMethod(method))
-		for name, d := range map[string]string{
-			"workers-8":    fp(t, c, g, hilight.WithMethod(method), hilight.WithRouteWorkers(8)),
-			"workers-1":    fp(t, c, g, hilight.WithMethod(method), hilight.WithRouteWorkers(1)),
-			"workers-auto": fp(t, c, g, hilight.WithMethod(method), hilight.WithRouteWorkers(0)),
-			"lookahead-0":  fp(t, c, g, hilight.WithMethod(method), hilight.WithLookahead(0)),
-			"lookahead-9":  fp(t, c, g, hilight.WithMethod(method), hilight.WithLookahead(9)),
-			"both":         fp(t, c, g, hilight.WithMethod(method), hilight.WithRouteWorkers(4), hilight.WithLookahead(2)),
-		} {
-			if d != base {
-				t.Errorf("%s: option set %q changed the fingerprint", method, name)
+		for name, opt := range excluded {
+			if d := fp(t, c, g, hilight.WithMethod(method), opt); d != base {
+				t.Errorf("%s: option %q changed the fingerprint", method, name)
 			}
 		}
 	}
+
+	qft16, _ := hilight.Benchmark("QFT-16")
+	g16 := hilight.RectGrid(qft16.NumQubits)
+	encode := func(opts ...hilight.Option) []byte {
+		t.Helper()
+		res, err := hilight.Compile(qft16, g16, append([]hilight.Option{hilight.WithMethod("hilight-parallel")}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := hilight.EncodeScheduleBinary(res.Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := encode()
+	for name, opt := range excluded {
+		if !bytes.Equal(encode(opt), want) {
+			t.Errorf("hilight-parallel QFT-16: option %q changed the schedule", name)
+		}
+	}
+
 	// The method itself still participates: sequential vs parallel presets
 	// are distinct cache keys.
 	if fp(t, c, g, hilight.WithMethod("hilight")) == fp(t, c, g, hilight.WithMethod("hilight-parallel")) {

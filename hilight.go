@@ -181,12 +181,20 @@ type options struct {
 	timeout      time.Duration
 	fallback     []string
 	routeWorkers *int
-	lookahead    *int
 	placement    place.Method // test hook: overrides the method's placement
 }
 
 // Option configures Compile.
 type Option func(*options)
+
+// newOptions applies opts over the defaults: method "hilight", seed 1.
+func newOptions(opts []Option) options {
+	o := options{method: "hilight", seed: 1}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
 
 // WithMethod selects a named configuration. See Methods for the list.
 func WithMethod(name string) Option { return func(o *options) { o.method = name } }
@@ -318,18 +326,6 @@ func WithRouteWorkers(n int) Option {
 	}
 }
 
-// WithLookahead sets the windowed-lookahead depth of the speculative
-// route step: equal-length path ties break toward vertices that the next
-// k pending two-qubit gates per qubit are least likely to need, reducing
-// future serialization stalls. The depth never changes which gates route
-// or how many braids execute — only which of the equally-short paths
-// each braid takes — so schedules compiled under different depths are
-// equivalent, and the option is excluded from Fingerprint. Methods that
-// route sequentially ignore the option.
-func WithLookahead(k int) Option {
-	return func(o *options) { o.lookahead = &k }
-}
-
 // Methods returns the method names accepted by WithMethod, sorted.
 // Every name resolves to a declarative pipeline spec in core's static
 // registry, so enumeration instantiates no components and draws no
@@ -352,10 +348,7 @@ func Methods() []string { return core.MethodNames() }
 // operands, and ErrCanceled when a WithContext / WithTimeout deadline
 // fires.
 func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
-	o := options{method: "hilight", seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newOptions(opts)
 	if c == nil {
 		return nil, ErrNilCircuit
 	}
@@ -463,14 +456,13 @@ func (o *options) runOptions(ctx context.Context, sp core.Spec, rng *rand.Rand) 
 		Compact:   o.compact,
 		Placement: o.placement,
 	}
-	// The execution knobs apply only to methods that already route in
-	// parallel: overriding them can then never change which route step
-	// runs, which keeps both options inert on sequential methods and
-	// output-stable on parallel ones — the contract that lets
-	// Fingerprint exclude them.
+	// The worker count applies only to methods that already route in
+	// parallel: overriding it can then never change which route step
+	// runs, which keeps the option inert on sequential methods and
+	// output-neutral on parallel ones — the contract that lets
+	// Fingerprint exclude it.
 	if sp.RouteWorkers != 0 {
 		ro.RouteWorkers = o.routeWorkers
-		ro.Lookahead = o.lookahead
 	}
 	return ro
 }

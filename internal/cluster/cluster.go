@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,8 +107,8 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	workers  map[string]*workerState
-	order    []string // stable worker order (config order)
-	ring     *ring    // over up workers only
+	order    []string          // stable worker order (config order)
+	ring     *ring             // over up workers only
 	affinity map[string]string // fingerprint -> worker URL that served it
 
 	queue    *stealQueue
@@ -118,19 +117,19 @@ type Coordinator struct {
 	stop     chan struct{}
 	wg       sync.WaitGroup
 
-	forwards      *obs.Counter
-	forwardRetry  *obs.Counter
-	steals        *obs.Counter
-	requeues      *obs.Counter
+	forwards        *obs.Counter
+	forwardRetry    *obs.Counter
+	steals          *obs.Counter
+	requeues        *obs.Counter
 	hashMoves       *obs.Counter
 	affinityHits    *obs.Counter
 	sessionForwards *obs.Counter
 	sessionAffinity *obs.Counter
-	unitCacheHits *obs.Counter
-	unitsDone     *obs.Counter
-	batches       *obs.Counter
-	upCount       *obs.Gauge
-	queueDepth    *obs.Gauge
+	unitCacheHits   *obs.Counter
+	unitsDone       *obs.Counter
+	batches         *obs.Counter
+	upCount         *obs.Gauge
+	queueDepth      *obs.Gauge
 }
 
 // New returns a running Coordinator: the readiness prober and the
@@ -155,19 +154,19 @@ func New(cfg Config) (*Coordinator, error) {
 		store:    newBatchStore(cfg.MaxStoredJobs),
 		stop:     make(chan struct{}),
 
-		forwards:      m.Counter("cluster/forwards"),
-		forwardRetry:  m.Counter("cluster/forward-retries"),
-		steals:        m.Counter("cluster/steals"),
-		requeues:      m.Counter("cluster/requeues"),
+		forwards:        m.Counter("cluster/forwards"),
+		forwardRetry:    m.Counter("cluster/forward-retries"),
+		steals:          m.Counter("cluster/steals"),
+		requeues:        m.Counter("cluster/requeues"),
 		hashMoves:       m.Counter("cluster/hash-moves"),
 		affinityHits:    m.Counter("cluster/affinity-hits"),
 		sessionForwards: m.Counter("cluster/session-forwards"),
 		sessionAffinity: m.Counter("cluster/session-affinity-hits"),
-		unitCacheHits: m.Counter("cluster/unit-cache-hits"),
-		unitsDone:     m.Counter("cluster/units-done"),
-		batches:       m.Counter("cluster/batches"),
-		upCount:       m.Gauge("cluster/worker-up"),
-		queueDepth:    m.Gauge("cluster/queue-depth"),
+		unitCacheHits:   m.Counter("cluster/unit-cache-hits"),
+		unitsDone:       m.Counter("cluster/units-done"),
+		batches:         m.Counter("cluster/batches"),
+		upCount:         m.Gauge("cluster/worker-up"),
+		queueDepth:      m.Gauge("cluster/queue-depth"),
 	}
 	for _, w := range cfg.Workers {
 		u, _ := url.Parse(w)
@@ -187,10 +186,10 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("POST /v1/jobs", c.handleJobsSubmit)
 	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobsStatus)
 	c.mux.HandleFunc("GET /v1/methods", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"methods": hilight.Methods()})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"methods": hilight.Methods()})
 	})
 	c.mux.HandleFunc("GET /v1/benchmarks", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"benchmarks": hilight.BenchmarkNames()})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"benchmarks": hilight.BenchmarkNames()})
 	})
 	c.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -378,16 +377,6 @@ func (c *Coordinator) probeLoop() {
 // turn, plus slack for a ring that reshards mid-retry.
 func (c *Coordinator) maxAttempts() int { return len(c.cfg.Workers) + 2 }
 
-// writeJSON mirrors the single-node encoder settings so coordinator
-// responses are byte-identical to a worker's.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // writeError renders the canonical JSON error envelope.
 func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
@@ -422,21 +411,7 @@ func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 // response (binary, envelope, or a layer stream) that the coordinator
 // relays verbatim instead of transcoding.
 func passthrough(r *http.Request) bool {
-	if r.URL.Query().Get("stream") == "1" {
-		return true
-	}
-	for _, accept := range r.Header.Values("Accept") {
-		for _, part := range strings.Split(accept, ",") {
-			mt := strings.TrimSpace(part)
-			if i := strings.IndexByte(mt, ';'); i >= 0 {
-				mt = strings.TrimSpace(mt[:i])
-			}
-			if mt == wire.BinaryEnvelopeContentType || mt == wire.Binary.ContentType() {
-				return true
-			}
-		}
-	}
-	return false
+	return r.URL.Query().Get("stream") == "1" || service.AcceptsBinary(r)
 }
 
 // handleCompile forwards a sync compile to the fingerprint's worker.
@@ -540,7 +515,7 @@ func (c *Coordinator) relayCompile(w http.ResponseWriter, resp *http.Response, w
 			}
 		}
 		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(newFlushWriter(w), resp.Body)
+		_, _ = io.Copy(service.FlushingWriter(w), resp.Body)
 		return
 	}
 	respBody, err := io.ReadAll(resp.Body)
@@ -586,26 +561,6 @@ func copyRequestHeaders(dst *http.Request, src *http.Request) {
 			dst.Header.Set(h, v)
 		}
 	}
-}
-
-// newFlushWriter pushes relayed bytes to the client as they arrive —
-// passthrough streams must not buffer whole frames.
-func newFlushWriter(w http.ResponseWriter) io.Writer {
-	if f, ok := w.(http.Flusher); ok {
-		return flushWriter{w, f}
-	}
-	return w
-}
-
-type flushWriter struct {
-	w io.Writer
-	f http.Flusher
-}
-
-func (fw flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	fw.f.Flush()
-	return n, err
 }
 
 // handleDefects broadcasts a defect feed to every live worker — each
@@ -680,7 +635,7 @@ func (c *Coordinator) handleDefects(w http.ResponseWriter, r *http.Request) {
 	if len(total.Fingerprints) == 0 {
 		total.Fingerprints = nil
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"checked": total.Checked, "conflicting": total.Conflicting,
 		"evicted": total.Evicted, "recompiled": total.Recompiled,
 		"failed": total.Failed, "fingerprints": total.Fingerprints,
@@ -718,7 +673,7 @@ func (c *Coordinator) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 		t := &unitTask{batch: b, idx: i, fp: u.Fingerprint, body: u.Body, tenant: tenant}
 		c.enqueue(t, hi)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	service.WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id": b.id, "count": len(units), "fingerprints": fps,
 	})
 }

@@ -180,9 +180,6 @@ type RunOptions struct {
 	// the speculative step (0 sequential, n ≥ 1 workers, negative =
 	// GOMAXPROCS). The schedule is byte-identical for every n ≥ 1.
 	RouteWorkers *int
-	// Lookahead, when non-nil, overrides the spec's windowed-lookahead
-	// depth (≤ 0 disables congestion tie-breaking).
-	Lookahead *int
 	// Warm, when non-nil, warm-starts the compile from a previous
 	// result: placement is replaced by the parent layout and the route
 	// pass replays Warm.Prefix before routing the remainder. See
@@ -237,9 +234,6 @@ func NewPipeline(sp Spec, opt RunOptions) (*Pipeline, error) {
 	cfg.Ctx = opt.Ctx
 	if opt.RouteWorkers != nil {
 		cfg.RouteWorkers = *opt.RouteWorkers
-	}
-	if opt.Lookahead != nil {
-		cfg.Lookahead = *opt.Lookahead
 	}
 	cfg.Warm = opt.Warm
 	if cfg.Warm != nil {

@@ -32,8 +32,9 @@ func init() {
 	RegisterMethod("hilight-cp", Spec{Placement: "hilight", Ordering: "critical-path", Finder: "astar-closest"})
 	// The parallel route-pass variants: same semantic stack as "hilight"
 	// / "hilight-map", with the speculative multi-worker router
-	// (GOMAXPROCS workers by default) and a 4-gate windowed lookahead.
-	// Schedules are deterministic for any worker count.
-	RegisterMethod("hilight-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", QCO: true, RouteWorkers: -1, Lookahead: 4})
-	RegisterMethod("hilight-map-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", RouteWorkers: -1, Lookahead: 4})
+	// (GOMAXPROCS workers by default), whose windowed lookahead has a
+	// fixed depth of 4 gates. Schedules are deterministic for any worker
+	// count.
+	RegisterMethod("hilight-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", QCO: true, RouteWorkers: -1})
+	RegisterMethod("hilight-map-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", RouteWorkers: -1})
 }

@@ -128,10 +128,6 @@ type config struct {
 	// workers, and negative means GOMAXPROCS. The schedule is
 	// deterministic for any n ≥ 1.
 	RouteWorkers int
-	// Lookahead is the windowed-lookahead depth of the speculative step:
-	// congestion from the next k pending two-qubit gates per qubit breaks
-	// equal-cost path ties. ≤ 0 disables the field.
-	Lookahead int
 	// Metrics, when non-nil, aggregates pipeline and routing counters
 	// across compiles (see RunOptions.Metrics).
 	Metrics *obs.Registry

@@ -77,7 +77,7 @@ func parallelCompatible(cfg config) bool {
 		return false
 	}
 	switch cfg.FinderName {
-	case "", "astar-closest", "windowed":
+	case "", "astar-closest":
 		return true
 	}
 	return false
@@ -164,9 +164,6 @@ func (r *router) initSpeculation() {
 	// tile coordinates for the congestion field are also cached here.
 	r.occ.Reset()
 	s.emptyComp.Compute(g, r.occ)
-	if r.cfg.Lookahead <= 0 {
-		return
-	}
 	s.qtx = resize(s.qtx, c.NumQubits)
 	s.qty = resize(s.qty, c.NumQubits)
 	for q := 0; q < c.NumQubits; q++ {
@@ -219,13 +216,9 @@ func (r *router) routeSpeculative(ready []order.Ready) int {
 	s := r.speculator
 	g := r.g
 	s.ready = ready
-	var cong []int32
-	if r.cfg.Lookahead > 0 {
-		r.computeCongestion()
-		cong = s.cong
-	}
+	r.computeCongestion()
 	for _, f := range s.finders {
-		f.Cong = cong
+		f.Cong = s.cong
 	}
 	s.specOK = resize(s.specOK, len(ready))
 	s.specPath = resize(s.specPath, len(ready))
@@ -342,8 +335,14 @@ func (r *router) speculateWorker(w int) {
 	}
 }
 
+// lookahead is the depth of the windowed-lookahead field: how many
+// pending two-qubit gates per qubit, beyond the imminent one, stamp
+// computeCongestion's field. It breaks equal-length path ties only, so
+// it never changes which gates route in a cycle.
+const lookahead = 4
+
 // computeCongestion builds the cycle's windowed-lookahead field: for
-// each qubit, the next cfg.Lookahead pending two-qubit gates beyond the
+// each qubit, the next lookahead pending two-qubit gates beyond the
 // imminent one each stamp the bounding box of their operand tiles'
 // corner vertices, accumulated with a 2D difference array and one
 // prefix-sum sweep. The result is a per-vertex count of how many
@@ -355,7 +354,6 @@ func (r *router) computeCongestion() {
 	w := vw + 1 // difference-array stride: one sink column past the vertices
 	s.congDiff = resize(s.congDiff, w*(vh+1))
 	clear(s.congDiff)
-	k := r.cfg.Lookahead
 	for q := 0; q < r.c.NumQubits; q++ {
 		off := int(s.q2off[q])
 		pos := s.q2arena[off:s.q2off[q+1]]
@@ -366,8 +364,8 @@ func (r *router) computeCongestion() {
 		}
 		s.q2ptr[q] = int32(p)
 		// Window: the imminent gate at pos[p] routes this wavefront and is
-		// not "pending"; the k gates after it stamp the field.
-		end := p + k
+		// not "pending"; the lookahead gates after it stamp the field.
+		end := p + lookahead
 		if end > len(pos)-1 {
 			end = len(pos) - 1
 		}

@@ -18,7 +18,7 @@ import (
 func parSpec(workers int) Spec {
 	return Spec{
 		Placement: "hilight", Ordering: "proposed", Finder: "astar-closest",
-		RouteWorkers: workers, Lookahead: 4,
+		RouteWorkers: workers,
 	}
 }
 

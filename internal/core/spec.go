@@ -41,12 +41,6 @@ type Spec struct {
 	// are byte-identical for every n ≥ 1, so the worker count is an
 	// execution knob, not part of a method's semantic identity.
 	RouteWorkers int
-	// Lookahead is the windowed-lookahead depth used by the speculative
-	// step to break equal-cost path ties with congestion from the
-	// next k pending two-qubit gates per qubit. ≤ 0 disables it. Like
-	// RouteWorkers it never changes which gates route, only which of the
-	// equally short paths is preferred.
-	Lookahead int
 }
 
 // Component registries. Factories take the pipeline's seeded rng so
@@ -161,7 +155,6 @@ func (sp Spec) components(rng *rand.Rand) (config, error) {
 	cfg.Finder = mkFinder()
 	cfg.FinderName = fname
 	cfg.RouteWorkers = sp.RouteWorkers
-	cfg.Lookahead = sp.Lookahead
 	if sp.Adjuster != "" {
 		mkAdj, ok := adjusterReg[sp.Adjuster]
 		if !ok {
@@ -200,5 +193,4 @@ func init() {
 	RegisterFinder("full-16", func() route.Finder { return &route.Full16{} })
 	RegisterFinder("stack-dfs", func() route.Finder { return &route.StackDFS{} })
 	RegisterFinder("l-shape", func() route.Finder { return route.LShape{} })
-	RegisterFinder("windowed", func() route.Finder { return &route.Windowed{} })
 }

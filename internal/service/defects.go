@@ -68,7 +68,7 @@ func (s *Server) handleDefects(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(stale) == 0 {
 		s.succeeded.Inc()
-		writeJSON(w, http.StatusOK, &resp)
+		WriteJSON(w, http.StatusOK, &resp)
 		return
 	}
 
@@ -100,7 +100,7 @@ func (s *Server) handleDefects(w http.ResponseWriter, r *http.Request) {
 		resp.Fingerprints[sr.Fingerprint] = newFP
 	}
 	s.succeeded.Inc()
-	writeJSON(w, http.StatusOK, &resp)
+	WriteJSON(w, http.StatusOK, &resp)
 }
 
 // recompileStale re-issues a stale entry's recorded request under the

@@ -8,7 +8,6 @@ import (
 	"net/http"
 
 	"hilight"
-	"hilight/internal/wire"
 )
 
 // This file is the service's edge API for the cluster coordinator: the
@@ -47,46 +46,25 @@ func DigestCompile(body []byte) (string, error) {
 }
 
 // SplitJobs validates a POST /v1/jobs body and splits it into per-job
-// units, each carrying the batch-level options inline — the same
-// expansion prepare() performs before CompileAll, so unit fingerprints
-// equal the ones a single-node ack would return.
+// units, each carrying the batch-level options inline — the expansion
+// prepare() runs before CompileAll (jobsRequest.resolve), so unit
+// fingerprints equal the ones a single-node ack would return.
 func SplitJobs(body []byte) ([]Unit, error) {
 	var req jobsRequest
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	if len(req.Jobs) == 0 {
-		return nil, badRequest("jobs batch is empty")
+	jobs, err := req.resolve()
+	if err != nil {
+		return nil, err
 	}
-	const maxBatch = 4096
-	if len(req.Jobs) > maxBatch {
-		return nil, badRequest("jobs batch has %d entries (max %d)", len(req.Jobs), maxBatch)
-	}
-	units := make([]Unit, len(req.Jobs))
-	for i, e := range req.Jobs {
-		cr := compileRequest{
-			QASM: e.QASM, Benchmark: e.Benchmark, Grid: e.Grid,
-			Method: req.Method, Seed: req.Seed, QCO: req.QCO,
-			Compact: req.Compact, Defects: req.Defects, Fallback: req.Fallback,
-			RouteWorkers: req.RouteWorkers, Lookahead: req.Lookahead,
-		}
-		c, g, opts, err := cr.build()
-		if err != nil {
-			var ae *apiError
-			if errors.As(err, &ae) {
-				return nil, &apiError{Status: ae.Status, Message: fmt.Sprintf("job %d: %s", i, ae.Message)}
-			}
-			return nil, err
-		}
-		fp, err := hilight.Fingerprint(c, g, opts...)
-		if err != nil {
-			return nil, badRequest("job %d: %v", i, err)
-		}
-		ub, err := json.Marshal(&cr)
+	units := make([]Unit, len(jobs))
+	for i, rj := range jobs {
+		ub, err := json.Marshal(&rj.req)
 		if err != nil {
 			return nil, fmt.Errorf("service: marshal unit %d: %w", i, err)
 		}
-		units[i] = Unit{Fingerprint: fp, Body: ub}
+		units[i] = Unit{Fingerprint: rj.fp, Body: ub}
 	}
 	return units, nil
 }
@@ -104,7 +82,7 @@ type EnvelopeMeta struct {
 // structs and the same encoder settings, so the client-visible bytes
 // are identical.
 func TranscodeEnvelope(envelope []byte) ([]byte, EnvelopeMeta, error) {
-	resp, meta, err := decodeEnvelope(envelope)
+	resp, meta, err := decodeEnvelope(envelope, false)
 	if err != nil {
 		return nil, EnvelopeMeta{}, err
 	}
@@ -137,7 +115,7 @@ func ComposeJobStatus(id string, count, finished int, done bool, outcomes []Unit
 				st.Results[i] = jobResultView{Error: o.Err}
 				continue
 			}
-			resp, _, err := decodeEnvelope(o.Envelope)
+			resp, _, err := decodeEnvelope(o.Envelope, false)
 			if err != nil {
 				st.Results[i] = jobResultView{Error: err.Error()}
 				continue
@@ -182,9 +160,10 @@ func decodeStrict(body []byte, into any) error {
 	return nil
 }
 
-// decodeEnvelope parses a worker's binary-envelope body and transcodes
-// the schedule payload to the canonical inline JSON form.
-func decodeEnvelope(envelope []byte) (*compileResponse, EnvelopeMeta, error) {
+// decodeEnvelope parses a worker's binary-envelope body. Unless binary
+// is set, it transcodes the schedule payload to the canonical inline
+// JSON form.
+func decodeEnvelope(envelope []byte, binary bool) (*compileResponse, EnvelopeMeta, error) {
 	var resp compileResponse
 	if err := json.Unmarshal(envelope, &resp); err != nil {
 		return nil, EnvelopeMeta{}, fmt.Errorf("service: worker envelope: %w", err)
@@ -193,17 +172,17 @@ func decodeEnvelope(envelope []byte) (*compileResponse, EnvelopeMeta, error) {
 	if len(resp.ScheduleBin) == 0 {
 		return nil, EnvelopeMeta{}, fmt.Errorf("service: worker envelope has no schedule payload")
 	}
-	sr := storedResult{Fingerprint: resp.Fingerprint, ScheduleBin: resp.ScheduleBin}
-	full, err := sr.response(wire.JSON)
-	if err != nil {
-		return nil, EnvelopeMeta{}, err
+	if !binary {
+		var err error
+		if resp.Schedule, err = scheduleJSON(resp.ScheduleBin); err != nil {
+			return nil, EnvelopeMeta{}, err
+		}
+		resp.ScheduleBin = nil
 	}
-	resp.Schedule = full.Schedule
-	resp.ScheduleBin = nil
 	return &resp, meta, nil
 }
 
-// encodeJSONBody renders v exactly as writeJSON does (two-space indent,
+// encodeJSONBody renders v exactly as WriteJSON does (two-space indent,
 // trailing newline) without a ResponseWriter.
 func encodeJSONBody(v any) ([]byte, error) {
 	var buf bytes.Buffer

@@ -10,7 +10,6 @@ import (
 
 	"hilight"
 	"hilight/internal/obs"
-	"hilight/internal/wire"
 )
 
 // jobsRequest is the JSON body of POST /v1/jobs: a batch of circuits
@@ -33,11 +32,10 @@ type jobsRequest struct {
 	Compact  bool               `json:"compact,omitempty"`
 	Defects  *hilight.DefectMap `json:"defects,omitempty"`
 	Fallback []string           `json:"fallback,omitempty"`
-	// RouteWorkers and Lookahead tune the parallel route pass for every
+	// RouteWorkers sizes the parallel route pass's worker pool for every
 	// job; unset falls back to the server default, then the method preset.
-	// Execution knobs only — excluded from each job's fingerprint.
+	// An execution knob only — excluded from each job's fingerprint.
 	RouteWorkers *int `json:"route_workers,omitempty"`
-	Lookahead    *int `json:"lookahead,omitempty"`
 	// Parallelism bounds the batch's worker pool; 0 (or values above the
 	// server's worker count) use the server's worker count.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -66,8 +64,8 @@ type jobStatus struct {
 	Results []jobResultView `json:"results,omitempty"`
 }
 
-// jobResultView is the poll-time rendering of one job's outcome for the
-// negotiated codec: the stored binary schedule either transcoded back to
+// jobResultView is the poll-time rendering of one job's outcome in the
+// negotiated form: the stored binary schedule either transcoded back to
 // JSON (the default, byte-identical to the historical responses) or
 // passed through as the base64 schedule_bin payload.
 type jobResultView struct {
@@ -163,46 +161,20 @@ func newJobStore(maxStored int, m *obs.Registry) *jobStore {
 func prepare(req *jobsRequest, workers, routeWorkers int, defTimeout, maxTimeout time.Duration) (
 	batch []hilight.BatchJob, fps []string, shared []hilight.Option, parallelism int, timeout time.Duration, err error,
 ) {
-	if len(req.Jobs) == 0 {
-		return nil, nil, nil, 0, 0, badRequest("jobs batch is empty")
-	}
 	if req.RouteWorkers == nil && routeWorkers != 0 {
 		req.RouteWorkers = &routeWorkers // server-wide default, as in /v1/compile
 	}
-	const maxBatch = 4096
-	if len(req.Jobs) > maxBatch {
-		return nil, nil, nil, 0, 0, badRequest("jobs batch has %d entries (max %d)", len(req.Jobs), maxBatch)
+	jobs, err := req.resolve()
+	if err != nil {
+		return nil, nil, nil, 0, 0, err
 	}
-	// Resolve every entry up front so a malformed entry fails the submit
-	// synchronously with a 400 instead of surfacing later in a poll. The
-	// per-entry compileRequest carries the batch-level options, so each
-	// fingerprint describes exactly the compile CompileAll will run.
-	batch = make([]hilight.BatchJob, len(req.Jobs))
-	fps = make([]string, len(req.Jobs))
-	for i, e := range req.Jobs {
-		cr := compileRequest{
-			QASM: e.QASM, Benchmark: e.Benchmark, Grid: e.Grid,
-			Method: req.Method, Seed: req.Seed, QCO: req.QCO,
-			Compact: req.Compact, Defects: req.Defects, Fallback: req.Fallback,
-			RouteWorkers: req.RouteWorkers, Lookahead: req.Lookahead,
-		}
-		c, g, opts, err := cr.build()
-		if err != nil {
-			if ae, ok := err.(*apiError); ok {
-				return nil, nil, nil, 0, 0, &apiError{Status: ae.Status, Message: fmt.Sprintf("job %d: %s", i, ae.Message)}
-			}
-			return nil, nil, nil, 0, 0, err
-		}
-		fp, err := hilight.Fingerprint(c, g, opts...)
-		if err != nil {
-			return nil, nil, nil, 0, 0, badRequest("job %d: %v", i, err)
-		}
-		fps[i] = fp
-		batch[i] = hilight.BatchJob{Circuit: c, Grid: g}
-		if i == 0 {
-			shared = opts
-		}
+	batch = make([]hilight.BatchJob, len(jobs))
+	fps = make([]string, len(jobs))
+	for i, rj := range jobs {
+		batch[i] = hilight.BatchJob{Circuit: rj.c, Grid: rj.g}
+		fps[i] = rj.fp
 	}
+	shared = jobs[0].opts
 
 	parallelism = req.Parallelism
 	if parallelism <= 0 || parallelism > workers {
@@ -213,6 +185,55 @@ func prepare(req *jobsRequest, workers, routeWorkers int, defTimeout, maxTimeout
 	waves := (len(batch) + parallelism - 1) / parallelism
 	timeout = clampTimeout(req.TimeoutMS, time.Duration(waves)*defTimeout, time.Duration(waves)*maxTimeout)
 	return batch, fps, shared, parallelism, timeout, nil
+}
+
+// resolvedJob is one batch entry resolved for compiling: a compile
+// request carrying the batch-level options, the inputs and options it
+// builds, and its fingerprint.
+type resolvedJob struct {
+	req  compileRequest
+	c    *hilight.Circuit
+	g    *hilight.Grid
+	opts []hilight.Option
+	fp   string
+}
+
+// resolve validates a batch request and resolves every entry up front,
+// so a malformed entry fails the submit synchronously with a 400
+// instead of surfacing later in a poll. Each entry's compileRequest
+// carries the batch-level options, so its fingerprint describes exactly
+// the compile CompileAll will run. prepare and SplitJobs both expand
+// batches here, so a coordinator's unit fingerprints equal the ones a
+// single-node ack returns.
+func (req *jobsRequest) resolve() ([]resolvedJob, error) {
+	if len(req.Jobs) == 0 {
+		return nil, badRequest("jobs batch is empty")
+	}
+	const maxBatch = 4096
+	if len(req.Jobs) > maxBatch {
+		return nil, badRequest("jobs batch has %d entries (max %d)", len(req.Jobs), maxBatch)
+	}
+	jobs := make([]resolvedJob, len(req.Jobs))
+	for i, e := range req.Jobs {
+		rj := &jobs[i]
+		rj.req = compileRequest{
+			QASM: e.QASM, Benchmark: e.Benchmark, Grid: e.Grid,
+			Method: req.Method, Seed: req.Seed, QCO: req.QCO,
+			Compact: req.Compact, Defects: req.Defects, Fallback: req.Fallback,
+			RouteWorkers: req.RouteWorkers,
+		}
+		var err error
+		if rj.c, rj.g, rj.opts, err = rj.req.build(); err != nil {
+			if ae, ok := err.(*apiError); ok {
+				return nil, &apiError{Status: ae.Status, Message: fmt.Sprintf("job %d: %s", i, ae.Message)}
+			}
+			return nil, err
+		}
+		if rj.fp, err = hilight.Fingerprint(rj.c, rj.g, rj.opts...); err != nil {
+			return nil, badRequest("job %d: %v", i, err)
+		}
+	}
+	return jobs, nil
 }
 
 // submit validates the batch, registers it, journals the acknowledgment
@@ -440,10 +461,11 @@ func (s *jobStore) restore(batches []*replayBatch, workers, routeWorkers int, de
 }
 
 // status returns the batch's poll view, rendering each stored outcome
-// for the negotiated codec. JSON transcoding of a stored schedule is
-// deterministic, so repeated polls of a sealed batch stay byte-identical
-// — the resilience and chaos guarantees ride on that.
-func (s *jobStore) status(id string, codec wire.Codec) (*jobStatus, bool) {
+// in the negotiated form (binary or the default JSON). JSON transcoding
+// of a stored schedule is deterministic, so repeated polls of a sealed
+// batch stay byte-identical — the resilience and chaos guarantees ride
+// on that.
+func (s *jobStore) status(id string, binary bool) (*jobStatus, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
@@ -461,7 +483,7 @@ func (s *jobStore) status(id string, codec wire.Codec) (*jobStatus, bool) {
 		st.Results = make([]jobResultView, len(results))
 		for i := range results {
 			if r := results[i].Result; r != nil {
-				resp, err := r.response(codec)
+				resp, err := r.response(binary)
 				if err != nil {
 					st.Results[i] = jobResultView{Error: err.Error()}
 					continue

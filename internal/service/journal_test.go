@@ -224,6 +224,87 @@ func TestJournalResurrectionRerunsOnlyIncomplete(t *testing.T) {
 	waitNoCompileGoroutines(t)
 }
 
+// TestJournalResurrectsRetiredLookahead pins lenient journal replay
+// across the lookahead request field's removal: a batch acked and
+// journaled by an older daemon, whose submit record still carries
+// "lookahead":4, must resurrect and complete under the fingerprints its
+// ack promised, although a new request naming the field is a 400.
+func TestJournalResurrectsRetiredLookahead(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := bootJournaled(t, dir, Config{Workers: 2})
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+		"jobs":   []map[string]any{{"benchmark": "QFT-16"}, {"benchmark": "rd32_270"}},
+		"method": "hilight-map-parallel",
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, body)
+	}
+	var ack struct {
+		ID           string   `json:"id"`
+		Fingerprints []string `json:"fingerprints"`
+	}
+	if err := json.Unmarshal(body, &ack); err != nil {
+		t.Fatalf("ack: %v: %s", err, body)
+	}
+	pollDone(t, ts.URL, ack.ID)
+	stopGracefully(t, s, ts)
+
+	// Leave what the older daemon would after a crash right behind the
+	// ack: the submit record alone, its request carrying the field.
+	path := filepath.Join(dir, journalFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Kind != recSubmit {
+			continue
+		}
+		var req map[string]any
+		if err := json.Unmarshal(rec.Req, &req); err != nil {
+			t.Fatal(err)
+		}
+		req["lookahead"] = 4
+		rec.Req, _ = json.Marshal(req)
+		out, _ := json.Marshal(&rec)
+		kept = append(kept, string(out))
+	}
+	if len(kept) != 1 || !strings.Contains(kept[0], `"lookahead":4`) {
+		t.Fatalf("doctored journal = %q, want one submit record carrying lookahead", kept)
+	}
+	if err := os.WriteFile(path, []byte(kept[0]+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := obs.NewRegistry()
+	s2, ts2 := bootJournaled(t, dir, Config{Workers: 2, Metrics: m})
+	var st jobStatus
+	if err := json.Unmarshal(pollDone(t, ts2.URL, ack.ID), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Results) != len(ack.Fingerprints) {
+		t.Fatalf("resurrected batch has %d results, want %d", len(st.Results), len(ack.Fingerprints))
+	}
+	for i, r := range st.Results {
+		if r.Result == nil {
+			t.Fatalf("job %d failed after resurrection: %s", i, r.Error)
+		}
+		if r.Result.Fingerprint != ack.Fingerprints[i] {
+			t.Fatalf("job %d fingerprint %q, want acked %q", i, r.Result.Fingerprint, ack.Fingerprints[i])
+		}
+	}
+	if v, _ := m.Snapshot().Counter("journal/rerun-jobs"); v != int64(len(ack.Fingerprints)) {
+		t.Errorf("journal/rerun-jobs = %d, want %d", v, len(ack.Fingerprints))
+	}
+	stopGracefully(t, s2, ts2)
+	waitNoCompileGoroutines(t)
+}
+
 // TestJournalTornTail appends garbage and a partial line to a valid
 // journal and asserts replay stops cleanly at the damage, counts it,
 // and compaction scrubs it from disk.

@@ -44,10 +44,6 @@ type compileRequest struct {
 	// are byte-identical across pool sizes, so the field does not
 	// participate in the cache fingerprint.
 	RouteWorkers *int `json:"route_workers,omitempty"`
-	// Lookahead overrides the parallel route pass's windowed-lookahead
-	// depth. Like RouteWorkers it is an execution knob outside the cache
-	// fingerprint: any depth yields an equivalent, fully valid schedule.
-	Lookahead *int `json:"lookahead,omitempty"`
 	// NoCache skips the schedule cache for this request (both lookup and
 	// fill) — for benchmarking the cold path.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -129,13 +125,6 @@ func (cr *compileRequest) build() (*hilight.Circuit, *hilight.Grid, []hilight.Op
 			return nil, nil, nil, badRequest("route_workers %d too large (max %d)", *cr.RouteWorkers, maxRouteWorkers)
 		}
 		opts = append(opts, hilight.WithRouteWorkers(*cr.RouteWorkers))
-	}
-	if cr.Lookahead != nil {
-		const maxLookahead = 1 << 16 // window is a depth, not a buffer; just bound absurdity
-		if *cr.Lookahead < 0 || *cr.Lookahead > maxLookahead {
-			return nil, nil, nil, badRequest("lookahead %d out of range [0, %d]", *cr.Lookahead, maxLookahead)
-		}
-		opts = append(opts, hilight.WithLookahead(*cr.Lookahead))
 	}
 	return c, g, opts, nil
 }
@@ -312,26 +301,37 @@ func (sr *storedResult) meta() *compileResponse {
 	}
 }
 
-// response renders the stored result for the negotiated codec: the JSON
-// codec transcodes the stored binary schedule back to the canonical JSON
-// form (byte-stable — decode+re-encode of a schedule is deterministic),
-// the binary codec passes the stored payload through untouched.
-func (sr *storedResult) response(c wire.Codec) (*compileResponse, error) {
+// response renders the stored result in the negotiated form: a binary
+// form passes the stored payload through untouched, the default JSON
+// form carries the schedule inline (see scheduleJSON).
+func (sr *storedResult) response(binary bool) (*compileResponse, error) {
 	resp := sr.meta()
-	if c.Name() == wire.Binary.Name() {
+	if binary {
 		resp.ScheduleBin = sr.ScheduleBin
 		return resp, nil
 	}
-	s, err := wire.Binary.Decode(sr.ScheduleBin)
+	var err error
+	if resp.Schedule, err = scheduleJSON(sr.ScheduleBin); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// scheduleJSON transcodes a binary schedule payload to the canonical
+// inline JSON form. Decoding and re-encoding a schedule is
+// deterministic, so the bytes are stable: repeated polls of a sealed
+// batch, and a coordinator's transcode of a worker envelope, match a
+// single node's response byte for byte.
+func scheduleJSON(bin []byte) (json.RawMessage, error) {
+	s, err := wire.Binary.Decode(bin)
 	if err != nil {
 		return nil, fmt.Errorf("stored schedule corrupt: %w", err)
 	}
-	schedJSON, err := hilight.EncodeScheduleJSON(s)
+	data, err := hilight.EncodeScheduleJSON(s)
 	if err != nil {
 		return nil, fmt.Errorf("encode schedule: %w", err)
 	}
-	resp.Schedule = schedJSON
-	return resp, nil
+	return data, nil
 }
 
 // sizeOf is the stored result's cache footprint: the binary schedule

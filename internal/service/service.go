@@ -481,7 +481,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// middleware for its usual counting and event report.
 		w.Header().Set("Content-Type", wire.StreamContentType)
 		w.Header().Set("X-Hilight-Fingerprint", fp)
-		enc = wire.NewStreamEncoder(flushingWriter(w))
+		enc = wire.NewStreamEncoder(FlushingWriter(w))
 		defer func() {
 			if rec := recover(); rec != nil {
 				if rec != http.ErrAbortHandler && enc.Started() {
@@ -585,14 +585,6 @@ const (
 	modeEnvelope
 )
 
-// codec maps the mode onto the stored-result codec used for job views.
-func (m respMode) codec() wire.Codec {
-	if m == modeJSON {
-		return wire.JSON
-	}
-	return wire.Binary
-}
-
 // negotiate picks the response mode from the Accept header: an explicit
 // application/x-hilight-sched selects the raw binary payload,
 // application/x-hilight-sched+json the binary-in-envelope form, and
@@ -615,6 +607,13 @@ func negotiate(r *http.Request) respMode {
 	}
 	return modeJSON
 }
+
+// AcceptsBinary reports whether r's Accept header negotiates a binary
+// schedule payload, raw or in the JSON envelope, instead of the default
+// inline JSON. A job poll so negotiated gets every schedule as its
+// binary schedule_bin payload, and the coordinator relays such compile
+// responses untouched.
+func AcceptsBinary(r *http.Request) bool { return negotiate(r) != modeJSON }
 
 // tenantOf extracts the request's tenant for quota accounting; an absent
 // header is the default (empty) tenant.
@@ -659,7 +658,7 @@ func (s *Server) respond(w http.ResponseWriter, mode respMode, sr *storedResult)
 		_, _ = w.Write(sr.ScheduleBin)
 		return
 	}
-	resp, err := sr.response(mode.codec())
+	resp, err := sr.response(mode != modeJSON)
 	if err != nil {
 		s.fail(w, &apiError{Status: 500, Message: err.Error()})
 		return
@@ -673,7 +672,7 @@ func (s *Server) respond(w http.ResponseWriter, mode respMode, sr *storedResult)
 		_ = enc.Encode(resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // streamStored replays a cached schedule as a layer stream: the frames
@@ -691,7 +690,7 @@ func (s *Server) streamStored(w http.ResponseWriter, sr *storedResult) {
 	w.Header().Set("X-Hilight-Fingerprint", sr.Fingerprint)
 	s.succeeded.Inc()
 	// A write error means the client went away; nothing recoverable.
-	_ = wire.StreamSchedule(wire.NewStreamEncoder(flushingWriter(w)), schd, meta)
+	_ = wire.StreamSchedule(wire.NewStreamEncoder(FlushingWriter(w)), schd, meta)
 }
 
 // flushWriter pushes every frame to the client as it is written — the
@@ -702,7 +701,10 @@ type flushWriter struct {
 	f http.Flusher
 }
 
-func flushingWriter(w http.ResponseWriter) io.Writer {
+// FlushingWriter wraps w so every Write is flushed to the client at
+// once: streamed frames, here and relayed through a coordinator, never
+// wait in the response buffer.
+func FlushingWriter(w http.ResponseWriter) io.Writer {
 	fw := &flushWriter{w: w}
 	if f, ok := w.(http.Flusher); ok {
 		fw.f = f
@@ -750,7 +752,7 @@ func (s *Server) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 	// The fingerprints let clients resubmit idempotently after a daemon
 	// restart: a batch keyed by the same fingerprints compiles to the
 	// same schedules, journal or not.
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id": id, "count": len(req.Jobs), "fingerprints": fps,
 	})
 }
@@ -758,25 +760,25 @@ func (s *Server) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJobsStatus serves GET /v1/jobs/{id}.
 func (s *Server) handleJobsStatus(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	st, ok := s.jobs.status(r.PathValue("id"), negotiate(r).codec())
+	st, ok := s.jobs.status(r.PathValue("id"), AcceptsBinary(r))
 	if !ok {
 		s.fail(w, &apiError{Status: 404, Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
 		return
 	}
 	s.succeeded.Inc()
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.succeeded.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{"methods": hilight.Methods()})
+	WriteJSON(w, http.StatusOK, map[string]any{"methods": hilight.Methods()})
 }
 
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.succeeded.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{"benchmarks": hilight.BenchmarkNames()})
+	WriteJSON(w, http.StatusOK, map[string]any{"benchmarks": hilight.BenchmarkNames()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -850,7 +852,7 @@ func (s *Server) failAdmission(w http.ResponseWriter, r *http.Request, err error
 		ra := s.retryAfterHint()
 		w.Header().Set("Retry-After", strconv.Itoa(int((ra+time.Second-1)/time.Second)))
 		s.failed.Inc()
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
+		WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 			"error": msg, "retry_after_ms": ra.Milliseconds(),
 		})
 	}
@@ -878,7 +880,7 @@ func (s *Server) failCompile(w http.ResponseWriter, r *http.Request, err error) 
 			// response, but the status code keeps logs/metrics honest.
 			s.canceled.Inc()
 			s.failed.Inc()
-			writeJSON(w, statusClientClosedRequest, errorBody(err.Error()))
+			WriteJSON(w, statusClientClosedRequest, errorBody(err.Error()))
 			return
 		}
 		s.fail(w, &apiError{Status: http.StatusGatewayTimeout, Message: err.Error()})
@@ -900,12 +902,15 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	if !ok {
 		ae = &apiError{Status: 500, Message: err.Error()}
 	}
-	writeJSON(w, ae.Status, errorBody(ae.Message))
+	WriteJSON(w, ae.Status, errorBody(ae.Message))
 }
 
 func errorBody(msg string) map[string]string { return map[string]string{"error": msg} }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the encoder settings every
+// endpoint shares (two-space indent, trailing newline), so a
+// coordinator's own responses match a single node's byte for byte.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

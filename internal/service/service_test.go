@@ -219,7 +219,7 @@ func TestCompileRequestErrors(t *testing.T) {
 		{"half-grid", `{"benchmark":"QFT-16","grid":{"w":5}}`, 400},
 		{"bad-grid-kind", `{"benchmark":"QFT-16","grid":{"kind":"hex"}}`, 400},
 		{"huge-route-workers", `{"benchmark":"QFT-16","route_workers":100000}`, 400},
-		{"negative-lookahead", `{"benchmark":"QFT-16","lookahead":-1}`, 400},
+		{"lookahead-field", `{"benchmark":"QFT-16","lookahead":4}`, 400},
 		{"capacity", `{"benchmark":"QFT-16","grid":{"w":2,"h":2}}`, 422},
 	}
 	for _, tc := range cases {
@@ -242,10 +242,10 @@ func TestCompileRequestErrors(t *testing.T) {
 }
 
 // TestCompileRouteKnobsShareCacheEntry pins the service-level face of the
-// fingerprint contract: requests differing only in route_workers and
-// lookahead share a cache entry, and the parallel pass hands back the
-// same schedule bytes at every pool size — so serving a cached schedule
-// compiled under different concurrency settings is sound.
+// fingerprint contract: requests differing only in route_workers share a
+// cache entry, and the parallel pass hands back the same schedule bytes
+// at every pool size — so serving a cached schedule compiled under
+// different concurrency settings is sound.
 func TestCompileRouteKnobsShareCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := map[string]any{"benchmark": "QFT-16", "method": "hilight-parallel"}
@@ -258,7 +258,7 @@ func TestCompileRouteKnobsShareCacheEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	knobbed := map[string]any{"benchmark": "QFT-16", "method": "hilight-parallel", "route_workers": 2, "lookahead": 2}
+	knobbed := map[string]any{"benchmark": "QFT-16", "method": "hilight-parallel", "route_workers": 2}
 	resp2, body2 := postJSON(t, ts.URL+"/v1/compile", knobbed)
 	if resp2.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp2.StatusCode, body2)

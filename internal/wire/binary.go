@@ -60,7 +60,8 @@ const (
 // binaryCodec implements the compact format, exported as wire.Binary.
 type binaryCodec struct{}
 
-func (binaryCodec) Name() string        { return "binary" }
+// ContentType is the MIME type of the raw binary schedule payload, used
+// for HTTP content negotiation.
 func (binaryCodec) ContentType() string { return "application/x-hilight-sched" }
 
 func header(kind byte) []byte { return []byte{magic0, magic1, kind, binaryVersion} }

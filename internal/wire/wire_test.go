@@ -92,32 +92,6 @@ func TestBinaryRoundTripMinimal(t *testing.T) {
 	}
 }
 
-func TestJSONCodecDelegates(t *testing.T) {
-	s := testSchedule(t)
-	want, err := sched.EncodeJSON(s)
-	if err != nil {
-		t.Fatalf("sched.EncodeJSON: %v", err)
-	}
-	got, err := JSON.Encode(s)
-	if err != nil {
-		t.Fatalf("JSON.Encode: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("JSON codec bytes differ from sched.EncodeJSON")
-	}
-	back, err := JSON.Decode(got)
-	if err != nil {
-		t.Fatalf("JSON.Decode: %v", err)
-	}
-	re, err := JSON.Encode(back)
-	if err != nil {
-		t.Fatalf("JSON.Encode(round-trip): %v", err)
-	}
-	if !bytes.Equal(re, want) {
-		t.Errorf("JSON round trip not byte-stable")
-	}
-}
-
 func TestDefectMapRoundTrip(t *testing.T) {
 	cases := []*grid.DefectMap{
 		nil,
@@ -313,16 +287,16 @@ func TestBinaryMuchSmallerThanJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	js, err := JSON.Encode(s)
+	js, err := sched.EncodeJSON(s)
 	if err != nil {
-		t.Fatalf("JSON.Encode: %v", err)
+		t.Fatalf("EncodeJSON: %v", err)
 	}
 	if ratio := float64(len(bin)) / float64(len(js)); ratio > 0.40 {
 		t.Errorf("binary/JSON ratio = %.2f (%d/%d bytes), want <= 0.40", ratio, len(bin), len(js))
 	}
 }
 
-func ExampleCodec() {
+func ExampleBinary() {
 	s, _ := sched.Assemble(2, 2, nil, nil, 1, []int{0}, nil)
 	bin, _ := Binary.Encode(s)
 	fmt.Println(string(bin[:2]), bin[2:4])

@@ -139,10 +139,7 @@ func recompileFrom(parentCircuit, parentWorking, childWorking *Circuit, parentSc
 	if parentCircuit == nil || parentSched == nil {
 		return nil, fmt.Errorf("hilight: RecompileFrom needs the parent circuit and schedule")
 	}
-	o := options{method: "hilight", seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := newOptions(opts)
 	if c == nil {
 		return nil, ErrNilCircuit
 	}
