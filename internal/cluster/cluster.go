@@ -806,7 +806,8 @@ func readErrorMessage(r io.Reader) string {
 }
 
 // handleJobsStatus composes the canonical poll body from the batch's
-// unit outcomes.
+// unit outcomes, in the form the client negotiated: like a single node,
+// a binary Accept gets each schedule as its schedule_bin payload.
 func (c *Coordinator) handleJobsStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	b, ok := c.store.get(id)
@@ -815,7 +816,7 @@ func (c *Coordinator) handleJobsStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	finished, done, outcomes := b.view()
-	body, err := service.ComposeJobStatus(b.id, len(b.fps), finished, done, outcomes)
+	body, err := service.ComposeJobStatus(b.id, len(b.fps), finished, done, outcomes, service.AcceptsBinary(r))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

@@ -216,7 +216,8 @@ func dropTimings(t *testing.T, body []byte) []byte {
 
 // TestClusterJobsByteIdentical runs the same async batch through a
 // single node and through the coordinator and requires the poll bodies
-// to match byte for byte.
+// to match byte for byte, for the default JSON poll and for a binary
+// one.
 func TestClusterJobsByteIdentical(t *testing.T) {
 	batch := map[string]any{
 		"jobs": []any{
@@ -266,6 +267,38 @@ func TestClusterJobsByteIdentical(t *testing.T) {
 	// for byte after dropping those fields on both sides.
 	if got, want := dropTimings(t, final), dropTimings(t, refFinal); !bytes.Equal(got, want) {
 		t.Errorf("final poll bodies differ beyond timings:\ncluster: %s\nsingle:  %s", got, want)
+	}
+
+	// A single node answers a binary poll with each schedule as its
+	// schedule_bin payload, so the coordinator must pass the workers'
+	// payloads through instead of transcoding them to inline JSON.
+	binPoll := func(base, id string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", wire.Binary.ContentType())
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("binary poll %s: %d: %s", id, resp.StatusCode, body)
+		}
+		return body
+	}
+	refBin := binPoll(ref.URL, refSub.ID)
+	if !bytes.Contains(refBin, []byte(`"schedule_bin"`)) {
+		t.Fatalf("single-node binary poll carries no schedule_bin: %s", refBin)
+	}
+	if got, want := dropTimings(t, binPoll(tc.ts.URL, sub.ID)), dropTimings(t, refBin); !bytes.Equal(got, want) {
+		t.Errorf("binary poll bodies differ beyond timings:\ncluster: %s\nsingle:  %s", got, want)
 	}
 	snap := tc.metrics.Snapshot()
 	if v, _ := snap.Counter("cluster/units-done"); v != 4 {

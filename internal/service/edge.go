@@ -102,9 +102,11 @@ type UnitOutcome struct {
 
 // ComposeJobStatus renders the canonical GET /v1/jobs/{id} body from
 // per-unit outcomes — byte-identical to a single-node poll of the same
-// batch state. With done unset the outcomes are ignored and a running
-// view (finished of count) is rendered.
-func ComposeJobStatus(id string, count, finished int, done bool, outcomes []UnitOutcome) ([]byte, error) {
+// batch state in the same negotiated form: binary (see AcceptsBinary)
+// keeps each envelope's schedule_bin payload untouched, the default
+// transcodes it to inline JSON. With done unset the outcomes are
+// ignored and a running view (finished of count) is rendered.
+func ComposeJobStatus(id string, count, finished int, done bool, outcomes []UnitOutcome, binary bool) ([]byte, error) {
 	st := jobStatus{ID: id, Count: count, Finished: finished, Status: "running"}
 	if done {
 		st.Status = "done"
@@ -115,7 +117,7 @@ func ComposeJobStatus(id string, count, finished int, done bool, outcomes []Unit
 				st.Results[i] = jobResultView{Error: o.Err}
 				continue
 			}
-			resp, _, err := decodeEnvelope(o.Envelope, false)
+			resp, _, err := decodeEnvelope(o.Envelope, binary)
 			if err != nil {
 				st.Results[i] = jobResultView{Error: err.Error()}
 				continue
