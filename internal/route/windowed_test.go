@@ -15,7 +15,10 @@ import (
 
 // randomGrid builds a grid (sometimes word-straddling wide), applies
 // random defects, and scatters random braid paths into a fresh
-// occupancy.
+// occupancy. Each walk starts on a live vertex and steps only across
+// routable channels (VertexNeighbors lists no other, and none touches a
+// dead vertex), so no walk crosses a defect: Occupancy.Add's
+// precondition, which keeps the occupancy sound across a Reset.
 func randomGrid(rng *rand.Rand) (*grid.Grid, *Occupancy) {
 	var g *grid.Grid
 	if rng.Intn(3) == 0 {
@@ -44,6 +47,9 @@ func randomGrid(rng *rand.Rand) (*grid.Grid, *Occupancy) {
 	occ := NewOccupancy(g)
 	for i := 0; i < rng.Intn(12); i++ {
 		v := rng.Intn(g.NumVertices())
+		if g.VertexDefective(v) {
+			continue
+		}
 		p := Path{v}
 		for j := 0; j < 1+rng.Intn(8); j++ {
 			nbr = g.VertexNeighbors(v, nbr[:0])
