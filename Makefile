@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-pkgs race-root bench bench-route bench-smoke fuzz golden wire-compat check serve smoke chaos chaos-short cluster-smoke session-smoke
+.PHONY: all build vet lint test race race-pkgs race-root bench bench-route fuzz golden wire-compat check serve smoke chaos chaos-short cluster-smoke session-smoke
 
 all: check
 
@@ -37,19 +37,15 @@ race-pkgs:
 race-root:
 	$(GO) test -race .
 
-# Hot-path microbenchmarks tracked in BENCH_route.json. BenchmarkRouteCircuit
-# and BenchmarkFinderFind must report 0 allocs/op in steady state.
+# Hot-path microbenchmarks, for local profiling. BENCH_route.json is a
+# frozen snapshot of them that no tool reads; hlbench (BENCHMARK.json) is
+# the benchmark. BenchmarkRouteCircuit and BenchmarkFinderFind report
+# 0 allocs/op in steady state, which go test asserts through
+# TestRouteCircuitZeroAllocs and TestFinderFindZeroAllocs.
 bench-route:
 	$(GO) test -bench 'BenchmarkFinderFind|BenchmarkOccupancy' -benchmem -benchtime 1000x ./internal/route/
 	$(GO) test -bench 'BenchmarkRouteCircuit|BenchmarkCompileQFT' -benchmem -benchtime 5x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkWire -benchmem -benchtime 200x .
-
-# Fast benchmark regression gate for CI: one iteration of the QFT64
-# compile (sequential + the parallel worker sweep), failing only past 5x
-# of the BENCH_route.json snapshot — order-of-magnitude protection, not
-# precision tracking.
-bench-smoke:
-	$(GO) run ./cmd/benchsmoke
 
 # Everything, including the paper-artifact benchmarks (slow).
 bench:

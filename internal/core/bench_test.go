@@ -3,11 +3,11 @@ package core
 // Benchmarks for the Alg. 2 routing loop. BenchmarkRouteCircuit drives
 // the package-internal router with every piece of scratch state reused
 // across iterations — the steady-state regime of batch compilation — and
-// must report 0 allocs/op after the allocation-free rewrite.
-// BenchmarkCompileQFT{64,256} measure the full compile pipeline
-// (placement + routing + metrics); their alloc counts are tracked
-// against the pre-rewrite baseline in BENCH_route.json at the repo
-// root.
+// must report 0 allocs/op after the allocation-free rewrite, which
+// TestRouteCircuitZeroAllocs asserts. BenchmarkCompileQFT{64,256}
+// measure the full compile pipeline (placement + routing + metrics);
+// the frozen BENCH_route.json snapshot at the repo root records their
+// alloc counts against the pre-rewrite baseline.
 
 import (
 	"fmt"
@@ -86,8 +86,9 @@ func BenchmarkCompileQFT(b *testing.B) {
 
 // BenchmarkCompileQFTParallel measures the parallel route pass
 // (hilight-map-parallel: speculative workers + windowed lookahead +
-// component pruning) at fixed pool sizes, for the worker-scaling table
-// in BENCH_route.json. The schedule is identical across arms.
+// component pruning) at fixed pool sizes, as in the worker-scaling table
+// of the frozen BENCH_route.json snapshot. The schedule is identical
+// across arms.
 func BenchmarkCompileQFTParallel(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		for _, workers := range []int{1, 2, 4, 8} {

@@ -2,8 +2,9 @@ package route
 
 // Micro-benchmarks for the routing hot path. The acceptance bar for the
 // allocation-free rewrite: BenchmarkFinderFind/astar-closest reports
-// 0 allocs/op in steady state (after the warm-up call). Baselines live in
-// BENCH_route.json at the repo root; regenerate with
+// 0 allocs/op in steady state (after the warm-up call), which
+// TestFinderFindZeroAllocs asserts. BENCH_route.json at the repo root
+// keeps a frozen snapshot; run them with
 //
 //	go test ./internal/route -bench BenchmarkFinderFind -benchmem
 

@@ -7,7 +7,7 @@ import (
 )
 
 // sessionBenchSubset is the Table 1 subset the session section of
-// BENCH_route.json tracks: a small, a mid-size and two larger circuits,
+// BENCH_route.json recorded: a small, a mid-size and two larger circuits,
 // so the warm/cold ratio is visible across prefix lengths.
 var sessionBenchSubset = []string{"rd32_270", "sqrt8_260", "urf2_277", "QFT-16"}
 
@@ -30,7 +30,7 @@ func sessionBenchParent(b *testing.B, name string) (*hilight.Result, hilight.Del
 // BenchmarkRecompileEdit measures a single-gate session recompile: the
 // parent placement and untouched layer prefix replay verbatim, only the
 // suffix re-routes. Compare against BenchmarkRecompileEditCold below —
-// the session section of BENCH_route.json pins the ratio at ≥ 3×.
+// the session section of BENCH_route.json recorded the ratio at ≥ 3×.
 func BenchmarkRecompileEdit(b *testing.B) {
 	for _, name := range sessionBenchSubset {
 		parent, delta := sessionBenchParent(b, name)

@@ -1,10 +1,10 @@
 package hilight_test
 
 // Wire-codec benchmarks over the Table 1 subset the goldens pin: encode
-// and decode throughput for the binary format, with the JSON codec as
+// and decode throughput for the binary format, with the JSON encoder as
 // the baseline and the bytes-per-schedule ratio reported per run.
-// Snapshots live in the "wire" section of BENCH_route.json (refresh via
-// `make bench-route`).
+// The "wire" section of BENCH_route.json keeps a frozen snapshot; run
+// them with `make bench-route`.
 
 import (
 	"testing"
