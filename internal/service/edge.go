@@ -54,17 +54,17 @@ func SplitJobs(body []byte) ([]Unit, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return nil, err
 	}
-	jobs, err := req.resolve()
+	crs, _, fps, _, err := req.resolve()
 	if err != nil {
 		return nil, err
 	}
-	units := make([]Unit, len(jobs))
-	for i, rj := range jobs {
-		ub, err := json.Marshal(&rj.req)
+	units := make([]Unit, len(crs))
+	for i := range crs {
+		ub, err := json.Marshal(&crs[i])
 		if err != nil {
 			return nil, fmt.Errorf("service: marshal unit %d: %w", i, err)
 		}
-		units[i] = Unit{Fingerprint: rj.fp, Body: ub}
+		units[i] = Unit{Fingerprint: fps[i], Body: ub}
 	}
 	return units, nil
 }

@@ -164,17 +164,9 @@ func prepare(req *jobsRequest, workers, routeWorkers int, defTimeout, maxTimeout
 	if req.RouteWorkers == nil && routeWorkers != 0 {
 		req.RouteWorkers = &routeWorkers // server-wide default, as in /v1/compile
 	}
-	jobs, err := req.resolve()
-	if err != nil {
+	if _, batch, fps, shared, err = req.resolve(); err != nil {
 		return nil, nil, nil, 0, 0, err
 	}
-	batch = make([]hilight.BatchJob, len(jobs))
-	fps = make([]string, len(jobs))
-	for i, rj := range jobs {
-		batch[i] = hilight.BatchJob{Circuit: rj.c, Grid: rj.g}
-		fps[i] = rj.fp
-	}
-	shared = jobs[0].opts
 
 	parallelism = req.Parallelism
 	if parallelism <= 0 || parallelism > workers {
@@ -187,53 +179,51 @@ func prepare(req *jobsRequest, workers, routeWorkers int, defTimeout, maxTimeout
 	return batch, fps, shared, parallelism, timeout, nil
 }
 
-// resolvedJob is one batch entry resolved for compiling: a compile
-// request carrying the batch-level options, the inputs and options it
-// builds, and its fingerprint.
-type resolvedJob struct {
-	req  compileRequest
-	c    *hilight.Circuit
-	g    *hilight.Grid
-	opts []hilight.Option
-	fp   string
-}
-
 // resolve validates a batch request and resolves every entry up front,
 // so a malformed entry fails the submit synchronously with a 400
-// instead of surfacing later in a poll. Each entry's compileRequest
-// carries the batch-level options, so its fingerprint describes exactly
-// the compile CompileAll will run. prepare and SplitJobs both expand
-// batches here, so a coordinator's unit fingerprints equal the ones a
-// single-node ack returns.
-func (req *jobsRequest) resolve() ([]resolvedJob, error) {
+// instead of surfacing later in a poll. It returns, per entry, the
+// compileRequest carrying the batch-level options, the batch job it
+// builds and its fingerprint, plus the option list shared by every job.
+// The fingerprint therefore describes exactly the compile CompileAll
+// will run. prepare and SplitJobs both expand batches here, so a
+// coordinator's unit fingerprints equal the ones a single-node ack
+// returns.
+func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJob, fps []string, shared []hilight.Option, err error) {
 	if len(req.Jobs) == 0 {
-		return nil, badRequest("jobs batch is empty")
+		return nil, nil, nil, nil, badRequest("jobs batch is empty")
 	}
 	const maxBatch = 4096
 	if len(req.Jobs) > maxBatch {
-		return nil, badRequest("jobs batch has %d entries (max %d)", len(req.Jobs), maxBatch)
+		return nil, nil, nil, nil, badRequest("jobs batch has %d entries (max %d)", len(req.Jobs), maxBatch)
 	}
-	jobs := make([]resolvedJob, len(req.Jobs))
+	crs = make([]compileRequest, len(req.Jobs))
+	batch = make([]hilight.BatchJob, len(req.Jobs))
+	fps = make([]string, len(req.Jobs))
 	for i, e := range req.Jobs {
-		rj := &jobs[i]
-		rj.req = compileRequest{
+		crs[i] = compileRequest{
 			QASM: e.QASM, Benchmark: e.Benchmark, Grid: e.Grid,
 			Method: req.Method, Seed: req.Seed, QCO: req.QCO,
 			Compact: req.Compact, Defects: req.Defects, Fallback: req.Fallback,
 			RouteWorkers: req.RouteWorkers,
 		}
-		var err error
-		if rj.c, rj.g, rj.opts, err = rj.req.build(); err != nil {
+		c, g, opts, err := crs[i].build()
+		if err != nil {
 			if ae, ok := err.(*apiError); ok {
-				return nil, &apiError{Status: ae.Status, Message: fmt.Sprintf("job %d: %s", i, ae.Message)}
+				return nil, nil, nil, nil, &apiError{Status: ae.Status, Message: fmt.Sprintf("job %d: %s", i, ae.Message)}
 			}
-			return nil, err
+			return nil, nil, nil, nil, err
 		}
-		if rj.fp, err = hilight.Fingerprint(rj.c, rj.g, rj.opts...); err != nil {
-			return nil, badRequest("job %d: %v", i, err)
+		fp, err := hilight.Fingerprint(c, g, opts...)
+		if err != nil {
+			return nil, nil, nil, nil, badRequest("job %d: %v", i, err)
+		}
+		fps[i] = fp
+		batch[i] = hilight.BatchJob{Circuit: c, Grid: g}
+		if i == 0 {
+			shared = opts
 		}
 	}
-	return jobs, nil
+	return crs, batch, fps, shared, nil
 }
 
 // submit validates the batch, registers it, journals the acknowledgment
