@@ -337,8 +337,10 @@ func (r *router) speculateWorker(w int) {
 
 // lookahead is the depth of the windowed-lookahead field: how many
 // pending two-qubit gates per qubit, beyond the imminent one, stamp
-// computeCongestion's field. It breaks equal-length path ties only, so
-// it never changes which gates route in a cycle.
+// computeCongestion's field. The depth only breaks ties among equally
+// short paths, but the paths it picks shape later cycles and so the
+// schedule; it is fixed here, not an option Fingerprint would have to
+// digest.
 const lookahead = 4
 
 // computeCongestion builds the cycle's windowed-lookahead field: for
