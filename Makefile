@@ -52,10 +52,12 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Fuzz the hostile-input surfaces: the QASM parser, the schedule JSON
-# decoder, and the binary wire decoders. FUZZTIME=20s per target by
-# default; raise it for deeper runs.
+# decoder, and the binary wire decoders; and the compiler itself, every
+# method over random circuits on random defect maps. FUZZTIME=20s per
+# target by default; raise it for deeper runs.
 FUZZTIME ?= 20s
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/qasm/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME) ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME) ./internal/wire/

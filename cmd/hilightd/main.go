@@ -1,30 +1,38 @@
 // Command hilightd serves the HiLight compiler over HTTP: a
 // compile-as-a-service daemon with a content-addressed schedule cache
-// and admission control.
+// and admission control, or a cluster coordinator in front of such
+// daemons.
 //
 // Usage:
 //
-//	hilightd [-addr :8753] [-workers N] [-queue N] [-cache-bytes N]
-//	         [-journal DIR] [-watchdog D] [-node-id NAME] [-tenant-quota N]
+//	hilightd [-addr :8753] [-node-id NAME] [-max-jobs N] [-journal DIR]
+//	         [-drain-timeout D] [-workers N] [-queue N] [-cache-bytes N]
+//	         [-timeout D] [-max-timeout D] [-route-workers N] [-watchdog D]
+//	         [-tenant-quota N] [-log-events=BOOL]
 //	hilightd -coordinator URL1,URL2,... [-addr :8753] [-node-id NAME]
+//	         [-max-jobs N] [-journal DIR] [-drain-timeout D]
 //	         [-probe-interval D]
 //
-// With -coordinator, hilightd runs as a cluster coordinator instead of
-// a compile worker: sync compiles and async batch units are
-// consistent-hashed across the listed workers on the request
+// The first form compiles locally. With -coordinator, hilightd runs as
+// a cluster coordinator instead: sync compiles and async batch units
+// are consistent-hashed across the listed workers on the request
 // fingerprint (so each worker's schedule cache shards naturally), async
 // units flow through a work-stealing queue, and workers failing their
 // periodic readiness probe are drained out of the hash ring. Client
 // JSON is byte-identical either way — node-to-node traffic uses a
 // compact binary-payload envelope transcoded back at the coordinator.
+// A flag the chosen mode does not use is an error (exit status 2).
 //
-// With -journal, acknowledged async batches are written to a durable
-// append-only journal before the 202 returns; on startup the journal is
-// replayed — finished batches are served from the log, unfinished ones
-// re-run only their incomplete jobs — and compacted. A kill -9 mid-batch
-// therefore loses no acknowledged work. With -watchdog, a compile that
-// makes no routing-cycle progress for a full window is aborted (504) so
-// a stuck compile cannot pin a worker forever.
+// With -journal, in either mode, acknowledged async batches are
+// written to a durable append-only journal before the 202 returns; on
+// startup the journal is replayed — finished batches are served from
+// the log, unfinished ones re-run only their incomplete jobs — and
+// compacted. A kill -9 mid-batch therefore loses no acknowledged work.
+// A coordinator re-dispatches a resumed batch's units without the
+// submit's X-Hilight-Tenant and X-Hilight-Priority headers, which the
+// journal does not keep. With -watchdog, a compile that makes no
+// routing-cycle progress for a full window is aborted (504) so a stuck
+// compile cannot pin a worker forever.
 //
 // Endpoints:
 //
@@ -52,10 +60,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
+	"hilight/internal/cluster"
 	"hilight/internal/obs"
 	"hilight/internal/service"
 )
@@ -90,15 +100,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// A flag the chosen mode ignores is a mistake worth stopping for: a
+	// coordinator started with -workers would otherwise run as though it
+	// had been sized.
+	ignored := []string{"workers", "queue", "cache-bytes", "timeout", "max-timeout",
+		"route-workers", "watchdog", "tenant-quota", "log-events"}
+	mode := "with -coordinator"
+	if *coordinator == "" {
+		ignored, mode = []string{"probe-interval"}, "without -coordinator"
+	}
+	bad := 0
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(ignored, f.Name) {
+			fmt.Fprintf(stderr, "hilightd: flag -%s does not apply %s\n", f.Name, mode)
+			bad++
+		}
+	})
+	if bad > 0 {
+		return 2
+	}
+
 	if *coordinator != "" {
-		return runCoordinator(coordinatorConfig{
-			addr:          *addr,
-			workers:       strings.Split(*coordinator, ","),
-			nodeID:        *nodeID,
-			probeInterval: *probeIvl,
-			maxJobs:       *maxJobs,
-			drainTimeout:  *drainTimeout,
-		}, stdout, stderr)
+		var urls []string
+		for _, w := range strings.Split(*coordinator, ",") {
+			if w = strings.TrimSpace(w); w != "" {
+				urls = append(urls, w)
+			}
+		}
+		co, err := cluster.New(cluster.Config{
+			Workers:       urls,
+			NodeID:        *nodeID,
+			ProbeInterval: *probeIvl,
+			MaxStoredJobs: *maxJobs,
+			JournalDir:    *journalDir,
+		})
+		if err != nil {
+			fmt.Fprintln(stderr, "hilightd:", err)
+			return 1
+		}
+		return serve(co, *addr, fmt.Sprintf("hilightd coordinating %d workers", len(urls)), *drainTimeout, stdout, stderr)
 	}
 
 	cfg := service.Config{
@@ -122,18 +162,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hilightd:", err)
 		return 1
 	}
+	return serve(srv, *addr, "hilightd listening", *drainTimeout, stdout, stderr)
+}
 
-	ln, err := net.Listen("tcp", *addr)
+// daemon is what serve runs: a single node (service.Server) or a
+// cluster coordinator (cluster.Coordinator).
+type daemon interface {
+	Handler() http.Handler
+	Drain()
+	Shutdown(context.Context) error
+}
+
+// serve listens on addr, announces the address after banner, serves d
+// until SIGINT or SIGTERM, then drains it and returns the exit code.
+func serve(d daemon, addr, banner string, drainTimeout time.Duration, stdout, stderr io.Writer) int {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "hilightd:", err)
 		return 1
 	}
 	// The resolved address line is machine-readable on purpose: with
-	// -addr :0 it is how callers (the e2e smoke test, scripts) learn the
+	// -addr :0 it is how callers (the e2e tests, scripts) learn the
 	// ephemeral port.
-	fmt.Fprintf(stdout, "hilightd listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "%s on http://%s\n", banner, ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: d.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -148,17 +201,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stop() // restore default signal handling: a second signal kills hard
 
 	fmt.Fprintln(stderr, "hilightd: draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	// Order matters: flip readiness and reject new compile work first,
-	// then wait for in-flight HTTP requests, then for async batches.
-	srv.Drain()
+	// Order matters: flip readiness and reject new work first, then wait
+	// for in-flight HTTP requests, then for async batches.
+	d.Drain()
 	code := 0
 	if err := hs.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(stderr, "hilightd: http drain:", err)
 		code = 1
 	}
-	if err := srv.Shutdown(drainCtx); err != nil {
+	if err := d.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(stderr, "hilightd:", err)
 		code = 1
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -291,6 +293,23 @@ func TestRunBadFlags(t *testing.T) {
 	if code := run([]string{"-addr", "256.0.0.1:bad"}, &out, &out); code != 1 {
 		t.Errorf("bad addr exit = %d, want 1", code)
 	}
+	// A flag the chosen mode ignores is rejected by name.
+	worker := []string{"-workers=2", "-queue=8", "-cache-bytes=0", "-timeout=1s", "-max-timeout=1s",
+		"-route-workers=2", "-watchdog=0", "-tenant-quota=1", "-log-events=false"}
+	cases := [][]string{{"-probe-interval=1s"}}
+	for _, f := range worker {
+		cases = append(cases, []string{"-coordinator=http://127.0.0.1:1", f})
+	}
+	for _, args := range cases {
+		var stderr syncBuffer
+		name, _, _ := strings.Cut(args[len(args)-1], "=")
+		if code := run(args, &stderr, &stderr); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), name) {
+			t.Errorf("%v: message %q does not name %s", args, stderr.String(), name)
+		}
+	}
 }
 
 // metricValue extracts a single metric's value from the Prometheus text
@@ -553,4 +572,26 @@ func TestE2ECoordinator(t *testing.T) {
 			t.Fatalf("%s never exited after SIGTERM", name)
 		}
 	}
+}
+
+// TestCoordinatorJournal checks that -journal reaches a coordinator: it
+// opens its journal in the directory before it announces itself.
+func TestCoordinatorJournal(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr syncBuffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-addr", "127.0.0.1:0", "-coordinator", "http://127.0.0.1:1", "-journal", dir}, &stdout, &stderr)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !coordRe.MatchString(stdout.String()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never announced itself\nstderr: %s", stderr.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err != nil {
+		t.Errorf("coordinator started with -journal has no journal: %v", err)
+	}
+	stopDaemon(t, &stderr, exit)
 }

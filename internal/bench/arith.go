@@ -27,10 +27,10 @@ func CuccaroAdder(bits int) *circuit.Circuit {
 	maj := func(x, y, z int) {
 		c.Add2(circuit.CX, z, y)
 		c.Add2(circuit.CX, z, x)
-		appendCCX(c, x, y, z)
+		c.AddCCX(x, y, z)
 	}
 	uma := func(x, y, z int) {
-		appendCCX(c, x, y, z)
+		c.AddCCX(x, y, z)
 		c.Add2(circuit.CX, z, x)
 		c.Add2(circuit.CX, x, y)
 	}
@@ -85,30 +85,11 @@ func multiControlledZ(c *circuit.Circuit, n int) {
 	}
 	tgt := n - 1
 	c.Add1(circuit.H, tgt)
-	var mcx func(controls []int, target int)
-	mcx = func(controls []int, target int) {
-		switch len(controls) {
-		case 0:
-			c.Add1(circuit.X, target)
-		case 1:
-			c.Add2(circuit.CX, controls[0], target)
-		case 2:
-			appendCCX(c, controls[0], controls[1], target)
-		default:
-			last := controls[len(controls)-1]
-			rest := controls[:len(controls)-1]
-			c.Add2(circuit.CX, last, target)
-			mcx(rest, last)
-			c.Add2(circuit.CX, last, target)
-			mcx(rest, last)
-			mcx(rest, target)
-		}
-	}
 	controls := make([]int, n-1)
 	for i := range controls {
 		controls[i] = i
 	}
-	mcx(controls, tgt)
+	c.AddMCX(controls, tgt)
 	c.Add1(circuit.H, tgt)
 }
 

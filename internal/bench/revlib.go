@@ -37,7 +37,7 @@ func RevLib(name string, n, gates int) *circuit.Circuit {
 				continue
 			}
 			a, b, t := threeDistinct(rng, n)
-			appendCCX(c, a, b, t)
+			c.AddCCX(a, b, t)
 		}
 	}
 	c.Gates = c.Gates[:gates]
@@ -56,26 +56,6 @@ func twoDistinct(rng *rand.Rand, n int) (int, int) {
 func threeDistinct(rng *rand.Rand, n int) (int, int, int) {
 	perm := rng.Perm(n)
 	return perm[0], perm[1], perm[2]
-}
-
-// appendCCX emits the standard Toffoli decomposition (6 CX, 7 T-type,
-// 2 H) used by the QASM parser as well.
-func appendCCX(c *circuit.Circuit, a, b, t int) {
-	c.Add1(circuit.H, t)
-	c.Add2(circuit.CX, b, t)
-	c.Add1(circuit.Tdg, t)
-	c.Add2(circuit.CX, a, t)
-	c.Add1(circuit.T, t)
-	c.Add2(circuit.CX, b, t)
-	c.Add1(circuit.Tdg, t)
-	c.Add2(circuit.CX, a, t)
-	c.Add1(circuit.T, b)
-	c.Add1(circuit.T, t)
-	c.Add1(circuit.H, t)
-	c.Add2(circuit.CX, a, b)
-	c.Add1(circuit.T, a)
-	c.Add1(circuit.Tdg, b)
-	c.Add2(circuit.CX, a, b)
 }
 
 // Entry is one Table 1 benchmark: its paper metadata and a generator.

@@ -18,11 +18,13 @@ import (
 )
 
 // TestClusterSoak is the multi-node soak behind `make cluster-smoke`:
-// one coordinator over three in-process workers, a worker killed in the
-// middle of an acked batch. Invariants:
+// one journaled coordinator over three in-process workers, a worker
+// killed in the middle of an acked batch, then the coordinator itself.
+// Invariants:
 //
 //   - no acked job is lost — every unit of every acked batch reaches a
-//     terminal result even though the worker running some of them died;
+//     terminal result even though the worker running some of them died,
+//     or the coordinator that acked it;
 //   - the coordinator stops routing to the dead worker within a probe
 //     interval or two (the worker-up gauge drops, the ring reshards);
 //   - repeated fingerprints hit the sharded caches at least as often as
@@ -59,12 +61,13 @@ func TestClusterSoak(t *testing.T) {
 		urls = append(urls, w.URL)
 	}
 	cm := obs.NewRegistry()
-	co, err := cluster.New(cluster.Config{Workers: urls, ProbeInterval: probe, Metrics: cm})
+	journalDir := t.TempDir()
+	co, err := cluster.New(cluster.Config{Workers: urls, ProbeInterval: probe, Metrics: cm, JournalDir: journalDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(co.Handler())
-	defer ts.Close()
+	defer func() { ts.Close() }()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -163,26 +166,34 @@ func TestClusterSoak(t *testing.T) {
 	workers[1].Kill()
 
 	final := waitDone(ts.URL, id)
-	var st struct {
-		Results []struct {
-			Error  string          `json:"error,omitempty"`
-			Result json.RawMessage `json:"result,omitempty"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(final, &st); err != nil {
-		t.Fatalf("final poll: %v: %s", err, final)
-	}
-	if len(st.Results) != 24 {
-		t.Fatalf("acked 24 units, final poll has %d results", len(st.Results))
-	}
-	for i, r := range st.Results {
-		if r.Error != "" {
-			t.Errorf("acked unit %d lost to the kill: %s", i, r.Error)
+	checkFinal := func(final []byte, fps []string, what string) {
+		t.Helper()
+		var st struct {
+			Results []struct {
+				Error  string `json:"error,omitempty"`
+				Result *struct {
+					Fingerprint string `json:"fingerprint"`
+				} `json:"result,omitempty"`
+			} `json:"results"`
 		}
-		if len(r.Result) == 0 && r.Error == "" {
-			t.Errorf("acked unit %d has neither result nor error", i)
+		if err := json.Unmarshal(final, &st); err != nil {
+			t.Fatalf("final poll: %v: %s", err, final)
+		}
+		if len(st.Results) != 24 {
+			t.Fatalf("acked 24 units, final poll has %d results", len(st.Results))
+		}
+		for i, r := range st.Results {
+			switch {
+			case r.Error != "":
+				t.Errorf("acked unit %d lost to the %s: %s", i, what, r.Error)
+			case r.Result == nil:
+				t.Errorf("acked unit %d has neither result nor error", i)
+			case fps != nil && r.Result.Fingerprint != fps[i]:
+				t.Errorf("unit %d fingerprint %q, acked %q", i, r.Result.Fingerprint, fps[i])
+			}
 		}
 	}
+	checkFinal(final, nil, "worker kill")
 
 	// The coordinator noticed within the probe budget. waitDone already
 	// bounded the wall clock; here we pin the detection itself.
@@ -209,6 +220,38 @@ func TestClusterSoak(t *testing.T) {
 	done, _ := snap.Counter("cluster/units-done")
 	t.Logf("soak: %d units done, %d requeues, %d steals, repeat hits cluster=%d single=%d",
 		done, req, steals, clusterRepeatHits, refAfter-refBefore)
+
+	// Phase 3 — kill the coordinator mid-batch. A new coordinator over
+	// the same journal completes the acked batch under the acked
+	// fingerprints, re-running only the units the first one never
+	// journaled.
+	resp, ack := soakPost(t, ts.URL+"/v1/jobs", batch(24, 7))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", resp.StatusCode, ack)
+	}
+	var sub struct {
+		ID           string   `json:"id"`
+		Fingerprints []string `json:"fingerprints"`
+	}
+	if err := json.Unmarshal(ack, &sub); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(30 * time.Millisecond) // let dispatch start
+	ts.Close()
+	co.Kill()
+	cm2 := obs.NewRegistry()
+	co, err = cluster.New(cluster.Config{Workers: urls, ProbeInterval: probe, Metrics: cm2, JournalDir: journalDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts = httptest.NewServer(co.Handler())
+	checkFinal(waitDone(ts.URL, sub.ID), sub.Fingerprints, "coordinator kill")
+	snap = cm2.Snapshot()
+	if v, _ := snap.Counter("journal/duplicate-completions"); v != 0 {
+		t.Errorf("journal/duplicate-completions = %d after the coordinator kill, want 0", v)
+	}
+	rerun, _ := snap.Counter("journal/rerun-jobs")
+	t.Logf("soak: restarted coordinator re-ran %d of 24 units", rerun)
 }
 
 func soakPost(t *testing.T, url string, body any) (*http.Response, []byte) {

@@ -210,6 +210,56 @@ func (c *Circuit) AddRot(k Kind, q int, theta float64) {
 	c.Append(g)
 }
 
+// AddCCX appends the standard Clifford+T Toffoli network (6 CX, 7
+// T-type, 2 H) with controls a, b and target t. RevLib reversible
+// benchmarks are built almost entirely from Toffolis, so this expansion
+// defines their CX structure.
+func (c *Circuit) AddCCX(a, b, t int) {
+	c.Add1(H, t)
+	c.Add2(CX, b, t)
+	c.Add1(Tdg, t)
+	c.Add2(CX, a, t)
+	c.Add1(T, t)
+	c.Add2(CX, b, t)
+	c.Add1(Tdg, t)
+	c.Add2(CX, a, t)
+	c.Add1(T, b)
+	c.Add1(T, t)
+	c.Add1(H, t)
+	c.Add2(CX, a, b)
+	c.Add1(T, a)
+	c.Add1(Tdg, b)
+	c.Add2(CX, a, b)
+}
+
+// AddMCX appends a NOT on t under the given controls, without ancillas:
+// no control is X, one is CX, two is AddCCX, and more split on the last
+// control cn (the V / V† construction):
+//
+//	C^nX(c1..cn; t) = CV(cn, t) · C^(n−1)X(c1..c(n−1); cn) · CV†(cn, t) ·
+//	                  C^(n−1)X(c1..c(n−1); cn) · C^(n−1)V(c1..c(n−1); t)
+//
+// Braiding sees only CX structure, so each controlled-V block
+// contributes its CX skeleton (exact for up to two controls).
+func (c *Circuit) AddMCX(controls []int, t int) {
+	switch len(controls) {
+	case 0:
+		c.Add1(X, t)
+	case 1:
+		c.Add2(CX, controls[0], t)
+	case 2:
+		c.AddCCX(controls[0], controls[1], t)
+	default:
+		cn := controls[len(controls)-1]
+		rest := controls[:len(controls)-1]
+		c.Add2(CX, cn, t) // CV skeleton
+		c.AddMCX(rest, cn)
+		c.Add2(CX, cn, t) // CV† skeleton
+		c.AddMCX(rest, cn)
+		c.AddMCX(rest, t) // C^(n−1)V skeleton
+	}
+}
+
 // CXCount returns the number of two-qubit gates in the circuit.
 func (c *Circuit) CXCount() int {
 	n := 0

@@ -40,6 +40,11 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxStoredJobs bounds retained async batches (default 64).
 	MaxStoredJobs int
+	// JournalDir, when non-empty, journals acknowledged async batches
+	// exactly as service.Config.JournalDir does on a single node, so a
+	// restarted coordinator serves finished batches and re-dispatches
+	// the missing units of unfinished ones.
+	JournalDir string
 	// Metrics receives the cluster/... families. Nil creates a private
 	// registry; either way it is served at GET /metrics.
 	Metrics *obs.Registry
@@ -97,7 +102,8 @@ type workerState struct {
 // HTTP API: sync compiles are consistent-hash-forwarded on the request
 // fingerprint, async batches split into units that flow through the
 // work-stealing queue, and the client-visible JSON stays byte-identical
-// to a single node's. Create with New, expose via Handler, stop with
+// to a single node's, whose job store (service.JobStore) runs the
+// batches. Create with New, expose via Handler, stop with Drain and
 // Shutdown.
 type Coordinator struct {
 	cfg         Config
@@ -112,9 +118,10 @@ type Coordinator struct {
 	affinity map[string]string // fingerprint -> worker URL that served it
 
 	queue    *stealQueue
-	store    *batchStore
+	jobs     *service.JobStore
 	draining atomic.Bool
 	stop     chan struct{}
+	halt     sync.Once
 	wg       sync.WaitGroup
 
 	forwards        *obs.Counter
@@ -127,7 +134,6 @@ type Coordinator struct {
 	sessionAffinity *obs.Counter
 	unitCacheHits   *obs.Counter
 	unitsDone       *obs.Counter
-	batches         *obs.Counter
 	upCount         *obs.Gauge
 	queueDepth      *obs.Gauge
 }
@@ -135,7 +141,8 @@ type Coordinator struct {
 // New returns a running Coordinator: the readiness prober and the
 // per-worker dispatchers start immediately. All workers are assumed up
 // until the first probe says otherwise, so traffic flows from the
-// first request.
+// first request. With Config.JournalDir set it also replays the
+// journal, which can fail.
 func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -151,7 +158,6 @@ func New(cfg Config) (*Coordinator, error) {
 		workers:  make(map[string]*workerState, len(cfg.Workers)),
 		affinity: make(map[string]string),
 		queue:    newStealQueue(cfg.Workers),
-		store:    newBatchStore(cfg.MaxStoredJobs),
 		stop:     make(chan struct{}),
 
 		forwards:        m.Counter("cluster/forwards"),
@@ -164,7 +170,6 @@ func New(cfg Config) (*Coordinator, error) {
 		sessionAffinity: m.Counter("cluster/session-affinity-hits"),
 		unitCacheHits:   m.Counter("cluster/unit-cache-hits"),
 		unitsDone:       m.Counter("cluster/units-done"),
-		batches:         m.Counter("cluster/batches"),
 		upCount:         m.Gauge("cluster/worker-up"),
 		queueDepth:      m.Gauge("cluster/queue-depth"),
 	}
@@ -180,11 +185,20 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.ring = buildRing(c.order, ringVnodes)
 	c.upCount.Set(int64(len(c.order)))
+	// Resumed batches queue their units here; the dispatchers started
+	// below run them.
+	jobs, err := service.OpenJobStore(cfg.MaxStoredJobs, cfg.JournalDir, m, c.dispatch)
+	if err != nil {
+		return nil, err
+	}
+	c.jobs = jobs
 
 	c.mux.HandleFunc("POST /v1/compile", c.handleCompile)
 	c.mux.HandleFunc("POST /v1/defects", c.handleDefects)
 	c.mux.HandleFunc("POST /v1/jobs", c.handleJobsSubmit)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobsStatus)
+	c.mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		c.jobs.WriteStatus(w, r)
+	})
 	c.mux.HandleFunc("GET /v1/methods", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, map[string]any{"methods": hilight.Methods()})
 	})
@@ -221,24 +235,56 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 }
 
+// Drain flips the coordinator to draining: readyz starts failing and
+// new compiles, batches and defect feeds answer 503, while polls and
+// already-accepted units carry on. Idempotent.
+func (c *Coordinator) Drain() { c.draining.Store(true) }
+
+// errStopped settles the units a stopping coordinator never ran. It
+// wraps hilight.ErrCanceled, so the job store serves it without
+// journaling it and a restart runs those units again.
+var errStopped = fmt.Errorf("%w: coordinator stopped", hilight.ErrCanceled)
+
+// stopDispatch drains and stops the prober and the dispatch queue,
+// settling every unit still queued as stopped. Idempotent.
+func (c *Coordinator) stopDispatch() {
+	c.halt.Do(func() {
+		c.Drain()
+		close(c.stop)
+		for _, t := range c.queue.close() {
+			t.settle(nil, errStopped)
+		}
+	})
+}
+
 // Shutdown stops the prober and dispatchers. In-flight unit dispatches
-// finish; queued units are abandoned (the coordinator is going away —
-// clients resubmit against the fingerprints the ack returned).
+// finish; queued units settle as stopped (the coordinator is going away
+// — with a journal the next coordinator runs them, otherwise clients
+// resubmit against the fingerprints the ack returned). Then the job
+// store drains and closes its journal.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.draining.Store(true)
-	close(c.stop)
-	c.queue.close()
+	c.stopDispatch()
 	done := make(chan struct{})
 	go func() {
 		c.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("cluster: shutdown cut short: %w", ctx.Err())
+		err = fmt.Errorf("cluster: shutdown cut short: %w", ctx.Err())
 	}
+	return errors.Join(err, c.jobs.Shutdown(ctx))
+}
+
+// Kill hard-stops the coordinator, emulating a process crash the way
+// service.Server.Kill does: unit dispatches are aborted and the job
+// journal drops the records that never reached an fsync.
+func (c *Coordinator) Kill() {
+	c.stopDispatch()
+	c.jobs.Kill()
+	c.wg.Wait()
 }
 
 // liveWorkers returns the up worker count.
@@ -591,15 +637,7 @@ func (c *Coordinator) handleDefects(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	type sweep struct {
-		Checked      int               `json:"checked"`
-		Conflicting  int               `json:"conflicting"`
-		Evicted      int               `json:"evicted"`
-		Recompiled   int               `json:"recompiled"`
-		Failed       int               `json:"failed,omitempty"`
-		Fingerprints map[string]string `json:"fingerprints,omitempty"`
-	}
-	total := sweep{Fingerprints: map[string]string{}}
+	total := service.DefectsResponse{Fingerprints: map[string]string{}}
 	failedWorkers := 0
 	for _, ws := range targets {
 		req, err := http.NewRequestWithContext(r.Context(), "POST",
@@ -615,7 +653,7 @@ func (c *Coordinator) handleDefects(w http.ResponseWriter, r *http.Request) {
 			failedWorkers++
 			continue
 		}
-		var one sweep
+		var one service.DefectsResponse
 		err = json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&one)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -643,8 +681,8 @@ func (c *Coordinator) handleDefects(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleJobsSubmit splits a batch into units, acks with the same body a
-// single node would, and fans the units out through the steal queue.
+// handleJobsSubmit acks a batch through the job store, with the same
+// body a single node would; the store runs its units through dispatch.
 func (c *Coordinator) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -655,37 +693,50 @@ func (c *Coordinator) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	units, err := service.SplitJobs(body)
+	id, fps, err := c.jobs.Submit(body, r.Header)
 	if err != nil {
 		status, msg := service.HTTPStatus(err)
 		writeError(w, status, msg)
 		return
 	}
-	fps := make([]string, len(units))
-	for i, u := range units {
-		fps[i] = u.Fingerprint
-	}
-	b := c.store.add(fps)
-	c.batches.Inc()
-	tenant := r.Header.Get("X-Hilight-Tenant")
-	hi := r.Header.Get("X-Hilight-Priority") != "batch" && r.Header.Get("X-Hilight-Priority") != "low"
-	for i, u := range units {
-		t := &unitTask{batch: b, idx: i, fp: u.Fingerprint, body: u.Body, tenant: tenant}
-		c.enqueue(t, hi)
-	}
 	service.WriteJSON(w, http.StatusAccepted, map[string]any{
-		"id": b.id, "count": len(units), "fingerprints": fps,
+		"id": id, "count": len(fps), "fingerprints": fps,
 	})
+}
+
+// dispatch is the job store's run function: it fans a batch's listed
+// units out through the steal queue and returns once each has settled.
+// Units of a submit carry its tenant and priority; a batch the journal
+// resumes has no header, so its units run as the default tenant at
+// interactive priority.
+func (c *Coordinator) dispatch(ctx context.Context, units []service.Unit, todo []int, hdr http.Header, settle func(int, []byte, error)) {
+	var wg sync.WaitGroup
+	wg.Add(len(todo))
+	tenant := hdr.Get("X-Hilight-Tenant")
+	hi := hdr.Get("X-Hilight-Priority") != "batch" && hdr.Get("X-Hilight-Priority") != "low"
+	for _, i := range todo {
+		c.enqueue(&unitTask{
+			fp: units[i].Fingerprint, body: units[i].Body, tenant: tenant, ctx: ctx,
+			settle: func(env []byte, err error) {
+				settle(i, env, err)
+				wg.Done()
+			},
+		}, hi)
+	}
+	wg.Wait()
 }
 
 // enqueue routes a unit to its current owner's lanes.
 func (c *Coordinator) enqueue(t *unitTask, hi bool) {
 	ws, _ := c.pickWorker(t.fp)
 	if ws == nil {
-		t.batch.settle(t.idx, service.UnitOutcome{Err: "no live workers"})
+		t.settle(nil, errors.New("no live workers"))
 		return
 	}
-	c.queue.push(ws.url, t, hi)
+	if !c.queue.push(ws.url, t, hi) {
+		t.settle(nil, errStopped)
+		return
+	}
 	c.queueDepth.Set(int64(c.queue.depth()))
 }
 
@@ -694,9 +745,7 @@ func (c *Coordinator) enqueue(t *unitTask, hi bool) {
 func (c *Coordinator) requeue(t *unitTask, reason string) {
 	t.attempts++
 	if t.attempts >= c.maxAttempts() {
-		t.batch.settle(t.idx, service.UnitOutcome{
-			Err: fmt.Sprintf("unit failed after %d attempts: %s", t.attempts, reason),
-		})
+		t.settle(nil, fmt.Errorf("unit failed after %d attempts: %s", t.attempts, reason))
 		return
 	}
 	c.requeues.Inc()
@@ -729,9 +778,9 @@ func (c *Coordinator) execute(t *unitTask, worker string) {
 	ws := c.workers[worker]
 	c.mu.Unlock()
 
-	req, err := http.NewRequest("POST", worker+"/v1/compile", bytes.NewReader(t.body))
+	req, err := http.NewRequestWithContext(t.ctx, "POST", worker+"/v1/compile", bytes.NewReader(t.body))
 	if err != nil {
-		t.batch.settle(t.idx, service.UnitOutcome{Err: err.Error()})
+		t.settle(nil, err)
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -740,6 +789,11 @@ func (c *Coordinator) execute(t *unitTask, worker string) {
 		req.Header.Set("X-Hilight-Tenant", t.tenant)
 	}
 	resp, err := c.client.Do(req)
+	if err != nil && t.ctx.Err() != nil {
+		// The coordinator is going down, not the worker.
+		t.settle(nil, errStopped)
+		return
+	}
 	if err != nil {
 		// The worker died (or the connection did) mid-unit: take it out
 		// of the ring and let the unit retry elsewhere. The unit was
@@ -759,12 +813,10 @@ func (c *Coordinator) execute(t *unitTask, worker string) {
 		}
 		c.noteServed(t.fp, worker)
 		c.unitsDone.Inc()
-		if cached := resp.Header.Get("X-Hilight-Cached"); cached == "true" {
-			c.unitCacheHits.Inc()
-		} else if gjson := envelopeCached(env); gjson {
+		if envelopeCached(env) {
 			c.unitCacheHits.Inc()
 		}
-		t.batch.settle(t.idx, service.UnitOutcome{Envelope: env})
+		t.settle(env, nil)
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		io.Copy(io.Discard, resp.Body)
 		c.markDown(worker)
@@ -782,7 +834,7 @@ func (c *Coordinator) execute(t *unitTask, worker string) {
 		if msg == "" {
 			msg = fmt.Sprintf("worker %s answered %d", ws.name, resp.StatusCode)
 		}
-		t.batch.settle(t.idx, service.UnitOutcome{Err: msg})
+		t.settle(nil, errors.New(msg))
 	}
 }
 
@@ -803,25 +855,4 @@ func readErrorMessage(r io.Reader) string {
 		return ""
 	}
 	return e.Error
-}
-
-// handleJobsStatus composes the canonical poll body from the batch's
-// unit outcomes, in the form the client negotiated: like a single node,
-// a binary Accept gets each schedule as its schedule_bin payload.
-func (c *Coordinator) handleJobsStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	b, ok := c.store.get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
-		return
-	}
-	finished, done, outcomes := b.view()
-	body, err := service.ComposeJobStatus(b.id, len(b.fps), finished, done, outcomes, service.AcceptsBinary(r))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
 }

@@ -304,8 +304,8 @@ func TestClusterJobsByteIdentical(t *testing.T) {
 	if v, _ := snap.Counter("cluster/units-done"); v != 4 {
 		t.Errorf("cluster/units-done = %d, want 4", v)
 	}
-	if v, _ := snap.Counter("cluster/batches"); v != 1 {
-		t.Errorf("cluster/batches = %d, want 1", v)
+	if v, _ := snap.Counter("jobs/batches"); v != 1 {
+		t.Errorf("jobs/batches = %d, want 1", v)
 	}
 }
 

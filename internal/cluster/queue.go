@@ -1,16 +1,24 @@
 package cluster
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
-// unitTask is one async batch unit in flight through the coordinator: a
-// pointer back to its batch slot plus the request that reproduces the
-// compile on any worker.
+// unitTask is one async batch unit in flight through the coordinator:
+// the request that reproduces the compile on any worker, and the
+// callback that settles its slot in the job store.
 type unitTask struct {
-	batch  *clusterBatch
-	idx    int    // slot in batch.outcomes
 	fp     string // public fingerprint; the sharding key
 	body   []byte // self-contained POST /v1/compile body
 	tenant string // X-Hilight-Tenant passthrough
+	// ctx is the job store's: canceled when the coordinator is killed or
+	// its drain runs out of time, which aborts the unit's worker request.
+	ctx context.Context
+	// settle records the unit's outcome, exactly once: a worker
+	// envelope, or an error (transient when it wraps
+	// hilight.ErrCanceled).
+	settle func(envelope []byte, err error)
 	// attempts counts dispatch failures; the coordinator gives up (and
 	// records an error outcome) once every live worker has had a turn.
 	attempts int
@@ -48,10 +56,14 @@ func newStealQueue(workers []string) *stealQueue {
 }
 
 // push enqueues t for worker w (its home at enqueue time). hi selects
-// the interactive lane.
-func (q *stealQueue) push(w string, t *unitTask, hi bool) {
+// the interactive lane. It reports false, queuing nothing, once the
+// queue is closed.
+func (q *stealQueue) push(w string, t *unitTask, hi bool) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.closed {
+		return false
+	}
 	l := q.lanes[w]
 	if l == nil {
 		l = &workerLanes{}
@@ -66,6 +78,7 @@ func (q *stealQueue) push(w string, t *unitTask, hi bool) {
 	// that cannot take this unit (steals need a backlog of two), leaving
 	// the one that could still asleep.
 	q.cond.Broadcast()
+	return true
 }
 
 // pop returns the next task for worker w, blocking until one is
@@ -174,10 +187,18 @@ func (q *stealQueue) depth() int {
 	return n
 }
 
-// close wakes every blocked pop with nil. Idempotent.
-func (q *stealQueue) close() {
+// close wakes every blocked pop with nil and returns the units still
+// queued, for the caller to settle. Idempotent: a second close returns
+// nothing.
+func (q *stealQueue) close() []*unitTask {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
+	var left []*unitTask
+	for _, l := range q.lanes {
+		left = append(append(left, l.hi...), l.lo...)
+		l.hi, l.lo = nil, nil
+	}
 	q.cond.Broadcast()
+	return left
 }

@@ -8,7 +8,8 @@
 // itself. Node-to-node responses travel as binary-payload envelopes
 // (application/x-hilight-sched+json) and are transcoded at the
 // coordinator edge, so client-visible JSON stays byte-identical to a
-// single node's.
+// single node's. Async batches run through the single node's job store
+// (service.JobStore), journal included.
 package cluster
 
 import (

@@ -308,6 +308,13 @@ func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cf
 			op := &r.active[i]
 			p, ok := cfg.Finder.Find(g, r.occ, op.t1, op.t2, r.pathBuf[:0])
 			if !ok {
+				if len(r.layerBuf) == 0 {
+					// Nothing has braided yet this cycle, so the SWAP failed on
+					// an empty lattice: it can never route, and would stay in
+					// flight until the cycle guard trips.
+					return nil, &ErrUnroutable{Gate: -1, CtlTile: op.t1, TgtTile: op.t2, Reason: fmt.Sprintf(
+						"no braiding path for the SWAP of tiles %d-%d on an empty lattice; defects or reserved regions disconnect them", op.t1, op.t2)}
+				}
 				r.markBusy(op.t1, op.t2)
 				continue // stalled by congestion; retry next cycle
 			}

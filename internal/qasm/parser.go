@@ -619,33 +619,10 @@ func (p *parser) applyBuiltin(name string, line int, params []float64, qs []int)
 		if err := need(3, 0); err != nil {
 			return err
 		}
-		p.expandCCX(qs[0], qs[1], qs[2])
+		p.circ.AddCCX(qs[0], qs[1], qs[2])
 		return nil
 	}
 	return fmt.Errorf("line %d: unknown gate %q", line, name)
-}
-
-// expandCCX emits the standard Clifford+T decomposition of the Toffoli
-// gate (6 CX, 7 T-type, 2 H). RevLib reversible benchmarks are built
-// almost entirely from Toffolis, so this expansion defines their CX
-// structure.
-func (p *parser) expandCCX(a, b, c int) {
-	circ := p.circ
-	circ.Add1(circuit.H, c)
-	circ.Add2(circuit.CX, b, c)
-	circ.Add1(circuit.Tdg, c)
-	circ.Add2(circuit.CX, a, c)
-	circ.Add1(circuit.T, c)
-	circ.Add2(circuit.CX, b, c)
-	circ.Add1(circuit.Tdg, c)
-	circ.Add2(circuit.CX, a, c)
-	circ.Add1(circuit.T, b)
-	circ.Add1(circuit.T, c)
-	circ.Add1(circuit.H, c)
-	circ.Add2(circuit.CX, a, b)
-	circ.Add1(circuit.T, a)
-	circ.Add1(circuit.Tdg, b)
-	circ.Add2(circuit.CX, a, b)
 }
 
 // --- constant expressions -------------------------------------------------

@@ -158,7 +158,7 @@ func (p *parser) gate(fields []string) error {
 		if len(ops) != n {
 			return fmt.Errorf("%s wants %d operands, got %d", kind, n, len(ops))
 		}
-		p.toffoli(ops[:n-1], ops[n-1])
+		p.circ.AddMCX(ops[:n-1], ops[n-1])
 		return nil
 	case strings.HasPrefix(kind, "f"):
 		var n int
@@ -173,7 +173,7 @@ func (p *parser) gate(fields []string) error {
 		controls := ops[:n-2]
 		// CSWAP(c...; a,b) = CX(b,a) · Toffoli(c...,a; b) · CX(b,a).
 		p.circ.Add2(circuit.CX, b, a)
-		p.toffoli(append(append([]int{}, controls...), a), b)
+		p.circ.AddMCX(append(append([]int{}, controls...), a), b)
 		p.circ.Add2(circuit.CX, b, a)
 		return nil
 	case kind == "v", kind == "v+":
@@ -185,58 +185,4 @@ func (p *parser) gate(fields []string) error {
 		return nil
 	}
 	return fmt.Errorf("unsupported gate %q", fields[0])
-}
-
-// toffoli emits an n-control NOT. 0 controls = X, 1 = CX, 2 = the 6-CX
-// Clifford+T network, n>2 = recursive no-ancilla expansion
-// (C^nX = C^(n−1)X conjugated into two halves via t3 blocks).
-func (p *parser) toffoli(controls []int, target int) {
-	switch len(controls) {
-	case 0:
-		p.circ.Add1(circuit.X, target)
-	case 1:
-		p.circ.Add2(circuit.CX, controls[0], target)
-	case 2:
-		p.ccx(controls[0], controls[1], target)
-	default:
-		// Standard recursion without ancillas (Barenco et al. Lemma 7.5
-		// shape, specialized): C^n X(c1..cn; t) =
-		//   t3(c_{n}, t') ... — implemented as the textbook two-level
-		// split using the last control as the pivot:
-		//   C^{n}X = C^{n-1}X(c1..c_{n-1}; t) conjugated by
-		//            t3(c_n, t-helpers) — avoided here; instead use the
-		// V / V† construction:
-		//   C^nX(c1..cn;t) = CV(cn,t) · C^{n-1}X(c1..c_{n-1};cn) ·
-		//                    CV†(cn,t) · C^{n-1}X(c1..c_{n-1};cn) ·
-		//                    C^{n-1}V(c1..c_{n-1};t)
-		// For mapping purposes the braiding structure is what matters, so
-		// controlled-V blocks contribute their CX skeletons.
-		cn := controls[len(controls)-1]
-		rest := controls[:len(controls)-1]
-		p.circ.Add2(circuit.CX, cn, target) // CV skeleton
-		p.toffoli(rest, cn)
-		p.circ.Add2(circuit.CX, cn, target) // CV† skeleton
-		p.toffoli(rest, cn)
-		p.toffoli(rest, target) // C^{n-1}V skeleton
-	}
-}
-
-// ccx emits the 6-CX Clifford+T Toffoli network.
-func (p *parser) ccx(a, b, t int) {
-	c := p.circ
-	c.Add1(circuit.H, t)
-	c.Add2(circuit.CX, b, t)
-	c.Add1(circuit.Tdg, t)
-	c.Add2(circuit.CX, a, t)
-	c.Add1(circuit.T, t)
-	c.Add2(circuit.CX, b, t)
-	c.Add1(circuit.Tdg, t)
-	c.Add2(circuit.CX, a, t)
-	c.Add1(circuit.T, b)
-	c.Add1(circuit.T, t)
-	c.Add1(circuit.H, t)
-	c.Add2(circuit.CX, a, b)
-	c.Add1(circuit.T, a)
-	c.Add1(circuit.Tdg, b)
-	c.Add2(circuit.CX, a, b)
 }

@@ -61,7 +61,7 @@ t3 a b c
 
 func toffoliRef(a, b, tg int) []circuit.Gate {
 	c := circuit.New("", tg+1)
-	(&parser{circ: c}).ccx(a, b, tg)
+	c.AddCCX(a, b, tg)
 	return c.Gates
 }
 

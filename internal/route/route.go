@@ -445,7 +445,6 @@ type AStar struct {
 	closed   []bool
 	stamp    []int
 	epoch    int
-	nbrBuf   []int
 	stats    SearchStats
 	labels   freeLabels
 }

@@ -26,11 +26,12 @@ type defectsRequest struct {
 	Defects *hilight.DefectMap `json:"defects"`
 }
 
-// defectsResponse reports the sweep: how many cached schedules were
+// DefectsResponse reports the sweep: how many cached schedules were
 // checked, how many conflicted (and were evicted), how many were
 // recompiled under the new map, and the old→new fingerprint mapping
-// (empty string when the entry could only be evicted).
-type defectsResponse struct {
+// (empty string when the entry could only be evicted). A coordinator
+// decodes each worker's sweep into it and answers their sum.
+type DefectsResponse struct {
 	Checked      int               `json:"checked"`
 	Conflicting  int               `json:"conflicting"`
 	Evicted      int               `json:"evicted"`
@@ -53,7 +54,7 @@ func (s *Server) handleDefects(w http.ResponseWriter, r *http.Request) {
 		dm = &hilight.DefectMap{}
 	}
 	snapshot := s.cache.Snapshot()
-	resp := defectsResponse{Checked: len(snapshot)}
+	resp := DefectsResponse{Checked: len(snapshot)}
 
 	var stale []*storedResult
 	if !dm.Empty() {

@@ -2,8 +2,11 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,8 +60,7 @@ type jobStatus struct {
 	ID     string `json:"id"`
 	Status string `json:"status"` // "running" or "done"
 	Count  int    `json:"count"`
-	// Finished counts terminally-finished jobs, live-updated while the
-	// batch runs (fed by the batch's lifecycle events).
+	// Finished counts settled jobs, live-updated while the batch runs.
 	Finished int `json:"finished"`
 	// Results is present once Status is "done", in job order.
 	Results []jobResultView `json:"results,omitempty"`
@@ -93,7 +95,7 @@ type batchJob struct {
 	count    int
 	fps      []string      // per-job fingerprints, as acknowledged
 	done     chan struct{} // closed when results are ready
-	finished atomic.Int64  // terminally-finished jobs, for live polls
+	finished atomic.Int64  // settled jobs, for live polls
 	// onDone, when non-nil, runs once when the batch finishes — the
 	// submit path parks the tenant-quota release here so a batch counts
 	// against its tenant from ack to completion.
@@ -103,32 +105,48 @@ type batchJob struct {
 	results []jobResult
 }
 
-// jobStore owns the async batches: it runs each through CompileAll on a
-// background goroutine, serves status polls, and bounds memory by
-// evicting the oldest completed batches beyond maxStored. Shutdown
-// cancels the store context and waits for running batches to drain.
+// settleFunc records job i's outcome. A transient outcome — one that
+// only reflects cancellation: shutdown, timeout, a watchdog abort — is
+// served but not journaled, so a restart runs the job again.
+type settleFunc func(i int, r jobResult, transient bool)
+
+// batchRun runs the jobs of batch id still to run (todo, indices into
+// the batch) and returns once it has settled each of them exactly once.
+// ctx is the store's, canceled when a drain runs out of time or the
+// store is killed.
+type batchRun func(ctx context.Context, id string, todo []int, settle settleFunc)
+
+// planFunc validates a batch request and resolves it into the per-job
+// fingerprints its ack promises and the function that runs its jobs.
+// hdr is the submitting request's header; a batch a journal replay
+// resumes has none.
+type planFunc func(req *jobsRequest, hdr http.Header) (fps []string, run batchRun, err error)
+
+// JobStore owns the async batches of POST /v1/jobs: it ids them, runs
+// each through its plan's run function on a background goroutine,
+// serves status polls, and bounds memory by evicting the oldest
+// completed batches beyond maxStored. A single node runs batches
+// through CompileAll (Server.planBatch); a cluster coordinator through
+// its steal queue (OpenJobStore). Shutdown cancels the store context
+// and waits for running batches to drain.
 //
 // With a journal attached, every acknowledged submission, job
 // completion, batch seal and eviction is also persisted; restore
 // rebuilds the store from a replayed journal on startup.
-type jobStore struct {
+type JobStore struct {
 	mu        sync.Mutex
 	seq       int
 	jobs      map[string]*batchJob
 	order     []string // insertion order, for eviction
 	maxStored int
+	plan      planFunc
 
 	wg      sync.WaitGroup
 	ctx     context.Context
 	cancel  context.CancelFunc
 	metrics *obs.Registry
-	// events, when non-nil, additionally receives every batch job's
-	// lifecycle events (the log bridge in hilightd).
-	events obs.EventObserver
 	// journal, when non-nil, makes acknowledged batches durable.
 	journal *journal
-	// watchdog aborts batches that stop making routing-cycle progress.
-	watchdog *watchdog
 	// cache lets resurrected batches serve journal-missed completions
 	// whose schedules a previous life already compiled and cached.
 	cache *scheduleCache
@@ -138,9 +156,9 @@ type jobStore struct {
 	active    *obs.Gauge
 }
 
-func newJobStore(maxStored int, m *obs.Registry) *jobStore {
+func newJobStore(maxStored int, m *obs.Registry) *JobStore {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &jobStore{
+	return &JobStore{
 		jobs:      make(map[string]*batchJob),
 		maxStored: maxStored,
 		ctx:       ctx,
@@ -152,31 +170,134 @@ func newJobStore(maxStored int, m *obs.Registry) *jobStore {
 	}
 }
 
-// prepare validates a batch request and resolves it into the inputs a
-// CompileAll run needs. It is shared by the submit path and journal
+// OpenJobStore returns a job store whose batches run on a cluster
+// instead of the local compiler: the coordinator's store. Each batch
+// resolves into self-contained compile units, exactly as a single node
+// expands it (jobsRequest.resolve), and dispatch runs the units listed
+// in todo. hdr is the submit's header, nil for a batch the journal
+// resumes. dispatch must call settle once per listed unit, with the
+// worker's binary envelope or an error, and return once all have
+// settled; an error wrapping hilight.ErrCanceled is transient. With
+// journalDir set the store journals, replays and compacts exactly as
+// New does.
+func OpenJobStore(maxStored int, journalDir string, m *obs.Registry,
+	dispatch func(ctx context.Context, units []Unit, todo []int, hdr http.Header, settle func(i int, envelope []byte, err error)),
+) (*JobStore, error) {
+	s := newJobStore(maxStored, m)
+	s.plan = func(req *jobsRequest, hdr http.Header) ([]string, batchRun, error) {
+		crs, _, fps, _, err := req.resolve()
+		if err != nil {
+			return nil, nil, err
+		}
+		units := make([]Unit, len(crs))
+		for i := range crs {
+			body, err := json.Marshal(&crs[i])
+			if err != nil {
+				return nil, nil, fmt.Errorf("service: marshal unit %d: %w", i, err)
+			}
+			units[i] = Unit{Fingerprint: fps[i], Body: body}
+		}
+		return fps, func(ctx context.Context, _ string, todo []int, settle settleFunc) {
+			dispatch(ctx, units, todo, hdr, func(i int, envelope []byte, err error) {
+				var sr *storedResult
+				if err == nil {
+					sr, err = decodeStored(envelope)
+				}
+				if err != nil {
+					settle(i, jobResult{Error: err.Error()}, errors.Is(err, hilight.ErrCanceled))
+					return
+				}
+				// Batch results never report Cached on a single node: the flag
+				// describes the sync endpoint's cache, not worker placement.
+				sr.Cached = false
+				settle(i, jobResult{Result: sr}, false)
+			})
+		}, nil
+	}
+	if journalDir != "" {
+		batches, _, err := s.attachJournal(journalDir)
+		if err != nil {
+			return nil, err
+		}
+		s.restore(batches)
+	}
+	return s, nil
+}
+
+// attachJournal opens the journal under dir — replaying, pruning and
+// compacting it — and returns the replayed batches and session records
+// for the caller to restore.
+func (s *JobStore) attachJournal(dir string) ([]*replayBatch, []*journalRecord, error) {
+	jr, batches, sessions, maxSeq, err := openJournal(dir, s.maxStored, s.metrics)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.journal = jr
+	// Never reuse an id a previous life acknowledged, even for batches
+	// the replay evicted.
+	s.seq = max(s.seq, maxSeq)
+	return batches, sessions, nil
+}
+
+// planBatch is the single node's plan: it resolves the request, sizes
+// the batch's pool and deadline, and runs the jobs still to run through
+// CompileAll. The plan is shared by the submit path and journal
 // resurrection, so a journaled request re-prepares through exactly the
 // code that validated it at ack time. It mutates req only to inject the
 // server-wide route-worker default (so a journaled request replays with
 // the knobs it was acknowledged under).
-func prepare(req *jobsRequest, workers, routeWorkers int, defTimeout, maxTimeout time.Duration) (
-	batch []hilight.BatchJob, fps []string, shared []hilight.Option, parallelism int, timeout time.Duration, err error,
-) {
-	if req.RouteWorkers == nil && routeWorkers != 0 {
-		req.RouteWorkers = &routeWorkers // server-wide default, as in /v1/compile
+func (s *Server) planBatch(req *jobsRequest, _ http.Header) ([]string, batchRun, error) {
+	if req.RouteWorkers == nil && s.cfg.RouteWorkers != 0 {
+		rw := s.cfg.RouteWorkers
+		req.RouteWorkers = &rw // server-wide default, as in /v1/compile
 	}
-	if _, batch, fps, shared, err = req.resolve(); err != nil {
-		return nil, nil, nil, 0, 0, err
+	_, batch, fps, shared, err := req.resolve()
+	if err != nil {
+		return nil, nil, err
 	}
-
-	parallelism = req.Parallelism
-	if parallelism <= 0 || parallelism > workers {
-		parallelism = workers
+	parallelism := req.Parallelism
+	if parallelism <= 0 || parallelism > s.cfg.Workers {
+		parallelism = s.cfg.Workers
 	}
 	// One deadline for the whole batch: the per-compile default scaled by
 	// the batch's depth per worker, unless the request asks for less.
-	waves := (len(batch) + parallelism - 1) / parallelism
-	timeout = clampTimeout(req.TimeoutMS, time.Duration(waves)*defTimeout, time.Duration(waves)*maxTimeout)
-	return batch, fps, shared, parallelism, timeout, nil
+	waves := time.Duration((len(batch) + parallelism - 1) / parallelism)
+	timeout := clampTimeout(req.TimeoutMS, waves*s.cfg.DefaultTimeout, waves*s.cfg.MaxTimeout)
+	return fps, func(ctx context.Context, id string, todo []int, settle settleFunc) {
+		sub := make([]hilight.BatchJob, len(todo))
+		for k, i := range todo {
+			sub[k] = batch[i]
+		}
+		wctx, progress, stopWd := s.watchdog.guard(ctx, id)
+		opts := append([]hilight.Option{}, shared...)
+		opts = append(opts,
+			hilight.WithContext(wctx),
+			hilight.WithTimeout(timeout),
+			hilight.WithMetrics(s.cfg.Metrics),
+			hilight.WithObserver(func(cs hilight.CycleStats) {
+				progress()
+				routeCycleHook(cs)
+			}),
+			hilight.WithJobDone(func(k int, br hilight.BatchResult) {
+				i := todo[k]
+				if br.Err != nil {
+					settle(i, jobResult{Error: br.Err.Error()}, errors.Is(br.Err, hilight.ErrCanceled))
+				} else if sr, err := newStoredResult(fps[i], br.Result); err != nil {
+					settle(i, jobResult{Error: err.Error()}, false)
+				} else {
+					settle(i, jobResult{Result: sr}, false)
+				}
+			}),
+		)
+		if s.cfg.Events != nil {
+			opts = append(opts, hilight.WithEvents(s.cfg.Events.OnEvent))
+		}
+		hilight.CompileAll(sub, parallelism, opts...)
+		stopWd()
+		if stalled(wctx) {
+			s.watchdog.aborted.Inc()
+		}
+	}, nil
 }
 
 // resolve validates a batch request and resolves every entry up front,
@@ -185,9 +306,8 @@ func prepare(req *jobsRequest, workers, routeWorkers int, defTimeout, maxTimeout
 // compileRequest carrying the batch-level options, the batch job it
 // builds and its fingerprint, plus the option list shared by every job.
 // The fingerprint therefore describes exactly the compile CompileAll
-// will run. prepare and SplitJobs both expand batches here, so a
-// coordinator's unit fingerprints equal the ones a single-node ack
-// returns.
+// will run. Both plans expand batches here, so a coordinator's unit
+// fingerprints equal the ones a single-node ack returns.
 func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJob, fps []string, shared []hilight.Option, err error) {
 	if len(req.Jobs) == 0 {
 		return nil, nil, nil, nil, badRequest("jobs batch is empty")
@@ -226,12 +346,24 @@ func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJo
 	return crs, batch, fps, shared, nil
 }
 
+// Submit validates body as a POST /v1/jobs request and acknowledges
+// the batch as submit does, for a server that buffers request bodies.
+// hdr is the submitting request's header. It returns the batch id and
+// the per-job fingerprints; errors map to a status through HTTPStatus.
+func (s *JobStore) Submit(body []byte, hdr http.Header) (string, []string, error) {
+	var req jobsRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return "", nil, err
+	}
+	return s.submit(&req, hdr, nil)
+}
+
 // submit validates the batch, registers it, journals the acknowledgment
 // (waiting for the fsync — once submit returns, the batch survives any
-// crash), and launches its CompileAll run. It returns the batch id and
-// the per-job fingerprints.
-func (s *jobStore) submit(req *jobsRequest, workers, routeWorkers int, defTimeout, maxTimeout time.Duration, onDone func()) (string, []string, error) {
-	batch, fps, shared, parallelism, timeout, err := prepare(req, workers, routeWorkers, defTimeout, maxTimeout)
+// crash), and starts its run. It returns the batch id and the per-job
+// fingerprints.
+func (s *JobStore) submit(req *jobsRequest, hdr http.Header, onDone func()) (string, []string, error) {
+	fps, run, err := s.plan(req, hdr)
 	if err != nil {
 		return "", nil, err
 	}
@@ -239,7 +371,7 @@ func (s *jobStore) submit(req *jobsRequest, workers, routeWorkers int, defTimeou
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("job-%06d", s.seq)
-	j := &batchJob{id: id, count: len(batch), fps: fps, done: make(chan struct{}), onDone: onDone}
+	j := &batchJob{id: id, count: len(fps), fps: fps, done: make(chan struct{}), onDone: onDone}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.evictLocked()
@@ -262,114 +394,67 @@ func (s *jobStore) submit(req *jobsRequest, workers, routeWorkers int, defTimeou
 			return "", nil, &apiError{Status: 500, Message: fmt.Sprintf("job journal unavailable: %v", err)}
 		}
 	}
+	s.launch(j, run, nil)
+	return id, fps, nil
+}
 
+// launch starts batch j's run goroutine.
+func (s *JobStore) launch(j *batchJob, run batchRun, pre []jobResult) {
 	s.submitted.Inc()
 	s.active.Add(1)
 	s.wg.Add(1)
-	go s.run(j, batch, fps, shared, parallelism, timeout, nil)
-	return id, fps, nil
+	go s.run(j, run, pre)
 }
 
 // run executes the batch and publishes its results. pre, when non-nil,
 // carries per-job outcomes a journal replay already settled: those jobs
-// are not recompiled. Remaining jobs first consult the schedule cache
+// are not run again. Remaining jobs first consult the schedule cache
 // by fingerprint (a previous life may have compiled them without the
-// completion record surviving), and only the rest go through CompileAll.
+// completion record surviving), and only the rest go to the run
+// function.
 //
-// Each job's outcome is journaled the moment it lands (via WithJobDone),
-// so a crash mid-batch preserves completed jobs. Outcomes that only
-// reflect cancellation — shutdown, timeout, a watchdog abort — are
-// deliberately NOT journaled: they are transient, and persisting them
-// would turn a restart's resurrection into a permanent failure. A batch
-// is sealed with a terminal record only when every job's outcome was
-// journaled; an unsealed batch resurrects on the next startup.
-func (s *jobStore) run(j *batchJob, batch []hilight.BatchJob, fps []string, shared []hilight.Option, parallelism int, timeout time.Duration, pre []jobResult) {
+// Each job's outcome is journaled the moment it settles, so a crash
+// mid-batch preserves completed jobs. Transient outcomes are
+// deliberately NOT journaled: persisting them would turn a restart's
+// resurrection into a permanent failure. A batch is sealed with a
+// terminal record only when every job's outcome was journaled; an
+// unsealed batch resurrects on the next startup.
+func (s *JobStore) run(j *batchJob, run batchRun, pre []jobResult) {
 	defer s.wg.Done()
-	out := make([]jobResult, len(batch))
+	out := make([]jobResult, j.count)
 	var unjournaled atomic.Int64
-	record := func(i int, transient bool) {
+	// Jobs settle at most once each, so concurrent settles write disjoint
+	// out slots; run's return is the fence that publishes them here.
+	settle := func(i int, r jobResult, transient bool) {
+		out[i] = r
+		j.finished.Add(1)
 		if s.journal == nil {
 			return
 		}
-		if transient {
-			unjournaled.Add(1)
-			return
-		}
-		if err := s.journal.appendJob(j.id, i, &out[i]); err != nil {
+		if transient || s.journal.appendJob(j.id, i, &out[i]) != nil {
 			unjournaled.Add(1)
 		}
 	}
 
-	// Partition the batch: journal-replayed outcomes are final,
-	// cache-known fingerprints are served without recompiling, and only
-	// the remainder (subIdx) is handed to CompileAll.
-	var subIdx []int
-	for i := range batch {
+	var todo []int
+	for i := range out {
 		if pre != nil && !pre[i].empty() {
 			out[i] = pre[i]
 			j.finished.Add(1)
 			continue
 		}
 		if pre != nil && s.cache != nil {
-			if sr, ok := s.cache.Get(fps[i]); ok {
+			if sr, ok := s.cache.Get(j.fps[i]); ok {
 				hit := *sr // shallow copy; ScheduleBin bytes are immutable
 				hit.Cached = true
-				out[i] = jobResult{Result: &hit}
-				j.finished.Add(1)
-				record(i, false)
+				settle(i, jobResult{Result: &hit}, false)
 				continue
 			}
 		}
-		subIdx = append(subIdx, i)
+		todo = append(todo, i)
 	}
-
-	if len(subIdx) > 0 {
-		sub := make([]hilight.BatchJob, len(subIdx))
-		for k, i := range subIdx {
-			sub[k] = batch[i]
-		}
-		wctx, progress, stopWd := s.watchdog.guard(s.ctx, j.id)
-		opts := append([]hilight.Option{}, shared...)
-		opts = append(opts,
-			hilight.WithContext(wctx),
-			hilight.WithTimeout(timeout),
-			hilight.WithMetrics(s.metrics),
-			hilight.WithObserver(func(cs hilight.CycleStats) {
-				progress()
-				routeCycleHook(cs)
-			}),
-			hilight.WithEvents(func(e hilight.CompileEvent) {
-				if e.Kind == hilight.EventJobFinish || e.Kind == hilight.EventJobPanic {
-					j.finished.Add(1)
-				}
-				if s.events != nil {
-					s.events.OnEvent(e)
-				}
-			}),
-			hilight.WithJobDone(func(k int, br hilight.BatchResult) {
-				// subIdx entries are disjoint, so concurrent callbacks write
-				// disjoint out slots; CompileAll's return is the fence that
-				// publishes them to this goroutine.
-				i := subIdx[k]
-				switch {
-				case br.Err != nil:
-					out[i] = jobResult{Error: br.Err.Error()}
-				default:
-					sr, err := newStoredResult(fps[i], br.Result)
-					if err != nil {
-						out[i] = jobResult{Error: err.Error()}
-					} else {
-						out[i] = jobResult{Result: sr}
-					}
-				}
-				record(i, errors.Is(br.Err, hilight.ErrCanceled))
-			}),
-		)
-		hilight.CompileAll(sub, parallelism, opts...)
-		stopWd()
-		if stalled(wctx) {
-			s.watchdog.aborted.Inc()
-		}
+	if len(todo) > 0 {
+		run(s.ctx, j.id, todo, settle)
 	}
 
 	if s.journal != nil && unjournaled.Load() == 0 {
@@ -396,8 +481,8 @@ func (s *jobStore) run(j *batchJob, batch []hilight.BatchJob, fps []string, shar
 // a poll for them returns byte-for-byte what it would have before the
 // crash. Unsealed batches are resurrected: their journaled outcomes are
 // kept and only the incomplete jobs re-run, under the fingerprints the
-// original ack promised. Called from New before the server serves.
-func (s *jobStore) restore(batches []*replayBatch, workers, routeWorkers int, defTimeout, maxTimeout time.Duration) {
+// original ack promised. Called before the store serves.
+func (s *JobStore) restore(batches []*replayBatch) {
 	replayedB := s.metrics.Counter("journal/replayed-batches")
 	resurrectedB := s.metrics.Counter("journal/resurrected-batches")
 	replayedJ := s.metrics.Counter("journal/replayed-jobs")
@@ -418,20 +503,19 @@ func (s *jobStore) restore(batches []*replayBatch, workers, routeWorkers int, de
 
 		resurrectedB.Inc()
 		rerunJ.Add(int64(len(rb.fps) - rb.have))
-		req := rb.req // copy: prepare may inject the route-worker default
-		batch, _, shared, parallelism, timeout, err := prepare(&req, workers, routeWorkers, defTimeout, maxTimeout)
-		if err != nil || len(batch) != len(rb.fps) {
-			// The journaled request no longer prepares into the batch the
-			// ack described (version skew, a renamed benchmark). Fail the
+		req := rb.req // copy: the plan may inject the route-worker default
+		fps, run, err := s.plan(&req, nil)
+		if err == nil && !slices.Equal(fps, rb.fps) {
+			err = errors.New("request no longer resolves to the acknowledged fingerprints")
+		}
+		if err != nil {
+			// The journaled request no longer resolves to the batch the ack
+			// described (version skew, a renamed benchmark). Fail the
 			// incomplete jobs explicitly rather than guess at intent; the
 			// journaled completions are still served.
-			msg := fmt.Sprintf("journaled batch has %d jobs, request resolves to %d", len(rb.fps), len(batch))
-			if err != nil {
-				msg = err.Error()
-			}
 			for i := range rb.results {
 				if rb.results[i].empty() {
-					rb.results[i] = jobResult{Error: fmt.Sprintf("resurrection failed: %s", msg)}
+					rb.results[i] = jobResult{Error: fmt.Sprintf("resurrection failed: %v", err)}
 				}
 			}
 			j.results = rb.results
@@ -439,14 +523,7 @@ func (s *jobStore) restore(batches []*replayBatch, workers, routeWorkers int, de
 			close(j.done)
 			continue
 		}
-
-		// Re-run under the journaled fingerprints, not freshly computed
-		// ones: the ack already promised these ids to the client, and the
-		// compile options they digest are identical.
-		s.submitted.Inc()
-		s.active.Add(1)
-		s.wg.Add(1)
-		go s.run(j, batch, rb.fps, shared, parallelism, timeout, rb.results)
+		s.launch(j, run, rb.results)
 	}
 }
 
@@ -455,7 +532,7 @@ func (s *jobStore) restore(batches []*replayBatch, workers, routeWorkers int, de
 // of a stored schedule is deterministic, so repeated polls of a sealed
 // batch stay byte-identical — the resilience and chaos guarantees ride
 // on that.
-func (s *jobStore) status(id string, binary bool) (*jobStatus, bool) {
+func (s *JobStore) status(id string, binary bool) (*jobStatus, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
@@ -490,11 +567,24 @@ func (s *jobStore) status(id string, binary bool) (*jobStatus, bool) {
 	return st, true
 }
 
+// WriteStatus answers GET /v1/jobs/{id}: the batch's poll body in the
+// form r's Accept negotiates, or a 404. It reports whether the batch
+// was found.
+func (s *JobStore) WriteStatus(w http.ResponseWriter, r *http.Request) bool {
+	st, ok := s.status(r.PathValue("id"), AcceptsBinary(r))
+	if !ok {
+		WriteJSON(w, http.StatusNotFound, errorBody(fmt.Sprintf("unknown job %q", r.PathValue("id"))))
+		return false
+	}
+	WriteJSON(w, http.StatusOK, st)
+	return true
+}
+
 // evictLocked drops the oldest completed batches beyond maxStored.
 // Running batches are never evicted — their goroutine still needs the
 // entry, and a poller would lose a batch it just submitted. Evictions
 // are journaled so a replay drops the same batches.
-func (s *jobStore) evictLocked() {
+func (s *JobStore) evictLocked() {
 	for len(s.jobs) > s.maxStored {
 		evicted := false
 		for i, id := range s.order {
@@ -518,12 +608,12 @@ func (s *jobStore) evictLocked() {
 	}
 }
 
-// shutdown drains running batches: it first waits for them to finish
+// Shutdown drains running batches: it first waits for them to finish
 // naturally, and only when ctx expires cancels the remainder (CompileAll
 // then drains promptly — undispatched jobs fail ErrCanceled directly)
 // and waits for the goroutines to exit. The journal is flushed and
 // closed either way.
-func (s *jobStore) shutdown(ctx context.Context) error {
+func (s *JobStore) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -544,11 +634,11 @@ func (s *jobStore) shutdown(ctx context.Context) error {
 	return err
 }
 
-// kill hard-stops the store, emulating a process crash: batches are
+// Kill hard-stops the store, emulating a process crash: batches are
 // canceled, the journal drops its unsynced tail (exactly what kill -9
 // would lose), and the goroutines are reaped so tests can assert leak
 // freedom.
-func (s *jobStore) kill() {
+func (s *JobStore) Kill() {
 	s.cancel()
 	if s.journal != nil {
 		s.journal.kill()

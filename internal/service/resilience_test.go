@@ -272,7 +272,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 
 // makeStoredJob registers a synthetic batch directly in the store;
 // running selects whether its done channel stays open.
-func makeStoredJob(s *jobStore, id string, running bool) *batchJob {
+func makeStoredJob(s *JobStore, id string, running bool) *batchJob {
 	j := &batchJob{id: id, count: 1, done: make(chan struct{})}
 	if !running {
 		j.results = []jobResult{{Error: "x"}}

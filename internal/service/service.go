@@ -127,7 +127,7 @@ type Server struct {
 	mux      *http.ServeMux
 	cache    *scheduleCache
 	admit    *admission
-	jobs     *jobStore
+	jobs     *JobStore
 	watchdog *watchdog
 
 	requests  *obs.Counter
@@ -177,23 +177,16 @@ func New(cfg Config) (*Server, error) {
 		defectEvicted:    m.Counter("service/defect-evictions"),
 		defectRecompiled: m.Counter("service/defect-recompiles"),
 	}
-	s.jobs.events = cfg.Events
-	s.jobs.watchdog = s.watchdog
+	s.jobs.plan = s.planBatch
 	s.jobs.cache = s.cache
 	if cfg.JournalDir != "" {
-		jr, batches, sessions, maxSeq, err := openJournal(cfg.JournalDir, cfg.MaxStoredJobs, m)
+		batches, sessions, err := s.jobs.attachJournal(cfg.JournalDir)
 		if err != nil {
 			return nil, err
 		}
-		s.jobs.journal = jr
-		if maxSeq > s.jobs.seq {
-			// Never reuse an id a previous life acknowledged, even for
-			// batches the replay evicted.
-			s.jobs.seq = maxSeq
-		}
 		s.warmCache(batches)
 		s.seedSessions(sessions)
-		s.jobs.restore(batches, cfg.Workers, cfg.RouteWorkers, cfg.DefaultTimeout, cfg.MaxTimeout)
+		s.jobs.restore(batches)
 	}
 	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
 	s.mux.HandleFunc("POST /v1/defects", s.handleDefects)
@@ -330,7 +323,7 @@ func (s *Server) Drain() { s.admit.drain() }
 // (or concurrently with) this one.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.Drain()
-	return s.jobs.shutdown(ctx)
+	return s.jobs.Shutdown(ctx)
 }
 
 // Kill hard-stops the server, emulating a process crash for recovery
@@ -341,7 +334,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // the cancellation and exit.
 func (s *Server) Kill() {
 	s.admit.drain()
-	s.jobs.kill()
+	s.jobs.Kill()
 }
 
 // handleCompile serves POST /v1/compile: fingerprint, cache lookup,
@@ -742,7 +735,7 @@ func (s *Server) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 		s.failAdmission(w, r, err)
 		return
 	}
-	id, fps, err := s.jobs.submit(&req, s.cfg.Workers, s.cfg.RouteWorkers, s.cfg.DefaultTimeout, s.cfg.MaxTimeout, relTenant)
+	id, fps, err := s.jobs.submit(&req, r.Header, relTenant)
 	if err != nil {
 		relTenant()
 		s.fail(w, err)
@@ -760,13 +753,11 @@ func (s *Server) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJobsStatus serves GET /v1/jobs/{id}.
 func (s *Server) handleJobsStatus(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	st, ok := s.jobs.status(r.PathValue("id"), AcceptsBinary(r))
-	if !ok {
-		s.fail(w, &apiError{Status: 404, Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
-		return
+	if s.jobs.WriteStatus(w, r) {
+		s.succeeded.Inc()
+	} else {
+		s.failed.Inc()
 	}
-	s.succeeded.Inc()
-	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {

@@ -49,7 +49,7 @@ func waitNoCompileGoroutines(t *testing.T) {
 		"hilight/internal/core.Run(",
 		"service.(*Server).handleCompile(",
 		"service.(*admission).acquire(",
-		"service.(*jobStore).run(",
+		"service.(*JobStore).run(",
 		"service.(*watchdog).guard.",
 	}
 	deadline := time.Now().Add(5 * time.Second)

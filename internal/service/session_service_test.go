@@ -153,7 +153,7 @@ func TestDefectFeedSweep(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("defect feed: %d: %s", resp.StatusCode, body)
 	}
-	var feed defectsResponse
+	var feed DefectsResponse
 	if err := json.Unmarshal(body, &feed); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDefectFeedSweep(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("heal feed: %d: %s", resp.StatusCode, body)
 	}
-	var heal defectsResponse
+	var heal DefectsResponse
 	if err := json.Unmarshal(body, &heal); err != nil {
 		t.Fatal(err)
 	}
