@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-pkgs race-root bench bench-route fuzz golden wire-compat check serve smoke chaos chaos-short cluster-smoke session-smoke
+.PHONY: all build vet lint test hlbench-check race race-pkgs race-root bench bench-route fuzz golden wire-compat check serve smoke chaos chaos-short cluster-smoke session-smoke
 
 all: check
 
@@ -22,6 +22,13 @@ lint: vet
 
 test:
 	$(GO) test ./...
+
+# hlbench (BENCHMARK.json's harness) is its own module over this one, so
+# `go test ./...` never compiles it: vet and test it against the tree,
+# so a change to an API it uses fails here and not first in a benchmark
+# run.
+hlbench-check:
+	cd hlbench && $(GO) vet ./... && $(GO) test ./...
 
 # The full suite under the race detector: the CompileAll worker pool,
 # the shared metrics registry, and every package that touches them.

@@ -1,5 +1,6 @@
 // Command experiments regenerates the paper's evaluation artifacts:
-// Table 1 and Figures 8a, 8b, 8c, 9 and 10.
+// Table 1 and Figures 8a, 8b, 8c, 9 and 10, plus the ablations and
+// studies listed under -run.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,9 +22,39 @@ import (
 	"hilight/internal/obs"
 )
 
+// report is what every experiment returns.
+type report interface{ Print(io.Writer) }
+
+// experiments lists every -run name, in the order -run all runs them.
+var experiments = []struct {
+	name string
+	run  func(exp.Options) (report, error)
+}{
+	{"table1", func(o exp.Options) (report, error) { return exp.RunTable1(o) }},
+	{"fig8a", func(o exp.Options) (report, error) { return exp.RunFig8a(o) }},
+	{"fig8b", func(o exp.Options) (report, error) { return exp.RunFig8b(o) }},
+	{"fig8c", func(o exp.Options) (report, error) { return exp.RunFig8c(o) }},
+	{"fig9", func(o exp.Options) (report, error) { return exp.RunFig9(o) }},
+	{"fig10", func(o exp.Options) (report, error) { return exp.RunFig10(o) }},
+	{"threshold", func(o exp.Options) (report, error) { return exp.RunThresholdSweep(o) }},
+	{"finders", func(o exp.Options) (report, error) { return exp.RunFinderAblation(o) }},
+	{"bounds", func(o exp.Options) (report, error) { return exp.RunBounds(o) }},
+	{"modes", func(o exp.Options) (report, error) { return exp.RunModes(o) }},
+	{"defects", func(o exp.Options) (report, error) { return exp.RunDefectYield(o) }},
+}
+
+// names returns the experiment names in table order.
+func names() []string {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
+}
+
 func main() {
 	var (
-		run     = flag.String("run", "all", "comma-separated: table1,fig8a,fig8b,fig8c,fig9,fig10,threshold,finders,defects or all")
+		run     = flag.String("run", "all", "comma-separated: "+strings.Join(names(), ",")+" or all")
 		scale   = flag.String("scale", "small", "benchmark scale: small, medium, full")
 		trials  = flag.Int("trials", 5, "trials for randomized arms (paper: 100)")
 		seed    = flag.Int64("seed", 1, "base seed")
@@ -35,11 +67,11 @@ func main() {
 		o.Metrics = obs.NewRegistry()
 	}
 	asCSV = *format == "csv"
-	names := strings.Split(*run, ",")
+	runs := strings.Split(*run, ",")
 	if *run == "all" {
-		names = []string{"table1", "fig8a", "fig8b", "fig8c", "fig9", "fig10", "threshold", "finders", "bounds", "modes", "defects"}
+		runs = names()
 	}
-	for _, name := range names {
+	for _, name := range runs {
 		if err := runOne(strings.TrimSpace(name), o); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			os.Exit(1)
@@ -57,83 +89,22 @@ func main() {
 // asCSV selects CSV output for the reports that support it.
 var asCSV bool
 
+// runOne runs the named experiment and prints its report: as CSV when
+// asCSV is set and the report writes CSV, as a text table otherwise.
 func runOne(name string, o exp.Options) error {
-	switch name {
-	case "table1":
-		rep, err := exp.RunTable1(o)
+	for _, e := range experiments {
+		if e.name != name {
+			continue
+		}
+		rep, err := e.run(o)
 		if err != nil {
 			return err
 		}
-		if asCSV {
-			return rep.WriteCSV(os.Stdout)
-		}
-		fmt.Println("Table 1 — mapping-level comparison (grid M×(M−1))")
-		rep.Print(os.Stdout)
-	case "fig8a":
-		rep, err := exp.RunFig8a(o)
-		if err != nil {
-			return err
+		if c, ok := rep.(interface{ WriteCSV(io.Writer) error }); ok && asCSV {
+			return c.WriteCSV(os.Stdout)
 		}
 		rep.Print(os.Stdout)
-	case "fig8b":
-		rep, err := exp.RunFig8b(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	case "fig8c":
-		rep, err := exp.RunFig8c(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	case "fig9":
-		rep, err := exp.RunFig9(o)
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			return rep.WriteCSV(os.Stdout)
-		}
-		rep.Print(os.Stdout)
-	case "fig10":
-		rep, err := exp.RunFig10(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	case "threshold":
-		rep, err := exp.RunThresholdSweep(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	case "finders":
-		rep, err := exp.RunFinderAblation(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	case "bounds":
-		rep, err := exp.RunBounds(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	case "modes":
-		rep, err := exp.RunModes(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	case "defects":
-		rep, err := exp.RunDefectYield(o)
-		if err != nil {
-			return err
-		}
-		rep.Print(os.Stdout)
-	default:
-		return fmt.Errorf("unknown experiment (table1, fig8a, fig8b, fig8c, fig9, fig10, threshold, finders, bounds, modes, defects)")
+		return nil
 	}
-	return nil
+	return fmt.Errorf("unknown experiment (%s)", strings.Join(names(), ", "))
 }

@@ -8,9 +8,25 @@ import (
 	"hilight/internal/obs"
 )
 
+// An unknown name fails, and the error lists every experiment of the
+// table, each once.
 func TestRunOneUnknown(t *testing.T) {
-	if err := runOne("nope", exp.Options{}); err == nil {
-		t.Error("unknown experiment accepted")
+	err := runOne("nope", exp.Options{})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	seen := map[string]bool{}
+	for _, name := range names() {
+		if seen[name] {
+			t.Errorf("experiment %q listed twice", name)
+		}
+		seen[name] = true
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %q", err, name)
+		}
+	}
+	if len(seen) != 11 {
+		t.Errorf("%d experiments, want 11", len(seen))
 	}
 }
 

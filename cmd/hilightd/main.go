@@ -27,10 +27,9 @@
 // written to a durable append-only journal before the 202 returns; on
 // startup the journal is replayed — finished batches are served from
 // the log, unfinished ones re-run only their incomplete jobs — and
-// compacted. A kill -9 mid-batch therefore loses no acknowledged work.
-// A coordinator re-dispatches a resumed batch's units without the
-// submit's X-Hilight-Tenant and X-Hilight-Priority headers, which the
-// journal does not keep. With -watchdog, a compile that makes no
+// compacted. A kill -9 mid-batch therefore loses no acknowledged work,
+// and a resumed batch keeps its submit's X-Hilight-Tenant and
+// X-Hilight-Priority. With -watchdog, a compile that makes no
 // routing-cycle progress for a full window is aborted (504) so a stuck
 // compile cannot pin a worker forever.
 //

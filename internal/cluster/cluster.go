@@ -31,13 +31,6 @@ type Config struct {
 	// 250ms). A worker failing a probe is marked down — the ring
 	// reshards and its queued units move — within one interval.
 	ProbeInterval time.Duration
-	// DispatchPerWorker bounds concurrent async unit dispatches per
-	// worker (default 2). Sync compiles are forwarded inline and are
-	// bounded by the workers' own admission control.
-	DispatchPerWorker int
-	// MaxBodyBytes caps request bodies (default 8 MiB, matching the
-	// single-node default).
-	MaxBodyBytes int64
 	// MaxStoredJobs bounds retained async batches (default 64).
 	MaxStoredJobs int
 	// JournalDir, when non-empty, journals acknowledged async batches
@@ -48,11 +41,12 @@ type Config struct {
 	// Metrics receives the cluster/... families. Nil creates a private
 	// registry; either way it is served at GET /metrics.
 	Metrics *obs.Registry
-	// Client performs node-to-node requests. Nil uses a client with no
-	// global timeout (compiles are long); probes always use a separate
-	// short-timeout client.
-	Client *http.Client
 }
+
+// dispatchPerWorker bounds concurrent async unit dispatches per worker.
+// Sync compiles are forwarded inline and are bounded by the workers' own
+// admission control.
+const dispatchPerWorker = 2
 
 func (c *Config) fillDefaults() error {
 	if len(c.Workers) == 0 {
@@ -70,20 +64,11 @@ func (c *Config) fillDefaults() error {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	if c.DispatchPerWorker <= 0 {
-		c.DispatchPerWorker = 2
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.MaxStoredJobs <= 0 {
 		c.MaxStoredJobs = 64
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return nil
 }
@@ -106,8 +91,10 @@ type workerState struct {
 // batches. Create with New, expose via Handler, stop with Drain and
 // Shutdown.
 type Coordinator struct {
-	cfg         Config
-	mux         *http.ServeMux
+	cfg Config
+	mux *http.ServeMux
+	// client performs node-to-node requests, with no global timeout
+	// (compiles are long); probes use the short-timeout probeClient.
 	client      *http.Client
 	probeClient *http.Client
 
@@ -151,7 +138,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
-		client: cfg.Client,
+		client: &http.Client{},
 		probeClient: &http.Client{
 			Timeout: min(cfg.ProbeInterval, time.Second),
 		},
@@ -218,7 +205,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.wg.Add(1)
 	go c.probeLoop()
 	for _, w := range cfg.Workers {
-		for i := 0; i < cfg.DispatchPerWorker; i++ {
+		for i := 0; i < dispatchPerWorker; i++ {
 			c.wg.Add(1)
 			go c.dispatcher(w)
 		}
@@ -440,9 +427,9 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// readBody buffers the request body under the size cap.
+// readBody buffers the request body under the single node's size cap.
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -706,9 +693,8 @@ func (c *Coordinator) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 
 // dispatch is the job store's run function: it fans a batch's listed
 // units out through the steal queue and returns once each has settled.
-// Units of a submit carry its tenant and priority; a batch the journal
-// resumes has no header, so its units run as the default tenant at
-// interactive priority.
+// Units carry the submit's tenant and priority, also when the journal
+// resumes the batch after a restart.
 func (c *Coordinator) dispatch(ctx context.Context, units []service.Unit, todo []int, hdr http.Header, settle func(int, []byte, error)) {
 	var wg sync.WaitGroup
 	wg.Add(len(todo))

@@ -1,142 +1,43 @@
 package exp
 
 import (
-	"fmt"
-	"io"
-	"text/tabwriter"
+	"strconv"
 
 	"hilight/internal/core"
-	"hilight/internal/grid"
 )
 
-// ThresholdPoint is one row of the ordering-threshold sweep: the ready-set
-// size above which the ordering strategy is invoked, and the resulting
-// geomean-normalized metrics (reference: the paper's threshold of 4).
-type ThresholdPoint struct {
-	Threshold int
-	Latency   float64
-	Runtime   float64
-}
-
-// ThresholdReport is the ordering-threshold ablation — the paper adopts
-// threshold 4 from AutoBraid's analysis; this sweep regenerates the
-// trade-off behind that constant.
-type ThresholdReport struct {
-	Points []ThresholdPoint
-}
-
-// Print renders the sweep.
-func (r *ThresholdReport) Print(w io.Writer) {
-	fmt.Fprintln(w, "Ablation — gate-ordering invocation threshold (normalized to threshold 4)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "threshold\tnorm.latency\tnorm.runtime")
-	for _, p := range r.Points {
-		fmt.Fprintf(tw, "%d\t%.3f\t%.3f\n", p.Threshold, p.Latency, p.Runtime)
-	}
-	tw.Flush()
-}
-
-// RunThresholdSweep measures the ordering threshold at 1, 2, 4, 8, 16 and
-// 1<<30 (never order) over the scaled benchmark set.
-func RunThresholdSweep(o Options) (*ThresholdReport, error) {
+// RunThresholdSweep measures the ready-set size above which the
+// ordering strategy is invoked at 1, 2, 4, 8, 16 and 1<<30 (never
+// order) over the scaled benchmark set, normalized to threshold 4. The
+// paper adopts 4 from AutoBraid's analysis; this sweep regenerates the
+// trade-off behind that constant. Each arm is named by its threshold.
+func RunThresholdSweep(o Options) (*Comparison, error) {
 	o = o.fill()
-	thresholds := []int{1, 2, 4, 8, 16, 1 << 30}
-	lat := make([][]float64, len(thresholds))
-	rt := make([][]float64, len(thresholds))
-	for _, e := range o.entries() {
-		c := e.Build()
-		g := grid.Rect(e.N)
-		for i, th := range thresholds {
-			sp := core.MustMethod("hilight-map")
-			sp.OrderingThreshold = th
-			m, err := average(c, g, sp, o.Seed, 1, o.Metrics)
-			if err != nil {
-				return nil, fmt.Errorf("%s/threshold %d: %w", e.Name, th, err)
-			}
-			lat[i] = append(lat[i], float64(m.Latency))
-			rt[i] = append(rt[i], seconds(m.Runtime))
-		}
+	var arms []arm
+	for _, th := range []int{1, 2, 4, 8, 16, 1 << 30} {
+		sp := core.MustMethod("hilight-map")
+		sp.OrderingThreshold = th
+		arms = append(arms, arm{name: strconv.Itoa(th), sp: sp})
 	}
-	ref := 2 // threshold 4, the paper's choice
-	const rtFloor = 50e-6
-	rep := &ThresholdReport{}
-	for i, th := range thresholds {
-		rep.Points = append(rep.Points, ThresholdPoint{
-			Threshold: th,
-			Latency:   geomeanRatio(lat[i], lat[ref], 1),
-			Runtime:   geomeanRatio(rt[i], rt[ref], rtFloor),
-		})
-	}
-	return rep, nil
-}
-
-// FinderArm is one path-finder of the finder ablation.
-type FinderArm struct {
-	Name    string
-	Latency float64
-	Runtime float64
-	ResUtil float64
-}
-
-// FinderReport compares the four braiding path-finders under otherwise
-// identical mapping (proposed placement and ordering).
-type FinderReport struct {
-	Arms []FinderArm
-}
-
-// Arm returns the named arm, if present.
-func (r *FinderReport) Arm(name string) (FinderArm, bool) {
-	for _, a := range r.Arms {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return FinderArm{}, false
-}
-
-// Print renders the comparison.
-func (r *FinderReport) Print(w io.Writer) {
-	fmt.Fprintln(w, "Ablation — braiding path-finders (normalized to astar-closest)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "finder\tnorm.latency\tnorm.runtime\tnorm.resutil")
-	for _, a := range r.Arms {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.3f\n", a.Name, a.Latency, a.Runtime, a.ResUtil)
-	}
-	tw.Flush()
+	return compare(o, arms, 2, &Comparison{
+		Title:  "Ablation — gate-ordering invocation threshold (normalized to threshold 4)",
+		Header: "threshold",
+	})
 }
 
 // RunFinderAblation measures the four path-finders — single-A*, the
 // exhaustive 16-pair search, the AutoBraid stack DFS, and the two-bend
-// L-shape — across the scaled benchmark set.
-func RunFinderAblation(o Options) (*FinderReport, error) {
+// L-shape — under otherwise identical mapping (proposed placement and
+// ordering) across the scaled benchmark set, normalized to single-A*.
+func RunFinderAblation(o Options) (*Comparison, error) {
 	o = o.fill()
-	finders := []string{"astar-closest", "full-16", "stack-dfs", "l-shape"}
-	lat := make([][]float64, len(finders))
-	rt := make([][]float64, len(finders))
-	util := make([][]float64, len(finders))
-	for _, e := range o.entries() {
-		c := e.Build()
-		g := grid.Rect(e.N)
-		for i, f := range finders {
-			sp := core.Spec{Placement: "hilight", Finder: f}
-			m, err := average(c, g, sp, o.Seed, 1, o.Metrics)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", e.Name, f, err)
-			}
-			lat[i] = append(lat[i], float64(m.Latency))
-			rt[i] = append(rt[i], seconds(m.Runtime))
-			util[i] = append(util[i], m.ResUtil)
-		}
+	var arms []arm
+	for _, f := range []string{"astar-closest", "full-16", "stack-dfs", "l-shape"} {
+		arms = append(arms, arm{name: f, sp: core.Spec{Placement: "hilight", Finder: f}})
 	}
-	const rtFloor = 50e-6
-	rep := &FinderReport{}
-	for i, f := range finders {
-		rep.Arms = append(rep.Arms, FinderArm{
-			Name:    f,
-			Latency: geomeanRatio(lat[i], lat[0], 1),
-			Runtime: geomeanRatio(rt[i], rt[0], rtFloor),
-			ResUtil: geomeanRatio(util[i], util[0], 1e-6),
-		})
-	}
-	return rep, nil
+	return compare(o, arms, 0, &Comparison{
+		Title:   "Ablation — braiding path-finders (normalized to astar-closest)",
+		Header:  "finder",
+		ResUtil: true,
+	})
 }

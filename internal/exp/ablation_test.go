@@ -11,17 +11,17 @@ func TestRunThresholdSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Points) != 6 {
-		t.Fatalf("points = %d", len(rep.Points))
+	if len(rep.Rows) != 6 {
+		t.Fatalf("points = %d", len(rep.Rows))
 	}
 	// Reference row (threshold 4) is 1.0 by construction.
-	ref := rep.Points[2]
-	if ref.Threshold != 4 || ref.Latency != 1 || ref.Runtime != 1 {
+	ref := rep.Rows[2]
+	if ref.Name != "4" || ref.Latency != 1 || ref.Runtime != 1 {
 		t.Errorf("reference row wrong: %+v", ref)
 	}
 	// Never ordering must not improve latency more than marginally: the
 	// ordering exists because it helps.
-	never := rep.Points[len(rep.Points)-1]
+	never := rep.Rows[len(rep.Rows)-1]
 	if never.Latency < 0.97 {
 		t.Errorf("never-order latency %.3f: ordering appears useless", never.Latency)
 	}
@@ -103,8 +103,8 @@ func TestRunFinderAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Arms) != 4 {
-		t.Fatalf("arms = %d", len(rep.Arms))
+	if len(rep.Rows) != 4 {
+		t.Fatalf("arms = %d", len(rep.Rows))
 	}
 	astar, ok := rep.Arm("astar-closest")
 	if !ok || astar.Latency != 1 || astar.Runtime != 1 {

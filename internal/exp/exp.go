@@ -9,8 +9,10 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"text/tabwriter"
 	"time"
 
 	"hilight/internal/bench"
@@ -84,6 +86,136 @@ type Measurement struct {
 	Latency int
 	Runtime time.Duration
 	ResUtil float64
+}
+
+// rtFloor is the runtime floor of every normalized runtime ratio: 50µs
+// keeps trivial benchmarks from dominating the geomean.
+const rtFloor = 50e-6
+
+// arm is one compiler configuration of an experiment, measured on every
+// benchmark of its run.
+type arm struct {
+	name string
+	sp   core.Spec
+	// trials is the number of seeds averaged on a benchmark (nil: 1).
+	trials func(bench.Entry) int
+	// grid is the lattice of an n-qubit benchmark (nil: grid.Rect, the
+	// paper's M×(M−1)).
+	grid func(n int) *grid.Grid
+}
+
+// allTrials is the trials of an arm that averages o.Trials seeds on
+// every benchmark.
+func (o Options) allTrials(bench.Entry) int { return o.Trials }
+
+// measure runs every arm on every benchmark, each benchmark's arms in
+// order on one built circuit, and returns ms[a][b]: arm a's measurement
+// on benchmark b.
+func measure(o Options, entries []bench.Entry, arms []arm) ([][]Measurement, error) {
+	ms := make([][]Measurement, len(arms))
+	for _, e := range entries {
+		c := e.Build()
+		for i, a := range arms {
+			trials, g := 1, grid.Rect
+			if a.trials != nil {
+				trials = a.trials(e)
+			}
+			if a.grid != nil {
+				g = a.grid
+			}
+			m, err := average(c, g(e.N), a.sp, o.Seed, trials, o.Metrics)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", e.Name, a.name, err)
+			}
+			ms[i] = append(ms[i], m)
+		}
+	}
+	return ms, nil
+}
+
+// Row is one arm of a normalized comparison: its latency, runtime and
+// ResUtil as geomean ratios to the reference arm's over the benchmarks
+// (1.0 = parity, >1 = more than the reference).
+type Row struct {
+	Name                      string
+	Latency, Runtime, ResUtil float64
+}
+
+// normalize returns each arm's Row against arm ref, in arm order.
+func normalize(arms []arm, ms [][]Measurement, ref int) []Row {
+	series := func(ms []Measurement) (lat, rt, util []float64) {
+		for _, m := range ms {
+			lat = append(lat, float64(m.Latency))
+			rt = append(rt, seconds(m.Runtime))
+			util = append(util, m.ResUtil)
+		}
+		return lat, rt, util
+	}
+	refLat, refRt, refUtil := series(ms[ref])
+	rows := make([]Row, len(arms))
+	for i, a := range arms {
+		lat, rt, util := series(ms[i])
+		rows[i] = Row{
+			Name:    a.name,
+			Latency: geomeanRatio(lat, refLat, 1),
+			Runtime: geomeanRatio(rt, refRt, rtFloor),
+			ResUtil: geomeanRatio(util, refUtil, 1e-6),
+		}
+	}
+	return rows
+}
+
+// Comparison is a normalized multi-arm report: Figs. 8a–8c, Fig. 10 and
+// the threshold and path-finder ablations.
+type Comparison struct {
+	Title string
+	// Header names the name column; a tab in it, and in the row names,
+	// splits the name into several columns.
+	Header string
+	// ResUtil prints the normalized ResUtil column.
+	ResUtil bool
+	// Rows are the arms in print order.
+	Rows []Row
+}
+
+// compare measures arms over the scaled Table 1 benchmarks and returns
+// rep with its rows normalized to arm ref.
+func compare(o Options, arms []arm, ref int, rep *Comparison) (*Comparison, error) {
+	ms, err := measure(o, o.entries(), arms)
+	if err != nil {
+		return nil, err
+	}
+	rep.Rows = normalize(arms, ms, ref)
+	return rep, nil
+}
+
+// Print renders the report as a normalized table.
+func (r *Comparison) Print(w io.Writer) {
+	fmt.Fprintln(w, r.Title)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "%s\tnorm.latency\tnorm.runtime", r.Header)
+	if r.ResUtil {
+		fmt.Fprint(tw, "\tnorm.resutil")
+	}
+	fmt.Fprintln(tw)
+	for _, a := range r.Rows {
+		fmt.Fprintf(tw, "%s\t%.3f\t%.3f", a.Name, a.Latency, a.Runtime)
+		if r.ResUtil {
+			fmt.Fprintf(tw, "\t%.3f", a.ResUtil)
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
+}
+
+// Arm returns the named row, if present.
+func (r *Comparison) Arm(name string) (Row, bool) {
+	for _, a := range r.Rows {
+		if a.Name == name {
+			return a, true
+		}
+	}
+	return Row{}, false
 }
 
 // runOn maps a circuit on its paper grid (rectangular M×(M−1), per §4.6)

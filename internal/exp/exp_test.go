@@ -57,14 +57,14 @@ func TestRunTable1SmallShape(t *testing.T) {
 	}
 	// Paper shape: hilight-map no worse than either AutoBraid variant on
 	// latency and ResUtil (geomean ≥ 1 means the baseline is worse).
-	if rep.SPLatency < 1 {
-		t.Errorf("autobraid-sp latency geomean %.3f < 1: hilight lost", rep.SPLatency)
+	if rep.SP.Latency < 1 {
+		t.Errorf("autobraid-sp latency geomean %.3f < 1: hilight lost", rep.SP.Latency)
 	}
-	if rep.FullLatency < 1 {
-		t.Errorf("autobraid-full latency geomean %.3f < 1: hilight lost", rep.FullLatency)
+	if rep.Full.Latency < 1 {
+		t.Errorf("autobraid-full latency geomean %.3f < 1: hilight lost", rep.Full.Latency)
 	}
-	if rep.SPResUtil < 1 {
-		t.Errorf("autobraid-sp ResUtil geomean %.3f < 1", rep.SPResUtil)
+	if rep.SP.ResUtil < 1 {
+		t.Errorf("autobraid-sp ResUtil geomean %.3f < 1", rep.SP.ResUtil)
 	}
 	var buf bytes.Buffer
 	rep.Print(&buf)
@@ -96,8 +96,8 @@ func TestRunFig8aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Arms) != 5 {
-		t.Fatalf("arms = %d", len(rep.Arms))
+	if len(rep.Rows) != 5 {
+		t.Fatalf("arms = %d", len(rep.Rows))
 	}
 	proposed, _ := rep.Arm("proposed")
 	if proposed.Latency != 1 || proposed.Runtime != 1 {
@@ -123,8 +123,8 @@ func TestRunFig8bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Arms) != 5 {
-		t.Fatalf("arms = %d", len(rep.Arms))
+	if len(rep.Rows) != 5 {
+		t.Fatalf("arms = %d", len(rep.Rows))
 	}
 	prop, _ := rep.Arm("proposed")
 	if prop.Latency != 1 {
@@ -203,8 +203,8 @@ func TestRunFig10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Arms) != 5 {
-		t.Fatalf("arms = %d", len(rep.Arms))
+	if len(rep.Rows) != 5 {
+		t.Fatalf("arms = %d", len(rep.Rows))
 	}
 	mapArm, ok := rep.Arm("hilight-map")
 	if !ok || mapArm.Latency != 1 || mapArm.Runtime != 1 {
@@ -238,5 +238,44 @@ func TestMeasurementAverage(t *testing.T) {
 	}
 	if seconds(time.Second) != 1 {
 		t.Error("seconds helper wrong")
+	}
+}
+
+// A Comparison prints its title, a header and one line per row. Tabs in
+// the header and the row names split them into columns, as Fig. 8c's
+// four step cells do, and the resutil column prints only when asked.
+func TestComparisonPrint(t *testing.T) {
+	rep := &Comparison{
+		Title:  "T",
+		Header: "a\tb",
+		Rows: []Row{
+			{Name: "x\t-", Latency: 1, Runtime: 2, ResUtil: 3},
+			{Name: "yy\tz", Latency: 0.5, Runtime: 1.25, ResUtil: 1},
+		},
+	}
+	var buf bytes.Buffer
+	rep.Print(&buf)
+	want := "T\n" +
+		"a   b  norm.latency  norm.runtime\n" +
+		"x   -  1.000         2.000\n" +
+		"yy  z  0.500         1.250\n"
+	if buf.String() != want {
+		t.Errorf("print:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	rep.ResUtil = true
+	buf.Reset()
+	rep.Print(&buf)
+	want = "T\n" +
+		"a   b  norm.latency  norm.runtime  norm.resutil\n" +
+		"x   -  1.000         2.000         3.000\n" +
+		"yy  z  0.500         1.250         1.000\n"
+	if buf.String() != want {
+		t.Errorf("print with resutil:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	if a, ok := rep.Arm("yy\tz"); !ok || a.Runtime != 1.25 {
+		t.Errorf("Arm(yy z) = %+v, %v", a, ok)
+	}
+	if _, ok := rep.Arm("x"); ok {
+		t.Error("Arm matched a name prefix")
 	}
 }

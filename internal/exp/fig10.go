@@ -1,95 +1,27 @@
 package exp
 
 import (
-	"fmt"
-	"io"
-	"text/tabwriter"
-
 	"hilight/internal/core"
-	"hilight/internal/hwopt"
+	"hilight/internal/grid"
 )
-
-// Fig10Arm is one bar group of Fig. 10: a framework variant's latency,
-// runtime and resource utilization geomean-normalized to hilight-map.
-type Fig10Arm struct {
-	Name    string
-	Latency float64
-	Runtime float64
-	ResUtil float64
-}
-
-// Fig10Report is the optimization-level summary of Fig. 10.
-type Fig10Report struct {
-	Arms []Fig10Arm
-}
-
-// Arm returns the named arm, if present.
-func (r *Fig10Report) Arm(name string) (Fig10Arm, bool) {
-	for _, a := range r.Arms {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return Fig10Arm{}, false
-}
-
-// Print renders the summary.
-func (r *Fig10Report) Print(w io.Writer) {
-	fmt.Fprintln(w, "Fig. 10 — optimization levels (normalized to hilight-map)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "variant\tnorm.latency\tnorm.runtime\tnorm.resutil")
-	for _, a := range r.Arms {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.3f\n", a.Name, a.Latency, a.Runtime, a.ResUtil)
-	}
-	tw.Flush()
-}
 
 // RunFig10 reproduces Fig. 10: autobraid-full as the external reference
 // and the four HiLight variants — map, -pg (program-level), -hw
 // (hardware-level M×(M−1) grid), -full (both) — all normalized to
 // hilight-map. The hardware-level arms run on the diminished grid; the
 // others on the square grid.
-func RunFig10(o Options) (*Fig10Report, error) {
+func RunFig10(o Options) (*Comparison, error) {
 	o = o.fill()
-	type arm struct {
-		name   string
-		hwGrid bool
-		sp     core.Spec
-	}
 	arms := []arm{
-		{"autobraid-full", false, core.MustMethod("autobraid-full")},
-		{"hilight-map", false, core.MustMethod("hilight-map")},
-		{"hilight-pg", false, core.MustMethod("hilight-pg")},
-		{"hilight-hw", true, core.MustMethod("hilight-map")},
-		{"hilight-full", true, core.MustMethod("hilight-pg")},
+		{name: "autobraid-full", sp: core.MustMethod("autobraid-full"), grid: grid.Square},
+		{name: "hilight-map", sp: core.MustMethod("hilight-map"), grid: grid.Square},
+		{name: "hilight-pg", sp: core.MustMethod("hilight-pg"), grid: grid.Square},
+		{name: "hilight-hw", sp: core.MustMethod("hilight-map")},
+		{name: "hilight-full", sp: core.MustMethod("hilight-pg")},
 	}
-	entries := o.entries()
-	lat := make([][]float64, len(arms))
-	rt := make([][]float64, len(arms))
-	util := make([][]float64, len(arms))
-	for _, e := range entries {
-		c := e.Build()
-		for i, a := range arms {
-			g := hwopt.GridFor(e.N, a.hwGrid)
-			m, err := average(c, g, a.sp, o.Seed, 1, o.Metrics)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", e.Name, a.name, err)
-			}
-			lat[i] = append(lat[i], float64(m.Latency))
-			rt[i] = append(rt[i], seconds(m.Runtime))
-			util[i] = append(util[i], m.ResUtil)
-		}
-	}
-	ref := 1 // hilight-map
-	const rtFloor = 50e-6
-	rep := &Fig10Report{}
-	for i, a := range arms {
-		rep.Arms = append(rep.Arms, Fig10Arm{
-			Name:    a.name,
-			Latency: geomeanRatio(lat[i], lat[ref], 1),
-			Runtime: geomeanRatio(rt[i], rt[ref], rtFloor),
-			ResUtil: geomeanRatio(util[i], util[ref], 1e-6),
-		})
-	}
-	return rep, nil
+	return compare(o, arms, 1, &Comparison{
+		Title:   "Fig. 10 — optimization levels (normalized to hilight-map)",
+		Header:  "variant",
+		ResUtil: true,
+	})
 }

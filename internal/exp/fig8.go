@@ -1,191 +1,63 @@
 package exp
 
 import (
-	"fmt"
-	"io"
-	"text/tabwriter"
-
 	"hilight/internal/core"
-	"hilight/internal/grid"
 )
-
-// ArmResult is one bar of Fig. 8a/8b: a method's latency and runtime
-// geomean-normalized to the proposed method (1.0 = proposed).
-type ArmResult struct {
-	Name    string
-	Latency float64
-	Runtime float64
-}
-
-// FigReport is a normalized multi-arm comparison.
-type FigReport struct {
-	Title string
-	Arms  []ArmResult
-}
-
-// Print renders the report as a normalized table.
-func (r *FigReport) Print(w io.Writer) {
-	fmt.Fprintln(w, r.Title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "method\tnorm.latency\tnorm.runtime")
-	for _, a := range r.Arms {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\n", a.Name, a.Latency, a.Runtime)
-	}
-	tw.Flush()
-}
-
-// Arm returns the named arm, if present.
-func (r *FigReport) Arm(name string) (ArmResult, bool) {
-	for _, a := range r.Arms {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return ArmResult{}, false
-}
-
-// runArms measures every arm over the scaled benchmark set and
-// normalizes to the arm named ref.
-func runArms(o Options, title, ref string, arms map[string]core.Spec, trials map[string]int) (*FigReport, error) {
-	o = o.fill()
-	entries := o.entries()
-	lat := map[string][]float64{}
-	rt := map[string][]float64{}
-	for _, e := range entries {
-		c := e.Build()
-		g := grid.Rect(e.N)
-		for name, sp := range arms {
-			t := 1
-			if trials[name] > 0 {
-				t = trials[name]
-			}
-			m, err := average(c, g, sp, o.Seed, t, o.Metrics)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", e.Name, name, err)
-			}
-			lat[name] = append(lat[name], float64(m.Latency))
-			rt[name] = append(rt[name], seconds(m.Runtime))
-		}
-	}
-	const rtFloor = 50e-6
-	rep := &FigReport{Title: title}
-	for name := range arms {
-		rep.Arms = append(rep.Arms, ArmResult{
-			Name:    name,
-			Latency: geomeanRatio(lat[name], lat[ref], 1),
-			Runtime: geomeanRatio(rt[name], rt[ref], rtFloor),
-		})
-	}
-	sortArms(rep.Arms)
-	return rep, nil
-}
-
-func sortArms(arms []ArmResult) {
-	for i := 1; i < len(arms); i++ {
-		for j := i; j > 0 && arms[j].Name < arms[j-1].Name; j-- {
-			arms[j], arms[j-1] = arms[j-1], arms[j]
-		}
-	}
-}
 
 // RunFig8a reproduces Fig. 8a: initial-placement comparison with routing
 // fixed to the proposed gate ordering and path-finder.
-func RunFig8a(o Options) (*FigReport, error) {
+func RunFig8a(o Options) (*Comparison, error) {
 	o = o.fill()
 	// Spec zero values default to the proposed ordering and path-finder,
 	// so each arm varies placement only.
-	arms := map[string]core.Spec{
-		"identity": {Placement: "identity"},
-		"random":   {Placement: "random"},
-		"gm":       {Placement: "gm"},
-		"gmwp":     {Placement: "gmwp"},
-		"proposed": {Placement: "hilight"},
+	arms := []arm{
+		{name: "gm", sp: core.Spec{Placement: "gm"}},
+		{name: "gmwp", sp: core.Spec{Placement: "gmwp"}},
+		{name: "identity", sp: core.Spec{Placement: "identity"}},
+		{name: "proposed", sp: core.Spec{Placement: "hilight"}, trials: o.allTrials},
+		{name: "random", sp: core.Spec{Placement: "random"}, trials: o.allTrials},
 	}
-	return runArms(o, "Fig. 8a — initial placement (normalized to proposed)", "proposed",
-		arms, map[string]int{"random": o.Trials, "proposed": o.Trials})
+	return compare(o, arms, 3, &Comparison{
+		Title:  "Fig. 8a — initial placement (normalized to proposed)",
+		Header: "method",
+	})
 }
 
 // RunFig8b reproduces Fig. 8b: gate-ordering comparison with the proposed
 // placement and path-finder.
-func RunFig8b(o Options) (*FigReport, error) {
+func RunFig8b(o Options) (*Comparison, error) {
 	o = o.fill()
 	// Placement defaults to the proposed ("hilight") method, so each arm
 	// varies gate ordering only.
-	arms := map[string]core.Spec{
-		"random":     {Ordering: "random"},
-		"ascending":  {Ordering: "ascending"},
-		"descending": {Ordering: "descending"},
-		"llg":        {Ordering: "llg"},
-		"proposed":   {Ordering: "proposed"},
+	arms := []arm{
+		{name: "ascending", sp: core.Spec{Ordering: "ascending"}},
+		{name: "descending", sp: core.Spec{Ordering: "descending"}},
+		{name: "llg", sp: core.Spec{Ordering: "llg"}},
+		{name: "proposed", sp: core.Spec{Ordering: "proposed"}},
+		{name: "random", sp: core.Spec{Ordering: "random"}, trials: o.allTrials},
 	}
-	return runArms(o, "Fig. 8b — gate ordering (normalized to proposed)", "proposed",
-		arms, map[string]int{"random": o.Trials})
-}
-
-// Fig8cRow is one ablation row of Fig. 8c.
-type Fig8cRow struct {
-	Placement, Pattern, Ordering, Braiding string
-	Latency, Runtime                       float64 // normalized to the full proposed stack
-}
-
-// Fig8cReport is the mapping-step ablation of Fig. 8c.
-type Fig8cReport struct {
-	Rows []Fig8cRow
-}
-
-// Print renders the ablation table.
-func (r *Fig8cReport) Print(w io.Writer) {
-	fmt.Fprintln(w, "Fig. 8c — individual mapping steps (normalized to full proposed stack)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "placement\tpattern\tordering\tbraiding\tnorm.latency\tnorm.runtime")
-	for _, row := range r.Rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%.3f\t%.3f\n",
-			row.Placement, row.Pattern, row.Ordering, row.Braiding, row.Latency, row.Runtime)
-	}
-	tw.Flush()
+	return compare(o, arms, 3, &Comparison{
+		Title:  "Fig. 8b — gate ordering (normalized to proposed)",
+		Header: "method",
+	})
 }
 
 // RunFig8c reproduces Fig. 8c: the six-row ablation over placement,
-// pattern matching, gate ordering and fast braiding.
-func RunFig8c(o Options) (*Fig8cReport, error) {
+// pattern matching, gate ordering and fast braiding. Each row's name is
+// its four step cells (ours, a baseline, or "-" for the step left out),
+// normalized to the full proposed stack (row 3).
+func RunFig8c(o Options) (*Comparison, error) {
 	o = o.fill()
-	type row struct {
-		placement, pattern, ordering, braiding string
-		sp                                     core.Spec
+	arms := []arm{
+		{name: "identity\t-\tours\tours", sp: core.Spec{Placement: "identity"}},
+		{name: "gm\t-\tours\tours", sp: core.Spec{Placement: "gm"}},
+		{name: "ours\t-\tours\tours", sp: core.Spec{Placement: "proximity"}},
+		{name: "ours\tours\tours\tours", sp: core.MustMethod("hilight-map")},
+		{name: "ours\tours\tours\t-", sp: core.Spec{Finder: "full-16"}},
+		{name: "ours\tours\tllg\tours", sp: core.Spec{Ordering: "llg"}},
 	}
-	specs := []row{
-		{"identity", "-", "ours", "ours", core.Spec{Placement: "identity"}},
-		{"gm", "-", "ours", "ours", core.Spec{Placement: "gm"}},
-		{"ours", "-", "ours", "ours", core.Spec{Placement: "proximity"}},
-		{"ours", "ours", "ours", "ours", core.MustMethod("hilight-map")},
-		{"ours", "ours", "ours", "-", core.Spec{Finder: "full-16"}},
-		{"ours", "ours", "llg", "ours", core.Spec{Ordering: "llg"}},
-	}
-	entries := o.entries()
-	lat := make([][]float64, len(specs))
-	rt := make([][]float64, len(specs))
-	for _, e := range entries {
-		c := e.Build()
-		g := grid.Rect(e.N)
-		for i, r := range specs {
-			m, err := average(c, g, r.sp, o.Seed, 1, o.Metrics)
-			if err != nil {
-				return nil, fmt.Errorf("%s/row%d: %w", e.Name, i, err)
-			}
-			lat[i] = append(lat[i], float64(m.Latency))
-			rt[i] = append(rt[i], seconds(m.Runtime))
-		}
-	}
-	const refRow = 3 // the full proposed stack
-	const rtFloor = 50e-6
-	rep := &Fig8cReport{}
-	for i, r := range specs {
-		rep.Rows = append(rep.Rows, Fig8cRow{
-			Placement: r.placement, Pattern: r.pattern,
-			Ordering: r.ordering, Braiding: r.braiding,
-			Latency: geomeanRatio(lat[i], lat[refRow], 1),
-			Runtime: geomeanRatio(rt[i], rt[refRow], rtFloor),
-		})
-	}
-	return rep, nil
+	return compare(o, arms, 3, &Comparison{
+		Title:  "Fig. 8c — individual mapping steps (normalized to full proposed stack)",
+		Header: "placement\tpattern\tordering\tbraiding",
+	})
 }

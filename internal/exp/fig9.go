@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 
 	_ "hilight/internal/autobraid" // registers the autobraid-sp/-full method specs
@@ -11,7 +10,6 @@ import (
 	"hilight/internal/bench"
 	"hilight/internal/circuit"
 	"hilight/internal/core"
-	"hilight/internal/grid"
 )
 
 // Fig9Point is one (benchmark, size, method) measurement of the
@@ -93,17 +91,29 @@ func RunFig9(o Options) (*Fig9Report, error) {
 			return bench.Ising(n, steps)
 		},
 	}
-	rep := &Fig9Report{}
+	// The size sweep is the benchmark list: Function holds the family.
+	var entries []bench.Entry
 	for _, name := range []string{"QFT", "BV", "CC", "Ising"} {
+		build := builders[name]
 		for _, n := range sizes[name] {
-			c := builders[name](n)
-			for _, method := range Fig9Methods {
-				m, err := runOn(c, grid.Rect(n), core.MustMethod(method), rand.New(rand.NewSource(o.Seed)), o.Metrics)
-				if err != nil {
-					return nil, fmt.Errorf("%s-%d/%s: %w", name, n, method, err)
-				}
-				rep.Points = append(rep.Points, Fig9Point{Bench: name, N: n, Method: method, Measurement: m})
-			}
+			entries = append(entries, bench.Entry{
+				Function: name, Name: fmt.Sprintf("%s-%d", name, n), N: n,
+				Build: func() *circuit.Circuit { return build(n) },
+			})
+		}
+	}
+	arms := make([]arm, len(Fig9Methods))
+	for i, method := range Fig9Methods {
+		arms[i] = arm{name: method, sp: core.MustMethod(method)}
+	}
+	ms, err := measure(o, entries, arms)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Fig9Report{}
+	for b, e := range entries {
+		for i, method := range Fig9Methods {
+			rep.Points = append(rep.Points, Fig9Point{Bench: e.Function, N: e.N, Method: method, Measurement: ms[i][b]})
 		}
 	}
 	return rep, nil

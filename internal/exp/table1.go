@@ -5,8 +5,8 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"hilight/internal/bench"
 	"hilight/internal/core"
-	"hilight/internal/grid"
 )
 
 // Table1Row is one benchmark line of Table 1: the three frameworks'
@@ -20,69 +20,48 @@ type Table1Row struct {
 // Table1Report is the full table plus the normalized summary row.
 type Table1Report struct {
 	Rows []Table1Row
-	// Normalized geometric means relative to hilight-map (the paper's
-	// "Normalized to Ours" row; 1.0 = parity, >1 = worse than HiLight).
-	SPLatency, SPRuntime, SPResUtil       float64
-	FullLatency, FullRuntime, FullResUtil float64
+	// SP and Full are autobraid-sp and autobraid-full normalized to
+	// hilight-map (the paper's "Normalized to Ours" row; 1.0 = parity,
+	// >1 = worse than HiLight).
+	SP, Full Row
 }
 
 // RunTable1 reproduces Table 1: every benchmark mapped by autobraid-sp,
 // autobraid-full and hilight-map on the rectangular M×(M−1) grid.
 func RunTable1(o Options) (*Table1Report, error) {
 	o = o.fill()
+	// QFT rows average the pattern-matched random layout (§3.1.2).
+	qftTrials := func(e bench.Entry) int {
+		if e.Function == "Quantum Fourier Transform" {
+			return o.Trials
+		}
+		return 1
+	}
+	arms := []arm{
+		{name: "autobraid-sp", sp: core.MustMethod("autobraid-sp")},
+		{name: "autobraid-full", sp: core.MustMethod("autobraid-full")},
+		{name: "hilight-map", sp: core.MustMethod("hilight-map"), trials: qftTrials},
+	}
+	entries := o.entries()
+	ms, err := measure(o, entries, arms)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Table1Report{}
-	for _, e := range o.entries() {
-		c := e.Build()
-		row := Table1Row{Type: e.Type, Function: e.Function, Name: e.Name, N: e.N, Gates: e.Gates}
-		var err error
-		if row.SP, err = runOn(c, grid.Rect(e.N), core.MustMethod("autobraid-sp"), nil, o.Metrics); err != nil {
-			return nil, fmt.Errorf("%s/autobraid-sp: %w", e.Name, err)
-		}
-		if row.Full, err = average(c, grid.Rect(e.N), core.MustMethod("autobraid-full"), o.Seed, 1, o.Metrics); err != nil {
-			return nil, fmt.Errorf("%s/autobraid-full: %w", e.Name, err)
-		}
-		// QFT rows average the pattern-matched random layout (§3.1.2).
-		trials := 1
-		if c.NumQubits >= 4 && isQFTLike(e.Name) {
-			trials = o.Trials
-		}
-		if row.HiLight, err = average(c, grid.Rect(e.N), core.MustMethod("hilight-map"), o.Seed, trials, o.Metrics); err != nil {
-			return nil, fmt.Errorf("%s/hilight-map: %w", e.Name, err)
-		}
-		rep.Rows = append(rep.Rows, row)
+	for b, e := range entries {
+		rep.Rows = append(rep.Rows, Table1Row{
+			Type: e.Type, Function: e.Function, Name: e.Name, N: e.N, Gates: e.Gates,
+			SP: ms[0][b], Full: ms[1][b], HiLight: ms[2][b],
+		})
 	}
-	rep.summarize()
+	norm := normalize(arms, ms, 2)
+	rep.SP, rep.Full = norm[0], norm[1]
 	return rep, nil
-}
-
-func isQFTLike(name string) bool {
-	return len(name) >= 3 && name[:3] == "QFT"
-}
-
-func (r *Table1Report) summarize() {
-	var spL, spR, spU, flL, flR, flU, ourL, ourR, ourU []float64
-	for _, row := range r.Rows {
-		spL = append(spL, float64(row.SP.Latency))
-		spR = append(spR, seconds(row.SP.Runtime))
-		spU = append(spU, row.SP.ResUtil)
-		flL = append(flL, float64(row.Full.Latency))
-		flR = append(flR, seconds(row.Full.Runtime))
-		flU = append(flU, row.Full.ResUtil)
-		ourL = append(ourL, float64(row.HiLight.Latency))
-		ourR = append(ourR, seconds(row.HiLight.Runtime))
-		ourU = append(ourU, row.HiLight.ResUtil)
-	}
-	const rtFloor = 50e-6 // 50µs floor keeps trivial benchmarks from dominating ratios
-	r.SPLatency = geomeanRatio(spL, ourL, 1)
-	r.SPRuntime = geomeanRatio(spR, ourR, rtFloor)
-	r.SPResUtil = geomeanRatio(spU, ourU, 1e-6)
-	r.FullLatency = geomeanRatio(flL, ourL, 1)
-	r.FullRuntime = geomeanRatio(flR, ourR, rtFloor)
-	r.FullResUtil = geomeanRatio(flU, ourU, 1e-6)
 }
 
 // Print renders the report in the paper's layout.
 func (r *Table1Report) Print(w io.Writer) {
+	fmt.Fprintln(w, "Table 1 — mapping-level comparison (grid M×(M−1))")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "name\tn\tg\tsp.lat\tsp.rt[s]\tsp.util\tfull.lat\tfull.rt[s]\tfull.util\tours.lat\tours.rt[s]\tours.util")
 	for _, row := range r.Rows {
@@ -93,7 +72,7 @@ func (r *Table1Report) Print(w io.Writer) {
 			row.HiLight.Latency, seconds(row.HiLight.Runtime), row.HiLight.ResUtil)
 	}
 	fmt.Fprintf(tw, "normalized to ours\t\t\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t1.000\t1.000\t1.000\n",
-		r.SPLatency, r.SPRuntime, r.SPResUtil,
-		r.FullLatency, r.FullRuntime, r.FullResUtil)
+		r.SP.Latency, r.SP.Runtime, r.SP.ResUtil,
+		r.Full.Latency, r.Full.Runtime, r.Full.ResUtil)
 	tw.Flush()
 }

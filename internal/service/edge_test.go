@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -183,10 +184,10 @@ func TestCompileEnvelopeNegotiation(t *testing.T) {
 // header tracks observed compile latency (clamped to [floor, 1m]) and
 // the JSON body mirrors the exact value as retry_after_ms.
 func TestRetryAfterDerived(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1, RetryAfter: time.Second})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1})
 
 	// Saturate the single worker so the next request is rejected.
-	rel, err := s.admit.acquire(t.Context())
+	rel, err := s.admit.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

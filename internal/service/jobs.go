@@ -118,8 +118,8 @@ type batchRun func(ctx context.Context, id string, todo []int, settle settleFunc
 
 // planFunc validates a batch request and resolves it into the per-job
 // fingerprints its ack promises and the function that runs its jobs.
-// hdr is the submitting request's header; a batch a journal replay
-// resumes has none.
+// hdr is the submitting request's header; for a batch a journal replay
+// resumes, it holds only the tenant and priority the submit carried.
 type planFunc func(req *jobsRequest, hdr http.Header) (fps []string, run batchRun, err error)
 
 // JobStore owns the async batches of POST /v1/jobs: it ids them, runs
@@ -174,12 +174,12 @@ func newJobStore(maxStored int, m *obs.Registry) *JobStore {
 // instead of the local compiler: the coordinator's store. Each batch
 // resolves into self-contained compile units, exactly as a single node
 // expands it (jobsRequest.resolve), and dispatch runs the units listed
-// in todo. hdr is the submit's header, nil for a batch the journal
-// resumes. dispatch must call settle once per listed unit, with the
-// worker's binary envelope or an error, and return once all have
-// settled; an error wrapping hilight.ErrCanceled is transient. With
-// journalDir set the store journals, replays and compacts exactly as
-// New does.
+// in todo. hdr is the submit's header; for a batch the journal resumes
+// it holds only the submit's tenant and priority. dispatch must call
+// settle once per listed unit, with the worker's binary envelope or an
+// error, and return once all have settled; an error wrapping
+// hilight.ErrCanceled is transient. With journalDir set the store
+// journals, replays and compacts exactly as New does.
 func OpenJobStore(maxStored int, journalDir string, m *obs.Registry,
 	dispatch func(ctx context.Context, units []Unit, todo []int, hdr http.Header, settle func(i int, envelope []byte, err error)),
 ) (*JobStore, error) {
@@ -378,7 +378,7 @@ func (s *JobStore) submit(req *jobsRequest, hdr http.Header, onDone func()) (str
 	s.mu.Unlock()
 
 	if s.journal != nil {
-		if err := s.journal.appendSubmit(id, req, fps); err != nil {
+		if err := s.journal.appendSubmit(id, req, fps, hdr); err != nil {
 			// The 202 ack promises durability; if the journal can't deliver
 			// it, withdraw the registration and fail the submit instead of
 			// lying to the client.
@@ -504,7 +504,7 @@ func (s *JobStore) restore(batches []*replayBatch) {
 		resurrectedB.Inc()
 		rerunJ.Add(int64(len(rb.fps) - rb.have))
 		req := rb.req // copy: the plan may inject the route-worker default
-		fps, run, err := s.plan(&req, nil)
+		fps, run, err := s.plan(&req, rb.header())
 		if err == nil && !slices.Equal(fps, rb.fps) {
 			err = errors.New("request no longer resolves to the acknowledged fingerprints")
 		}

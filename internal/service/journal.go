@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -30,11 +31,16 @@ import (
 //
 // Record kinds, one JSON object per line:
 //
-//	{"kind":"submit","id":"job-000001","req":{...},"fps":["..."]}
+//	{"kind":"submit","id":"job-000001","req":{...},"fps":["..."],"tenant":"t","priority":"batch"}
 //	{"kind":"job","id":"job-000001","job":2,"res":{...}}
 //	{"kind":"done","id":"job-000001"}
 //	{"kind":"evict","id":"job-000001"}
 //	{"kind":"session","id":"<child fp>","fps":["<parent fp>"],"res":{...}}
+//
+// A submit record keeps the submit's X-Hilight-Tenant and
+// X-Hilight-Priority headers when it carried them, so a batch the
+// replay resumes runs under the tenant and priority it was acknowledged
+// under.
 //
 // A session record captures compile lineage: the stored result of a
 // recompile (If-Fingerprint-Match or a defect-feed refresh) keyed by its
@@ -63,6 +69,10 @@ type journalRecord struct {
 	Fps  []string        `json:"fps,omitempty"`
 	Job  int             `json:"job,omitempty"`
 	Res  json.RawMessage `json:"res,omitempty"`
+	// Tenant and Priority are a submit's X-Hilight-Tenant and
+	// X-Hilight-Priority headers.
+	Tenant   string `json:"tenant,omitempty"`
+	Priority string `json:"priority,omitempty"`
 }
 
 // appendWait is one enqueued line; done (when non-nil) receives the
@@ -106,6 +116,18 @@ type replayBatch struct {
 	done    bool
 	results []jobResult // len == len(fps); zero entry ⇒ no completion record
 	have    int         // completed entries in results
+
+	// tenant and priority are the submit's headers, "" when absent.
+	tenant, priority string
+}
+
+// header returns the submit headers the batch's plan sees when the
+// replay resumes it: nil when the submit carried neither.
+func (rb *replayBatch) header() http.Header {
+	if rb.tenant == "" && rb.priority == "" {
+		return nil
+	}
+	return http.Header{"X-Hilight-Tenant": {rb.tenant}, "X-Hilight-Priority": {rb.priority}}
 }
 
 // openJournal replays, prunes and compacts the journal under dir, then
@@ -303,14 +325,16 @@ func (j *journal) kill() {
 	j.wg.Wait()
 }
 
-// appendSubmit journals a batch acknowledgment and waits for the fsync:
-// once it returns nil the submission survives any crash.
-func (j *journal) appendSubmit(id string, req *jobsRequest, fps []string) error {
+// appendSubmit journals a batch acknowledgment, with the tenant and
+// priority of its submit header hdr, and waits for the fsync: once it
+// returns nil the submission survives any crash.
+func (j *journal) appendSubmit(id string, req *jobsRequest, fps []string, hdr http.Header) error {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("journal: encode request: %w", err)
 	}
-	return j.append(&journalRecord{Kind: recSubmit, ID: id, Req: raw, Fps: fps}, true)
+	return j.append(&journalRecord{Kind: recSubmit, ID: id, Req: raw, Fps: fps,
+		Tenant: hdr.Get("X-Hilight-Tenant"), Priority: hdr.Get("X-Hilight-Priority")}, true)
 }
 
 // appendJob journals one job completion (fire-and-forget: the batch
@@ -408,7 +432,7 @@ func readJournal(path string, m *obs.Registry) ([]*replayBatch, []*journalRecord
 			if byID[rec.ID] != nil {
 				continue // duplicate submit: keep the first
 			}
-			rb := &replayBatch{id: rec.ID, reqRaw: rec.Req, fps: rec.Fps}
+			rb := &replayBatch{id: rec.ID, reqRaw: rec.Req, fps: rec.Fps, tenant: rec.Tenant, priority: rec.Priority}
 			rb.seq, _ = parseBatchSeq(rec.ID)
 			if err := json.Unmarshal(rec.Req, &rb.req); err != nil {
 				torn.Inc()
@@ -519,7 +543,8 @@ func compactJournal(path string, batches []*replayBatch, sessions []*journalReco
 	w := bufio.NewWriter(f)
 	enc := json.NewEncoder(w)
 	for _, rb := range batches {
-		if err := enc.Encode(&journalRecord{Kind: recSubmit, ID: rb.id, Req: rb.reqRaw, Fps: rb.fps}); err != nil {
+		if err := enc.Encode(&journalRecord{Kind: recSubmit, ID: rb.id, Req: rb.reqRaw, Fps: rb.fps,
+			Tenant: rb.tenant, Priority: rb.priority}); err != nil {
 			f.Close()
 			return fmt.Errorf("journal: compact: %w", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hilight"
 	"hilight/internal/obs"
 )
 
@@ -391,4 +393,70 @@ func TestJournalEvictionSurvivesReplay(t *testing.T) {
 	}
 	pollDone(t, ts2.URL, id5)
 	stopGracefully(t, s2, ts2)
+}
+
+// TestJournalResumeKeepsTenantAndPriority pins the coordinator store's
+// resumed units to the submit's X-Hilight-Tenant and X-Hilight-Priority:
+// a store killed mid-batch, twice, hands the batch's dispatch the
+// submit's values on each reopen, the second time from the compacted
+// journal. A resumed unit that ran as the default tenant in the
+// interactive lane would escape its tenant's quota and jump the batch
+// lane.
+func TestJournalResumeKeepsTenantAndPriority(t *testing.T) {
+	dir := t.TempDir()
+	type call struct{ tenant, priority string }
+	// open opens the store over dir; its dispatch reports each call's
+	// header on calls and, unless settleAll, holds the units until the
+	// store is killed.
+	open := func(calls chan<- call, settleAll bool) *JobStore {
+		t.Helper()
+		s, err := OpenJobStore(8, dir, obs.NewRegistry(),
+			func(ctx context.Context, _ []Unit, todo []int, hdr http.Header, settle func(int, []byte, error)) {
+				calls <- call{hdr.Get("X-Hilight-Tenant"), hdr.Get("X-Hilight-Priority")}
+				err := errors.New("not compiled in this test")
+				if !settleAll {
+					<-ctx.Done()
+					err = hilight.ErrCanceled // transient: the unit resumes
+				}
+				for _, i := range todo {
+					settle(i, nil, err)
+				}
+			})
+		if err != nil {
+			t.Fatalf("OpenJobStore: %v", err)
+		}
+		return s
+	}
+	want := call{"acme", "batch"}
+	hdr := http.Header{}
+	hdr.Set("X-Hilight-Tenant", want.tenant)
+	hdr.Set("X-Hilight-Priority", want.priority)
+	body := []byte(`{"jobs":[{"benchmark":"rd32_270"},{"benchmark":"4gt11_82"}]}`)
+
+	calls := make(chan call, 1)
+	s := open(calls, false)
+	id, _, err := s.Submit(body, hdr)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if got := <-calls; got != want {
+		t.Fatalf("submit dispatched as %+v, want %+v", got, want)
+	}
+	for life := 2; life <= 3; life++ {
+		s.Kill()
+		s = open(calls, life == 3)
+		select {
+		case got := <-calls:
+			if got != want {
+				t.Errorf("life %d resumed %s as %+v, want %+v", life, id, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("life %d never resumed %s", life, id)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
 }

@@ -33,8 +33,6 @@ type Config struct {
 	// MaxStoredJobs bounds retained async batches (default 64; completed
 	// batches beyond the bound are evicted oldest-first).
 	MaxStoredJobs int
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// DefaultTimeout bounds a compile when the request doesn't (default
 	// 60s); MaxTimeout clamps request-supplied timeouts (default 10m).
 	DefaultTimeout time.Duration
@@ -45,13 +43,6 @@ type Config struct {
 	// execution knob: schedules are byte-identical at any pool size, so it
 	// never affects cache keys or cached results.
 	RouteWorkers int
-	// RetryAfter is the floor of the Retry-After hint returned with 429
-	// responses (default 1s). The actual hint is derived from live load —
-	// current queue depth times the recent average compile latency —
-	// clamped between this floor and maxRetryAfter, and mirrored in the
-	// JSON error body as retry_after_ms so clients don't need to parse
-	// headers.
-	RetryAfter time.Duration
 	// NodeID, when non-empty, names this node in the X-Hilight-Node
 	// response header — cluster deployments use it to make worker
 	// placement observable to clients and tests.
@@ -102,17 +93,11 @@ func (c *Config) fillDefaults() {
 	if c.MaxStoredJobs <= 0 {
 		c.MaxStoredJobs = 64
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -795,9 +780,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeBody parses the JSON request body with the configured size cap.
+// MaxBodyBytes caps request bodies, on a node and on a coordinator.
+const MaxBodyBytes = 8 << 20
+
+// decodeBody parses the JSON request body under MaxBodyBytes.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
@@ -811,26 +799,31 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) er
 	return nil
 }
 
-// maxRetryAfter caps the derived Retry-After hint: past a minute the
-// estimate says more about a pathological backlog than about when to
-// retry, and well-behaved clients should poll by then anyway.
-const maxRetryAfter = time.Minute
+// The derived Retry-After hint of a 429 is clamped to [minRetryAfter,
+// maxRetryAfter]: past a minute the estimate says more about a
+// pathological backlog than about when to retry, and well-behaved
+// clients should poll by then anyway.
+const (
+	minRetryAfter = time.Second
+	maxRetryAfter = time.Minute
+)
 
 // retryAfterHint derives the 429 Retry-After from live load instead of
-// a static config value: the current backlog (queued + in-flight), in
-// waves of cfg.Workers, times the recent average compile latency from
-// the service/compile-seconds histogram. Before any compile has been
-// observed — or if load is momentarily zero — it falls back to the
-// configured floor; the result is clamped to [cfg.RetryAfter,
-// maxRetryAfter].
+// a static value: the current backlog (queued + in-flight), in waves of
+// cfg.Workers, times the recent average compile latency from the
+// service/compile-seconds histogram. Before any compile has been
+// observed — or if load is momentarily zero — it falls back to
+// minRetryAfter; the result is clamped to [minRetryAfter,
+// maxRetryAfter] and mirrored in the JSON error body as retry_after_ms
+// so clients don't need to parse headers.
 func (s *Server) retryAfterHint() time.Duration {
-	hint := s.cfg.RetryAfter
+	hint := minRetryAfter
 	if n := s.compileSeconds.Count(); n > 0 {
 		avg := time.Duration(s.compileSeconds.Sum() / float64(n) * float64(time.Second))
 		waves := s.admit.load()/max(s.cfg.Workers, 1) + 1
 		hint = time.Duration(waves) * avg
 	}
-	return min(max(hint, s.cfg.RetryAfter), maxRetryAfter)
+	return min(max(hint, minRetryAfter), maxRetryAfter)
 }
 
 // failAdmission renders admission-control rejections: 429 + Retry-After
