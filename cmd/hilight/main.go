@@ -43,7 +43,6 @@ func main() {
 		trace   = flag.Bool("trace", false, "print per-stage pipeline timing and counters")
 		metrics = flag.Bool("metrics", false, "print aggregated compile metrics (Prometheus text format) after the output")
 		magicP  = flag.Int("magic-period", 0, "analyze magic-state throughput: cycles per distilled state (0 = off)")
-		routeW  = flag.Int("route-workers", 0, "worker pool for *-parallel route methods (0 = method preset, negative = GOMAXPROCS); the schedule is identical at any setting")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file after compiling")
 		diffF   = flag.Bool("diff", false, "compare two schedule files (canonical JSON or binary wire format) and print the differences: hilight -diff a.json b.json")
@@ -72,7 +71,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(*inFile, *benchN, *list, *method, *gridKin, *factory, *seed, *show, *format, *magicP, *routeW, *trace, *metrics)
+	err := run(*inFile, *benchN, *list, *method, *gridKin, *factory, *seed, *show, *format, *magicP, *trace, *metrics)
 	if *memProf != "" {
 		f, merr := os.Create(*memProf)
 		if merr != nil {
@@ -137,7 +136,7 @@ func loadSchedule(path string) (*hilight.Schedule, error) {
 	return s, nil
 }
 
-func run(inFile, benchName string, list bool, method, gridKind, factory string, seed int64, show, format string, magicPeriod, routeWorkers int, trace, metrics bool) error {
+func run(inFile, benchName string, list bool, method, gridKind, factory string, seed int64, show, format string, magicPeriod int, trace, metrics bool) error {
 	if list {
 		fmt.Println("methods:")
 		for _, m := range hilight.Methods() {
@@ -193,9 +192,6 @@ func run(inFile, benchName string, list bool, method, gridKind, factory string, 
 		return err
 	}
 	copts := []hilight.Option{hilight.WithMethod(method), hilight.WithSeed(seed)}
-	if routeWorkers != 0 {
-		copts = append(copts, hilight.WithRouteWorkers(routeWorkers))
-	}
 	var reg *hilight.Metrics
 	if metrics {
 		reg = hilight.NewMetrics()

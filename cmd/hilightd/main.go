@@ -7,8 +7,8 @@
 //
 //	hilightd [-addr :8753] [-node-id NAME] [-max-jobs N] [-journal DIR]
 //	         [-drain-timeout D] [-workers N] [-queue N] [-cache-bytes N]
-//	         [-timeout D] [-max-timeout D] [-route-workers N] [-watchdog D]
-//	         [-tenant-quota N] [-log-events=BOOL]
+//	         [-timeout D] [-max-timeout D] [-watchdog D] [-tenant-quota N]
+//	         [-log-events=BOOL]
 //	hilightd -coordinator URL1,URL2,... [-addr :8753] [-node-id NAME]
 //	         [-max-jobs N] [-journal DIR] [-drain-timeout D]
 //	         [-probe-interval D]
@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxTimeout   = fs.Duration("max-timeout", 10*time.Minute, "cap on request-supplied deadlines")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		logEvents    = fs.Bool("log-events", true, "log async batch job lifecycle events to stderr")
-		routeWorkers = fs.Int("route-workers", 0, "route-pass worker pool for *-parallel methods when a request doesn't set route_workers (0 = method preset, negative = GOMAXPROCS); schedules are identical at any setting")
 		journalDir   = fs.String("journal", "", "directory for the durable job journal (empty disables; async batches then don't survive restarts)")
 		watchdog     = fs.Duration("watchdog", 2*time.Minute, "abort compiles with no routing-cycle progress for this long (0 disables)")
 		nodeID       = fs.String("node-id", "", "node name stamped in the X-Hilight-Node response header (cluster deployments)")
@@ -103,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// coordinator started with -workers would otherwise run as though it
 	// had been sized.
 	ignored := []string{"workers", "queue", "cache-bytes", "timeout", "max-timeout",
-		"route-workers", "watchdog", "tenant-quota", "log-events"}
+		"watchdog", "tenant-quota", "log-events"}
 	mode := "with -coordinator"
 	if *coordinator == "" {
 		ignored, mode = []string{"probe-interval"}, "without -coordinator"
@@ -147,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxStoredJobs:  *maxJobs,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		RouteWorkers:   *routeWorkers,
 		JournalDir:     *journalDir,
 		WatchdogWindow: *watchdog,
 		NodeID:         *nodeID,

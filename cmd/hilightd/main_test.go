@@ -295,7 +295,7 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	// A flag the chosen mode ignores is rejected by name.
 	worker := []string{"-workers=2", "-queue=8", "-cache-bytes=0", "-timeout=1s", "-max-timeout=1s",
-		"-route-workers=2", "-watchdog=0", "-tenant-quota=1", "-log-events=false"}
+		"-watchdog=0", "-tenant-quota=1", "-log-events=false"}
 	cases := [][]string{{"-probe-interval=1s"}}
 	for _, f := range worker {
 		cases = append(cases, []string{"-coordinator=http://127.0.0.1:1", f})

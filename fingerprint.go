@@ -21,14 +21,11 @@ const fingerprintVersion = "hilight-fp-v1"
 // reserved tiles or defects, a WithDefects map, the method, the seed,
 // the QCO override, compaction, or the fallback chain — produces a
 // different digest. Options that cannot change the produced schedule
-// (WithContext, WithTimeout, WithObserver, WithMetrics, WithEvents,
-// WithRouteWorkers) are excluded, so one fingerprint names one
+// (WithContext, WithTimeout, WithObserver, WithMetrics, WithEvents and
+// the no-op WithRouteWorkers) are excluded, so one fingerprint names one
 // schedule: a cache keyed by it may serve a result compiled under
-// different instrumentation or concurrency, byte for byte the schedule
-// this call would compile. WithRouteWorkers is inert on sequential
-// methods, and for a parallel method the speculative route step emits
-// byte-identical schedules at every pool size (pinned by the
-// determinism suite).
+// different instrumentation, byte for byte the schedule this call would
+// compile.
 //
 // The circuit is canonicalized through its OpenQASM rendering (gate list
 // and width; the circuit's display name does not participate), and

@@ -238,12 +238,12 @@ func routeWork(t testing.TB, key string, res *hilight.Result) string {
 	return ""
 }
 
-// parallelHash compiles c with hilight-map-parallel at one route worker
-// and seed 1, validates the schedule and fingerprints it.
+// parallelHash compiles c with hilight-map-parallel at seed 1,
+// validates the schedule and fingerprints it.
 func parallelHash(t testing.TB, name string, c *hilight.Circuit, g *hilight.Grid, opts ...hilight.Option) string {
 	t.Helper()
 	opts = append([]hilight.Option{
-		hilight.WithMethod("hilight-map-parallel"), hilight.WithSeed(1), hilight.WithRouteWorkers(1),
+		hilight.WithMethod("hilight-map-parallel"), hilight.WithSeed(1),
 	}, opts...)
 	res, err := hilight.Compile(c, g, opts...)
 	if err != nil {

@@ -167,21 +167,20 @@ func EquivalentCircuits(a, b *Circuit, tol float64) (bool, error) {
 
 // options collects Compile configuration.
 type options struct {
-	method       string
-	seed         int64
-	qco          *bool
-	observer     core.Observer
-	sink         core.ScheduleSink
-	metrics      *obs.Registry
-	events       obs.EventObserver
-	jobDone      func(job int, r BatchResult)
-	compact      bool
-	defects      *DefectMap
-	ctx          context.Context
-	timeout      time.Duration
-	fallback     []string
-	routeWorkers *int
-	placement    place.Method // test hook: overrides the method's placement
+	method    string
+	seed      int64
+	qco       *bool
+	observer  core.Observer
+	sink      core.ScheduleSink
+	metrics   *obs.Registry
+	events    obs.EventObserver
+	jobDone   func(job int, r BatchResult)
+	compact   bool
+	defects   *DefectMap
+	ctx       context.Context
+	timeout   time.Duration
+	fallback  []string
+	placement place.Method // test hook: overrides the method's placement
 }
 
 // Option configures Compile.
@@ -308,23 +307,14 @@ func WithCompaction() Option {
 	return func(o *options) { o.compact = true }
 }
 
-// WithRouteWorkers sets the worker-pool size of the speculative route
-// step used by the *-parallel methods (see Methods), in Compile and in
-// Recompile's warm suffix alike: n goroutines path-find each cycle's
-// ready gates concurrently against an immutable snapshot, and a
-// deterministic commit order makes the emitted schedule byte-identical
-// for every pool size. Any n ≤ 0 selects GOMAXPROCS at
-// route time. Methods that route sequentially ignore the option, so a
-// process-wide default is always safe to set. Because the output never
-// depends on the value, the option is excluded from Fingerprint.
-func WithRouteWorkers(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			n = -1 // auto: GOMAXPROCS at route time
-		}
-		o.routeWorkers = &n
-	}
-}
+// WithRouteWorkers does nothing. It once sized a goroutine pool for the
+// speculative route step of the *-parallel methods; that step now runs
+// on the calling goroutine, because on the measured hosts the pool only
+// added time, and the emitted schedule never depended on the value.
+//
+// Deprecated: the option stays only so existing callers keep compiling;
+// drop it. Fingerprint ignores it.
+func WithRouteWorkers(n int) Option { return func(*options) {} }
 
 // Methods returns the method names accepted by WithMethod, sorted.
 // Every name resolves to a declarative pipeline spec in core's static
@@ -393,7 +383,7 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 		}
 		// Each attempt gets a fresh seeded rng, so a method sees the same
 		// random stream whether it runs as primary or as fallback.
-		ro := o.runOptions(ctx, specs[i], rand.New(rand.NewSource(o.seed)))
+		ro := o.runOptions(ctx, rand.New(rand.NewSource(o.seed)))
 		res, err := core.Run(c, g, specs[i], ro)
 		if err != nil {
 			if firstErr == nil {
@@ -443,10 +433,10 @@ func (o *options) compileContext() (context.Context, context.CancelFunc, error) 
 	return ctx, cancel, nil
 }
 
-// runOptions builds the core options of one compile attempt of sp, cold
-// or warm.
-func (o *options) runOptions(ctx context.Context, sp core.Spec, rng *rand.Rand) core.RunOptions {
-	ro := core.RunOptions{
+// runOptions builds the core options of one compile attempt, cold or
+// warm.
+func (o *options) runOptions(ctx context.Context, rng *rand.Rand) core.RunOptions {
+	return core.RunOptions{
 		Rng:       rng,
 		QCO:       o.qco,
 		Observer:  o.observer,
@@ -456,15 +446,6 @@ func (o *options) runOptions(ctx context.Context, sp core.Spec, rng *rand.Rand) 
 		Compact:   o.compact,
 		Placement: o.placement,
 	}
-	// The worker count applies only to methods that already route in
-	// parallel: overriding it can then never change which route step
-	// runs, which keeps the option inert on sequential methods and
-	// output-neutral on parallel ones — the contract that lets
-	// Fingerprint exclude it.
-	if sp.RouteWorkers != 0 {
-		ro.RouteWorkers = o.routeWorkers
-	}
-	return ro
 }
 
 // Benchmark builds a named Table 1 benchmark circuit (see BenchmarkNames).

@@ -84,30 +84,25 @@ func BenchmarkCompileQFT(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileQFTParallel measures the parallel route pass
-// (hilight-map-parallel: speculative workers + windowed lookahead +
-// component pruning) at fixed pool sizes, as in the worker-scaling table
-// of the frozen BENCH_route.json snapshot. The schedule is identical
-// across arms.
+// BenchmarkCompileQFTParallel measures the speculative route step
+// (hilight-map-parallel: windowed lookahead + component pruning), as in
+// the frozen BENCH_route.json snapshot.
 func BenchmarkCompileQFTParallel(b *testing.B) {
 	for _, n := range []int{64, 256} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("QFT%d/workers%d", n, workers), func(b *testing.B) {
-				c := bench.QFT(n)
-				g := grid.Rect(n)
-				sp := MustMethod("hilight-map-parallel")
-				sp.RouteWorkers = workers
+		b.Run(fmt.Sprintf("QFT%d", n), func(b *testing.B) {
+			c := bench.QFT(n)
+			g := grid.Rect(n)
+			sp := MustMethod("hilight-map-parallel")
+			if _, err := Run(c, g, sp, RunOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := Run(c, g, sp, RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(c, g, sp, RunOptions{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -176,10 +176,6 @@ type RunOptions struct {
 	Placement place.Method
 	// Adjuster, when non-nil, replaces the spec's adjuster.
 	Adjuster LayoutAdjuster
-	// RouteWorkers, when non-nil, overrides the spec's worker count for
-	// the speculative step (0 sequential, n ≥ 1 workers, negative =
-	// GOMAXPROCS). The schedule is byte-identical for every n ≥ 1.
-	RouteWorkers *int
 	// Warm, when non-nil, warm-starts the compile from a previous
 	// result: placement is replaced by the parent layout and the route
 	// pass replays Warm.Prefix before routing the remainder. See
@@ -232,9 +228,6 @@ func NewPipeline(sp Spec, opt RunOptions) (*Pipeline, error) {
 	cfg.Sink = opt.Sink
 	cfg.Metrics = opt.Metrics
 	cfg.Ctx = opt.Ctx
-	if opt.RouteWorkers != nil {
-		cfg.RouteWorkers = *opt.RouteWorkers
-	}
 	cfg.Warm = opt.Warm
 	if cfg.Warm != nil {
 		if cfg.Adjuster != nil {
@@ -263,7 +256,7 @@ func NewPipeline(sp Spec, opt RunOptions) (*Pipeline, error) {
 		placePass = passPlaceWarm
 	}
 	routePass := passRoute
-	if cfg.RouteWorkers != 0 && parallelCompatible(cfg) {
+	if cfg.Speculative && parallelCompatible(cfg) {
 		routePass = passRouteParallel
 	}
 	p.Passes = append(p.Passes, passCapacity, placePass, routePass)
@@ -448,10 +441,10 @@ var (
 
 	// passRouteParallel is the same loop with the speculative step: per
 	// cycle, the independent braids of the dependency layer are
-	// speculated by a worker pool against a shared occupancy snapshot
-	// (with free-component pruning and windowed-lookahead tie-breaking)
-	// and committed in the deterministic ordered-ready sequence. It emits
-	// the route counters plus the step's contention stats.
+	// speculated against the cycle's empty occupancy (with
+	// free-component pruning and windowed-lookahead tie-breaking) and
+	// committed in the deterministic ordered-ready sequence. It emits the
+	// route counters plus the step's contention stats.
 	passRouteParallel = Pass{Name: "route-parallel", Run: func(st *State) error {
 		return runRoute(st, &router{speculator: &speculator{}})
 	}}
@@ -505,7 +498,7 @@ var (
 // trace counters on the running pass and, with a registry attached,
 // route/... totals. Search-effort stats (A* pops, DFS stack pops) are
 // reported when the finder tracks them; the speculative step adds its
-// worker count and contention stats.
+// contention stats.
 func runRoute(st *State, rt *router) error {
 	s, err := rt.route(st.Circuit, st.Grid, st.Layout, st.cfg)
 	if err != nil {
@@ -522,7 +515,6 @@ func runRoute(st *State, rt *router) error {
 	}
 	par := rt.speculator
 	if par != nil {
-		st.Count("workers", int64(par.workers))
 		st.Count("conflicts", par.stats.Conflicts)
 		st.Count("retries", par.stats.Retries)
 		st.Count("stall-cycles", par.stats.StallCycles)
@@ -533,7 +525,6 @@ func runRoute(st *State, rt *router) error {
 		m.Counter("route/search-pops").Add(stats.Pops)
 		m.Counter("route/searches").Add(stats.Searches)
 		if par != nil {
-			m.Gauge("route/parallel/workers").Set(int64(par.workers))
 			m.Counter("route/parallel/conflicts").Add(par.stats.Conflicts)
 			m.Counter("route/parallel/retries").Add(par.stats.Retries)
 			m.Counter("route/parallel/stall-cycles").Add(par.stats.StallCycles)

@@ -33,11 +33,11 @@ func init() {
 	RegisterMethod("random", Spec{Placement: "random", Ordering: "proposed", Finder: "astar-closest"})
 	RegisterMethod("hilight-refined", Spec{Placement: "hilight+refine", Ordering: "proposed", Finder: "astar-closest"})
 	RegisterMethod("hilight-cp", Spec{Placement: "hilight", Ordering: "critical-path", Finder: "astar-closest"})
-	// The parallel route-pass variants: same semantic stack as "hilight"
-	// / "hilight-map", with the speculative multi-worker router
-	// (GOMAXPROCS workers by default), whose windowed lookahead has a
-	// fixed depth of 4 gates. Schedules are deterministic for any worker
-	// count.
-	RegisterMethod("hilight-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", QCO: true, RouteWorkers: -1})
-	RegisterMethod("hilight-map-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", RouteWorkers: -1})
+	// The speculative route-step variants: same semantic stack as
+	// "hilight" / "hilight-map", routed by the speculative step, whose
+	// windowed lookahead has a fixed depth of 4 gates. The step runs on
+	// one goroutine; the "-parallel" names are historical and stay
+	// because Fingerprint digests the method name.
+	RegisterMethod("hilight-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", QCO: true, Speculative: true})
+	RegisterMethod("hilight-map-parallel", Spec{Placement: "hilight", Ordering: "proposed", Finder: "astar-closest", Speculative: true})
 }

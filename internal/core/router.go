@@ -123,11 +123,9 @@ type config struct {
 	// speculative step — which substitutes the windowed finder — may
 	// take over without changing which gates are routable.
 	FinderName string
-	// RouteWorkers selects the route step: 0 keeps the sequential step,
-	// n ≥ 1 routes each dependency layer with the speculative step over n
-	// workers, and negative means GOMAXPROCS. The schedule is
-	// deterministic for any n ≥ 1.
-	RouteWorkers int
+	// Speculative selects the speculative route step (see
+	// router_parallel.go) where parallelCompatible allows it.
+	Speculative bool
 	// Metrics, when non-nil, aggregates pipeline and routing counters
 	// across compiles (see RunOptions.Metrics).
 	Metrics *obs.Registry
@@ -211,7 +209,7 @@ type router struct {
 	braidArena []sched.Braid
 
 	// speculator, when non-nil, selects the speculative step and holds its
-	// worker pool, finders and lookahead field.
+	// finder and lookahead field.
 	speculator *speculator
 }
 
@@ -269,9 +267,6 @@ func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cf
 	step := r.routeSequential
 	if r.speculator != nil {
 		r.initSpeculation()
-		if r.speculator.workers > 1 {
-			defer close(r.speculator.workCh)
-		}
 		step = r.routeSpeculative
 	}
 
@@ -437,22 +432,17 @@ func (r *router) commit(rd order.Ready, p route.Path) {
 	}
 }
 
-// searchStats reports the search effort of the step's finders; tracked
+// searchStats reports the search effort of the step's finder; tracked
 // is false when the sequential step's finder does not count it.
 func (r *router) searchStats() (stats route.SearchStats, tracked bool) {
-	if r.speculator == nil {
-		sr, ok := r.cfg.Finder.(route.StatsReporter)
-		if !ok {
-			return stats, false
-		}
-		return sr.Stats(), true
+	if r.speculator != nil {
+		return r.speculator.finder.Stats(), true
 	}
-	for _, f := range r.speculator.finders {
-		fs := f.Stats()
-		stats.Pops += fs.Pops
-		stats.Searches += fs.Searches
+	sr, ok := r.cfg.Finder.(route.StatsReporter)
+	if !ok {
+		return stats, false
 	}
-	return stats, true
+	return sr.Stats(), true
 }
 
 // resetCycle starts a braiding cycle on an empty lattice: no occupied

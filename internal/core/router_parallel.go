@@ -1,33 +1,31 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"hilight/internal/order"
 	"hilight/internal/route"
 )
 
 // This file holds the speculative step of the Alg. 2 loop (the
 // route-parallel pass): the independent braids of each dependency layer
-// are routed speculatively in parallel and committed in a deterministic
-// order.
+// are routed speculatively against the cycle's empty lattice and
+// committed in a deterministic order. The step runs on the calling
+// goroutine; the "parallel" in its names is the method presets' and
+// stage's historical name.
 //
 // Each cycle runs three phases:
 //
-//   - Speculation: a worker pool path-finds every ready gate against the
-//     cycle's empty-lattice snapshot (the occupancy is simply not mutated
-//     while workers run) through per-worker Windowed finders sharing one
-//     free-component labeling and one windowed-lookahead congestion
-//     field. On an empty lattice the corridor fast path answers almost
-//     every query, so speculation is cheap even single-threaded.
-//   - Commit: the single-threaded walk of the *ordered ready sequence* —
-//     never worker completion order — commits each speculative path that
-//     is disjoint from those committed before it. Conflicting candidates
-//     fall through; candidates whose speculation found no path are
-//     deferred to the next cycle (occupancy only grows within a cycle,
-//     so failure against the cycle-start snapshot is monotone).
+//   - Speculation: every ready gate, in ready order, path-finds against
+//     the cycle's empty-lattice snapshot (the occupancy is not mutated
+//     during the round) through one Windowed finder with a
+//     free-component labeling and a windowed-lookahead congestion field.
+//     On an empty lattice the corridor fast path answers almost every
+//     query, so speculation is cheap.
+//   - Commit: the walk of the *ordered ready sequence* commits each
+//     speculative path that is disjoint from those committed before it.
+//     Conflicting candidates fall through; candidates whose speculation
+//     found no path are deferred to the next cycle (occupancy only grows
+//     within a cycle, so failure against the cycle-start snapshot is
+//     monotone).
 //   - Finish: conflicting candidates re-route one by one against the
 //     live occupancy, exactly like the sequential step but with the
 //     component labeling refreshed after every commit — so a gate that
@@ -38,11 +36,9 @@ import (
 // Determinism: the speculation snapshot is a pure function of the
 // committed schedule prefix, the commit and finish orders are the
 // ordered ready sequence, and each Find is a deterministic function of
-// (snapshot, congestion field, gate) regardless of which worker computes
-// it — so the schedule is byte-for-byte identical for every worker count
-// and GOMAXPROCS setting. Starvation-freedom: the first candidate in
-// commit order always commits (nothing precedes it to conflict with),
-// and the finish phase is a linear sequential sweep.
+// (snapshot, congestion field, gate). Starvation-freedom: the first
+// candidate in commit order always commits (nothing precedes it to
+// conflict with), and the finish phase is a linear sequential sweep.
 //
 // The step does not support layout adjusters (inserted SWAPs serialize
 // the cycle anyway); NewPipeline keeps the sequential step for specs
@@ -70,8 +66,7 @@ type parStats struct {
 // which gates are routable: no layout adjuster (inserted SWAPs serialize
 // the cycle), and a finder from the complete A*-closest family (the
 // windowed finder accepts and rejects exactly like it). Incompatible
-// specs silently keep the sequential step, so a process-wide worker
-// default is always safe to set.
+// specs silently keep the sequential step.
 func parallelCompatible(cfg config) bool {
 	if cfg.Adjuster != nil {
 		return false
@@ -83,25 +78,12 @@ func parallelCompatible(cfg config) bool {
 	return false
 }
 
-// resolveRouteWorkers maps a configured worker count to a pool size:
-// negative means GOMAXPROCS, and the result is at least 1.
-func resolveRouteWorkers(n int) int {
-	if n < 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // speculator is the speculative step's state on top of the router's
-// shared scratch: the worker pool, its finders, the free-component
-// labeling and the windowed-lookahead field.
+// shared scratch: its finder, the free-component labeling and the
+// windowed-lookahead field.
 type speculator struct {
-	workers int
-	finders []*route.Windowed
-	comp    route.Components
+	finder route.Windowed
+	comp   route.Components
 	// emptyComp caches the empty-lattice labeling (a function of the
 	// defect map alone), restored by copy at every cycle start instead of
 	// re-sweeping.
@@ -125,38 +107,22 @@ type speculator struct {
 	q2off   []int32
 	q2ptr   []int32
 
-	// Per-cycle speculation state. ready is the cycle's ordered ready
-	// slice; retry holds indices into it; specOK/specPath receive each
-	// candidate's speculation result (workers write disjoint entries).
-	ready    []order.Ready
+	// Per-cycle speculation state. retry holds indices into the cycle's
+	// ordered ready slice; specOK/specPath receive each candidate's
+	// speculation result.
 	retry    []int
 	specOK   []bool
 	specPath []route.Path
-
-	next   atomic.Int64
-	wg     sync.WaitGroup
-	workCh chan struct{}
 
 	stats parStats
 }
 
 // initSpeculation prepares the speculative step for the current route
-// call: the finders, the parked helper goroutines (stopped by closing
-// workCh), the empty-lattice labeling and the lookahead index.
+// call: the finder, the empty-lattice labeling and the lookahead index.
 func (r *router) initSpeculation() {
 	s := r.speculator
 	c, g := r.c, r.g
-	s.workers = resolveRouteWorkers(r.cfg.RouteWorkers)
-	s.finders = s.finders[:0]
-	for i := 0; i < s.workers; i++ {
-		s.finders = append(s.finders, &route.Windowed{Comp: &s.comp})
-	}
-	if s.workers > 1 {
-		s.workCh = make(chan struct{})
-		for w := 1; w < s.workers; w++ {
-			go r.workerLoop(w)
-		}
-	}
+	s.finder = route.Windowed{Comp: &s.comp}
 
 	// The empty-lattice labeling depends only on the defect map: compute
 	// it once against the reset occupancy and restore it by copy each
@@ -215,19 +181,23 @@ func (r *router) initSpeculation() {
 func (r *router) routeSpeculative(ready []order.Ready) int {
 	s := r.speculator
 	g := r.g
-	s.ready = ready
+	f := &s.finder
 	r.computeCongestion()
-	for _, f := range s.finders {
-		f.Cong = s.cong
-	}
+	f.Cong = s.cong
 	s.specOK = resize(s.specOK, len(ready))
 	s.specPath = resize(s.specPath, len(ready))
 
-	// Speculation round: every ready gate path-finds in parallel against
-	// the cycle's empty-lattice snapshot, whose component labeling only
-	// changes when the defect map does.
+	// Speculation round: every ready gate path-finds against the cycle's
+	// empty-lattice snapshot, whose component labeling only changes when
+	// the defect map does.
 	s.comp.CopyFrom(&s.emptyComp)
-	r.speculate()
+	for ci, rd := range ready {
+		p, ok := f.Find(g, r.occ, rd.CtlTile, rd.TgtTile, s.specPath[ci][:0])
+		s.specOK[ci] = ok
+		if ok {
+			s.specPath[ci] = p
+		}
+	}
 
 	// Commit phase: walk the ordered ready sequence, committing every
 	// speculative path that is disjoint from the braids committed before
@@ -263,7 +233,6 @@ func (r *router) routeSpeculative(ready []order.Ready) int {
 		return executed
 	}
 	s.stats.StallCycles++
-	f := s.finders[0]
 	for _, ci := range s.retry {
 		rd := ready[ci]
 		if dirty {
@@ -283,58 +252,6 @@ func (r *router) routeSpeculative(ready []order.Ready) int {
 	return executed
 }
 
-// speculate path-finds every ready gate against the round snapshot,
-// spreading the work over the pool. Worker 0 is the calling goroutine;
-// helpers beyond the candidate count stay parked.
-func (r *router) speculate() {
-	s := r.speculator
-	s.next.Store(0)
-	helpers := s.workers - 1
-	if n := len(s.ready) - 1; helpers > n {
-		helpers = n
-	}
-	if helpers <= 0 {
-		r.speculateWorker(0)
-		return
-	}
-	s.wg.Add(helpers)
-	for i := 0; i < helpers; i++ {
-		s.workCh <- struct{}{}
-	}
-	r.speculateWorker(0)
-	s.wg.Wait()
-}
-
-// workerLoop parks a helper goroutine between rounds; each channel
-// receive corresponds to one round's Add(1).
-func (r *router) workerLoop(w int) {
-	for range r.speculator.workCh {
-		r.speculateWorker(w)
-		r.speculator.wg.Done()
-	}
-}
-
-// speculateWorker claims candidates off the shared cursor and routes
-// them with this worker's finder. All shared state (occupancy,
-// components, congestion) is read-only during a round; results land in
-// per-candidate slots, so workers never contend on data.
-func (r *router) speculateWorker(w int) {
-	s := r.speculator
-	f := s.finders[w]
-	for {
-		ci := int(s.next.Add(1)) - 1
-		if ci >= len(s.ready) {
-			return
-		}
-		rd := s.ready[ci]
-		p, ok := f.Find(r.g, r.occ, rd.CtlTile, rd.TgtTile, s.specPath[ci][:0])
-		s.specOK[ci] = ok
-		if ok {
-			s.specPath[ci] = p
-		}
-	}
-}
-
 // lookahead is the depth of the windowed-lookahead field: how many
 // pending two-qubit gates per qubit, beyond the imminent one, stamp
 // computeCongestion's field. The depth only breaks ties among equally
@@ -349,7 +266,7 @@ const lookahead = 4
 // corner vertices, accumulated with a 2D difference array and one
 // prefix-sum sweep. The result is a per-vertex count of how many
 // upcoming braids want to cross that vertex's neighborhood — the
-// tie-break field the Windowed finders consume.
+// tie-break field the Windowed finder consumes.
 func (r *router) computeCongestion() {
 	s := r.speculator
 	vw, vh := r.g.VW(), r.g.VH()

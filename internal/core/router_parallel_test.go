@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -13,45 +12,11 @@ import (
 	"hilight/internal/sched"
 )
 
-// parSpec is the anonymous parallel-route spec the tests drive, with an
-// explicit worker count override per call site.
-func parSpec(workers int) Spec {
+// parSpec is the anonymous speculative-step spec the tests drive.
+func parSpec() Spec {
 	return Spec{
 		Placement: "hilight", Ordering: "proposed", Finder: "astar-closest",
-		RouteWorkers: workers,
-	}
-}
-
-func encodeSchedule(t *testing.T, s *sched.Schedule) []byte {
-	t.Helper()
-	data, err := sched.EncodeJSON(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestParallelRouteDeterministicAcrossWorkers pins the tentpole
-// guarantee: the worker count selects who computes, never what — the
-// encoded schedule is byte-identical for every pool size.
-func TestParallelRouteDeterministicAcrossWorkers(t *testing.T) {
-	c := bench.QFT(24)
-	g := grid.Rect(24)
-	var want []byte
-	for _, workers := range []int{1, 2, 3, 8} {
-		res, err := Run(c, g, parSpec(workers), RunOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := res.Schedule.Validate(res.Circuit); err != nil {
-			t.Fatalf("workers=%d: invalid schedule: %v", workers, err)
-		}
-		enc := encodeSchedule(t, res.Schedule)
-		if want == nil {
-			want = enc
-		} else if !bytes.Equal(want, enc) {
-			t.Fatalf("workers=%d: schedule differs from workers=1", workers)
-		}
+		Speculative: true,
 	}
 }
 
@@ -67,7 +32,7 @@ func TestParallelRouteEquivalentToSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(c, g, parSpec(4), RunOptions{})
+	par, err := Run(c, g, parSpec(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +90,12 @@ func contentionFixture(t *testing.T, full bool) (*circuit.Circuit, *grid.Grid) {
 }
 
 // contentionSpec places qubit q on tile q (left operands at x=0..3,
-// right operands at x=4..7), so every braid crosses the x=4 cut.
-func contentionSpec(workers int) Spec {
-	sp := parSpec(workers)
+// right operands at x=4..7), so every braid crosses the x=4 cut, and
+// routes with the speculative step or the sequential one.
+func contentionSpec(speculative bool) Spec {
+	sp := parSpec()
 	sp.Placement = "identity"
+	sp.Speculative = speculative
 	return sp
 }
 
@@ -139,7 +106,7 @@ func contentionSpec(workers int) Spec {
 // one braid and every gate eventually executes.
 func TestParallelRouteStarvationGuard(t *testing.T) {
 	c, g := contentionFixture(t, false)
-	res, err := Run(c, g, contentionSpec(4), RunOptions{})
+	res, err := Run(c, g, contentionSpec(true), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +126,8 @@ func TestParallelRouteStarvationGuard(t *testing.T) {
 // reason wording, as the sequential router.
 func TestParallelRouteUnroutableTaxonomy(t *testing.T) {
 	c, g := contentionFixture(t, true)
-	_, parErr := Run(c, g, contentionSpec(4), RunOptions{})
-	seqSp := contentionSpec(0) // RouteWorkers=0 keeps the sequential pass
-	_, seqErr := Run(c, g, seqSp, RunOptions{})
+	_, parErr := Run(c, g, contentionSpec(true), RunOptions{})
+	_, seqErr := Run(c, g, contentionSpec(false), RunOptions{})
 	for name, err := range map[string]error{"parallel": parErr, "sequential": seqErr} {
 		var unroutable *ErrUnroutable
 		if !errors.As(err, &unroutable) {
@@ -187,7 +153,7 @@ func TestParallelRouteTraceAndMetricsReconcile(t *testing.T) {
 	c := bench.QFT(16)
 	g := grid.Rect(16)
 	reg := obs.NewRegistry()
-	res, err := Run(c, g, parSpec(2), RunOptions{Metrics: reg})
+	res, err := Run(c, g, parSpec(), RunOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +166,7 @@ func TestParallelRouteTraceAndMetricsReconcile(t *testing.T) {
 	if stage == nil {
 		t.Fatalf("no route-parallel stage in trace: %+v", res.Trace)
 	}
-	workers, ok := stage.Counter("workers")
-	if !ok || workers != 2 {
-		t.Errorf("trace workers = %d (ok=%v), want 2", workers, ok)
-	}
 	for trace, metric := range map[string]string{
-		"workers":      "route/parallel/workers",
 		"conflicts":    "route/parallel/conflicts",
 		"retries":      "route/parallel/retries",
 		"stall-cycles": "route/parallel/stall-cycles",
@@ -219,29 +180,22 @@ func TestParallelRouteTraceAndMetricsReconcile(t *testing.T) {
 			t.Errorf("trace counter %q missing", trace)
 			continue
 		}
-		var got int64
-		if trace == "workers" {
-			got = reg.Gauge(metric).Value()
-		} else {
-			got = reg.Counter(metric).Value()
-		}
-		if got != want {
+		if got := reg.Counter(metric).Value(); got != want {
 			t.Errorf("metric %s = %d, trace %s = %d — not reconciled", metric, got, trace, want)
 		}
 	}
 }
 
-// TestParallelFallsBackForIncompatibleSpecs pins the safety property
-// that makes a server-wide worker default harmless: specs with a layout
-// adjuster or a non-A*-family finder silently keep the sequential route
-// pass.
+// TestParallelFallsBackForIncompatibleSpecs pins that specs with a
+// layout adjuster or a non-A*-family finder silently keep the sequential
+// route pass.
 func TestParallelFallsBackForIncompatibleSpecs(t *testing.T) {
 	cases := map[string]struct {
 		sp  Spec
 		opt RunOptions
 	}{
-		"adjuster": {sp: parSpec(4), opt: RunOptions{Adjuster: &swapHappyAdjuster{}}},
-		"finder":   {sp: Spec{Placement: "hilight", Finder: "l-shape", RouteWorkers: 4}},
+		"adjuster": {sp: parSpec(), opt: RunOptions{Adjuster: &swapHappyAdjuster{}}},
+		"finder":   {sp: Spec{Placement: "hilight", Finder: "l-shape", Speculative: true}},
 	}
 	for name, tc := range cases {
 		p, err := NewPipeline(tc.sp, tc.opt)
@@ -255,7 +209,7 @@ func TestParallelFallsBackForIncompatibleSpecs(t *testing.T) {
 		}
 	}
 	// And the compatible spec does select it.
-	p, err := NewPipeline(parSpec(4), RunOptions{})
+	p, err := NewPipeline(parSpec(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,10 @@ type Spec struct {
 	// OrderingThreshold invokes Ordering only when the ready set is
 	// strictly larger; ≤0 means DefaultOrderingThreshold.
 	OrderingThreshold int
-	// RouteWorkers selects the route step: 0 keeps the sequential step,
-	// n ≥ 1 routes each dependency layer with the speculative step over n
-	// workers, negative means GOMAXPROCS. Output schedules
-	// are byte-identical for every n ≥ 1, so the worker count is an
-	// execution knob, not part of a method's semantic identity.
-	RouteWorkers int
+	// Speculative routes each dependency layer with the speculative step
+	// (the route-parallel pass) instead of the sequential one, when the
+	// finder and adjuster allow it (see parallelCompatible).
+	Speculative bool
 }
 
 // Component registries. Factories take the pipeline's seeded rng so
@@ -154,7 +152,7 @@ func (sp Spec) components(rng *rand.Rand) (config, error) {
 	cfg.Ordering = mkOrder(rng)
 	cfg.Finder = mkFinder()
 	cfg.FinderName = fname
-	cfg.RouteWorkers = sp.RouteWorkers
+	cfg.Speculative = sp.Speculative
 	if sp.Adjuster != "" {
 		mkAdj, ok := adjusterReg[sp.Adjuster]
 		if !ok {

@@ -35,10 +35,6 @@ type jobsRequest struct {
 	Compact  bool               `json:"compact,omitempty"`
 	Defects  *hilight.DefectMap `json:"defects,omitempty"`
 	Fallback []string           `json:"fallback,omitempty"`
-	// RouteWorkers sizes the parallel route pass's worker pool for every
-	// job; unset falls back to the server default, then the method preset.
-	// An execution knob only — excluded from each job's fingerprint.
-	RouteWorkers *int `json:"route_workers,omitempty"`
 	// Parallelism bounds the batch's worker pool; 0 (or values above the
 	// server's worker count) use the server's worker count.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -243,14 +239,8 @@ func (s *JobStore) attachJournal(dir string) ([]*replayBatch, []*journalRecord, 
 // the batch's pool and deadline, and runs the jobs still to run through
 // CompileAll. The plan is shared by the submit path and journal
 // resurrection, so a journaled request re-prepares through exactly the
-// code that validated it at ack time. It mutates req only to inject the
-// server-wide route-worker default (so a journaled request replays with
-// the knobs it was acknowledged under).
+// code that validated it at ack time. It does not modify req.
 func (s *Server) planBatch(req *jobsRequest, _ http.Header) ([]string, batchRun, error) {
-	if req.RouteWorkers == nil && s.cfg.RouteWorkers != 0 {
-		rw := s.cfg.RouteWorkers
-		req.RouteWorkers = &rw // server-wide default, as in /v1/compile
-	}
 	_, batch, fps, shared, err := req.resolve()
 	if err != nil {
 		return nil, nil, err
@@ -324,7 +314,6 @@ func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJo
 			QASM: e.QASM, Benchmark: e.Benchmark, Grid: e.Grid,
 			Method: req.Method, Seed: req.Seed, QCO: req.QCO,
 			Compact: req.Compact, Defects: req.Defects, Fallback: req.Fallback,
-			RouteWorkers: req.RouteWorkers,
 		}
 		c, g, opts, err := crs[i].build()
 		if err != nil {

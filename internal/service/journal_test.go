@@ -227,10 +227,11 @@ func TestJournalResurrectionRerunsOnlyIncomplete(t *testing.T) {
 }
 
 // TestJournalResurrectsRetiredLookahead pins lenient journal replay
-// across the lookahead request field's removal: a batch acked and
-// journaled by an older daemon, whose submit record still carries
-// "lookahead":4, must resurrect and complete under the fingerprints its
-// ack promised, although a new request naming the field is a 400.
+// across the lookahead and route_workers request fields' removal: a
+// batch acked and journaled by an older daemon, whose submit record
+// still carries "lookahead":4 and "route_workers":2, must resurrect and
+// complete under the fingerprints its ack promised, although a new
+// request naming either field is a 400.
 func TestJournalResurrectsRetiredLookahead(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := bootJournaled(t, dir, Config{Workers: 2})
@@ -252,7 +253,7 @@ func TestJournalResurrectsRetiredLookahead(t *testing.T) {
 	stopGracefully(t, s, ts)
 
 	// Leave what the older daemon would after a crash right behind the
-	// ack: the submit record alone, its request carrying the field.
+	// ack: the submit record alone, its request carrying the fields.
 	path := filepath.Join(dir, journalFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -272,12 +273,13 @@ func TestJournalResurrectsRetiredLookahead(t *testing.T) {
 			t.Fatal(err)
 		}
 		req["lookahead"] = 4
+		req["route_workers"] = 2
 		rec.Req, _ = json.Marshal(req)
 		out, _ := json.Marshal(&rec)
 		kept = append(kept, string(out))
 	}
-	if len(kept) != 1 || !strings.Contains(kept[0], `"lookahead":4`) {
-		t.Fatalf("doctored journal = %q, want one submit record carrying lookahead", kept)
+	if len(kept) != 1 || !strings.Contains(kept[0], `"lookahead":4`) || !strings.Contains(kept[0], `"route_workers":2`) {
+		t.Fatalf("doctored journal = %q, want one submit record carrying lookahead and route_workers", kept)
 	}
 	if err := os.WriteFile(path, []byte(kept[0]+"\n"), 0o644); err != nil {
 		t.Fatal(err)

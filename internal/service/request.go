@@ -38,12 +38,6 @@ type compileRequest struct {
 	// TimeoutMS bounds the compile; 0 uses the server default, and values
 	// above the server maximum are clamped.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// RouteWorkers sets the worker-pool size of the parallel route pass
-	// for *-parallel methods (≤ 0 selects GOMAXPROCS; unset uses the
-	// server's -route-workers default, then the method preset). Schedules
-	// are byte-identical across pool sizes, so the field does not
-	// participate in the cache fingerprint.
-	RouteWorkers *int `json:"route_workers,omitempty"`
 	// NoCache skips the schedule cache for this request (both lookup and
 	// fill) — for benchmarking the cold path.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -118,13 +112,6 @@ func (cr *compileRequest) build() (*hilight.Circuit, *hilight.Grid, []hilight.Op
 			}
 		}
 		opts = append(opts, hilight.WithFallback(cr.Fallback...))
-	}
-	if cr.RouteWorkers != nil {
-		const maxRouteWorkers = 1024 // hostile-input bound on goroutines per compile
-		if *cr.RouteWorkers > maxRouteWorkers {
-			return nil, nil, nil, badRequest("route_workers %d too large (max %d)", *cr.RouteWorkers, maxRouteWorkers)
-		}
-		opts = append(opts, hilight.WithRouteWorkers(*cr.RouteWorkers))
 	}
 	return c, g, opts, nil
 }

@@ -37,12 +37,6 @@ type Config struct {
 	// 60s); MaxTimeout clamps request-supplied timeouts (default 10m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RouteWorkers is the server-wide worker-pool size for the parallel
-	// route pass, applied when a request doesn't set route_workers itself
-	// (0 keeps the method presets; negative selects GOMAXPROCS). Purely an
-	// execution knob: schedules are byte-identical at any pool size, so it
-	// never affects cache keys or cached results.
-	RouteWorkers int
 	// NodeID, when non-empty, names this node in the X-Hilight-Node
 	// response header — cluster deployments use it to make worker
 	// placement observable to clients and tests.
@@ -338,13 +332,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.fail(w, err)
 		return
-	}
-	if req.RouteWorkers == nil && s.cfg.RouteWorkers != 0 {
-		// Server-wide default; injected before build so request validation
-		// and option assembly stay in one place. Harmless before
-		// Fingerprint — route workers are excluded from the digest.
-		rw := s.cfg.RouteWorkers
-		req.RouteWorkers = &rw
 	}
 	mode := negotiate(r)
 	pri, err := parsePriority(r)

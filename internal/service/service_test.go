@@ -208,23 +208,30 @@ func TestCompileRequestErrors(t *testing.T) {
 		name string
 		body string
 		want int
+		path string // "" is /v1/compile
 	}{
-		{"bad-json", "{", 400},
-		{"empty", "{}", 400},
-		{"both-sources", `{"qasm":"x","benchmark":"QFT-16"}`, 400},
-		{"unknown-benchmark", `{"benchmark":"nope"}`, 400},
-		{"unknown-method", `{"benchmark":"QFT-16","method":"nope"}`, 400},
-		{"unknown-fallback", `{"benchmark":"QFT-16","fallback":["nope"]}`, 400},
-		{"unknown-field", `{"benchmark":"QFT-16","bogus":1}`, 400},
-		{"half-grid", `{"benchmark":"QFT-16","grid":{"w":5}}`, 400},
-		{"bad-grid-kind", `{"benchmark":"QFT-16","grid":{"kind":"hex"}}`, 400},
-		{"huge-route-workers", `{"benchmark":"QFT-16","route_workers":100000}`, 400},
-		{"lookahead-field", `{"benchmark":"QFT-16","lookahead":4}`, 400},
-		{"capacity", `{"benchmark":"QFT-16","grid":{"w":2,"h":2}}`, 422},
+		{"bad-json", "{", 400, ""},
+		{"empty", "{}", 400, ""},
+		{"both-sources", `{"qasm":"x","benchmark":"QFT-16"}`, 400, ""},
+		{"unknown-benchmark", `{"benchmark":"nope"}`, 400, ""},
+		{"unknown-method", `{"benchmark":"QFT-16","method":"nope"}`, 400, ""},
+		{"unknown-fallback", `{"benchmark":"QFT-16","fallback":["nope"]}`, 400, ""},
+		{"unknown-field", `{"benchmark":"QFT-16","bogus":1}`, 400, ""},
+		{"half-grid", `{"benchmark":"QFT-16","grid":{"w":5}}`, 400, ""},
+		{"bad-grid-kind", `{"benchmark":"QFT-16","grid":{"kind":"hex"}}`, 400, ""},
+		{"huge-route-workers", `{"benchmark":"QFT-16","route_workers":100000}`, 400, ""},
+		{"lookahead-field", `{"benchmark":"QFT-16","lookahead":4}`, 400, ""},
+		{"route-workers-field", `{"benchmark":"QFT-16","route_workers":2}`, 400, ""},
+		{"jobs-route-workers-field", `{"jobs":[{"benchmark":"QFT-16"}],"route_workers":2}`, 400, "/v1/jobs"},
+		{"capacity", `{"benchmark":"QFT-16","grid":{"w":2,"h":2}}`, 422, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))
+			path := tc.path
+			if path == "" {
+				path = "/v1/compile"
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,58 +245,6 @@ func TestCompileRequestErrors(t *testing.T) {
 				t.Errorf("missing error envelope: %s", out)
 			}
 		})
-	}
-}
-
-// TestCompileRouteKnobsShareCacheEntry pins the service-level face of the
-// fingerprint contract: requests differing only in route_workers share a
-// cache entry, and the parallel pass hands back the same schedule bytes
-// at every pool size — so serving a cached schedule compiled under
-// different concurrency settings is sound.
-func TestCompileRouteKnobsShareCacheEntry(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	base := map[string]any{"benchmark": "QFT-16", "method": "hilight-parallel"}
-	resp, body := postJSON(t, ts.URL+"/v1/compile", base)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var first compileResponse
-	if err := json.Unmarshal(body, &first); err != nil {
-		t.Fatal(err)
-	}
-
-	knobbed := map[string]any{"benchmark": "QFT-16", "method": "hilight-parallel", "route_workers": 2}
-	resp2, body2 := postJSON(t, ts.URL+"/v1/compile", knobbed)
-	if resp2.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp2.StatusCode, body2)
-	}
-	var second compileResponse
-	if err := json.Unmarshal(body2, &second); err != nil {
-		t.Fatal(err)
-	}
-	if second.Fingerprint != first.Fingerprint {
-		t.Errorf("route knobs changed the fingerprint: %s vs %s", second.Fingerprint, first.Fingerprint)
-	}
-	if !second.Cached {
-		t.Error("knobbed request missed the cache entry its fingerprint names")
-	}
-
-	// Bypassing the cache and actually recompiling with different workers
-	// still yields the same schedule bytes (the determinism contract).
-	recompiled := map[string]any{"benchmark": "QFT-16", "method": "hilight-parallel", "route_workers": 3, "no_cache": true}
-	resp3, body3 := postJSON(t, ts.URL+"/v1/compile", recompiled)
-	if resp3.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp3.StatusCode, body3)
-	}
-	var third compileResponse
-	if err := json.Unmarshal(body3, &third); err != nil {
-		t.Fatal(err)
-	}
-	if third.Cached {
-		t.Error("no_cache request reported a cache hit")
-	}
-	if !bytes.Equal(third.Schedule, first.Schedule) {
-		t.Error("recompiling with a different worker count changed the schedule bytes")
 	}
 }
 

@@ -217,7 +217,7 @@ func runWarm(c *Circuit, dg *Grid, sp core.Spec, o *options, plan *session.Plan,
 		return nil, err
 	}
 	defer cancel()
-	ro := o.runOptions(ctx, sp, rand.New(&warmSource{s: uint64(o.seed)}))
+	ro := o.runOptions(ctx, rand.New(&warmSource{s: uint64(o.seed)}))
 	ro.Warm = &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix, Working: working}
 	return core.Run(c, dg, sp, ro)
 }
