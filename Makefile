@@ -59,9 +59,10 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Fuzz the hostile-input surfaces: the QASM parser, the schedule JSON
-# decoder, and the binary wire decoders; and the compiler itself, every
-# method over random circuits on random defect maps. FUZZTIME=20s per
-# target by default; raise it for deeper runs.
+# decoder, the binary wire decoders, session deltas and the request edge
+# every node and coordinator runs before admission; and the compiler
+# itself, every method over random circuits on random defect maps.
+# FUZZTIME=20s per target by default; raise it for deeper runs.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME) ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDelta -fuzztime $(FUZZTIME) ./internal/session/
+	$(GO) test -run '^$$' -fuzz FuzzDigestCompile -fuzztime $(FUZZTIME) ./internal/service/
 
 # Refresh the behavior-preservation goldens after an *intentional* schedule
 # change (testdata/golden_schedules.json).

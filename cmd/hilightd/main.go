@@ -38,11 +38,17 @@
 //	POST /v1/compile      synchronous compile (cached by fingerprint)
 //	POST /v1/jobs         submit an async batch (CompileAll semantics)
 //	GET  /v1/jobs/{id}    poll a batch; results once done
+//	POST /v1/defects      live defect feed: recompile the cached schedules it breaks
 //	GET  /v1/methods      mapping methods accepted by "method"
 //	GET  /v1/benchmarks   built-in benchmark circuits
 //	GET  /healthz         liveness (always 200 while the process runs)
 //	GET  /readyz          readiness (503 once draining)
 //	GET  /metrics         Prometheus text exposition
+//
+// Request bodies are capped at 8 MiB (413 beyond), and a body that
+// would expand past the request bounds — 4,096 declared qubits, 2^20
+// gates per source or per batch, a 2,048-wide grid or factory — is a 400
+// before it is admitted, from a node and through a coordinator alike.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: readiness flips, new
 // compile work is rejected with 503, and in-flight compiles and async

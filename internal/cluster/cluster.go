@@ -417,6 +417,13 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	_, _ = w.Write(service.ErrorBody(msg))
 }
 
+// writeErr renders err with the status and message a single node would
+// answer (see service.HTTPStatus).
+func writeErr(w http.ResponseWriter, err error) {
+	status, msg := service.HTTPStatus(err)
+	writeError(w, status, msg)
+}
+
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() || c.liveWorkers() == 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -425,19 +432,6 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ready")
-}
-
-// readBody buffers the request body under the single node's size cap.
-func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
-		return nil, err
-	}
-	return body, nil
 }
 
 // passthrough reports whether the client negotiated a non-default
@@ -458,15 +452,14 @@ func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	body, err := c.readBody(w, r)
+	body, err := service.ReadBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeErr(w, err)
 		return
 	}
 	fp, err := service.DigestCompile(body)
 	if err != nil {
-		status, msg := service.HTTPStatus(err)
-		writeError(w, status, msg)
+		writeErr(w, err)
 		return
 	}
 	pass := passthrough(r)
@@ -606,9 +599,9 @@ func (c *Coordinator) handleDefects(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	body, err := c.readBody(w, r)
+	body, err := service.ReadBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeErr(w, err)
 		return
 	}
 	c.mu.Lock()
@@ -675,15 +668,14 @@ func (c *Coordinator) handleJobsSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	body, err := c.readBody(w, r)
+	body, err := service.ReadBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeErr(w, err)
 		return
 	}
 	id, fps, err := c.jobs.Submit(body, r.Header)
 	if err != nil {
-		status, msg := service.HTTPStatus(err)
-		writeError(w, status, msg)
+		writeErr(w, err)
 		return
 	}
 	service.WriteJSON(w, http.StatusAccepted, map[string]any{

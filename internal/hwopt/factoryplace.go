@@ -19,25 +19,14 @@ type FactoryPlacement struct {
 
 // CandidateFactoryGrids returns grids for n program qubits with an fw×fh
 // factory region reserved at each distinct candidate position: the four
-// corners, the four edge midpoints, and the center. Grids too small for
-// n qubits after reservation are grown exactly like GridWithFactory.
+// corners, the four edge midpoints, and the center. Every candidate has
+// GridWithFactory's dimensions.
 func CandidateFactoryGrids(n, fw, fh int, hwOpt bool) ([]FactoryPlacement, error) {
 	if fw < 1 || fh < 1 {
 		return nil, fmt.Errorf("hwopt: factory dimensions %dx%d invalid", fw, fh)
 	}
-	// Size the base grid once (same growth rule as GridWithFactory).
-	var base *grid.Grid
-	for extra := 0; ; extra++ {
-		g := GridFor(n+fw*fh+extra, hwOpt)
-		if g.W < fw || g.H < fh {
-			continue
-		}
-		if g.Tiles()-fw*fh >= n {
-			base = g
-			break
-		}
-	}
-	maxX, maxY := base.W-fw, base.H-fh
+	w, h := factoryDims(n, fw, fh, hwOpt)
+	maxX, maxY := w-fw, h-fh
 	positions := [][2]int{
 		{0, 0}, {maxX, 0}, {0, maxY}, {maxX, maxY}, // corners
 		{maxX / 2, 0}, {maxX / 2, maxY}, {0, maxY / 2}, {maxX, maxY / 2}, // edges
@@ -50,7 +39,7 @@ func CandidateFactoryGrids(n, fw, fh int, hwOpt bool) ([]FactoryPlacement, error
 			continue
 		}
 		seen[pos] = true
-		g := grid.New(base.W, base.H)
+		g := grid.New(w, h)
 		if err := g.Reserve(pos[0], pos[1], pos[0]+fw-1, pos[1]+fh-1); err != nil {
 			return nil, err
 		}

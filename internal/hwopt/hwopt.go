@@ -54,22 +54,40 @@ func GridFor(n int, hwOpt bool) *grid.Grid {
 
 // GridWithFactory returns a grid for n program qubits with fw×fh tiles
 // reserved in the bottom-right corner for the magic-state factory. The
-// grid is grown just enough to keep capacity ≥ n.
+// grid is grown just enough to keep capacity ≥ n (see factoryDims).
 func GridWithFactory(n, fw, fh int, hwOpt bool) (*grid.Grid, error) {
 	if fw < 1 || fh < 1 {
 		return nil, fmt.Errorf("hwopt: factory dimensions %dx%d invalid", fw, fh)
 	}
-	for extra := 0; ; extra++ {
-		g := GridFor(n+fw*fh+extra, hwOpt)
-		if g.W < fw || g.H < fh {
-			continue
+	w, h := factoryDims(n, fw, fh, hwOpt)
+	g := grid.New(w, h)
+	if err := g.Reserve(w-fw, h-fh, w-1, h-1); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// factoryDims returns the dimensions of the first grid of the sequence
+// GridFor(n+fw·fh+extra, hwOpt), extra = 0, 1, 2, …, that is at least fw
+// wide and fh tall, without building any of them. Every grid of the
+// sequence has at least n+fw·fh tiles, so the first one that fits the
+// factory also fits n qubits beside it. GridFor's side m only grows
+// along the sequence, and for each m it yields the m×(m−1) rectangle
+// (with hwOpt, while m(m−1) tiles suffice) before the m×m square.
+func factoryDims(n, fw, fh int, hwOpt bool) (w, h int) {
+	need := n + fw*fh
+	m := 1
+	for m*m < need {
+		m++
+	}
+	for ; ; m++ {
+		if hwOpt && m >= 2 && m*(m-1) >= need && m >= fw && m-1 >= fh {
+			return m, m - 1
 		}
-		if err := g.Reserve(g.W-fw, g.H-fh, g.W-1, g.H-1); err != nil {
-			return nil, err
+		if m >= fw && m >= fh {
+			return m, m
 		}
-		if g.Capacity() >= n {
-			return g, nil
-		}
+		need = m*m + 1 // the first tile count GridFor maps to side m+1
 	}
 }
 

@@ -62,6 +62,90 @@ func TestGridWithFactory(t *testing.T) {
 	}
 }
 
+// growFactoryGrid is GridWithFactory's former growth loop: it tries
+// GridFor(n+fw·fh+extra) for extra = 0, 1, 2, …, building a grid per
+// step, until one fits the factory. It is the reference factoryDims must
+// reproduce, and only usable on small inputs.
+func growFactoryGrid(n, fw, fh int, hwOpt bool) *grid.Grid {
+	for extra := 0; ; extra++ {
+		g := GridFor(n+fw*fh+extra, hwOpt)
+		if g.W < fw || g.H < fh {
+			continue
+		}
+		if err := g.Reserve(g.W-fw, g.H-fh, g.W-1, g.H-1); err != nil {
+			panic(err)
+		}
+		if g.Capacity() >= n {
+			return g
+		}
+	}
+}
+
+// TestGridWithFactoryDims pins the factory grid shapes the growth loop
+// produced: a table of (n, fw, fh, rect) cases, some far too large for
+// the loop, and a sweep of small ones checked against it tile by tile,
+// for GridWithFactory and every CandidateFactoryGrids candidate.
+func TestGridWithFactoryDims(t *testing.T) {
+	for _, tc := range []struct {
+		n, fw, fh      int
+		rect           bool
+		w, h, reserved int
+	}{
+		{16, 200, 1, true, 200, 199, 200},
+		{16, 1, 200, false, 200, 200, 200},
+		{471, 3, 2, true, 22, 22, 6},
+		{100, 10, 10, false, 15, 15, 100},
+		{10, 3, 2, true, 4, 4, 6},
+		{9, 2, 2, true, 4, 4, 4},
+		{0, 1, 1, true, 1, 1, 1},
+		{50, 1, 30, true, 30, 30, 30},
+		{50, 30, 1, false, 30, 30, 30},
+		{4096, 64, 64, true, 91, 91, 4096},
+		{12, 1, 1, false, 4, 4, 1},
+		{1, 40, 39, true, 40, 40, 1560},
+	} {
+		g, err := GridWithFactory(tc.n, tc.fw, tc.fh, tc.rect)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if g.W != tc.w || g.H != tc.h || g.ReservedTiles() != tc.reserved {
+			t.Errorf("GridWithFactory(%d, %d, %d, %v) = %dx%d with %d reserved, want %dx%d with %d",
+				tc.n, tc.fw, tc.fh, tc.rect, g.W, g.H, g.ReservedTiles(), tc.w, tc.h, tc.reserved)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		for fw := 1; fw <= 9; fw++ {
+			for fh := 1; fh <= 9; fh++ {
+				for _, rect := range []bool{false, true} {
+					want := growFactoryGrid(n, fw, fh, rect)
+					got, err := GridWithFactory(n, fw, fh, rect)
+					if err != nil {
+						t.Fatalf("(%d, %d, %d, %v): %v", n, fw, fh, rect, err)
+					}
+					if got.W != want.W || got.H != want.H {
+						t.Fatalf("(%d, %d, %d, %v): %dx%d, want %dx%d", n, fw, fh, rect, got.W, got.H, want.W, want.H)
+					}
+					for tile := 0; tile < want.Tiles(); tile++ {
+						if got.Reserved(tile) != want.Reserved(tile) {
+							t.Fatalf("(%d, %d, %d, %v): tile %d reserved %v, want %v", n, fw, fh, rect, tile, got.Reserved(tile), want.Reserved(tile))
+						}
+					}
+					cands, err := CandidateFactoryGrids(n, fw, fh, rect)
+					if err != nil {
+						t.Fatalf("(%d, %d, %d, %v): candidates: %v", n, fw, fh, rect, err)
+					}
+					for _, c := range cands {
+						if c.Grid.W != want.W || c.Grid.H != want.H {
+							t.Fatalf("(%d, %d, %d, %v): candidate at (%d,%d) is %dx%d, want %dx%d",
+								n, fw, fh, rect, c.X, c.Y, c.Grid.W, c.Grid.H, want.W, want.H)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func mapQFT(t *testing.T, n int, g *grid.Grid) *core.Result {
 	t.Helper()
 	c := circuit.New("qft", n)

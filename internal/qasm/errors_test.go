@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -80,5 +81,46 @@ func TestParserAcceptsEdgeForms(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("case %d invalid: %v", i, err)
 		}
+	}
+}
+
+// TestParserExpansionBounds pins the hostile-input bounds: declared
+// qubits past MaxQubits, emitted gates past MaxGates and gate
+// applications past maxApplications each fail with the bound named,
+// while a register of exactly MaxQubits qubits parses.
+func TestParserExpansionBounds(t *testing.T) {
+	c, err := Parse("t", fmt.Sprintf("qreg q[%d]; h q[%d];", MaxQubits, MaxQubits-1))
+	if err != nil || c.NumQubits != MaxQubits {
+		t.Fatalf("register of %d qubits: %v", MaxQubits, err)
+	}
+	if _, err := Parse("t", fmt.Sprintf("qreg a[%d]; qreg b[%d];", MaxQubits-1, MaxQubits-1)); err == nil || err.Error() != "qasm: line 1: qreg b[4095] declares more than 4096 qubits in all" {
+		t.Errorf("two registers past the bound: %v", err)
+	}
+	if _, err := Parse("t", "qreg q[1000000];"); err == nil || !strings.Contains(err.Error(), "more than 4096 qubits") {
+		t.Errorf("wide register: %v", err)
+	}
+
+	// 256 broadcasts over 4096 qubits emit exactly MaxGates gates, and one
+	// measure past them fails on the line that passes the bound.
+	src := fmt.Sprintf("qreg q[%d];\n", MaxQubits) + strings.Repeat("h q;\n", MaxGates/MaxQubits)
+	c, err = Parse("t", src)
+	if err != nil || len(c.Gates) != MaxGates {
+		t.Fatalf("%d gates: %v", MaxGates, err)
+	}
+	_, err = Parse("t", src+"creg c[1];\nmeasure q[0] -> c[0];\n")
+	if want := fmt.Sprintf("qasm: line %d: source emits more than %d gates", MaxGates/MaxQubits+3, MaxGates); err == nil || err.Error() != want {
+		t.Errorf("one gate past the bound: %v, want %s", err, want)
+	}
+
+	// Nested macros with an empty innermost body emit nothing, yet apply
+	// 2^64 times.
+	var nest strings.Builder
+	nest.WriteString("qreg q[1];\ngate g0 a { }\n")
+	for i := 1; i <= 64; i++ {
+		fmt.Fprintf(&nest, "gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
+	}
+	nest.WriteString("g64 q[0];\n")
+	if _, err := Parse("t", nest.String()); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d gates, counting macro applications", maxApplications)) {
+		t.Errorf("macro nest: %v", err)
 	}
 }

@@ -12,6 +12,23 @@ import (
 // definitions cannot legally recurse, so hitting the bound means a cycle.
 const maxExpandDepth = 64
 
+// Bounds on what a source may expand to, checked as registers are
+// declared and gates are applied, so a short hostile source fails before
+// it allocates past them: a register broadcast or a nest of gate macros
+// multiplies a few bytes of source into millions of gates, and every
+// compile analysis is at least quadratic in the qubit count.
+const (
+	// MaxQubits bounds the qubits declared over all quantum registers; a
+	// compile at the bound allocates about 256 MiB.
+	MaxQubits = 4096
+	// MaxGates bounds the gates a source emits; all 36 Table 1 circuits
+	// together have 707,027.
+	MaxGates = 1 << 20
+	// maxApplications bounds gate applications, macro and built-in: a
+	// nest of gate macros with empty bodies applies without emitting.
+	maxApplications = 2 * MaxGates
+)
+
 // Parse reads OpenQASM 2.0 source and returns the flattened circuit. All
 // quantum registers are concatenated into one program-qubit index space in
 // declaration order. Custom gate definitions are expanded; two-qubit
@@ -60,13 +77,14 @@ type bodyStmt struct {
 }
 
 type parser struct {
-	toks  []token
-	pos   int
-	circ  *circuit.Circuit
-	qregs map[string]reg
-	cregs map[string]reg
-	gates map[string]*gateDef
-	order []string // qreg declaration order, for deterministic flattening
+	toks    []token
+	pos     int
+	circ    *circuit.Circuit
+	qregs   map[string]reg
+	cregs   map[string]reg
+	gates   map[string]*gateDef
+	order   []string // qreg declaration order, for deterministic flattening
+	applied int      // gate applications so far, against maxApplications
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -149,6 +167,9 @@ func (p *parser) parseProgram() error {
 			for _, q := range qs {
 				p.circ.Add1(circuit.Reset, q)
 			}
+			if err := p.checkGates(tk.line); err != nil {
+				return err
+			}
 		case tk.kind == tokIdent:
 			if err := p.parseApplication(); err != nil {
 				return err
@@ -198,6 +219,9 @@ func (p *parser) parseReg(regs map[string]reg, quantum bool) error {
 		return fmt.Errorf("line %d: register %q redeclared", name.line, name.text)
 	}
 	if quantum {
+		if size > MaxQubits-p.circ.NumQubits {
+			return fmt.Errorf("line %d: qreg %s[%d] declares more than %d qubits in all", szTok.line, name.text, size, MaxQubits)
+		}
 		regs[name.text] = reg{offset: p.circ.NumQubits, size: size}
 		p.circ.NumQubits += size
 		p.order = append(p.order, name.text)
@@ -364,6 +388,14 @@ func (p *parser) parseMeasure() error {
 	for _, q := range qs {
 		p.circ.Add1(circuit.Measure, q)
 	}
+	return p.checkGates(cname.line)
+}
+
+// checkGates fails once the circuit holds more than MaxGates gates.
+func (p *parser) checkGates(line int) error {
+	if len(p.circ.Gates) > MaxGates {
+		return fmt.Errorf("line %d: source emits more than %d gates", line, MaxGates)
+	}
 	return nil
 }
 
@@ -475,6 +507,9 @@ func (p *parser) apply(name string, line int, params []float64, qs []int, depth 
 	if depth > maxExpandDepth {
 		return fmt.Errorf("line %d: gate expansion too deep (recursive definition of %q?)", line, name)
 	}
+	if p.applied++; p.applied > maxApplications {
+		return fmt.Errorf("line %d: source applies more than %d gates, counting macro applications", line, maxApplications)
+	}
 	// OpenQASM forbids repeated qubit operands in any application.
 	for i := range qs {
 		for j := i + 1; j < len(qs); j++ {
@@ -516,7 +551,10 @@ func (p *parser) apply(name string, line int, params []float64, qs []int, depth 
 		}
 		return nil
 	}
-	return p.applyBuiltin(name, line, params, qs)
+	if err := p.applyBuiltin(name, line, params, qs); err != nil {
+		return err
+	}
+	return p.checkGates(line)
 }
 
 func (p *parser) applyBuiltin(name string, line int, params []float64, qs []int) error {

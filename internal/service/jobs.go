@@ -13,6 +13,7 @@ import (
 
 	"hilight"
 	"hilight/internal/obs"
+	"hilight/internal/qasm"
 )
 
 // jobsRequest is the JSON body of POST /v1/jobs: a batch of circuits
@@ -297,7 +298,9 @@ func (s *Server) planBatch(req *jobsRequest, _ http.Header) ([]string, batchRun,
 // builds and its fingerprint, plus the option list shared by every job.
 // The fingerprint therefore describes exactly the compile CompileAll
 // will run. Both plans expand batches here, so a coordinator's unit
-// fingerprints equal the ones a single-node ack returns.
+// fingerprints equal the ones a single-node ack returns. A batch whose
+// entries together exceed the parser's gate bound fails at the entry
+// that passes it, before that entry is fingerprinted.
 func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJob, fps []string, shared []hilight.Option, err error) {
 	if len(req.Jobs) == 0 {
 		return nil, nil, nil, nil, badRequest("jobs batch is empty")
@@ -309,6 +312,7 @@ func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJo
 	crs = make([]compileRequest, len(req.Jobs))
 	batch = make([]hilight.BatchJob, len(req.Jobs))
 	fps = make([]string, len(req.Jobs))
+	gates := 0
 	for i, e := range req.Jobs {
 		crs[i] = compileRequest{
 			QASM: e.QASM, Benchmark: e.Benchmark, Grid: e.Grid,
@@ -321,6 +325,9 @@ func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJo
 				return nil, nil, nil, nil, &apiError{Status: ae.Status, Message: fmt.Sprintf("job %d: %s", i, ae.Message)}
 			}
 			return nil, nil, nil, nil, err
+		}
+		if gates += len(c.Gates); gates > qasm.MaxGates {
+			return nil, nil, nil, nil, badRequest("job %d: jobs batch has more than %d gates", i, qasm.MaxGates)
 		}
 		fp, err := hilight.Fingerprint(c, g, opts...)
 		if err != nil {

@@ -127,11 +127,14 @@ func (cr *compileRequest) buildGrid(qubits int) (*hilight.Grid, error) {
 	if (gs.FactoryW > 0) != (gs.FactoryH > 0) {
 		return nil, badRequest("factory needs both factory_w and factory_h")
 	}
+	const maxDim = 1 << 11 // matches the decoder's hostile-input bound
+	if gs.FactoryW > maxDim || gs.FactoryH > maxDim {
+		return nil, badRequest("factory %dx%d too large (max %dx%d)", gs.FactoryW, gs.FactoryH, maxDim, maxDim)
+	}
 	if gs.W > 0 {
 		if gs.FactoryW > 0 {
 			return nil, badRequest("explicit w/h and a factory reservation are mutually exclusive; use kind with factory_w/factory_h")
 		}
-		const maxDim = 1 << 11 // matches the decoder's hostile-input bound
 		if gs.W > maxDim || gs.H > maxDim {
 			return nil, badRequest("grid %dx%d too large (max %dx%d)", gs.W, gs.H, maxDim, maxDim)
 		}

@@ -770,20 +770,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // MaxBodyBytes caps request bodies, on a node and on a coordinator.
 const MaxBodyBytes = 8 << 20
 
-// decodeBody parses the JSON request body under MaxBodyBytes.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+// ReadBody reads a request body under MaxBodyBytes: a longer body is a
+// 413, any other read error a 400 (see HTTPStatus). A node and a
+// coordinator both read their bodies through it, so they answer alike.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return &apiError{Status: http.StatusRequestEntityTooLarge,
+			return nil, &apiError{Status: http.StatusRequestEntityTooLarge,
 				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
 		}
-		return badRequest("invalid request body: %v", err)
+		return nil, badRequest("invalid request body: %v", err)
 	}
-	return nil
+	return body, nil
+}
+
+// decodeBody parses the JSON request body under MaxBodyBytes.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
+	body, err := ReadBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeStrict(body, into)
 }
 
 // The derived Retry-After hint of a 429 is clamped to [minRetryAfter,
