@@ -60,7 +60,9 @@ func TestHostileBodiesBothTiers(t *testing.T) {
 		fmt.Fprintf(&macros, "gate g%d a { g%d a; g%d a; }\n", i, i-1, i-1)
 	}
 	macros.WriteString("g64 q[0];\n")
-	jobs := `{"jobs":[` + strings.Repeat(`{"benchmark":"QFT-500"},`, 4095) + `{"benchmark":"QFT-500"}]}`
+	batch := func(entry string) []byte {
+		return []byte(`{"jobs":[` + strings.Repeat(entry+",", 4095) + entry + `]}`)
+	}
 
 	const mib = 1 << 20
 	cases := []struct {
@@ -72,9 +74,10 @@ func TestHostileBodiesBothTiers(t *testing.T) {
 		{"wide-register", "/v1/compile", qasmBody(t, "OPENQASM 2.0;\nqreg q[1000000];\n"), "4096 qubits", 4 * mib},
 		{"wide-broadcast", "/v1/compile", qasmBody(t, "OPENQASM 2.0;\nqreg q[1000000];\nh q;\n"), "4096 qubits", 4 * mib},
 		{"ten-broadcasts", "/v1/compile", qasmBody(t, "OPENQASM 2.0;\nqreg q[1000000];\n"+strings.Repeat("h q;\n", 10)), "4096 qubits", 4 * mib},
-		{"macro-nest", "/v1/compile", qasmBody(t, macros.String()), "macro applications", 128 * mib},
+		{"macro-nest", "/v1/compile", qasmBody(t, macros.String()), "macro applications", 64 * mib},
 		{"huge-factory", "/v1/compile", []byte(`{"benchmark":"QFT-16","grid":{"factory_w":100000,"factory_h":1}}`), "factory 100000x1 too large", 4 * mib},
-		{"qft500-batch", "/v1/jobs", []byte(jobs), "more than 1048576 gates", 1024 * mib},
+		{"qft500-batch", "/v1/jobs", batch(`{"benchmark":"QFT-500"}`), "more than 1048576 gates", 1024 * mib},
+		{"wide-grid-batch", "/v1/jobs", batch(`{"benchmark":"QFT-16","grid":{"w":2048,"h":2048}}`), "more than 8388608 grid tiles", 256 * mib},
 	}
 	for _, tc2 := range cases {
 		t.Run(tc2.name, func(t *testing.T) {

@@ -528,9 +528,12 @@ func (p *parser) apply(name string, line int, params []float64, qs []int, depth 
 		if len(params) != len(def.params) {
 			return fmt.Errorf("line %d: gate %q wants %d params, got %d", line, name, len(def.params), len(params))
 		}
-		env := map[string]float64{}
-		for i, pn := range def.params {
-			env[pn] = params[i]
+		var env map[string]float64 // parameter-free bodies look nothing up
+		if len(def.params) > 0 {
+			env = make(map[string]float64, len(def.params))
+			for i, pn := range def.params {
+				env[pn] = params[i]
+			}
 		}
 		for _, st := range def.body {
 			sub := make([]float64, len(st.params))

@@ -291,6 +291,11 @@ func (s *Server) planBatch(req *jobsRequest, _ http.Header) ([]string, batchRun,
 	}, nil
 }
 
+// maxBatchTiles bounds the grid tiles of one batch, whose grids stay
+// resolved until it has run: about 40 MiB of grids, two of the largest a
+// request may name.
+const maxBatchTiles = 1 << 23
+
 // resolve validates a batch request and resolves every entry up front,
 // so a malformed entry fails the submit synchronously with a 400
 // instead of surfacing later in a poll. It returns, per entry, the
@@ -299,8 +304,8 @@ func (s *Server) planBatch(req *jobsRequest, _ http.Header) ([]string, batchRun,
 // The fingerprint therefore describes exactly the compile CompileAll
 // will run. Both plans expand batches here, so a coordinator's unit
 // fingerprints equal the ones a single-node ack returns. A batch whose
-// entries together exceed the parser's gate bound fails at the entry
-// that passes it, before that entry is fingerprinted.
+// entries together exceed the parser's gate bound or maxBatchTiles fails
+// at the entry that passes it, before that entry is fingerprinted.
 func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJob, fps []string, shared []hilight.Option, err error) {
 	if len(req.Jobs) == 0 {
 		return nil, nil, nil, nil, badRequest("jobs batch is empty")
@@ -312,7 +317,7 @@ func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJo
 	crs = make([]compileRequest, len(req.Jobs))
 	batch = make([]hilight.BatchJob, len(req.Jobs))
 	fps = make([]string, len(req.Jobs))
-	gates := 0
+	gates, tiles := 0, 0
 	for i, e := range req.Jobs {
 		crs[i] = compileRequest{
 			QASM: e.QASM, Benchmark: e.Benchmark, Grid: e.Grid,
@@ -328,6 +333,9 @@ func (req *jobsRequest) resolve() (crs []compileRequest, batch []hilight.BatchJo
 		}
 		if gates += len(c.Gates); gates > qasm.MaxGates {
 			return nil, nil, nil, nil, badRequest("job %d: jobs batch has more than %d gates", i, qasm.MaxGates)
+		}
+		if tiles += g.Tiles(); tiles > maxBatchTiles {
+			return nil, nil, nil, nil, badRequest("job %d: jobs batch has more than %d grid tiles", i, maxBatchTiles)
 		}
 		fp, err := hilight.Fingerprint(c, g, opts...)
 		if err != nil {
