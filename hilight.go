@@ -307,13 +307,13 @@ func WithCompaction() Option {
 	return func(o *options) { o.compact = true }
 }
 
-// WithRouteWorkers does nothing. It once sized a goroutine pool for the
-// speculative route step of the *-parallel methods; that step now runs
-// on the calling goroutine, because on the measured hosts the pool only
-// added time, and the emitted schedule never depended on the value.
+// WithRouteWorkers does nothing: the speculative route step of the
+// *-parallel methods runs on the calling goroutine, so there is no
+// worker pool to size. Fingerprint ignores it.
 //
-// Deprecated: the option stays only so existing callers keep compiling;
-// drop it. Fingerprint ignores it.
+// Deprecated: it stays only because existing callers still pass it,
+// among them the hlbench harness, whose route.par_scaling metric times
+// the step at 1 and at GOMAXPROCS workers. Drop it from new code.
 func WithRouteWorkers(n int) Option { return func(*options) {} }
 
 // Methods returns the method names accepted by WithMethod, sorted.

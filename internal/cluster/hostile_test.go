@@ -43,9 +43,9 @@ func qasmBody(t *testing.T, src string) []byte {
 
 // TestHostileBodiesBothTiers posts bodies that expand a few bytes into
 // unbounded work to a node and to a coordinator: each must answer the
-// same 400 within a fixed allocation and time budget. Before the parser,
-// factory and batch bounds, the first one killed the process with an
-// out-of-memory fatal error and the factory one ran for minutes.
+// same 400 within a fixed allocation and time budget. Without the
+// request bounds, the first one kills the process with an out-of-memory
+// fatal error that no recover catches.
 func TestHostileBodiesBothTiers(t *testing.T) {
 	node, err := StartLocalWorker("node", service.Config{})
 	if err != nil {

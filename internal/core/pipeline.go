@@ -256,7 +256,7 @@ func NewPipeline(sp Spec, opt RunOptions) (*Pipeline, error) {
 		placePass = passPlaceWarm
 	}
 	routePass := passRoute
-	if cfg.Speculative && parallelCompatible(cfg) {
+	if sp.Speculative && parallelCompatible(cfg) {
 		routePass = passRouteParallel
 	}
 	p.Passes = append(p.Passes, passCapacity, placePass, routePass)

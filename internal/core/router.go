@@ -123,9 +123,6 @@ type config struct {
 	// speculative step — which substitutes the windowed finder — may
 	// take over without changing which gates are routable.
 	FinderName string
-	// Speculative selects the speculative route step (see
-	// router_parallel.go) where parallelCompatible allows it.
-	Speculative bool
 	// Metrics, when non-nil, aggregates pipeline and routing counters
 	// across compiles (see RunOptions.Metrics).
 	Metrics *obs.Registry

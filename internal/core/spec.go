@@ -152,7 +152,6 @@ func (sp Spec) components(rng *rand.Rand) (config, error) {
 	cfg.Ordering = mkOrder(rng)
 	cfg.Finder = mkFinder()
 	cfg.FinderName = fname
-	cfg.Speculative = sp.Speculative
 	if sp.Adjuster != "" {
 		mkAdj, ok := adjusterReg[sp.Adjuster]
 		if !ok {

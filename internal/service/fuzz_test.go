@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// hostileSeeds are request bodies that once expanded a few bytes into
-// unbounded work before admission: a register too wide to compile, the
-// same register broadcast, ten broadcasts, a magic-state factory the
-// grid search grew one tile at a time toward, and one past maxDim.
+// hostileSeeds are request bodies that expand a few bytes into unbounded
+// work before admission unless the request bounds hold: a register too
+// wide to compile, the same register broadcast, ten broadcasts, a wide
+// magic-state factory and one past maxDim.
 var hostileSeeds = []string{
 	`{"qasm":"OPENQASM 2.0;\nqreg q[1000000];\n"}`,
 	`{"qasm":"OPENQASM 2.0;\nqreg q[1000000];\nh q;\n"}`,
@@ -57,8 +57,8 @@ func FuzzDigestCompile(f *testing.F) {
 
 // TestDigestHostileBodiesPromptly holds the request edge to a time
 // budget on the hostile bodies: each digests or fails within a second.
-// Before factoryDims, the 200-wide factory alone took seconds and
-// gigabytes, growing as the fourth power of its width.
+// A factory search that built one grid per candidate tile count would
+// spend seconds and gigabytes on the 200-wide factory alone.
 func TestDigestHostileBodiesPromptly(t *testing.T) {
 	for _, body := range hostileSeeds {
 		t0 := time.Now()
