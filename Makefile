@@ -35,7 +35,8 @@ hlbench-check:
 # race-pkgs runs every package but the root one, the chaos, cluster and
 # session soaks among them. race-root then runs the root package on its
 # own: it needs ~5 CPU-minutes under -race, and its go test run takes
-# ~160 s of the 10-minute default timeout on a 2-vCPU host.
+# 175–245 s of the 10-minute default timeout on a 2-vCPU host, whose
+# speed drifts.
 race: race-pkgs race-root
 
 race-pkgs:
