@@ -1,6 +1,5 @@
-// Benchmarks for the extension subsystems: the lattice-surgery
-// comparator, the post-passes (compaction, refinement), the physical
-// lowering, the magic-state analysis, and batch compilation throughput.
+// Benchmarks beside the compile path: the post-passes (compaction,
+// refinement), the physical lowering, and batch compilation throughput.
 package hilight_test
 
 import (
@@ -14,42 +13,7 @@ import (
 	"hilight/internal/grid"
 	"hilight/internal/lattice"
 	"hilight/internal/place"
-	"hilight/internal/surgery"
 )
-
-// BenchmarkModeComparison maps the same circuit in braiding and
-// lattice-surgery modes (the §2.3 contrast).
-func BenchmarkModeComparison(b *testing.B) {
-	c := bench.QFT(25)
-	b.Run("braiding", func(b *testing.B) {
-		g := grid.Rect(25)
-		var latency int
-		for i := 0; i < b.N; i++ {
-			res, err := core.Run(c, g, core.MustMethod("hilight-map"), core.RunOptions{Rng: rand.New(rand.NewSource(1))})
-			if err != nil {
-				b.Fatal(err)
-			}
-			latency = res.Latency
-		}
-		b.ReportMetric(float64(latency), "latency")
-	})
-	b.Run("surgery", func(b *testing.B) {
-		g := surgery.DilutedGrid(25)
-		var latency int
-		for i := 0; i < b.N; i++ {
-			l, err := surgery.DilutedPlace(c, g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := surgery.Map(c, g, l)
-			if err != nil {
-				b.Fatal(err)
-			}
-			latency = res.Latency
-		}
-		b.ReportMetric(float64(latency), "latency")
-	})
-}
 
 // BenchmarkCompaction measures the post-routing compaction pass and its
 // latency recovery on a bubble-rich schedule (the two-bend L-shape
@@ -104,25 +68,6 @@ func BenchmarkLowering(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkMagicAnalysis measures the factory-throughput overlay on a
-// T-heavy benchmark.
-func BenchmarkMagicAnalysis(b *testing.B) {
-	e, _ := bench.ByName("sqrt8_260")
-	c := e.Build()
-	g := grid.Rect(c.NumQubits)
-	res, err := hilight.Compile(c, g, hilight.WithMethod("hilight-map"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	unit := hilight.DefaultMagicFactory()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hilight.AnalyzeMagic(res.Circuit, res.Schedule, unit); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -39,7 +39,6 @@ var experiments = []struct {
 	{"threshold", func(o exp.Options) (report, error) { return exp.RunThresholdSweep(o) }},
 	{"finders", func(o exp.Options) (report, error) { return exp.RunFinderAblation(o) }},
 	{"bounds", func(o exp.Options) (report, error) { return exp.RunBounds(o) }},
-	{"modes", func(o exp.Options) (report, error) { return exp.RunModes(o) }},
 	{"defects", func(o exp.Options) (report, error) { return exp.RunDefectYield(o) }},
 }
 

@@ -25,8 +25,8 @@ func TestRunOneUnknown(t *testing.T) {
 			t.Errorf("error %q does not name %q", err, name)
 		}
 	}
-	if len(seen) != 11 {
-		t.Errorf("%d experiments, want 11", len(seen))
+	if len(seen) != 10 {
+		t.Errorf("%d experiments, want 10", len(seen))
 	}
 }
 

@@ -38,11 +38,10 @@ func main() {
 		gridKin = flag.String("grid", "rect", "grid shape: square or rect (M×(M−1))")
 		factory = flag.String("factory", "", "reserve a WxH magic-state factory, e.g. 2x2")
 		seed    = flag.Int64("seed", 1, "seed for randomized components")
-		show    = flag.String("show", "metrics", "output: metrics, layers, viz, heat, svg, json, or qasm")
+		show    = flag.String("show", "metrics", "output: metrics, layers, viz, heat, svg, or qasm (for the JSON schedule, -format json)")
 		format  = flag.String("format", "", "schedule encoding to stdout: json (canonical JSON), bin (versioned binary wire format), or stream (binary frames emitted while the router runs); overrides -show")
 		trace   = flag.Bool("trace", false, "print per-stage pipeline timing and counters")
 		metrics = flag.Bool("metrics", false, "print aggregated compile metrics (Prometheus text format) after the output")
-		magicP  = flag.Int("magic-period", 0, "analyze magic-state throughput: cycles per distilled state (0 = off)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file after compiling")
 		diffF   = flag.Bool("diff", false, "compare two schedule files (canonical JSON or binary wire format) and print the differences: hilight -diff a.json b.json")
@@ -71,7 +70,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(*inFile, *benchN, *list, *method, *gridKin, *factory, *seed, *show, *format, *magicP, *trace, *metrics)
+	err := run(*inFile, *benchN, *list, *method, *gridKin, *factory, *seed, *show, *format, *trace, *metrics)
 	if *memProf != "" {
 		f, merr := os.Create(*memProf)
 		if merr != nil {
@@ -136,7 +135,7 @@ func loadSchedule(path string) (*hilight.Schedule, error) {
 	return s, nil
 }
 
-func run(inFile, benchName string, list bool, method, gridKind, factory string, seed int64, show, format string, magicPeriod int, trace, metrics bool) error {
+func run(inFile, benchName string, list bool, method, gridKind, factory string, seed int64, show, format string, trace, metrics bool) error {
 	if list {
 		fmt.Println("methods:")
 		for _, m := range hilight.Methods() {
@@ -268,31 +267,12 @@ func run(inFile, benchName string, list bool, method, gridKind, factory string, 
 		if ins := res.Schedule.InsertedBraids(); ins > 0 {
 			fmt.Printf("inserted  %d SWAP braids\n", ins)
 		}
-		if magicPeriod > 0 {
-			unit := hilight.DefaultMagicFactory()
-			unit.Period = magicPeriod
-			rep, err := hilight.AnalyzeMagic(res.Circuit, res.Schedule, unit)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("magic     %d T gates, %d stall cycles with 1 unit (total latency %d)\n",
-				rep.TCount, rep.StallCycles, rep.TotalLatency)
-			if k, err := hilight.MagicFactoriesNeeded(res.Circuit, res.Schedule, unit, 0, 1024); err == nil {
-				fmt.Printf("          %d units needed for stall-free execution\n", k)
-			}
-		}
 	case "viz":
 		fmt.Print(hilight.RenderSchedule(res.Schedule, 8))
 	case "heat":
 		fmt.Print(hilight.RenderHeat(res.Schedule))
 	case "svg":
 		fmt.Print(hilight.RenderSVG(res.Schedule, 16))
-	case "json":
-		data, err := hilight.EncodeScheduleJSON(res.Schedule)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
 	case "layers":
 		for i, layer := range res.Schedule.Layers {
 			fmt.Printf("cycle %d:\n", i)
@@ -308,7 +288,7 @@ func run(inFile, benchName string, list bool, method, gridKind, factory string, 
 	case "qasm":
 		fmt.Print(hilight.FormatQASM(res.Circuit))
 	default:
-		return fmt.Errorf("unknown -show %q (metrics, layers, viz, heat, svg, json, qasm)", show)
+		return fmt.Errorf("unknown -show %q (metrics, layers, viz, heat, svg, qasm; for the JSON schedule, -format json)", show)
 	}
 	return writeMetrics(reg, os.Stdout)
 }

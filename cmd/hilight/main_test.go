@@ -44,7 +44,7 @@ func capture(t *testing.T, f func() error) (string, error) {
 
 func TestRunList(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("", "", true, "hilight", "rect", "", 1, "metrics", "", 0, false, false)
+		return run("", "", true, "hilight", "rect", "", 1, "metrics", "", false, false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestRunList(t *testing.T) {
 
 func TestRunBenchMetrics(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", "", 0, false, false)
+		return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", "", false, false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestRunQASMFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := capture(t, func() error {
-		return run(path, "", false, "hilight-map", "square", "", 1, "metrics", "", 0, false, false)
+		return run(path, "", false, "hilight-map", "square", "", 1, "metrics", "", false, false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestRunRealFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := capture(t, func() error {
-		return run(path, "", false, "hilight-map", "rect", "", 1, "metrics", "", 0, false, false)
+		return run(path, "", false, "hilight-map", "rect", "", 1, "metrics", "", false, false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +103,9 @@ func TestRunRealFile(t *testing.T) {
 }
 
 func TestRunShowVariants(t *testing.T) {
-	for _, show := range []string{"layers", "viz", "heat", "svg", "json", "qasm"} {
+	for _, show := range []string{"layers", "viz", "heat", "svg", "qasm"} {
 		out, err := capture(t, func() error {
-			return run("", "CC-11", false, "hilight-map", "rect", "", 1, show, "", 0, false, false)
+			return run("", "CC-11", false, "hilight-map", "rect", "", 1, show, "", false, false)
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", show, err)
@@ -116,40 +116,45 @@ func TestRunShowVariants(t *testing.T) {
 	}
 }
 
-func TestRunWithFactoryAndMagic(t *testing.T) {
+// -factory reserves the corner the grid line reports: sqrt8_260's 12
+// qubits and one factory tile need the 4×4 square, not the 4×3 rectangle.
+func TestRunWithFactory(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("", "sqrt8_260", false, "hilight-map", "rect", "1x1", 1, "metrics", "", 10, false, false)
+		return run("", "sqrt8_260", false, "hilight-map", "rect", "1x1", 1, "metrics", "", false, false)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "magic") || !strings.Contains(out, "units needed") {
-		t.Errorf("magic analysis missing:\n%s", out)
+	if !strings.Contains(out, "grid      grid 4x4 (16 tiles, 1 reserved)") {
+		t.Errorf("grid line does not report the reserved tile:\n%s", out)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	cases := []func() error{
 		func() error {
-			return run("", "", false, "hilight", "rect", "", 1, "metrics", "", 0, false, false)
+			return run("", "", false, "hilight", "rect", "", 1, "metrics", "", false, false)
 		}, // no input
 		func() error {
-			return run("", "nope", false, "hilight", "rect", "", 1, "metrics", "", 0, false, false)
+			return run("", "nope", false, "hilight", "rect", "", 1, "metrics", "", false, false)
 		}, // bad bench
 		func() error {
-			return run("", "BV-10", false, "nope", "rect", "", 1, "metrics", "", 0, false, false)
+			return run("", "BV-10", false, "nope", "rect", "", 1, "metrics", "", false, false)
 		}, // bad method
 		func() error {
-			return run("", "BV-10", false, "hilight", "hex", "", 1, "metrics", "", 0, false, false)
+			return run("", "BV-10", false, "hilight", "hex", "", 1, "metrics", "", false, false)
 		}, // bad grid
 		func() error {
-			return run("", "BV-10", false, "hilight", "rect", "x", 1, "metrics", "", 0, false, false)
+			return run("", "BV-10", false, "hilight", "rect", "x", 1, "metrics", "", false, false)
 		}, // bad factory
 		func() error {
-			return run("", "BV-10", false, "hilight", "rect", "", 1, "nope", "", 0, false, false)
+			return run("", "BV-10", false, "hilight", "rect", "", 1, "nope", "", false, false)
 		}, // bad show
 		func() error {
-			return run("/no/such/file.qasm", "", false, "hilight", "rect", "", 1, "metrics", "", 0, false, false)
+			return run("", "BV-10", false, "hilight", "rect", "", 1, "json", "", false, false)
+		}, // -show json: the JSON schedule is -format json
+		func() error {
+			return run("/no/such/file.qasm", "", false, "hilight", "rect", "", 1, "metrics", "", false, false)
 		},
 	}
 	for i, f := range cases {
@@ -161,7 +166,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunTraceTable(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("", "QFT-10", false, "hilight", "rect", "", 1, "metrics", "", 0, true, false)
+		return run("", "QFT-10", false, "hilight", "rect", "", 1, "metrics", "", true, false)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +184,7 @@ func TestRunTraceTable(t *testing.T) {
 // reported latency.
 func TestRunMetricsFlag(t *testing.T) {
 	out, err := capture(t, func() error {
-		return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", "", 0, false, true)
+		return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", "", false, true)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +213,7 @@ func TestRunFormatVariants(t *testing.T) {
 	outputs := map[string]string{}
 	for _, format := range []string{"json", "bin", "stream"} {
 		out, err := capture(t, func() error {
-			return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", format, 0, false, false)
+			return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", format, false, false)
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", format, err)
@@ -249,7 +254,7 @@ func TestRunFormatVariants(t *testing.T) {
 	}
 
 	if _, err := capture(t, func() error {
-		return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", "nope", 0, false, false)
+		return run("", "BV-10", false, "hilight-map", "rect", "", 1, "metrics", "nope", false, false)
 	}); err == nil {
 		t.Error("unknown -format accepted")
 	}

@@ -1,13 +1,10 @@
 package hilight
 
 import (
-	"hilight/internal/errmodel"
 	"hilight/internal/lattice"
-	"hilight/internal/magic"
 	"hilight/internal/qco"
 	"hilight/internal/revlib"
 	"hilight/internal/sched"
-	"hilight/internal/surgery"
 	"hilight/internal/viz"
 	"hilight/internal/wire"
 )
@@ -87,71 +84,3 @@ type ScheduleDiff = sched.Diff
 
 // CompareSchedules computes a ScheduleDiff between two schedules.
 func CompareSchedules(a, b *Schedule) ScheduleDiff { return sched.Compare(a, b) }
-
-// MagicFactory describes a magic-state distillation pipeline for
-// AnalyzeMagic (see internal/magic for the model).
-type MagicFactory = magic.Factory
-
-// MagicReport is the result of a factory-throughput analysis.
-type MagicReport = magic.Report
-
-// DefaultMagicFactory returns a single 15-to-1-style distillation unit.
-func DefaultMagicFactory() MagicFactory { return magic.DefaultFactory() }
-
-// AnalyzeMagic overlays a magic-state factory model on a compiled
-// schedule: it reports the T-gate demand and the stall-adjusted latency
-// when distillation cannot keep up — the paper's future-work direction,
-// made quantitative.
-func AnalyzeMagic(c *Circuit, s *Schedule, f MagicFactory) (MagicReport, error) {
-	return magic.Analyze(c, s, f)
-}
-
-// MagicFactoriesNeeded sizes the distillation pipeline: the smallest unit
-// count keeping stall cycles within maxStall.
-func MagicFactoriesNeeded(c *Circuit, s *Schedule, unit MagicFactory, maxStall, maxUnits int) (int, error) {
-	return magic.FactoriesNeeded(c, s, unit, maxStall, maxUnits)
-}
-
-// SurgeryResult is the outcome of mapping a circuit in lattice-surgery
-// mode (see CompileSurgery).
-type SurgeryResult = surgery.Result
-
-// SurgeryGrid returns the quarter-density patch grid lattice surgery
-// needs for n qubits: qubits on even-row/even-column tiles, the rest an
-// ancilla routing sea.
-func SurgeryGrid(n int) *Grid { return surgery.DilutedGrid(n) }
-
-// CompileSurgery maps the circuit in the lattice-surgery surface-code
-// mode — the alternative the paper's §2.3 contrasts with double-defect
-// braiding — on a quarter-density patch layout. Compare its Latency and
-// grid size against Compile's to quantify the braiding mode's hardware
-// advantage versus surgery's lane-contention latency.
-func CompileSurgery(c *Circuit) (*SurgeryResult, error) {
-	g := surgery.DilutedGrid(c.NumQubits)
-	l, err := surgery.DilutedPlace(c, g)
-	if err != nil {
-		return nil, err
-	}
-	return surgery.Map(c, g, l)
-}
-
-// ErrorModelParams configures the physical resource estimator.
-type ErrorModelParams = errmodel.Params
-
-// ResourceReport is a physical resource estimate for a schedule.
-type ResourceReport = errmodel.Report
-
-// DefaultErrorModel returns superconducting-platform parameters
-// (p = 10⁻³, threshold 10⁻², 1 µs code cycles).
-func DefaultErrorModel() ErrorModelParams { return errmodel.Default() }
-
-// EstimateResources sizes the surface-code distance so the whole
-// schedule completes within the given logical-error budget, and reports
-// the implied physical qubit count and wall-clock time. Factory-reserved
-// tiles carry no schedule volume — they don't drive the distance up —
-// but their physical qubits are included in PhysicalQubits and broken
-// out in ReservedQubits.
-func EstimateResources(s *Schedule, budget float64, p ErrorModelParams) (ResourceReport, error) {
-	reserved := s.Grid.ReservedTiles()
-	return errmodel.EstimateReserved(s.Grid.Tiles()-reserved, reserved, s.Latency(), budget, p)
-}

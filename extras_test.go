@@ -1,155 +1,11 @@
 package hilight_test
 
 import (
-	"math"
 	"strings"
 	"testing"
 
 	"hilight"
-	"hilight/internal/errmodel"
 )
-
-func TestCompileSurgeryThroughAPI(t *testing.T) {
-	c := hilight.QFT(9)
-	res, err := hilight.CompileSurgery(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Schedule.Validate(res.Circuit); err != nil {
-		t.Fatalf("surgery schedule invalid: %v", err)
-	}
-	// Surgery needs the quarter-density board: strictly more tiles than
-	// braiding's compact grid.
-	if res.Schedule.Grid.Tiles() <= hilight.RectGrid(9).Tiles() {
-		t.Error("surgery grid not larger than braiding grid")
-	}
-	braid, err := hilight.Compile(c, hilight.RectGrid(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Latency < braid.Latency {
-		t.Logf("note: surgery latency %d beat braiding %d (possible on tiny instances)", res.Latency, braid.Latency)
-	}
-}
-
-func TestSurgeryGridShape(t *testing.T) {
-	g := hilight.SurgeryGrid(9)
-	cells := 0
-	for tile := 0; tile < g.Tiles(); tile++ {
-		x, y := g.TileXY(tile)
-		if x%2 == 0 && y%2 == 0 {
-			cells++
-		}
-	}
-	if cells < 9 {
-		t.Errorf("surgery grid %v has only %d qubit cells", g, cells)
-	}
-}
-
-func TestMagicAnalysisThroughAPI(t *testing.T) {
-	c, _ := hilight.Benchmark("4gt5_75")
-	g := hilight.RectGrid(c.NumQubits)
-	res, err := hilight.Compile(c, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hilight.AnalyzeMagic(res.Circuit, res.Schedule, hilight.DefaultMagicFactory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TCount == 0 {
-		t.Error("Toffoli-derived benchmark should consume T states")
-	}
-	if rep.TotalLatency < rep.BraidLatency {
-		t.Error("stalls cannot reduce latency")
-	}
-	k, err := hilight.MagicFactoriesNeeded(res.Circuit, res.Schedule, hilight.DefaultMagicFactory(), 0, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k < 1 {
-		t.Errorf("factories needed = %d", k)
-	}
-}
-
-func TestEstimateResourcesThroughAPI(t *testing.T) {
-	c := hilight.QFT(10)
-	g := hilight.RectGrid(10)
-	res, err := hilight.Compile(c, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hilight.EstimateResources(res.Schedule, 1e-3, hilight.DefaultErrorModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Distance < 3 || rep.PhysicalQubits <= 0 || rep.WallClock <= 0 {
-		t.Errorf("degenerate estimate: %+v", rep)
-	}
-	// Lower latency (better mapping) must never need a larger distance.
-	worse, err := hilight.Compile(c, g, hilight.WithMethod("autobraid-full"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	repWorse, err := hilight.EstimateResources(worse.Schedule, 1e-3, hilight.DefaultErrorModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worse.Latency >= res.Latency && repWorse.Distance < rep.Distance {
-		t.Errorf("higher-latency schedule got smaller distance: %d vs %d", repWorse.Distance, rep.Distance)
-	}
-}
-
-// Regression: factory-reserved tiles must not count as compute tiles in
-// the failure-volume that sizes the code distance — the factory runs its
-// own distillation protocol with its own budget. Reserved tiles still
-// cost physical qubits, reported separately in ReservedQubits.
-func TestEstimateResourcesReservedFactoryTiles(t *testing.T) {
-	g, err := hilight.GridWithFactory(10, 3, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reserved := g.ReservedTiles()
-	if reserved != 6 {
-		t.Fatalf("factory grid reserves %d tiles, want 6 (test premise)", reserved)
-	}
-	res, err := hilight.Compile(hilight.QFT(10), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hilight.EstimateResources(res.Schedule, 1e-3, hilight.DefaultErrorModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The distance (and therefore the failure probability) must match an
-	// estimate over the compute tiles alone.
-	compute := g.Tiles() - reserved
-	base, err := errmodel.Estimate(compute, res.Latency, 1e-3, errmodel.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Distance != base.Distance {
-		t.Errorf("reserved tiles changed the code distance: %d, want %d", rep.Distance, base.Distance)
-	}
-	if rep.LogicalError != base.LogicalError {
-		t.Errorf("reserved tiles changed the failure probability: %g, want %g",
-			rep.LogicalError, base.LogicalError)
-	}
-
-	// Reserved tiles still cost d²-scaled physical qubits.
-	perTile := hilight.DefaultErrorModel().QubitsPerTileFactor * float64(rep.Distance*rep.Distance)
-	if want := int(math.Ceil(perTile * float64(reserved))); rep.ReservedQubits != want {
-		t.Errorf("ReservedQubits = %d, want %d", rep.ReservedQubits, want)
-	}
-	if want := int(math.Ceil(perTile * float64(g.Tiles()))); rep.PhysicalQubits != want {
-		t.Errorf("PhysicalQubits = %d, want %d (compute + reserved)", rep.PhysicalQubits, want)
-	}
-	if rep.PhysicalQubits <= rep.ReservedQubits {
-		t.Errorf("PhysicalQubits %d does not dominate ReservedQubits %d",
-			rep.PhysicalQubits, rep.ReservedQubits)
-	}
-}
 
 func TestRenderScheduleThroughAPI(t *testing.T) {
 	c := hilight.GHZ(6)

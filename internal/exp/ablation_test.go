@@ -69,35 +69,6 @@ func TestRunBoundsShape(t *testing.T) {
 	}
 }
 
-func TestRunModesShape(t *testing.T) {
-	rep, err := RunModes(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range rep.Rows {
-		if row.SurgeryTiles <= row.BraidTiles {
-			t.Errorf("%s: surgery board not larger (%d vs %d)", row.Name, row.SurgeryTiles, row.BraidTiles)
-		}
-		if row.SurgeryLatency%2 != 0 {
-			t.Errorf("%s: surgery latency %d not a multiple of the op duration", row.Name, row.SurgeryLatency)
-		}
-	}
-	if rep.MeanTileRatio < 1.5 {
-		t.Errorf("tile ratio %.2f implausibly low", rep.MeanTileRatio)
-	}
-	if rep.MeanLatencyRatio < 1 {
-		t.Errorf("surgery latency ratio %.2f below 1: braiding should win on latency", rep.MeanLatencyRatio)
-	}
-	var buf bytes.Buffer
-	rep.Print(&buf)
-	if !strings.Contains(buf.String(), "geomean") {
-		t.Error("print output malformed")
-	}
-}
-
 func TestRunFinderAblationShape(t *testing.T) {
 	rep, err := RunFinderAblation(smallOpts())
 	if err != nil {

@@ -95,17 +95,6 @@ func (g *Grid) Capacity() int {
 	return n
 }
 
-// ReservedTiles returns the number of reserved (factory) tiles.
-func (g *Grid) ReservedTiles() int {
-	n := 0
-	for _, r := range g.reserved {
-		if r {
-			n++
-		}
-	}
-	return n
-}
-
 // TileAt returns the tile index at column x, row y.
 func (g *Grid) TileAt(x, y int) int { return y*g.W + x }
 

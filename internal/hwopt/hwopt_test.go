@@ -108,9 +108,9 @@ func TestGridWithFactoryDims(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		if g.W != tc.w || g.H != tc.h || g.ReservedTiles() != tc.reserved {
+		if reserved := g.Tiles() - g.Capacity(); g.W != tc.w || g.H != tc.h || reserved != tc.reserved {
 			t.Errorf("GridWithFactory(%d, %d, %d, %v) = %dx%d with %d reserved, want %dx%d with %d",
-				tc.n, tc.fw, tc.fh, tc.rect, g.W, g.H, g.ReservedTiles(), tc.w, tc.h, tc.reserved)
+				tc.n, tc.fw, tc.fh, tc.rect, g.W, g.H, reserved, tc.w, tc.h, tc.reserved)
 		}
 	}
 	for n := 0; n <= 40; n++ {
