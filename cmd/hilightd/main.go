@@ -48,8 +48,9 @@
 // Request bodies are capped at 8 MiB (413 beyond), and a body that
 // would expand past the request bounds — 4,096 declared qubits, 2^20
 // gates per source or per batch, 2^23 grid tiles per batch, a grid or
-// factory side over 2,048 — is a 400 before it is admitted, from a node
-// and through a coordinator alike.
+// factory side over 2,048, a grid over 64 tiles per qubit (1,024 below
+// 16 qubits) — is a 400 before it is admitted, from a node and through
+// a coordinator alike.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: readiness flips, new
 // compile work is rejected with 503, and in-flight compiles and async

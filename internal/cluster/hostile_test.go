@@ -76,8 +76,10 @@ func TestHostileBodiesBothTiers(t *testing.T) {
 		{"ten-broadcasts", "/v1/compile", qasmBody(t, "OPENQASM 2.0;\nqreg q[1000000];\n"+strings.Repeat("h q;\n", 10)), "4096 qubits", 4 * mib},
 		{"macro-nest", "/v1/compile", qasmBody(t, macros.String()), "macro applications", 64 * mib},
 		{"huge-factory", "/v1/compile", []byte(`{"benchmark":"QFT-16","grid":{"factory_w":100000,"factory_h":1}}`), "factory 100000x1 too large", 4 * mib},
+		{"wide-grid", "/v1/compile", []byte(`{"benchmark":"QFT-16","grid":{"w":2048,"h":2048}}`), "grid 2048x2048 too large for 16 qubits (max 1024 tiles", 4 * mib},
+		{"long-factory", "/v1/compile", []byte(`{"benchmark":"QFT-16","grid":{"factory_w":2048,"factory_h":1}}`), "factory 2048x1 too large for 16 qubits (max 1024 tiles", 4 * mib},
 		{"qft500-batch", "/v1/jobs", batch(`{"benchmark":"QFT-500"}`), "more than 1048576 gates", 1024 * mib},
-		{"wide-grid-batch", "/v1/jobs", batch(`{"benchmark":"QFT-16","grid":{"w":2048,"h":2048}}`), "more than 8388608 grid tiles", 256 * mib},
+		{"wide-grid-batch", "/v1/jobs", batch(`{"benchmark":"BV-200","grid":{"w":100,"h":100}}`), "job 838: jobs batch has more than 8388608 grid tiles", 256 * mib},
 	}
 	for _, tc2 := range cases {
 		t.Run(tc2.name, func(t *testing.T) {

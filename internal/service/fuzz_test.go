@@ -10,13 +10,16 @@ import (
 // hostileSeeds are request bodies that expand a few bytes into unbounded
 // work before admission unless the request bounds hold: a register too
 // wide to compile, the same register broadcast, ten broadcasts, a wide
-// magic-state factory and one past maxDim.
+// magic-state factory and one past maxDim; and a grid and a factory
+// within maxDim whose grids pass tilesPerQubit.
 var hostileSeeds = []string{
 	`{"qasm":"OPENQASM 2.0;\nqreg q[1000000];\n"}`,
 	`{"qasm":"OPENQASM 2.0;\nqreg q[1000000];\nh q;\n"}`,
 	`{"qasm":"OPENQASM 2.0;\nqreg q[1000000];\n` + strings.Repeat(`h q;\n`, 10) + `"}`,
 	`{"benchmark":"QFT-16","grid":{"factory_w":200,"factory_h":1}}`,
 	`{"benchmark":"QFT-16","grid":{"factory_w":100000,"factory_h":1}}`,
+	`{"benchmark":"QFT-16","grid":{"w":2048,"h":2048}}`,
+	`{"benchmark":"QFT-16","grid":{"factory_w":2048,"factory_h":1}}`,
 }
 
 // FuzzDigestCompile fuzzes the request edge every node and coordinator

@@ -254,35 +254,12 @@ func TestJournalResurrectsRetiredLookahead(t *testing.T) {
 
 	// Leave what the older daemon would after a crash right behind the
 	// ack: the submit record alone, its request carrying the fields.
-	path := filepath.Join(dir, journalFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept []string
-	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
-		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
-		if rec.Kind != recSubmit {
-			continue
-		}
-		var req map[string]any
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			t.Fatal(err)
-		}
+	rec := doctorSubmit(t, dir, func(req map[string]any) {
 		req["lookahead"] = 4
 		req["route_workers"] = 2
-		rec.Req, _ = json.Marshal(req)
-		out, _ := json.Marshal(&rec)
-		kept = append(kept, string(out))
-	}
-	if len(kept) != 1 || !strings.Contains(kept[0], `"lookahead":4`) || !strings.Contains(kept[0], `"route_workers":2`) {
-		t.Fatalf("doctored journal = %q, want one submit record carrying lookahead and route_workers", kept)
-	}
-	if err := os.WriteFile(path, []byte(kept[0]+"\n"), 0o644); err != nil {
-		t.Fatal(err)
+	})
+	if !strings.Contains(rec, `"lookahead":4`) || !strings.Contains(rec, `"route_workers":2`) {
+		t.Fatalf("doctored journal = %q, want a submit record carrying lookahead and route_workers", rec)
 	}
 
 	m := obs.NewRegistry()
@@ -304,6 +281,70 @@ func TestJournalResurrectsRetiredLookahead(t *testing.T) {
 	}
 	if v, _ := m.Snapshot().Counter("journal/rerun-jobs"); v != int64(len(ack.Fingerprints)) {
 		t.Errorf("journal/rerun-jobs = %d, want %d", v, len(ack.Fingerprints))
+	}
+	stopGracefully(t, s2, ts2)
+	waitNoCompileGoroutines(t)
+}
+
+// doctorSubmit rewrites the journal in dir to what a daemon leaves after
+// a crash right behind the ack, the single submit record alone, with its
+// request edited by edit. It returns the rewritten record.
+func doctorSubmit(t *testing.T, dir string, edit func(req map[string]any)) string {
+	t.Helper()
+	path := filepath.Join(dir, journalFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Kind != recSubmit {
+			continue
+		}
+		var req map[string]any
+		if err := json.Unmarshal(rec.Req, &req); err != nil {
+			t.Fatal(err)
+		}
+		edit(req)
+		rec.Req, _ = json.Marshal(req)
+		out, _ := json.Marshal(&rec)
+		kept = append(kept, string(out))
+	}
+	if len(kept) != 1 {
+		t.Fatalf("journal has %d submit records, want 1", len(kept))
+	}
+	if err := os.WriteFile(path, []byte(kept[0]+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return kept[0]
+}
+
+// A batch acknowledged with a grid that tilesPerQubit now rejects
+// replays to a typed job failure, since its request no longer resolves,
+// instead of compiling over the grid.
+func TestJournalReplaysOversizeGridAsFailure(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := bootJournaled(t, dir, Config{Workers: 2})
+	id, _ := submitBatch(t, ts.URL, "QFT-16")
+	pollDone(t, ts.URL, id)
+	stopGracefully(t, s, ts)
+	doctorSubmit(t, dir, func(req map[string]any) {
+		req["jobs"] = []any{map[string]any{"benchmark": "QFT-16", "grid": map[string]any{"w": 2048, "h": 2048}}}
+	})
+
+	s2, ts2 := bootJournaled(t, dir, Config{Workers: 2})
+	var st jobStatus
+	if err := json.Unmarshal(pollDone(t, ts2.URL, id), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Results) != 1 || st.Results[0].Result != nil ||
+		!strings.Contains(st.Results[0].Error, "resurrection failed") ||
+		!strings.Contains(st.Results[0].Error, "too large for 16 qubits") {
+		t.Fatalf("replayed batch = %+v, want one job failing on the tiles-per-qubit bound", st.Results)
 	}
 	stopGracefully(t, s2, ts2)
 	waitNoCompileGoroutines(t)

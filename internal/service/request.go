@@ -116,6 +116,12 @@ func (cr *compileRequest) build() (*hilight.Circuit, *hilight.Grid, []hilight.Op
 	return c, g, opts, nil
 }
 
+// tilesPerQubit bounds a request's grid by its circuit: at most 64
+// tiles per qubit, and 64·16 = 1,024 below 16 qubits. A wider grid buys
+// no latency (QFT-16 compiles to the same latency on 32×32 as on
+// 2048×2048), only a compile over millions of tiles for a 60-byte body.
+const tilesPerQubit = 64
+
 func (cr *compileRequest) buildGrid(qubits int) (*hilight.Grid, error) {
 	gs := cr.Grid
 	if gs == nil {
@@ -131,12 +137,22 @@ func (cr *compileRequest) buildGrid(qubits int) (*hilight.Grid, error) {
 	if gs.FactoryW > maxDim || gs.FactoryH > maxDim {
 		return nil, badRequest("factory %dx%d too large (max %dx%d)", gs.FactoryW, gs.FactoryH, maxDim, maxDim)
 	}
+	// Checked from the dimensions, which maxDim keeps from overflowing,
+	// before any grid is built.
+	maxTiles := tilesPerQubit * max(qubits, 16)
+	tooLarge := func(what string, w, h int) error {
+		return badRequest("%s %dx%d too large for %d qubits (max %d tiles: %d per qubit, at least %d)",
+			what, w, h, qubits, maxTiles, tilesPerQubit, tilesPerQubit*16)
+	}
 	if gs.W > 0 {
 		if gs.FactoryW > 0 {
 			return nil, badRequest("explicit w/h and a factory reservation are mutually exclusive; use kind with factory_w/factory_h")
 		}
 		if gs.W > maxDim || gs.H > maxDim {
 			return nil, badRequest("grid %dx%d too large (max %dx%d)", gs.W, gs.H, maxDim, maxDim)
+		}
+		if gs.W*gs.H > maxTiles {
+			return nil, tooLarge("grid", gs.W, gs.H)
 		}
 		return hilight.NewGrid(gs.W, gs.H), nil
 	}
@@ -149,6 +165,12 @@ func (cr *compileRequest) buildGrid(qubits int) (*hilight.Grid, error) {
 		return nil, badRequest("unknown grid kind %q (rect, square)", gs.Kind)
 	}
 	if gs.FactoryW > 0 {
+		// GridWithFactory grows the grid to n+fw·fh tiles and to a side
+		// at least the factory's longer one.
+		side := max(gs.FactoryW, gs.FactoryH)
+		if qubits+gs.FactoryW*gs.FactoryH > maxTiles || side*side > maxTiles {
+			return nil, tooLarge("factory", gs.FactoryW, gs.FactoryH)
+		}
 		g, err := hilight.GridWithFactory(qubits, gs.FactoryW, gs.FactoryH, rect)
 		if err != nil {
 			return nil, badRequest("factory: %v", err)
