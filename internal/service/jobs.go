@@ -507,8 +507,7 @@ func (s *JobStore) restore(batches []*replayBatch) {
 
 		resurrectedB.Inc()
 		rerunJ.Add(int64(len(rb.fps) - rb.have))
-		req := rb.req // copy: the plan may inject the route-worker default
-		fps, run, err := s.plan(&req, rb.header())
+		fps, run, err := s.plan(&rb.req, rb.header())
 		if err == nil && !slices.Equal(fps, rb.fps) {
 			err = errors.New("request no longer resolves to the acknowledged fingerprints")
 		}
