@@ -58,9 +58,11 @@ func checkCompile(t *testing.T, c *hilight.Circuit, rate float64, seed int64) {
 
 // checkOutcome holds one compile to the contract: it ends in a typed
 // ErrUnroutable or ErrInsufficientCapacity that is not the router's
-// cycle guard, or in a schedule that validates against its circuit
-// with a latency no shorter than the circuit's dependency depth. It
-// reports whether the compile returned such a schedule.
+// cycle guard, or in a schedule that validates against its circuit,
+// lowers to the physical lattice at code distance 3 (LowerSchedule: no
+// two same-cycle corridors touch), and has a latency no shorter than
+// the circuit's dependency depth. It reports whether the compile
+// returned such a schedule.
 func checkOutcome(t *testing.T, what string, res *hilight.Result, err error) bool {
 	t.Helper()
 	if err != nil {
@@ -76,6 +78,10 @@ func checkOutcome(t *testing.T, what string, res *hilight.Result, err error) boo
 	}
 	if err := res.Schedule.Validate(res.Circuit); err != nil {
 		t.Errorf("%s: invalid schedule: %v", what, err)
+		return false
+	}
+	if _, err := hilight.LowerSchedule(res.Schedule, 3); err != nil {
+		t.Errorf("%s: physical lowering: %v", what, err)
 		return false
 	}
 	if _, depth := circuit.Layers(res.Circuit); res.Latency < depth {
@@ -126,7 +132,7 @@ func checkRoundTrip(t *testing.T, m string, res *hilight.Result) {
 }
 
 // FuzzCompile drives small random circuits over random defect maps
-// through every registered method, then round-trips and recompiles
+// through every registered method, then lowers, round-trips and recompiles
 // each schedule (see checkCompile).
 func FuzzCompile(f *testing.F) {
 	f.Add([]byte{6, 1, 4, 7, 0, 1, 4}, uint8(30), int64(-42)) // TestCompileSwapLivelock

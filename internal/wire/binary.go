@@ -521,9 +521,12 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return out, nil
 }
 
+// uvarint and varint reject an overlong encoding, one whose last byte
+// is a zero continuation of a shorter varint: v1 has exactly one
+// encoding per schedule.
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
 		return 0, fmt.Errorf("wire: bad uvarint at byte %d", r.off)
 	}
 	r.off += n
@@ -532,7 +535,7 @@ func (r *reader) uvarint() (uint64, error) {
 
 func (r *reader) varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
 		return 0, fmt.Errorf("wire: bad varint at byte %d", r.off)
 	}
 	r.off += n
