@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test hlbench-check race race-pkgs race-root bench bench-route fuzz golden wire-compat check serve smoke chaos chaos-short cluster-smoke session-smoke
+.PHONY: all build vet lint test hlbench-check loc race race-pkgs race-root bench bench-route fuzz golden wire-compat check serve smoke chaos chaos-short cluster-smoke session-smoke
 
 all: check
 
@@ -29,6 +29,14 @@ test:
 # run.
 hlbench-check:
 	cd hlbench && $(GO) vet ./... && $(GO) test ./...
+
+# The line counts the ROADMAP's net state quotes: non-test and test Go
+# lines outside hlbench, then every Go line in hlbench. find, not
+# git ls-files, so uncommitted deletions count.
+loc:
+	@echo "non-test Go lines outside hlbench: $$(find . -path ./hlbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines outside hlbench:     $$(find . -path ./hlbench -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "Go lines in hlbench:               $$(find hlbench -name '*.go' | xargs cat | wc -l)"
 
 # The full suite under the race detector: the CompileAll worker pool,
 # the shared metrics registry, and every package that touches them.
