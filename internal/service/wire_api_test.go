@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -260,5 +261,82 @@ func TestJobsBinaryNegotiation(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Error("binary and JSON polls disagree on the schedule")
+	}
+}
+
+// TestResultFieldOrder pins the bytes of a stored result in its three
+// forms: the marshaled stored form (cache charge and journal payload),
+// the JSON response and the binary-envelope response, for a result with
+// every field set and one with only the required ones. The field order
+// and the omitempty tags are part of every form, and no golden covers
+// the metadata around a schedule.
+func TestResultFieldOrder(t *testing.T) {
+	c := hilight.NewCircuit("pair", 2)
+	c.Add2(hilight.CX, 0, 1)
+	res, err := hilight.Compile(c, hilight.NewGrid(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := hilight.EncodeScheduleBinary(res.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := new(storedResult)
+	bare.Fingerprint = "fp"
+	bare.Method = "hilight"
+	bare.ScheduleBin = bin
+	full := new(storedResult)
+	*full = *bare
+	full.Degraded = true
+	full.FallbackMethod = "hilight-map"
+	full.LatencyCycles = 1
+	full.PathLen = 2
+	full.ResUtil = 0.5
+	full.RuntimeNS = 1234
+	full.WarmCycles = 1
+	full.Parent = "parent-fp"
+	full.Delta = json.RawMessage(`{"latency":0}`)
+	full.Trace = []stageTrace{{Stage: "route", DurationNS: 5, Counters: map[string]int64{"searches": 1}}}
+	full.ReqJSON = json.RawMessage(`{"qasm":"x"}`)
+
+	stored := func(sr *storedResult) string {
+		data, err := json.Marshal(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	// A response body, compacted: WriteJSON's indentation is not under
+	// test.
+	body := func(sr *storedResult, binary bool) string {
+		resp, err := sr.response(binary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, resp)
+		var out bytes.Buffer
+		if err := json.Compact(&out, rec.Body.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	const (
+		meta     = `"method":"hilight","degraded":true,"fallback_method":"hilight-map","latency_cycles":1,"path_len":2,"resutil":0.5,"runtime_ns":1234,"warm_cycles":1,"parent":"parent-fp","delta":{"latency":0},"trace":[{"stage":"route","duration_ns":5,"counters":{"searches":1}}]`
+		bareMeta = `"method":"hilight","latency_cycles":0,"path_len":0,"resutil":0,"runtime_ns":0`
+		payload  = `"schedule_bin":"SExTAQIBAAACAQIBAQAAAAIBAg=="`
+		schedule = `"schedule":{"version":1,"grid_w":2,"grid_h":1,"qubits":2,"initial":[0,1],"layers":[[{"gate":0,"ctl":0,"tgt":1,"path":[1]}]]}`
+	)
+	for _, tc := range []struct{ name, got, want string }{
+		{"full stored", stored(full), `{"fingerprint":"fp",` + meta + `,` + payload + `,"req":{"qasm":"x"}}`},
+		{"full json", body(full, false), `{"fingerprint":"fp","cached":false,` + meta + `,` + schedule + `}`},
+		{"full binary", body(full, true), `{"fingerprint":"fp","cached":false,` + meta + `,` + payload + `}`},
+		{"bare stored", stored(bare), `{"fingerprint":"fp",` + bareMeta + `,` + payload + `}`},
+		{"bare json", body(bare, false), `{"fingerprint":"fp","cached":false,` + bareMeta + `,` + schedule + `}`},
+		{"bare binary", body(bare, true), `{"fingerprint":"fp","cached":false,` + bareMeta + `,` + payload + `}`},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s form:\n got %s\nwant %s", tc.name, tc.got, tc.want)
+		}
 	}
 }
