@@ -1,6 +1,7 @@
 package revlib
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,6 +57,71 @@ t3 a b c
 	}
 	if !eq {
 		t.Error("parsed circuit not equivalent to reference")
+	}
+}
+
+// runBasis applies c to the computational basis state |input⟩, where
+// bit q of input is qubit q, and returns the output basis label (the
+// circuit must be classical).
+func runBasis(t *testing.T, c *circuit.Circuit, input int) int {
+	t.Helper()
+	s, err := sim.NewState(c.NumQubits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Amps[0] = 0
+	s.Amps[input] = 1
+	for _, g := range c.Gates {
+		if err := s.Apply(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, amp := range s.Amps {
+		if math.Abs(real(amp)-1) < 1e-9 && math.Abs(imag(amp)) < 1e-9 {
+			return i
+		}
+	}
+	t.Fatalf("output not a basis state")
+	return -1
+}
+
+// TestAddCCXTruthTable checks the Toffoli network behind t-gates, the
+// QASM ccx and the RevLib-style generators against the truth table on
+// all 8 basis inputs, with the operands in two orders, and AddMCX with
+// 0, 1 and 2 controls against X, CX and Toffoli.
+func TestAddCCXTruthTable(t *testing.T) {
+	for _, tc := range []struct {
+		controls []int
+		target   int
+	}{
+		{nil, 2},
+		{[]int{1}, 0},
+		{[]int{0, 1}, 2},
+		{[]int{2, 0}, 1},
+	} {
+		mcx := circuit.New("mcx", 3)
+		mcx.AddMCX(tc.controls, tc.target)
+		circuits := []*circuit.Circuit{mcx}
+		if len(tc.controls) == 2 {
+			ccx := circuit.New("ccx", 3)
+			ccx.AddCCX(tc.controls[0], tc.controls[1], tc.target)
+			circuits = append(circuits, ccx)
+		}
+		mask := 0
+		for _, q := range tc.controls {
+			mask |= 1 << q
+		}
+		for _, c := range circuits {
+			for in := 0; in < 8; in++ {
+				want := in
+				if in&mask == mask {
+					want ^= 1 << tc.target
+				}
+				if got := runBasis(t, c, in); got != want {
+					t.Errorf("%s(%v; %d) |%03b⟩ -> |%03b⟩, want |%03b⟩", c.Name, tc.controls, tc.target, in, got, want)
+				}
+			}
+		}
 	}
 }
 
