@@ -75,23 +75,6 @@ func ExampleOptimizeProgram() {
 	// with QCO:    2
 }
 
-// ExampleCompressProgram cancels inverse pairs and merges rotations.
-func ExampleCompressProgram() {
-	c := hilight.NewCircuit("noisy", 2)
-	c.Add1(hilight.H, 0)
-	c.Add1(hilight.H, 0) // cancels
-	c.Add2(hilight.CX, 0, 1)
-	c.Add2(hilight.CX, 0, 1) // cancels
-	c.AddRot(hilight.RZ, 1, 0.25)
-	c.AddRot(hilight.RZ, 1, 0.50) // merges
-	o := hilight.CompressProgram(c)
-	fmt.Println("gates:", o.Len())
-	fmt.Println(o.Gates[0])
-	// Output:
-	// gates: 1
-	// rz(0.75) q[1]
-}
-
 // ExampleRenderLayout draws a 2×2 grid with one reserved factory tile.
 func ExampleRenderLayout() {
 	g := hilight.SquareGrid(3) // 2×2

@@ -2,7 +2,6 @@ package hilight
 
 import (
 	"hilight/internal/lattice"
-	"hilight/internal/qco"
 	"hilight/internal/revlib"
 	"hilight/internal/sched"
 	"hilight/internal/viz"
@@ -24,12 +23,6 @@ func LowerSchedule(s *Schedule, d int) (*Lowering, error) { return lattice.Lower
 // format of the paper's building-block benchmarks — expanding Toffoli and
 // Fredkin gates into their CX networks.
 func ParseReal(name, src string) (*Circuit, error) { return revlib.Parse(name, src) }
-
-// CompressProgram applies the §3.3 QCO compression and cancellation
-// rules (inverse-pair cancellation, rotation merging, phase promotion)
-// and returns a semantically identical, never-larger circuit. Combine
-// with OptimizeProgram for the full program-level pass.
-func CompressProgram(c *Circuit) *Circuit { return qco.Compress(c) }
 
 // EncodeScheduleJSON serializes a schedule (with its grid and initial
 // layout) to a stable, versioned JSON form.

@@ -153,7 +153,7 @@ func GridWithFactory(n, fw, fh int, rect bool) (*Grid, error) {
 }
 
 // ResUtil computes the Eq. 1 resource-utilization metric of a schedule.
-func ResUtil(s *Schedule) float64 { return hwopt.ResUtilOf(s) }
+func ResUtil(s *Schedule) float64 { return s.ResUtil() }
 
 // OptimizeProgram applies the program-level commuting-CX reordering
 // (§3.3) and returns the rewritten, semantically-equal circuit.
@@ -484,17 +484,4 @@ var (
 	QAOA = bench.QAOA
 	// GHZ builds the GHZ-state preparation chain.
 	GHZ = bench.GHZ
-	// WState builds a W-state preparation chain.
-	WState = bench.WState
-	// VQE builds a hardware-efficient VQE ansatz.
-	VQE = bench.VQE
-	// GraphState builds a chain graph state.
-	GraphState = bench.GraphState
-	// CuccaroAdder builds the ripple-carry adder (semantically verified
-	// against classical addition by the test suite).
-	CuccaroAdder = bench.CuccaroAdder
-	// Grover builds a Grover-search skeleton.
-	Grover = bench.Grover
-	// HiddenShift builds the hidden-shift benchmark.
-	HiddenShift = bench.HiddenShift
 )

@@ -24,7 +24,7 @@
 //     random circuits over {X, CX, Toffoli} calibrated to the published
 //     gate counts (Toffolis expand to the standard 6-CX network exactly
 //     as the paper's toolchain expands them).
-//   - GHZ, W, VQE, graph-state chains for the pattern-matching analyses.
+//   - GHZ chains for the pattern-matching analyses.
 package bench
 
 import (
@@ -227,50 +227,6 @@ func GHZ(n int) *circuit.Circuit {
 	c.Add1(circuit.H, 0)
 	for i := 0; i+1 < n; i++ {
 		c.Add2(circuit.CX, i, i+1)
-	}
-	return c
-}
-
-// WState returns an n-qubit W-state preparation skeleton: a chain of
-// controlled rotations (RY+CX pairs), linear interaction graph.
-func WState(n int) *circuit.Circuit {
-	c := circuit.New(fmt.Sprintf("W-%d", n), n)
-	c.Add1(circuit.X, 0)
-	for i := 0; i+1 < n; i++ {
-		theta := 2 * math.Acos(math.Sqrt(1/float64(n-i)))
-		c.AddRot(circuit.RY, i+1, theta)
-		c.Add2(circuit.CX, i, i+1)
-		c.AddRot(circuit.RY, i+1, -theta)
-		c.Add2(circuit.CX, i, i+1)
-	}
-	return c
-}
-
-// VQE returns a hardware-efficient VQE ansatz layer stack on a linear
-// chain: RY rotations plus nearest-neighbour CX entanglers.
-func VQE(n, layers int) *circuit.Circuit {
-	c := circuit.New(fmt.Sprintf("VQE-%d", n), n)
-	rng := rand.New(rand.NewSource(int64(n)*31 + int64(layers)))
-	for l := 0; l < layers; l++ {
-		for q := 0; q < n; q++ {
-			c.AddRot(circuit.RY, q, rng.Float64()*math.Pi)
-		}
-		for i := l % 2; i+1 < n; i += 2 {
-			c.Add2(circuit.CX, i, i+1)
-		}
-	}
-	return c
-}
-
-// GraphState returns the graph-state preparation for a ring of n qubits:
-// H everywhere then CZ along chain edges (linear interaction graph).
-func GraphState(n int) *circuit.Circuit {
-	c := circuit.New(fmt.Sprintf("graphstate-%d", n), n)
-	for q := 0; q < n; q++ {
-		c.Add1(circuit.H, q)
-	}
-	for i := 0; i+1 < n; i++ {
-		c.Add2(circuit.CZ, i, i+1)
 	}
 	return c
 }

@@ -173,13 +173,6 @@ type QubitLists struct {
 	Lists [][]int
 }
 
-// NewQubitLists builds the per-qubit gate lists of c.
-func NewQubitLists(c *Circuit) *QubitLists {
-	ql := &QubitLists{}
-	ql.Fill(c)
-	return ql
-}
-
 // Fill rebuilds the per-qubit gate lists of c in place, reusing the list
 // storage from a previous Fill so steady-state rebuilds do not allocate.
 func (ql *QubitLists) Fill(c *Circuit) {

@@ -103,17 +103,6 @@ func (k Kind) Parameterized() bool {
 	return false
 }
 
-// KindByName resolves an OpenQASM mnemonic ("cx", "h", ...) to a Kind.
-// The second result is false if the mnemonic is unknown.
-func KindByName(name string) (Kind, bool) {
-	for k := Kind(1); k < numKinds; k++ {
-		if kindNames[k] == name {
-			return k, true
-		}
-	}
-	return Invalid, false
-}
-
 // Gate is a single operation on one or two program qubits. For two-qubit
 // kinds, Q0 is the control and Q1 the target (for CZ and SWAP the roles are
 // symmetric but the fields keep operand order). Params holds rotation
@@ -132,18 +121,6 @@ func NewGate2(k Kind, c, t int) Gate { return Gate{Kind: k, Q0: c, Q1: t} }
 
 // TwoQubit reports whether the gate acts on two qubits.
 func (g Gate) TwoQubit() bool { return g.Kind.TwoQubit() }
-
-// Control returns the control qubit of a two-qubit gate.
-func (g Gate) Control() int { return g.Q0 }
-
-// Target returns the target qubit of a two-qubit gate, or the sole operand
-// of a single-qubit gate.
-func (g Gate) Target() int {
-	if g.TwoQubit() {
-		return g.Q1
-	}
-	return g.Q0
-}
 
 // Qubits returns the operands of the gate (one or two entries).
 func (g Gate) Qubits() []int {

@@ -19,18 +19,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindByName(t *testing.T) {
-	for k := Kind(1); k < numKinds; k++ {
-		got, ok := KindByName(k.String())
-		if !ok || got != k {
-			t.Errorf("KindByName(%q) = %v, %v", k.String(), got, ok)
-		}
-	}
-	if _, ok := KindByName("nope"); ok {
-		t.Error("KindByName accepted unknown mnemonic")
-	}
-}
-
 func TestKindTwoQubit(t *testing.T) {
 	for k := Kind(1); k < numKinds; k++ {
 		want := k == CX || k == CZ || k == SWAP
@@ -42,7 +30,7 @@ func TestKindTwoQubit(t *testing.T) {
 
 func TestGateAccessors(t *testing.T) {
 	g := NewGate2(CX, 3, 7)
-	if !g.TwoQubit() || g.Control() != 3 || g.Target() != 7 {
+	if !g.TwoQubit() || g.Q0 != 3 || g.Q1 != 7 {
 		t.Fatalf("CX accessors wrong: %+v", g)
 	}
 	if got := g.Qubits(); len(got) != 2 || got[0] != 3 || got[1] != 7 {
@@ -52,7 +40,7 @@ func TestGateAccessors(t *testing.T) {
 		t.Fatal("ActsOn wrong for CX")
 	}
 	h := NewGate1(H, 2)
-	if h.TwoQubit() || h.Target() != 2 || len(h.Qubits()) != 1 {
+	if h.TwoQubit() || h.Q0 != 2 || len(h.Qubits()) != 1 {
 		t.Fatalf("H accessors wrong: %+v", h)
 	}
 }
@@ -273,7 +261,8 @@ func TestQubitLists(t *testing.T) {
 	c.Add2(CX, 0, 1) // gate 1
 	c.Add2(CX, 1, 2) // gate 2
 	c.Add1(T, 1)     // gate 3
-	ql := NewQubitLists(c)
+	var ql QubitLists
+	ql.Fill(c)
 	want := [][]int{{0, 1}, {1, 2, 3}, {2}}
 	for q, lst := range ql.Lists {
 		if len(lst) != len(want[q]) {
@@ -355,7 +344,8 @@ func TestDerivedViewProperties(t *testing.T) {
 				c.Add2(CX, a, b)
 			}
 		}
-		ql := NewQubitLists(c)
+		var ql QubitLists
+		ql.Fill(c)
 		maxPer := 0
 		for q, lst := range ql.Lists {
 			for i := 1; i < len(lst); i++ {

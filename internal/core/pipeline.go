@@ -470,9 +470,9 @@ var (
 		return nil
 	}}
 
-	// passFinalizeMetrics derives Latency, PathLen and ResUtil (Eq. 1)
-	// from the final schedule — the single place these metrics are
-	// computed, whatever passes ran before it.
+	// passFinalizeMetrics sets Latency, PathLen and ResUtil (Eq. 1)
+	// from the final schedule — the single place a Result gets these
+	// metrics, whatever passes ran before it.
 	passFinalizeMetrics = Pass{Name: "finalize-metrics", Run: func(st *State) error {
 		res := st.Result
 		res.Schedule = st.Schedule
@@ -480,11 +480,7 @@ var (
 		res.Grid = st.Grid
 		res.Latency = st.Schedule.Latency()
 		res.PathLen = st.Schedule.TotalPathLength()
-		if res.Latency > 0 {
-			res.ResUtil = float64(res.PathLen) / (float64(st.Grid.Tiles()) * float64(res.Latency))
-		} else {
-			res.ResUtil = 0
-		}
+		res.ResUtil = st.Schedule.ResUtil()
 		if st.cfg.Warm != nil {
 			res.WarmCycles = len(st.cfg.Warm.Prefix)
 		}

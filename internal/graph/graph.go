@@ -40,17 +40,6 @@ func (g *Dense) AddEdge(u, v, w int) {
 // Weight returns the weight of edge {u,v} (0 when absent).
 func (g *Dense) Weight(u, v int) int { return g.weights[u*g.N+v] }
 
-// Degree returns the number of incident edges of u.
-func (g *Dense) Degree(u int) int {
-	d := 0
-	for v := 0; v < g.N; v++ {
-		if g.weights[u*g.N+v] > 0 {
-			d++
-		}
-	}
-	return d
-}
-
 // WeightedDegree returns the total incident edge weight of u.
 func (g *Dense) WeightedDegree(u int) int {
 	s := 0
@@ -69,17 +58,6 @@ func (g *Dense) Neighbors(u int) []int {
 		}
 	}
 	return out
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Dense) TotalWeight() int {
-	s := 0
-	for u := 0; u < g.N; u++ {
-		for v := u + 1; v < g.N; v++ {
-			s += g.weights[u*g.N+v]
-		}
-	}
-	return s
 }
 
 // BFSOrder returns vertices in breadth-first order from start, visiting

@@ -18,14 +18,19 @@ func TestDenseBasics(t *testing.T) {
 	if g.Weight(2, 2) != 0 {
 		t.Error("self-loop stored")
 	}
-	if g.Degree(1) != 2 || g.WeightedDegree(1) != 4 {
-		t.Errorf("degree(1)=%d weighted=%d", g.Degree(1), g.WeightedDegree(1))
+	if g.WeightedDegree(1) != 4 {
+		t.Errorf("WeightedDegree(1) = %d, want 4", g.WeightedDegree(1))
 	}
 	if got := g.Neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("Neighbors(1) = %v", got)
 	}
-	if g.TotalWeight() != 4 {
-		t.Errorf("TotalWeight = %d", g.TotalWeight())
+	// Each edge's weight counts once at either end.
+	sum := 0
+	for u := 0; u < g.N; u++ {
+		sum += g.WeightedDegree(u)
+	}
+	if sum != 2*4 {
+		t.Errorf("weighted degrees sum to %d, want 8", sum)
 	}
 	if g.MaxWeightVertex() != 1 {
 		t.Errorf("MaxWeightVertex = %d", g.MaxWeightVertex())
@@ -138,7 +143,7 @@ func TestBisectSizesAndPartition(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 1+rng.Intn(5))
 		}
 		verts := rng.Perm(n)
-		l, r := g.Bisect(verts, rng)
+		l, r := g.BisectK(verts, (n+1)/2, rng)
 		if len(l)+len(r) != n {
 			return false
 		}
@@ -171,9 +176,15 @@ func TestBisectSeparatesClusters(t *testing.T) {
 	g.AddEdge(0, 4, 1)
 	rng := rand.New(rand.NewSource(7))
 	verts := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	l, r := g.Bisect(verts, rng)
-	if got := g.CutWeight(l, r); got != 1 {
-		t.Errorf("cut weight = %d, want 1 (l=%v r=%v)", got, l, r)
+	l, r := g.BisectK(verts, 4, rng)
+	cut := 0
+	for _, u := range l {
+		for _, v := range r {
+			cut += g.Weight(u, v)
+		}
+	}
+	if cut != 1 {
+		t.Errorf("cut weight = %d, want 1 (l=%v r=%v)", cut, l, r)
 	}
 }
 

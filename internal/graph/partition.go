@@ -2,13 +2,6 @@ package graph
 
 import "math/rand"
 
-// Bisect splits the vertex subset verts into two halves (sizes
-// ceil(len/2) and floor(len/2)) while heuristically minimizing the total
-// weight of edges crossing the cut. See BisectK.
-func (g *Dense) Bisect(verts []int, rng *rand.Rand) (left, right []int) {
-	return g.BisectK(verts, (len(verts)+1)/2, rng)
-}
-
 // BisectK splits verts into a left part of exactly leftSize vertices and
 // a right part with the rest, heuristically minimizing the cut weight.
 // The implementation is a bounded Kernighan–Lin refinement over a
@@ -119,15 +112,4 @@ func insertionSortBy(vs []int, key func(int) int) {
 		}
 		vs[j+1] = v
 	}
-}
-
-// CutWeight returns the total weight of edges between the two vertex sets.
-func (g *Dense) CutWeight(a, b []int) int {
-	s := 0
-	for _, u := range a {
-		for _, v := range b {
-			s += g.Weight(u, v)
-		}
-	}
-	return s
 }

@@ -108,28 +108,6 @@ func (g *Grid) ensureDefects() {
 	}
 }
 
-// DisableTile marks tile t as a fabrication defect: it can never host a
-// program qubit. Its boundary routing channels stay open unless disabled
-// separately.
-func (g *Grid) DisableTile(t int) {
-	g.ensureDefects()
-	g.def.tile[t] = true
-}
-
-// DisableVertex marks routing vertex v dead: no braid may start, end, or
-// pass through it.
-func (g *Grid) DisableVertex(v int) {
-	g.ensureDefects()
-	g.def.vertex[v] = true
-}
-
-// DisableChannel marks the routing channel between adjacent vertices u and
-// v broken. It panics (via EdgeID) if u and v are not lattice neighbors.
-func (g *Grid) DisableChannel(u, v int) {
-	g.ensureDefects()
-	g.def.edge[g.EdgeID(u, v)] = true
-}
-
 // TileDefective reports whether tile t is a fabrication defect.
 func (g *Grid) TileDefective(t int) bool {
 	return g.def != nil && g.def.tile[t]

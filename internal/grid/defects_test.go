@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// applyDefects marks d's defects on g through ApplyDefects and fails the
+// test if the map does not fit g.
+func applyDefects(t *testing.T, g *Grid, d DefectMap) {
+	t.Helper()
+	if err := g.ApplyDefects(&d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDefectMapValidate(t *testing.T) {
 	g := New(3, 3)
 	cases := []struct {
@@ -48,9 +57,11 @@ func TestDefectPredicatesAndCapacity(t *testing.T) {
 	if got := g.Capacity(); got != 9 {
 		t.Fatalf("pristine capacity = %d, want 9", got)
 	}
-	g.DisableTile(4)
-	g.DisableVertex(g.VertexID(1, 1))
-	g.DisableChannel(g.VertexID(2, 2), g.VertexID(3, 2))
+	applyDefects(t, g, DefectMap{
+		Tiles:    []int{4},
+		Vertices: []int{g.VertexID(1, 1)},
+		Channels: [][2]int{{g.VertexID(2, 2), g.VertexID(3, 2)}},
+	})
 
 	if !g.TileDefective(4) || g.TileDefective(0) {
 		t.Fatal("TileDefective wrong")
@@ -83,7 +94,7 @@ func TestDefectEdgeRoutable(t *testing.T) {
 	if !g.EdgeRoutable(u, v) {
 		t.Fatal("pristine interior edge should route")
 	}
-	g.DisableChannel(u, v)
+	applyDefects(t, g, DefectMap{Channels: [][2]int{{u, v}}})
 	if g.EdgeRoutable(u, v) || g.EdgeRoutable(v, u) {
 		t.Fatal("broken channel should not route (either direction)")
 	}
@@ -91,7 +102,7 @@ func TestDefectEdgeRoutable(t *testing.T) {
 	// A dead vertex kills all four incident channels.
 	g2 := New(3, 3)
 	w := g2.VertexID(1, 1)
-	g2.DisableVertex(w)
+	applyDefects(t, g2, DefectMap{Vertices: []int{w}})
 	for _, n := range []int{g2.VertexID(0, 1), g2.VertexID(2, 1), g2.VertexID(1, 0), g2.VertexID(1, 2)} {
 		if g2.EdgeRoutable(w, n) || g2.EdgeRoutable(n, w) {
 			t.Fatalf("edge incident to dead vertex %d routes", w)
@@ -105,11 +116,11 @@ func TestDefectEdgeRoutable(t *testing.T) {
 	// A dead tile keeps its boundary channels open — only channels interior
 	// to a dead/reserved *region* close, mirroring factory reservations.
 	g3 := New(3, 3)
-	g3.DisableTile(4) // center tile, corners (1,1),(2,1),(1,2),(2,2)
+	applyDefects(t, g3, DefectMap{Tiles: []int{4}}) // center tile, corners (1,1),(2,1),(1,2),(2,2)
 	if !g3.EdgeRoutable(g3.VertexID(1, 1), g3.VertexID(2, 1)) {
 		t.Fatal("single dead tile must not close its boundary channels")
 	}
-	g3.DisableTile(1) // tile above center: edge (1,1)-(2,1) now interior
+	applyDefects(t, g3, DefectMap{Tiles: []int{1}}) // tile above center: edge (1,1)-(2,1) now interior
 	if g3.EdgeRoutable(g3.VertexID(1, 1), g3.VertexID(2, 1)) {
 		t.Fatal("channel between two dead tiles should be closed")
 	}
@@ -157,13 +168,12 @@ func TestDefectsRoundTrip(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	g := New(3, 3)
 	g.ReserveTile(0)
-	g.DisableTile(4)
+	applyDefects(t, g, DefectMap{Tiles: []int{4}})
 	c := g.Clone()
 	if !c.Reserved(0) || !c.TileDefective(4) {
 		t.Fatal("clone lost reservation or defect")
 	}
-	c.DisableTile(5)
-	c.DisableVertex(0)
+	applyDefects(t, c, DefectMap{Tiles: []int{5}, Vertices: []int{0}})
 	if g.TileDefective(5) || g.VertexDefective(0) {
 		t.Fatal("mutating clone leaked into original")
 	}

@@ -226,8 +226,8 @@ func (g *Grid) EdgeID(u, v int) int {
 // EdgeEndpoints inverts EdgeID: it returns the two adjacent vertices of
 // channel id (u < v). Edge 2u is the horizontal channel east of vertex u,
 // edge 2u+1 the vertical channel south of it. Ids on the far boundary
-// (where no east/south neighbor exists) have no channel; callers that
-// enumerate raw ids must skip them via EdgeExists.
+// (where no east/south neighbor exists) have no channel and must not be
+// passed.
 func (g *Grid) EdgeEndpoints(id int) (u, v int) {
 	u = id / 2
 	ux, uy := g.VertexXY(u)
@@ -235,20 +235,6 @@ func (g *Grid) EdgeEndpoints(id int) (u, v int) {
 		return u, g.VertexID(ux+1, uy)
 	}
 	return u, g.VertexID(ux, uy+1)
-}
-
-// EdgeExists reports whether channel id denotes a real lattice channel:
-// horizontal ids on the east vertex column and vertical ids on the south
-// vertex row index past the lattice and are dead slots in the edge space.
-func (g *Grid) EdgeExists(id int) bool {
-	if id < 0 || id >= g.NumEdges() {
-		return false
-	}
-	ux, uy := g.VertexXY(id / 2)
-	if id%2 == 0 {
-		return ux+1 < g.VW()
-	}
-	return uy+1 < g.VH()
 }
 
 // EdgeRoutable reports whether the channel between adjacent vertices u and
@@ -317,23 +303,6 @@ func (g *Grid) VertexDist(u, v int) int {
 	ux, uy := g.VertexXY(u)
 	vx, vy := g.VertexXY(v)
 	return abs(ux-vx) + abs(uy-vy)
-}
-
-// ClosestCorners returns the corner pair (one of a, one of b) with the
-// minimum Manhattan distance — the FindMinManhattanDistPoint step of the
-// paper's path-finding (Alg. 2, line 16). Ties resolve to the earliest
-// pair in NW, NE, SW, SE order, making path selection deterministic.
-func (g *Grid) ClosestCorners(a, b int) (pa, pb int) {
-	ca, cb := g.Corners(a), g.Corners(b)
-	best := 1 << 30
-	for _, u := range ca {
-		for _, v := range cb {
-			if d := g.VertexDist(u, v); d < best {
-				best, pa, pb = d, u, v
-			}
-		}
-	}
-	return pa, pb
 }
 
 // String renders the grid dimensions and how many tiles are closed to

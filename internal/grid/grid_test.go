@@ -221,44 +221,6 @@ func TestVertexNeighborsRespectBlockedEdges(t *testing.T) {
 	}
 }
 
-func TestClosestCorners(t *testing.T) {
-	g := New(4, 4)
-	a := g.TileAt(0, 0)
-	b := g.TileAt(2, 0)
-	pa, pb := g.ClosestCorners(a, b)
-	if d := g.VertexDist(pa, pb); d != 1 {
-		t.Errorf("closest corner distance = %d, want 1", d)
-	}
-	// Adjacent tiles share corners: distance 0.
-	c := g.TileAt(1, 0)
-	pa, pb = g.ClosestCorners(a, c)
-	if pa != pb {
-		t.Errorf("adjacent tiles should share a corner: %d vs %d", pa, pb)
-	}
-}
-
-func TestClosestCornersIsMinimum(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := New(2+rng.Intn(8), 2+rng.Intn(8))
-		a := rng.Intn(g.Tiles())
-		b := rng.Intn(g.Tiles())
-		pa, pb := g.ClosestCorners(a, b)
-		got := g.VertexDist(pa, pb)
-		for _, u := range g.Corners(a) {
-			for _, v := range g.Corners(b) {
-				if g.VertexDist(u, v) < got {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLayoutAssignValidate(t *testing.T) {
 	g := New(3, 3)
 	l := NewLayout(4, g)

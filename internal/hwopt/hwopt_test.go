@@ -1,38 +1,13 @@
 package hwopt
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"hilight/internal/circuit"
 	"hilight/internal/core"
 	"hilight/internal/grid"
-	"hilight/internal/sched"
 )
-
-func TestResUtil(t *testing.T) {
-	if got := ResUtil(24, 12, 4); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("ResUtil = %g, want 0.5", got)
-	}
-	if ResUtil(10, 12, 0) != 0 {
-		t.Error("zero latency should give zero")
-	}
-	if ResUtil(10, 0, 5) != 0 {
-		t.Error("zero tiles should give zero")
-	}
-}
-
-func TestGridFor(t *testing.T) {
-	g := GridFor(12, false)
-	if g.W != 4 || g.H != 4 {
-		t.Errorf("square = %dx%d", g.W, g.H)
-	}
-	g = GridFor(12, true)
-	if g.W != 4 || g.H != 3 {
-		t.Errorf("rect = %dx%d", g.W, g.H)
-	}
-}
 
 func TestGridWithFactory(t *testing.T) {
 	g, err := GridWithFactory(12, 1, 1, false)
@@ -63,12 +38,15 @@ func TestGridWithFactory(t *testing.T) {
 }
 
 // growFactoryGrid is GridWithFactory's former growth loop: it tries
-// GridFor(n+fw·fh+extra) for extra = 0, 1, 2, …, building a grid per
-// step, until one fits the factory. It is the reference factoryDims must
-// reproduce, and only usable on small inputs.
+// grid.Rect(n+fw·fh+extra) (grid.Square without hwOpt) for extra = 0, 1,
+// 2, …, building a grid per step, until one fits the factory. It is the
+// reference factoryDims must reproduce, and only usable on small inputs.
 func growFactoryGrid(n, fw, fh int, hwOpt bool) *grid.Grid {
 	for extra := 0; ; extra++ {
-		g := GridFor(n+fw*fh+extra, hwOpt)
+		g := grid.Square(n + fw*fh + extra)
+		if hwOpt {
+			g = grid.Rect(n + fw*fh + extra)
+		}
 		if g.W < fw || g.H < fh {
 			continue
 		}
@@ -83,8 +61,7 @@ func growFactoryGrid(n, fw, fh int, hwOpt bool) *grid.Grid {
 
 // TestGridWithFactoryDims pins the factory grid shapes the growth loop
 // produced: a table of (n, fw, fh, rect) cases, some far too large for
-// the loop, and a sweep of small ones checked against it tile by tile,
-// for GridWithFactory and every CandidateFactoryGrids candidate.
+// the loop, and a sweep of small ones checked against it tile by tile.
 func TestGridWithFactoryDims(t *testing.T) {
 	for _, tc := range []struct {
 		n, fw, fh      int
@@ -130,41 +107,9 @@ func TestGridWithFactoryDims(t *testing.T) {
 							t.Fatalf("(%d, %d, %d, %v): tile %d reserved %v, want %v", n, fw, fh, rect, tile, got.Reserved(tile), want.Reserved(tile))
 						}
 					}
-					cands, err := CandidateFactoryGrids(n, fw, fh, rect)
-					if err != nil {
-						t.Fatalf("(%d, %d, %d, %v): candidates: %v", n, fw, fh, rect, err)
-					}
-					for _, c := range cands {
-						if c.Grid.W != want.W || c.Grid.H != want.H {
-							t.Fatalf("(%d, %d, %d, %v): candidate at (%d,%d) is %dx%d, want %dx%d",
-								n, fw, fh, rect, c.X, c.Y, c.Grid.W, c.Grid.H, want.W, want.H)
-						}
-					}
 				}
 			}
 		}
-	}
-}
-
-func mapQFT(t *testing.T, n int, g *grid.Grid) *core.Result {
-	t.Helper()
-	c := circuit.New("qft", n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c.Add2(circuit.CX, j, i)
-		}
-	}
-	res, err := core.Run(c, g, core.MustMethod("hilight-map"), core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func TestResUtilOfMatchesCore(t *testing.T) {
-	res := mapQFT(t, 10, grid.Rect(10))
-	if got := ResUtilOf(res.Schedule); math.Abs(got-res.ResUtil) > 1e-12 {
-		t.Errorf("ResUtilOf = %g, core computed %g", got, res.ResUtil)
 	}
 }
 
@@ -209,28 +154,5 @@ func TestRectRaisesUtilization(t *testing.T) {
 	}
 	if grid.Rect(12).Tiles() >= grid.Square(12).Tiles() {
 		t.Error("rectangle did not shrink hardware")
-	}
-}
-
-func TestPerLayerAndBalance(t *testing.T) {
-	res := mapQFT(t, 9, grid.Square(9))
-	util := PerLayerUtilization(res.Schedule)
-	if len(util) != res.Latency {
-		t.Fatalf("per-layer length %d != latency %d", len(util), res.Latency)
-	}
-	sum := 0.0
-	for _, u := range util {
-		sum += u
-	}
-	if math.Abs(sum/float64(len(util))-res.ResUtil) > 1e-9 {
-		t.Errorf("mean per-layer %g != ResUtil %g", sum/float64(len(util)), res.ResUtil)
-	}
-	b := Balance(res.Schedule)
-	if b.Peak < b.Mean || b.Flatness < 0 || b.Flatness > 1 {
-		t.Errorf("balance report inconsistent: %+v", b)
-	}
-	empty := Balance(&sched.Schedule{Grid: res.Grid})
-	if empty.Mean != 0 || empty.Peak != 0 || empty.Flatness != 0 {
-		t.Errorf("empty schedule balance = %+v", empty)
 	}
 }

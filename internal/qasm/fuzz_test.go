@@ -51,10 +51,8 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzCompressSemantics feeds random byte-derived circuits through the
-// QCO compression path via small deterministic decoding, checking gate
-// multiset shrinkage only (semantics are covered by the quick tests; the
-// fuzzer hunts for panics and invalid outputs).
+// FuzzGateStream decodes random bytes into small H/T/CX circuits and
+// checks that the writer's output re-parses to the same gate count.
 func FuzzGateStream(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{})

@@ -211,7 +211,7 @@ func TestOptimizeGF2Property(t *testing.T) {
 }
 
 // Property: at Clifford-circuit widths far beyond the statevector
-// oracle, both QCO passes preserve semantics exactly (tableau check).
+// oracle, Optimize preserves semantics exactly (tableau check).
 func TestOptimizeCliffordAtScale(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -228,13 +228,8 @@ func TestOptimizeCliffordAtScale(t *testing.T) {
 				c.Add2([]circuit.Kind{circuit.CX, circuit.CZ}[rng.Intn(2)], a, b)
 			}
 		}
-		for _, rewrite := range []*circuit.Circuit{Optimize(c), Compress(c)} {
-			eq, err := sim.CliffordEquivalent(c, rewrite)
-			if err != nil || !eq {
-				return false
-			}
-		}
-		return true
+		eq, err := sim.CliffordEquivalent(c, Optimize(c))
+		return err == nil && eq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

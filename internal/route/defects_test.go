@@ -6,15 +6,23 @@ import (
 	"hilight/internal/grid"
 )
 
+// applyDefects marks d's defects on g through ApplyDefects and fails the
+// test if the map does not fit g.
+func applyDefects(t *testing.T, g *grid.Grid, d grid.DefectMap) {
+	t.Helper()
+	if err := g.ApplyDefects(&d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Defective vertices and channels must read as occupied from the moment
 // the Occupancy is built, and stay occupied across every Reset epoch — the
 // property all four finders rely on to route around fabrication damage.
 func TestOccupancyDefects(t *testing.T) {
 	g := grid.New(3, 3)
 	dead := g.VertexID(1, 1)
-	g.DisableVertex(dead)
 	cu, cv := g.VertexID(2, 2), g.VertexID(3, 2)
-	g.DisableChannel(cu, cv)
+	applyDefects(t, g, grid.DefectMap{Vertices: []int{dead}, Channels: [][2]int{{cu, cv}}})
 
 	o := NewOccupancy(g)
 	for epoch := 0; epoch < 3; epoch++ {
@@ -49,12 +57,12 @@ func TestPathValidateRejectsDefects(t *testing.T) {
 	if err := p.Validate(g); err != nil {
 		t.Fatalf("pristine path invalid: %v", err)
 	}
-	g.DisableVertex(g.VertexID(1, 1))
+	applyDefects(t, g, grid.DefectMap{Vertices: []int{g.VertexID(1, 1)}})
 	if err := p.Validate(g); err == nil {
 		t.Fatal("path through dead vertex validated")
 	}
 	g2 := grid.New(3, 3)
-	g2.DisableChannel(g2.VertexID(1, 1), g2.VertexID(2, 1))
+	applyDefects(t, g2, grid.DefectMap{Channels: [][2]int{{g2.VertexID(1, 1), g2.VertexID(2, 1)}}})
 	if err := p.Validate(g2); err == nil {
 		t.Fatal("path over broken channel validated")
 	}
@@ -74,7 +82,7 @@ func TestFindersAvoidDefects(t *testing.T) {
 			// 4×2 grid; kill the middle of the vertex column x=2 but leave
 			// the top and bottom lattice rows open, so a detour exists.
 			g := grid.New(4, 2)
-			g.DisableVertex(g.VertexID(2, 1))
+			applyDefects(t, g, grid.DefectMap{Vertices: []int{g.VertexID(2, 1)}})
 			o := NewOccupancy(g)
 			p, ok := f.Find(g, o, g.TileAt(0, 0), g.TileAt(3, 1), nil)
 			if !ok {
@@ -91,7 +99,7 @@ func TestFindersAvoidDefects(t *testing.T) {
 
 			// Now wall off the whole column: no path may be reported.
 			for y := 0; y <= g.H; y++ {
-				g.DisableVertex(g.VertexID(2, y))
+				applyDefects(t, g, grid.DefectMap{Vertices: []int{g.VertexID(2, y)}})
 			}
 			o2 := NewOccupancy(g)
 			if p, ok := f.Find(g, o2, g.TileAt(0, 0), g.TileAt(3, 1), nil); ok {

@@ -57,6 +57,17 @@ func (s *Schedule) TotalPathLength() int {
 	return total
 }
 
+// ResUtil returns the paper's resource-utilization metric (Eq. 1): the
+// total braiding path length divided by the grid's tiles times the
+// latency. A schedule without braiding cycles has ResUtil 0.
+func (s *Schedule) ResUtil() float64 {
+	latency := s.Latency()
+	if latency == 0 {
+		return 0
+	}
+	return float64(s.TotalPathLength()) / (float64(s.Grid.Tiles()) * float64(latency))
+}
+
 // BraidCount returns the number of braids including inserted SWAP braids.
 func (s *Schedule) BraidCount() int {
 	n := 0

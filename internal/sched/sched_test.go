@@ -44,6 +44,17 @@ func TestValidateAcceptsGoodSchedule(t *testing.T) {
 	}
 }
 
+func TestResUtil(t *testing.T) {
+	g, _, s := buildFixture(t)
+	// Path length 2 over 4 tiles in 1 cycle.
+	if got := s.ResUtil(); got != 0.5 {
+		t.Errorf("ResUtil = %g, want 0.5", got)
+	}
+	if got := (&Schedule{Grid: g}).ResUtil(); got != 0 {
+		t.Errorf("zero-latency ResUtil = %g, want 0", got)
+	}
+}
+
 func TestValidateRejectsIntersection(t *testing.T) {
 	g, c, s := buildFixture(t)
 	// Make both braids use the same vertex.
