@@ -190,16 +190,10 @@ type stageTrace struct {
 	Counters   map[string]int64 `json:"counters,omitempty"`
 }
 
-// compileResponse is the JSON body of a successful compile: the content
-// address, the schedule, and the metrics/trace of the compile that
-// produced it. Cached responses carry the original compile's runtime and
-// trace with Cached set. Exactly one of Schedule and ScheduleBin is set,
-// by content negotiation: the default JSON form carries the schedule
-// inline, an Accept: application/x-hilight-sched request gets the binary
-// wire payload (base64 in the JSON envelope) instead.
-type compileResponse struct {
-	Fingerprint    string  `json:"fingerprint"`
-	Cached         bool    `json:"cached"`
+// resultMeta is the metadata of a successful compile, in wire order. The
+// response and the stored form both embed it after their fingerprint
+// and cached fields, whose tags differ.
+type resultMeta struct {
 	Method         string  `json:"method"`
 	Degraded       bool    `json:"degraded,omitempty"`
 	FallbackMethod string  `json:"fallback_method,omitempty"`
@@ -211,10 +205,23 @@ type compileResponse struct {
 	// (If-Fingerprint-Match): how many parent layers were replayed
 	// verbatim, the parent fingerprint, and the sched.Compare diff
 	// against the parent schedule.
-	WarmCycles  int             `json:"warm_cycles,omitempty"`
-	Parent      string          `json:"parent,omitempty"`
-	Delta       json.RawMessage `json:"delta,omitempty"`
-	Trace       []stageTrace    `json:"trace,omitempty"`
+	WarmCycles int             `json:"warm_cycles,omitempty"`
+	Parent     string          `json:"parent,omitempty"`
+	Delta      json.RawMessage `json:"delta,omitempty"`
+	Trace      []stageTrace    `json:"trace,omitempty"`
+}
+
+// compileResponse is the JSON body of a successful compile: the content
+// address, the schedule, and the metrics/trace of the compile that
+// produced it. Cached responses carry the original compile's runtime and
+// trace with Cached set. Exactly one of Schedule and ScheduleBin is set,
+// by content negotiation: the default JSON form carries the schedule
+// inline, an Accept: application/x-hilight-sched request gets the binary
+// wire payload (base64 in the JSON envelope) instead.
+type compileResponse struct {
+	Fingerprint string `json:"fingerprint"`
+	Cached      bool   `json:"cached"`
+	resultMeta
 	Schedule    json.RawMessage `json:"schedule,omitempty"`
 	ScheduleBin []byte          `json:"schedule_bin,omitempty"`
 }
@@ -232,20 +239,10 @@ type compileResponse struct {
 // payload at its binary size, so neither may add bytes to the metadata
 // an entry is charged for.
 type storedResult struct {
-	Fingerprint    string          `json:"fingerprint"`
-	Cached         bool            `json:"cached,omitempty"`
-	Method         string          `json:"method"`
-	Degraded       bool            `json:"degraded,omitempty"`
-	FallbackMethod string          `json:"fallback_method,omitempty"`
-	LatencyCycles  int             `json:"latency_cycles"`
-	PathLen        int             `json:"path_len"`
-	ResUtil        float64         `json:"resutil"`
-	RuntimeNS      int64           `json:"runtime_ns"`
-	WarmCycles     int             `json:"warm_cycles,omitempty"`
-	Parent         string          `json:"parent,omitempty"`
-	Delta          json.RawMessage `json:"delta,omitempty"`
-	Trace          []stageTrace    `json:"trace,omitempty"`
-	ScheduleBin    []byte          `json:"schedule_bin,omitempty"`
+	Fingerprint string `json:"fingerprint"`
+	Cached      bool   `json:"cached,omitempty"`
+	resultMeta
+	ScheduleBin []byte `json:"schedule_bin,omitempty"`
 	// ReqJSON is the canonical compile request that produced this
 	// result. It makes the entry a viable session parent — building the
 	// request is deterministic, so If-Fingerprint-Match reconstructs the
@@ -264,16 +261,18 @@ func newStoredResult(fingerprint string, res *hilight.Result) (*storedResult, er
 		return nil, fmt.Errorf("encode schedule: %w", err)
 	}
 	sr := &storedResult{
-		Fingerprint:    fingerprint,
-		Method:         res.Method,
-		Degraded:       res.Degraded,
-		FallbackMethod: res.FallbackMethod,
-		LatencyCycles:  res.Latency,
-		PathLen:        res.PathLen,
-		ResUtil:        res.ResUtil,
-		RuntimeNS:      res.Runtime.Nanoseconds(),
-		WarmCycles:     res.WarmCycles,
-		ScheduleBin:    bin,
+		Fingerprint: fingerprint,
+		resultMeta: resultMeta{
+			Method:         res.Method,
+			Degraded:       res.Degraded,
+			FallbackMethod: res.FallbackMethod,
+			LatencyCycles:  res.Latency,
+			PathLen:        res.PathLen,
+			ResUtil:        res.ResUtil,
+			RuntimeNS:      res.Runtime.Nanoseconds(),
+			WarmCycles:     res.WarmCycles,
+		},
+		ScheduleBin: bin,
 	}
 	if res.Delta != nil {
 		// The field types cannot fail to marshal.
@@ -296,21 +295,7 @@ func newStoredResult(fingerprint string, res *hilight.Result) (*storedResult, er
 // shared first step of both content negotiations (and the streaming
 // trailer's metadata frame).
 func (sr *storedResult) meta() *compileResponse {
-	return &compileResponse{
-		Fingerprint:    sr.Fingerprint,
-		Cached:         sr.Cached,
-		Method:         sr.Method,
-		Degraded:       sr.Degraded,
-		FallbackMethod: sr.FallbackMethod,
-		LatencyCycles:  sr.LatencyCycles,
-		PathLen:        sr.PathLen,
-		ResUtil:        sr.ResUtil,
-		RuntimeNS:      sr.RuntimeNS,
-		WarmCycles:     sr.WarmCycles,
-		Parent:         sr.Parent,
-		Delta:          sr.Delta,
-		Trace:          sr.Trace,
-	}
+	return &compileResponse{Fingerprint: sr.Fingerprint, Cached: sr.Cached, resultMeta: sr.resultMeta}
 }
 
 // response renders the stored result in the negotiated form: a binary
