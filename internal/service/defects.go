@@ -58,8 +58,9 @@ func (s *Server) handleDefects(w http.ResponseWriter, r *http.Request) {
 
 	var stale []*storedResult
 	if !dm.Empty() {
+		dead := newDeadSets(dm)
 		for _, sr := range snapshot {
-			conflict, err := scheduleConflicts(sr, dm)
+			conflict, err := scheduleConflicts(sr, dead)
 			if err != nil || conflict {
 				// An undecodable entry is treated as conflicting: evicting a
 				// corrupt schedule is strictly safer than serving it.
@@ -170,45 +171,59 @@ func (s *Server) recompileStale(ctx context.Context, sr *storedResult, dm *hilig
 	return fp, nil
 }
 
+// deadSets is a defect map as lookup sets. A feed builds them once and
+// checks every cached schedule against them, so its cost follows the
+// feed, not the feed times the cache.
+type deadSets struct {
+	tile, vertex map[int]bool
+	channel      map[[2]int]bool // both orientations of each channel
+}
+
+func newDeadSets(dm *hilight.DefectMap) *deadSets {
+	d := &deadSets{
+		tile:    make(map[int]bool, len(dm.Tiles)),
+		vertex:  make(map[int]bool, len(dm.Vertices)),
+		channel: make(map[[2]int]bool, 2*len(dm.Channels)),
+	}
+	for _, t := range dm.Tiles {
+		d.tile[t] = true
+	}
+	for _, v := range dm.Vertices {
+		d.vertex[v] = true
+	}
+	for _, ch := range dm.Channels {
+		d.channel[[2]int{ch[0], ch[1]}] = true
+		d.channel[[2]int{ch[1], ch[0]}] = true
+	}
+	return d
+}
+
 // scheduleConflicts reports whether a stored schedule geometrically
-// conflicts with the defect map: any braid path visiting a dead vertex
-// or crossing a dead channel, any braid endpoint on a dead tile, or a
+// conflicts with the defects: any braid path visiting a dead vertex or
+// crossing a dead channel, any braid endpoint on a dead tile, or a
 // placed qubit's tile going dead.
-func scheduleConflicts(sr *storedResult, dm *hilight.DefectMap) (bool, error) {
+func scheduleConflicts(sr *storedResult, dead *deadSets) (bool, error) {
 	schd, err := hilight.DecodeScheduleBinary(sr.ScheduleBin)
 	if err != nil {
 		return true, err
 	}
-	deadTile := make(map[int]bool, len(dm.Tiles))
-	for _, t := range dm.Tiles {
-		deadTile[t] = true
-	}
-	deadVertex := make(map[int]bool, len(dm.Vertices))
-	for _, v := range dm.Vertices {
-		deadVertex[v] = true
-	}
-	deadChannel := make(map[[2]int]bool, len(dm.Channels))
-	for _, ch := range dm.Channels {
-		deadChannel[[2]int{ch[0], ch[1]}] = true
-		deadChannel[[2]int{ch[1], ch[0]}] = true
-	}
 	if schd.Initial != nil {
 		for _, t := range schd.Initial.QubitTile {
-			if deadTile[t] {
+			if dead.tile[t] {
 				return true, nil
 			}
 		}
 	}
 	for _, layer := range schd.Layers {
 		for _, b := range layer {
-			if deadTile[b.CtlTile] || deadTile[b.TgtTile] {
+			if dead.tile[b.CtlTile] || dead.tile[b.TgtTile] {
 				return true, nil
 			}
 			for i, v := range b.Path {
-				if deadVertex[v] {
+				if dead.vertex[v] {
 					return true, nil
 				}
-				if i > 0 && deadChannel[[2]int{b.Path[i-1], v}] {
+				if i > 0 && dead.channel[[2]int{b.Path[i-1], v}] {
 					return true, nil
 				}
 			}

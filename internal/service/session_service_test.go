@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"hilight"
@@ -211,6 +214,58 @@ func TestDefectFeedSweep(t *testing.T) {
 	}
 	if heal.Conflicting != 0 {
 		t.Errorf("heal feed conflicted: %+v", heal)
+	}
+}
+
+// TestDefectFeedCostFollowsFeed holds a defect feed's cost to the feed,
+// not to the feed times the cache: a node with 64 cached schedules
+// answers an 8 MiB feed with at most 1.5× the allocation of a node with
+// one.
+func TestDefectFeedCostFollowsFeed(t *testing.T) {
+	// As many distinct tile indices as fit in a body, all past every
+	// cached grid: the feed conflicts with nothing, so the sweep is all
+	// the handler does.
+	var feed bytes.Buffer
+	feed.WriteString(`{"defects":{"tiles":[`)
+	for tile := 1_000_000; feed.Len()+len(`,1000000]}}`) <= MaxBodyBytes; tile++ {
+		if tile > 1_000_000 {
+			feed.WriteByte(',')
+		}
+		feed.WriteString(strconv.Itoa(tile))
+	}
+	feed.WriteString(`]}}`)
+
+	parentQASM, _ := sessionCircuits(t, 8)
+	sweep := func(entries int) uint64 {
+		s, ts := newTestServer(t, Config{})
+		resp, body := postJSON(t, ts.URL+"/v1/compile", map[string]any{"qasm": parentQASM})
+		if resp.StatusCode != 200 {
+			t.Fatalf("compile: %d: %s", resp.StatusCode, body)
+		}
+		sr := s.cache.Snapshot()[0]
+		for i := 1; i < entries; i++ {
+			s.cache.Put(fmt.Sprintf("copy-%d", i), sr)
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/defects", bytes.NewReader(feed.Bytes()))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		var got DefectsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != 200 || err != nil {
+			t.Fatalf("%d entries: feed answered %d: %s", entries, rec.Code, rec.Body.Bytes())
+		}
+		if got.Checked != entries || got.Conflicting != 0 {
+			t.Fatalf("%d entries: feed = %+v, want all checked and none conflicting", entries, got)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, many := sweep(1), sweep(64)
+	t.Logf("8 MiB feed allocated %.1f MiB over 1 cached entry, %.1f MiB over 64", float64(one)/(1<<20), float64(many)/(1<<20))
+	if float64(many) > 1.5*float64(one) {
+		t.Errorf("64 cached entries cost %.1f× the allocation of 1, want at most 1.5×", float64(many)/float64(one))
 	}
 }
 
