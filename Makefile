@@ -10,10 +10,16 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet. staticcheck is optional locally (CI installs
-# it); when absent the target degrades to a notice instead of failing.
+# Static analysis beyond vet. Every Go file in the tree, hlbench
+# included, must be gofmt-clean; .bench_build/ holds hlbench's build
+# cache, not source. staticcheck is optional locally (CI installs it);
+# when absent the target degrades to a notice instead of failing.
 STATICCHECK ?= staticcheck
 lint: vet
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v $(STATICCHECK) >/dev/null 2>&1; then \
 		$(STATICCHECK) ./...; \
 	else \
