@@ -64,10 +64,13 @@ race-root:
 # the benchmark. BenchmarkRouteCircuit and BenchmarkFinderFind report
 # 0 allocs/op in steady state, which go test asserts through
 # TestRouteCircuitZeroAllocs and TestFinderFindZeroAllocs.
+# BenchmarkJSONResponse times the render of the JSON responses that carry
+# a schedule: compile responses, envelope transcodes and a done poll.
 bench-route:
 	$(GO) test -bench 'BenchmarkFinderFind|BenchmarkOccupancy' -benchmem -benchtime 1000x ./internal/route/
 	$(GO) test -bench 'BenchmarkRouteCircuit|BenchmarkCompileQFT' -benchmem -benchtime 5x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkWire -benchmem -benchtime 200x .
+	$(GO) test -run '^$$' -bench BenchmarkJSONResponse -benchmem -benchtime 20x ./internal/service/
 
 # Everything, including the paper-artifact benchmarks (slow).
 bench:

@@ -2,12 +2,14 @@ package hilight_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 
 	"hilight"
 	"hilight/internal/circuit"
+	"hilight/internal/sched"
 )
 
 // fuzzCircuit decodes a fuzz input into a circuit: data[0] picks 2–8
@@ -91,9 +93,53 @@ func checkOutcome(t *testing.T, what string, res *hilight.Result, err error) boo
 	return true
 }
 
+// referenceScheduleJSON is a schedule's JSON form as encoding/json
+// writes it: reflected into the form's fields and indented at prefix.
+// The one-pass writer behind EncodeScheduleJSON must write the same
+// bytes.
+func referenceScheduleJSON(s *hilight.Schedule, prefix string) ([]byte, error) {
+	type braid struct {
+		Gate      int   `json:"gate"`
+		CtlTile   int   `json:"ctl"`
+		TgtTile   int   `json:"tgt"`
+		Path      []int `json:"path"`
+		SwapTiles bool  `json:"swap,omitempty"`
+	}
+	form := struct {
+		Version  int                `json:"version"`
+		GridW    int                `json:"grid_w"`
+		GridH    int                `json:"grid_h"`
+		Reserved []int              `json:"reserved,omitempty"`
+		Defects  *hilight.DefectMap `json:"defects,omitempty"`
+		Qubits   int                `json:"qubits"`
+		Initial  []int              `json:"initial"`
+		Layers   [][]braid          `json:"layers"`
+	}{
+		Version: 1, GridW: s.Grid.W, GridH: s.Grid.H,
+		Qubits: len(s.Initial.QubitTile), Initial: append([]int(nil), s.Initial.QubitTile...),
+	}
+	for t := 0; t < s.Grid.Tiles(); t++ {
+		if s.Grid.Reserved(t) {
+			form.Reserved = append(form.Reserved, t)
+		}
+	}
+	if d := s.Grid.Defects(); !d.Empty() {
+		form.Defects = d
+	}
+	for _, layer := range s.Layers {
+		bs := make([]braid, len(layer))
+		for i, b := range layer {
+			bs[i] = braid{b.Gate, b.CtlTile, b.TgtTile, append([]int(nil), b.Path...), b.SwapTiles}
+		}
+		form.Layers = append(form.Layers, bs)
+	}
+	return json.MarshalIndent(form, prefix, "  ")
+}
+
 // checkRoundTrip decodes the schedule's binary and JSON encodings. Each
 // decoded schedule must validate against the compiled circuit and
-// re-encode to the original's bytes in both forms.
+// re-encode to the original's bytes in both forms. The JSON form must
+// equal encoding/json's, at the top level and nested in a response.
 func checkRoundTrip(t *testing.T, m string, res *hilight.Result) {
 	t.Helper()
 	bin, err := hilight.EncodeScheduleBinary(res.Schedule)
@@ -105,6 +151,16 @@ func checkRoundTrip(t *testing.T, m string, res *hilight.Result) {
 	if err != nil {
 		t.Errorf("%s: JSON encode: %v", m, err)
 		return
+	}
+	for _, prefix := range []string{"", "        "} {
+		got := js
+		if prefix != "" {
+			got, err = sched.AppendJSON(nil, res.Schedule, prefix)
+		}
+		want, refErr := referenceScheduleJSON(res.Schedule, prefix)
+		if err != nil || refErr != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: JSON form at prefix %q differs from encoding/json's (err %v, %v)", m, prefix, err, refErr)
+		}
 	}
 	for _, form := range []struct {
 		name   string

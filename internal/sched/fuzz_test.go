@@ -5,9 +5,10 @@ import (
 )
 
 // FuzzDecodeJSON checks that the schedule decoder never panics on hostile
-// input and that everything it accepts survives an encode/decode round
-// trip with the same shape. Run the seed corpus with `go test`; extend
-// with `go test -fuzz=FuzzDecodeJSON`.
+// input, that everything it accepts re-encodes through AppendJSON to
+// encoding/json's bytes (checkAppendJSON), and that it survives an
+// encode/decode round trip with the same shape. Run the seed corpus with
+// `go test`; extend with `go test -fuzz=FuzzDecodeJSON`.
 func FuzzDecodeJSON(f *testing.F) {
 	seeds := []string{
 		``,
@@ -37,6 +38,7 @@ func FuzzDecodeJSON(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
+		checkAppendJSON(t, s)
 		out, err := EncodeJSON(s)
 		if err != nil {
 			t.Fatalf("accepted schedule failed to encode: %v", err)

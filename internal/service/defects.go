@@ -1,10 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"hilight"
 )
@@ -171,31 +173,57 @@ func (s *Server) recompileStale(ctx context.Context, sr *storedResult, dm *hilig
 	return fp, nil
 }
 
-// deadSets is a defect map as lookup sets. A feed builds them once and
-// checks every cached schedule against them, so its cost follows the
-// feed, not the feed times the cache.
+// deadSets is a defect map as sorted, deduplicated id lists, searched
+// by binary search. A feed builds them once and checks every cached
+// schedule against them, so its cost follows the feed, not the feed
+// times the cache; and they hold one copy of the feed's ids, where hash
+// sets took several times their bytes.
 type deadSets struct {
-	tile, vertex map[int]bool
-	channel      map[[2]int]bool // both orientations of each channel
+	tile, vertex []int
+	channel      [][2]int // each channel once, lower vertex first
 }
 
 func newDeadSets(dm *hilight.DefectMap) *deadSets {
 	d := &deadSets{
-		tile:    make(map[int]bool, len(dm.Tiles)),
-		vertex:  make(map[int]bool, len(dm.Vertices)),
-		channel: make(map[[2]int]bool, 2*len(dm.Channels)),
+		tile:    sortedSet(slices.Clone(dm.Tiles)),
+		vertex:  sortedSet(slices.Clone(dm.Vertices)),
+		channel: make([][2]int, len(dm.Channels)),
 	}
-	for _, t := range dm.Tiles {
-		d.tile[t] = true
+	for i, ch := range dm.Channels {
+		d.channel[i] = [2]int{min(ch[0], ch[1]), max(ch[0], ch[1])}
 	}
-	for _, v := range dm.Vertices {
-		d.vertex[v] = true
-	}
-	for _, ch := range dm.Channels {
-		d.channel[[2]int{ch[0], ch[1]}] = true
-		d.channel[[2]int{ch[1], ch[0]}] = true
-	}
+	slices.SortFunc(d.channel, comparePairs)
+	d.channel = slices.Compact(d.channel)
 	return d
+}
+
+func sortedSet(ids []int) []int {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+func comparePairs(a, b [2]int) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
+}
+
+func (d *deadSets) deadTile(t int) bool {
+	_, ok := slices.BinarySearch(d.tile, t)
+	return ok
+}
+
+func (d *deadSets) deadVertex(v int) bool {
+	_, ok := slices.BinarySearch(d.vertex, v)
+	return ok
+}
+
+// deadChannel reports whether the channel between u and v, in either
+// direction, is dead.
+func (d *deadSets) deadChannel(u, v int) bool {
+	_, ok := slices.BinarySearchFunc(d.channel, [2]int{min(u, v), max(u, v)}, comparePairs)
+	return ok
 }
 
 // scheduleConflicts reports whether a stored schedule geometrically
@@ -209,21 +237,21 @@ func scheduleConflicts(sr *storedResult, dead *deadSets) (bool, error) {
 	}
 	if schd.Initial != nil {
 		for _, t := range schd.Initial.QubitTile {
-			if dead.tile[t] {
+			if dead.deadTile(t) {
 				return true, nil
 			}
 		}
 	}
 	for _, layer := range schd.Layers {
 		for _, b := range layer {
-			if dead.tile[b.CtlTile] || dead.tile[b.TgtTile] {
+			if dead.deadTile(b.CtlTile) || dead.deadTile(b.TgtTile) {
 				return true, nil
 			}
 			for i, v := range b.Path {
-				if dead.vertex[v] {
+				if dead.deadVertex(v) {
 					return true, nil
 				}
-				if i > 0 && dead.channel[[2]int{b.Path[i-1], v}] {
+				if i > 0 && dead.deadChannel(b.Path[i-1], v) {
 					return true, nil
 				}
 			}

@@ -55,23 +55,19 @@ type EnvelopeMeta struct {
 
 // TranscodeEnvelope converts a worker's binary-envelope response
 // (Accept: application/x-hilight-sched+json) into the canonical JSON
-// body the single-node server writes for the same compile — the same
-// structs and the same encoder settings, so the client-visible bytes
-// are identical.
+// body the single-node server writes for the same compile: it renders
+// through the server's own appendResponseJSON, so the client-visible
+// bytes are identical.
 func TranscodeEnvelope(envelope []byte) ([]byte, EnvelopeMeta, error) {
 	sr, err := decodeStored(envelope)
 	if err != nil {
 		return nil, EnvelopeMeta{}, err
 	}
-	resp, err := sr.response(false)
+	body, err := appendResponseJSON(nil, sr, "")
 	if err != nil {
 		return nil, EnvelopeMeta{}, err
 	}
-	body, err := encodeJSONBody(resp)
-	if err != nil {
-		return nil, EnvelopeMeta{}, err
-	}
-	return body, EnvelopeMeta{Fingerprint: sr.Fingerprint, Cached: sr.Cached}, nil
+	return append(body, '\n'), EnvelopeMeta{Fingerprint: sr.Fingerprint, Cached: sr.Cached}, nil
 }
 
 // ErrorBody renders the canonical JSON error envelope for msg — what

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hilight"
+	"hilight/internal/sched"
 	"hilight/internal/wire"
 )
 
@@ -217,7 +218,9 @@ type resultMeta struct {
 // trace with Cached set. Exactly one of Schedule and ScheduleBin is set,
 // by content negotiation: the default JSON form carries the schedule
 // inline, an Accept: application/x-hilight-sched request gets the binary
-// wire payload (base64 in the JSON envelope) instead.
+// wire payload (base64 in the JSON envelope) instead. The server writes
+// the inline form through appendResponseJSON, so only a decoding client
+// sets Schedule.
 type compileResponse struct {
 	Fingerprint string `json:"fingerprint"`
 	Cached      bool   `json:"cached"`
@@ -292,43 +295,61 @@ func newStoredResult(fingerprint string, res *hilight.Result) (*storedResult, er
 }
 
 // meta returns the response envelope without a schedule payload — the
-// shared first step of both content negotiations (and the streaming
+// shared first step of every response form (and the streaming
 // trailer's metadata frame).
 func (sr *storedResult) meta() *compileResponse {
 	return &compileResponse{Fingerprint: sr.Fingerprint, Cached: sr.Cached, resultMeta: sr.resultMeta}
 }
 
-// response renders the stored result in the negotiated form: a binary
-// form passes the stored payload through untouched, the default JSON
-// form carries the schedule inline (see scheduleJSON).
-func (sr *storedResult) response(binary bool) (*compileResponse, error) {
+// envelope renders the stored result in the binary-envelope form: the
+// metadata with the stored payload passed through untouched.
+func (sr *storedResult) envelope() *compileResponse {
 	resp := sr.meta()
-	if binary {
-		resp.ScheduleBin = sr.ScheduleBin
-		return resp, nil
-	}
-	var err error
-	if resp.Schedule, err = scheduleJSON(sr.ScheduleBin); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	resp.ScheduleBin = sr.ScheduleBin
+	return resp
 }
 
-// scheduleJSON transcodes a binary schedule payload to the canonical
-// inline JSON form. Decoding and re-encoding a schedule is
-// deterministic, so the bytes are stable: repeated polls of a sealed
-// batch, and a coordinator's transcode of a worker envelope, match a
-// single node's response byte for byte.
-func scheduleJSON(bin []byte) (json.RawMessage, error) {
-	s, err := wire.Binary.Decode(bin)
+// appendResponseJSON appends the stored result's JSON response, the
+// form a default client gets, as json.MarshalIndent writes the
+// compileResponse with its schedule inline at prefix: the metadata
+// through encoding/json, then the schedule, decoded from its binary
+// payload, written by sched.AppendJSON as the last member. The compile
+// response, a coordinator's transcode of a worker envelope and a done
+// job poll all render through it, and decoding and re-encoding a
+// schedule is deterministic, so repeated polls of a sealed batch match
+// a single node's response byte for byte. On error dst is returned
+// unchanged.
+func appendResponseJSON(dst []byte, sr *storedResult, prefix string) ([]byte, error) {
+	s, err := wire.Binary.Decode(sr.ScheduleBin)
 	if err != nil {
-		return nil, fmt.Errorf("stored schedule corrupt: %w", err)
+		return dst, fmt.Errorf("stored schedule corrupt: %w", err)
 	}
-	data, err := hilight.EncodeScheduleJSON(s)
-	if err != nil {
-		return nil, fmt.Errorf("encode schedule: %w", err)
+	// The metadata's field types cannot fail to marshal.
+	meta, _ := json.MarshalIndent(sr.meta(), prefix, "  ")
+	out := appendMember(dst, meta, prefix, "schedule")
+	if out, err = sched.AppendJSON(out, s, prefix+"  "); err != nil {
+		return dst, fmt.Errorf("encode schedule: %w", err)
 	}
-	return data, nil
+	return closeObject(out, prefix), nil
+}
+
+// appendMember appends obj, an object json.MarshalIndent wrote at
+// prefix with at least one member, opened for one more member named key
+// whose value the caller appends next; closeObject then closes it.
+func appendMember(dst, obj []byte, prefix, key string) []byte {
+	dst = append(dst, obj[:len(obj)-len(prefix)-2]...) // drop "\n" + prefix + "}"
+	dst = append(dst, ",\n"...)
+	dst = append(dst, prefix...)
+	dst = append(dst, `  "`...)
+	dst = append(dst, key...)
+	return append(dst, `": `...)
+}
+
+// closeObject closes an object appendMember opened at prefix.
+func closeObject(dst []byte, prefix string) []byte {
+	dst = append(dst, '\n')
+	dst = append(dst, prefix...)
+	return append(dst, '}')
 }
 
 // sizeOf is the stored result's cache footprint: the binary schedule

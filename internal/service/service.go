@@ -623,21 +623,24 @@ func (s *Server) respond(w http.ResponseWriter, mode respMode, sr *storedResult)
 		_, _ = w.Write(sr.ScheduleBin)
 		return
 	}
-	resp, err := sr.response(mode != modeJSON)
+	if mode == modeEnvelope {
+		s.succeeded.Inc()
+		w.Header().Set("Content-Type", wire.BinaryEnvelopeContentType)
+		w.WriteHeader(http.StatusOK)
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(sr.envelope())
+		return
+	}
+	body, err := appendResponseJSON(nil, sr, "")
 	if err != nil {
 		s.fail(w, &apiError{Status: 500, Message: err.Error()})
 		return
 	}
 	s.succeeded.Inc()
-	if mode == modeEnvelope {
-		w.Header().Set("Content-Type", wire.BinaryEnvelopeContentType)
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(resp)
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // streamStored replays a cached schedule as a layer stream: the frames

@@ -306,17 +306,22 @@ func TestResultFieldOrder(t *testing.T) {
 		}
 		return string(data)
 	}
-	// A response body, compacted: WriteJSON's indentation is not under
-	// test.
+	// A response body, compacted: the indentation is under test in
+	// TestJSONResponseDigests.
 	body := func(sr *storedResult, binary bool) string {
-		resp, err := sr.response(binary)
-		if err != nil {
-			t.Fatal(err)
+		var data []byte
+		if binary {
+			rec := httptest.NewRecorder()
+			WriteJSON(rec, http.StatusOK, sr.envelope())
+			data = rec.Body.Bytes()
+		} else {
+			var err error
+			if data, err = appendResponseJSON(nil, sr, ""); err != nil {
+				t.Fatal(err)
+			}
 		}
-		rec := httptest.NewRecorder()
-		WriteJSON(rec, http.StatusOK, resp)
 		var out bytes.Buffer
-		if err := json.Compact(&out, rec.Body.Bytes()); err != nil {
+		if err := json.Compact(&out, data); err != nil {
 			t.Fatal(err)
 		}
 		return out.String()
