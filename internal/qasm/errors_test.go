@@ -8,37 +8,44 @@ import (
 
 // TestParserErrorPaths drives the less-travelled branches: malformed
 // gate definitions, bad expressions, lexer corner cases, and statement
-// forms the subset rejects.
+// forms the subset rejects. Every message is pinned word for word. A lex
+// error anywhere in the source outranks a parse error before it, so the
+// last three cases report the stray character or unterminated string
+// that follows the first fault.
 func TestParserErrorPaths(t *testing.T) {
+	pastMaxGates := fmt.Sprintf("qreg q[%d];\n", MaxQubits) + strings.Repeat("h q;\n", MaxGates/MaxQubits+1) + "$\n"
 	cases := []struct {
-		name, src, wantErr string
+		name, src, want string
 	}{
-		{"unterminated gate body", `qreg q[1]; gate foo a { h a;`, "unterminated"},
-		{"unknown body arg", `qreg q[1]; gate foo a { h b; }`, "unknown qubit argument"},
-		{"arity mismatch macro", `qreg q[2]; gate foo a,b { cx a,b; } foo q[0];`, "wants 2 qubits"},
-		{"param mismatch macro", `qreg q[1]; gate foo(x) a { rz(x) a; } foo q[0];`, "wants 1 params"},
-		{"recursive macro", `qreg q[1]; gate foo a { foo a; } foo q[0];`, "too deep"},
-		{"bad version header", `OPENQASM two;`, "expected number"},
-		{"missing version semi", `OPENQASM 2.0 qreg q[1];`, "expected ';'"},
-		{"include missing string", `include qelib1;`, "expected string"},
-		{"unterminated string", "include \"qelib1\nqreg q[1];", "unterminated string"},
-		{"stray equals", `qreg q[1]; h = q[0];`, "stray '='"},
-		{"stray char", `qreg q[1]; h $ q[0];`, "unexpected character"},
-		{"measure missing arrow", `qreg q[1]; creg c[1]; measure q[0] c[0];`, "expected '->'"},
-		{"measure bad creg index", `qreg q[1]; creg c[1]; measure q[0] -> c[5];`, "out of range"},
-		{"measure size mismatch", `qreg q[2]; creg c[3]; measure q -> c;`, "mismatch"},
-		{"reset unknown reg", `reset nope[0];`, "unknown qreg"},
-		{"unclosed paren expr", `qreg q[1]; rz(1+ q[0];`, "unknown identifier"},
-		{"sqrt negative", `qreg q[1]; rz(sqrt(0-4)) q[0];`, "sqrt of negative"},
-		{"ln nonpositive", `qreg q[1]; rz(ln(0)) q[0];`, "ln of non-positive"},
-		{"unknown function", `qreg q[1]; rz(frob(1)) q[0];`, "unknown function"},
-		{"barrier missing semi", `qreg q[1]; barrier q`, "missing ';'"},
-		{"register index non-number", `qreg q[x];`, "expected number"},
-		{"u2 wrong params", `qreg q[1]; u2(1) q[0];`, "wants 2 params"},
-		{"u3 wrong params", `qreg q[1]; u3(1,2) q[0];`, "wants 3 params"},
-		{"ccx arity", `qreg q[3]; ccx q[0],q[1];`, "wants 3 qubits"},
-		{"repeated operand", `qreg q[3]; ccx q[0],q[1],q[1];`, "repeated qubit"},
-		{"gate body missing semi", `qreg q[2]; gate foo a,b { cx a,b }`, "expected ';'"},
+		{"unterminated gate body", `qreg q[1]; gate foo a { h a;`, `line 1: unterminated gate body for "foo"`},
+		{"unknown body arg", `qreg q[1]; gate foo a { h b; }`, `line 1: unknown qubit argument "b" in gate body`},
+		{"arity mismatch macro", `qreg q[2]; gate foo a,b { cx a,b; } foo q[0];`, `line 1: gate "foo" wants 2 qubits, got 1`},
+		{"param mismatch macro", `qreg q[1]; gate foo(x) a { rz(x) a; } foo q[0];`, `line 1: gate "foo" wants 1 params, got 0`},
+		{"recursive macro", `qreg q[1]; gate foo a { foo a; } foo q[0];`, `line 1: gate expansion too deep (recursive definition of "foo"?)`},
+		{"bad version header", `OPENQASM two;`, `line 1: expected number, got identifier "two"`},
+		{"missing version semi", `OPENQASM 2.0 qreg q[1];`, `line 1: expected ';', got identifier "qreg"`},
+		{"include missing string", `include qelib1;`, `line 1: expected string, got identifier "qelib1"`},
+		{"unterminated string", "include \"qelib1\nqreg q[1];", `line 1: unterminated string`},
+		{"stray equals", `qreg q[1]; h = q[0];`, `line 1: stray '='`},
+		{"stray char", `qreg q[1]; h $ q[0];`, `line 1: unexpected character '$'`},
+		{"measure missing arrow", `qreg q[1]; creg c[1]; measure q[0] c[0];`, `line 1: expected '->', got identifier "c"`},
+		{"measure bad creg index", `qreg q[1]; creg c[1]; measure q[0] -> c[5];`, `line 1: creg index "5" out of range`},
+		{"measure size mismatch", `qreg q[2]; creg c[3]; measure q -> c;`, `line 1: measure register size mismatch (2 qubits -> 3 bits)`},
+		{"reset unknown reg", `reset nope[0];`, `line 1: unknown qreg "nope"`},
+		{"unclosed paren expr", `qreg q[1]; rz(1+ q[0];`, `line 1: unknown identifier "q" in expression`},
+		{"sqrt negative", `qreg q[1]; rz(sqrt(0-4)) q[0];`, `line 1: sqrt of negative value`},
+		{"ln nonpositive", `qreg q[1]; rz(ln(0)) q[0];`, `line 1: ln of non-positive value`},
+		{"unknown function", `qreg q[1]; rz(frob(1)) q[0];`, `line 1: unknown function "frob"`},
+		{"barrier missing semi", `qreg q[1]; barrier q`, `line 1: unexpected EOF, missing ';'`},
+		{"register index non-number", `qreg q[x];`, `line 1: expected number, got identifier "x"`},
+		{"u2 wrong params", `qreg q[1]; u2(1) q[0];`, `line 1: gate "u2" wants 2 params, got 1`},
+		{"u3 wrong params", `qreg q[1]; u3(1,2) q[0];`, `line 1: gate "u3" wants 3 params, got 2`},
+		{"ccx arity", `qreg q[3]; ccx q[0],q[1];`, `line 1: gate "ccx" wants 3 qubits, got 2`},
+		{"repeated operand", `qreg q[3]; ccx q[0],q[1],q[1];`, `line 1: gate "ccx" applied with repeated qubit q[1]`},
+		{"gate body missing semi", `qreg q[2]; gate foo a,b { cx a,b }`, `line 1: expected ';', got '}' "}"`},
+		{"parse error then stray char", "qreg q[1]; h q[5];\n$", `line 2: unexpected character '$'`},
+		{"parse error then unterminated string", "qreg q[1]; h q[5];\ninclude \"qelib1.inc;\n", `line 2: unterminated string`},
+		{"past MaxGates then stray char", pastMaxGates, `line 259: unexpected character '$'`},
 	}
 	for _, tc := range cases {
 		_, err := Parse("t", tc.src)
@@ -46,8 +53,8 @@ func TestParserErrorPaths(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		if want := "qasm: " + tc.want; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, want)
 		}
 	}
 }
