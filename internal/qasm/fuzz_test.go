@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzParse checks that the parser never panics and that everything it
-// accepts is a valid circuit whose writer output re-parses. Run the seed
-// corpus with `go test`; extend with `go test -fuzz=FuzzParse`.
+// accepts is a valid circuit whose writer output matches the fmt
+// reference writer and re-parses. Run the seed corpus with `go test`;
+// extend with `go test -fuzz=FuzzParse`.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		``,
@@ -40,6 +41,7 @@ func FuzzParse(f *testing.F) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("accepted invalid circuit: %v", err)
 		}
+		checkFormat(t, c)
 		// Writer output must re-parse to the same gate count.
 		c2, err := Parse("fuzz2", Format(c))
 		if err != nil {
@@ -52,7 +54,8 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzGateStream decodes random bytes into small H/T/CX circuits and
-// checks that the writer's output re-parses to the same gate count.
+// checks that the writer's output matches the fmt reference writer and
+// re-parses to the same gate count.
 func FuzzGateStream(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{})
@@ -77,6 +80,7 @@ func FuzzGateStream(f *testing.F) {
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		checkFormat(t, c)
 		out := Format(c)
 		c2, err := Parse("fuzz", out)
 		if err != nil || c2.Len() != c.Len() {
