@@ -63,6 +63,18 @@ func TestHostileBodiesBothTiers(t *testing.T) {
 	batch := func(entry string) []byte {
 		return []byte(`{"jobs":[` + strings.Repeat(entry+",", 4095) + entry + `]}`)
 	}
+	// A body just under MaxBodyBytes of gates inside every bound: each
+	// tier reads, decodes and parses its ~560k gates before it names the
+	// unknown method. Its budget is a quarter of the 1,281 MiB each tier
+	// allocated while the lexer built a token slice of the whole source.
+	const cxLine, method = "cx q[0],q[1];\n", `,"method":"nope"}`
+	cxHead := qasmBody(t, "OPENQASM 2.0;\nqreg q[2];\n")
+	cxLines := (service.MaxBodyBytes - len(cxHead) - len(method)) / (len(cxLine) + 1) // "\n" is escaped
+	cxBody := qasmBody(t, "OPENQASM 2.0;\nqreg q[2];\n"+strings.Repeat(cxLine, cxLines))
+	cxBody = append(cxBody[:len(cxBody)-1], method...)
+	if len(cxBody) > service.MaxBodyBytes {
+		t.Fatalf("cx body is %d bytes, over %d", len(cxBody), service.MaxBodyBytes)
+	}
 
 	const mib = 1 << 20
 	cases := []struct {
@@ -80,6 +92,7 @@ func TestHostileBodiesBothTiers(t *testing.T) {
 		{"long-factory", "/v1/compile", []byte(`{"benchmark":"QFT-16","grid":{"factory_w":2048,"factory_h":1}}`), "factory 2048x1 too large for 16 qubits (max 1024 tiles", 4 * mib},
 		{"qft500-batch", "/v1/jobs", batch(`{"benchmark":"QFT-500"}`), "more than 1048576 gates", 1024 * mib},
 		{"wide-grid-batch", "/v1/jobs", batch(`{"benchmark":"BV-200","grid":{"w":100,"h":100}}`), "job 838: jobs batch has more than 8388608 grid tiles", 256 * mib},
+		{"8mib-cx-lines", "/v1/compile", cxBody, `unknown method \"nope\"`, 320 * mib},
 	}
 	for _, tc2 := range cases {
 		t.Run(tc2.name, func(t *testing.T) {

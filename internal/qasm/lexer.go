@@ -7,6 +7,12 @@
 // gate applications with constant parameter expressions, cx, measure,
 // reset, and barrier. Classical control ("if (...)") is rejected with a
 // clear error since braiding schedules are static.
+//
+// The lexer runs on demand: the parser holds one current token and pulls
+// the next from the lexer, so parsing keeps no token slice and its memory
+// follows the gates it emits, not the length of the source. The writer,
+// Append, renders a circuit with strconv appends into one buffer; its
+// bytes are the canonical form hilight.Fingerprint hashes.
 package qasm
 
 import (
@@ -94,8 +100,6 @@ type lexer struct {
 	pos  int
 	line int
 }
-
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
 // next returns the next token, skipping whitespace and // comments.
 func (lx *lexer) next() (token, error) {
@@ -202,19 +206,14 @@ func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 }
 
-// tokenize runs the lexer to completion; used by the parser which wants
-// lookahead over a token slice.
-func tokenize(src string) ([]token, error) {
-	lx := newLexer(src)
-	var toks []token
+// rest lexes the remainder of the source and returns its first error,
+// nil if there is none. It keeps no token, so a clean tail allocates
+// nothing.
+func (lx *lexer) rest() error {
 	for {
 		tk, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, tk)
-		if tk.kind == tokEOF {
-			return toks, nil
+		if err != nil || tk.kind == tokEOF {
+			return err
 		}
 	}
 }

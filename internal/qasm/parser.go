@@ -35,19 +35,27 @@ const (
 // library gates without a dedicated IR kind (cy, ch, crz, cu1, cu3) map to
 // CX because braiding treats every two-qubit gate identically, and ccx is
 // expanded into its standard 6-CX Clifford+T decomposition.
+//
+// A lex error anywhere in the source outranks a parse error: when the
+// parser stops early, the rest of the source is lexed, and its first lex
+// error, if any, is the one reported.
 func Parse(name, src string) (*circuit.Circuit, error) {
-	toks, err := tokenize(src)
-	if err != nil {
-		return nil, fmt.Errorf("qasm: %w", err)
-	}
 	p := &parser{
-		toks:  toks,
+		lx:    lexer{src: src, line: 1},
 		circ:  circuit.New(name, 0),
 		qregs: map[string]reg{},
 		cregs: map[string]reg{},
 		gates: map[string]*gateDef{},
 	}
-	if err := p.parseProgram(); err != nil {
+	p.tok = p.lex()
+	err := p.parseProgram()
+	if err != nil && p.lexErr == nil {
+		p.lexErr = p.lx.rest()
+	}
+	if p.lexErr != nil {
+		err = p.lexErr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("qasm: %w", err)
 	}
 	return p.circ, nil
@@ -76,22 +84,44 @@ type bodyStmt struct {
 	line   int
 }
 
+// span is the qubits an operand denotes: first, first+1, ..., first+n-1.
+type span struct{ first, n int }
+
 type parser struct {
-	toks    []token
-	pos     int
+	lx      lexer
+	tok     token // the current token; EOF once the lexer fails
+	lexErr  error // the lexer's first error
 	circ    *circuit.Circuit
 	qregs   map[string]reg
 	cregs   map[string]reg
 	gates   map[string]*gateDef
 	order   []string // qreg declaration order, for deterministic flattening
 	applied int      // gate applications so far, against maxApplications
+
+	// One top-level application's parameters, operands and the qubits of
+	// each gate it broadcasts to, reset at every statement. apply and
+	// applyBuiltin copy what they keep.
+	params   []float64
+	operands []span
+	qs       []int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// lex pulls the next token. A lex error is kept for Parse to report and
+// reads as EOF, which ends every loop of the parser.
+func (p *parser) lex() token {
+	tk, err := p.lx.next()
+	if err != nil {
+		p.lexErr = err
+		return token{kind: tokEOF, line: p.lx.line}
+	}
+	return tk
+}
+
+func (p *parser) peek() token { return p.tok }
 func (p *parser) advance() token {
-	tk := p.toks[p.pos]
+	tk := p.tok
 	if tk.kind != tokEOF {
-		p.pos++
+		p.tok = p.lex()
 	}
 	return tk
 }
@@ -157,14 +187,14 @@ func (p *parser) parseProgram() error {
 			}
 		case tk.kind == tokIdent && tk.text == "reset":
 			p.advance()
-			qs, err := p.parseQubitOperand()
+			op, err := p.parseQubitOperand()
 			if err != nil {
 				return err
 			}
 			if _, err := p.expect(tokSemi); err != nil {
 				return err
 			}
-			for _, q := range qs {
+			for q := op.first; q < op.first+op.n; q++ {
 				p.circ.Add1(circuit.Reset, q)
 			}
 			if err := p.checkGates(tk.line); err != nil {
@@ -350,7 +380,7 @@ func (p *parser) parseBodyStmt(argIndex map[string]int, params map[string]bool) 
 
 func (p *parser) parseMeasure() error {
 	p.advance() // measure
-	qs, err := p.parseQubitOperand()
+	op, err := p.parseQubitOperand()
 	if err != nil {
 		return err
 	}
@@ -379,13 +409,13 @@ func (p *parser) parseMeasure() error {
 		if _, err := p.expect(tokRBracket); err != nil {
 			return err
 		}
-	} else if len(qs) != creg.size {
-		return fmt.Errorf("line %d: measure register size mismatch (%d qubits -> %d bits)", cname.line, len(qs), creg.size)
+	} else if op.n != creg.size {
+		return fmt.Errorf("line %d: measure register size mismatch (%d qubits -> %d bits)", cname.line, op.n, creg.size)
 	}
 	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
-	for _, q := range qs {
+	for q := op.first; q < op.first+op.n; q++ {
 		p.circ.Add1(circuit.Measure, q)
 	}
 	return p.checkGates(cname.line)
@@ -400,43 +430,39 @@ func (p *parser) checkGates(line int) error {
 }
 
 // parseQubitOperand parses `name` (whole register) or `name[i]` and
-// returns the flattened qubit indices it denotes.
-func (p *parser) parseQubitOperand() ([]int, error) {
+// returns the span of flattened qubit indices it denotes.
+func (p *parser) parseQubitOperand() (span, error) {
 	name, err := p.expect(tokIdent)
 	if err != nil {
-		return nil, err
+		return span{}, err
 	}
 	r, ok := p.qregs[name.text]
 	if !ok {
-		return nil, fmt.Errorf("line %d: unknown qreg %q", name.line, name.text)
+		return span{}, fmt.Errorf("line %d: unknown qreg %q", name.line, name.text)
 	}
 	if p.peek().kind == tokLBracket {
 		p.advance()
 		idxTok, err := p.expect(tokNumber)
 		if err != nil {
-			return nil, err
+			return span{}, err
 		}
 		idx, err := strconv.Atoi(idxTok.text)
 		if err != nil || idx < 0 || idx >= r.size {
-			return nil, fmt.Errorf("line %d: index %q out of range for %q[%d]", idxTok.line, idxTok.text, name.text, r.size)
+			return span{}, fmt.Errorf("line %d: index %q out of range for %q[%d]", idxTok.line, idxTok.text, name.text, r.size)
 		}
 		if _, err := p.expect(tokRBracket); err != nil {
-			return nil, err
+			return span{}, err
 		}
-		return []int{r.offset + idx}, nil
+		return span{r.offset + idx, 1}, nil
 	}
-	out := make([]int, r.size)
-	for i := range out {
-		out[i] = r.offset + i
-	}
-	return out, nil
+	return span{r.offset, r.size}, nil
 }
 
 // parseApplication parses a top-level gate application, broadcasting over
 // whole registers when operands are unindexed.
 func (p *parser) parseApplication() error {
 	name := p.advance()
-	var params []float64
+	p.params, p.operands = p.params[:0], p.operands[:0]
 	if p.peek().kind == tokLParen {
 		p.advance()
 		for p.peek().kind != tokRParen {
@@ -448,20 +474,19 @@ func (p *parser) parseApplication() error {
 			if err != nil {
 				return fmt.Errorf("line %d: %w", name.line, err)
 			}
-			params = append(params, v)
+			p.params = append(p.params, v)
 			if p.peek().kind == tokComma {
 				p.advance()
 			}
 		}
 		p.advance()
 	}
-	var operands [][]int
 	for {
-		qs, err := p.parseQubitOperand()
+		op, err := p.parseQubitOperand()
 		if err != nil {
 			return err
 		}
-		operands = append(operands, qs)
+		p.operands = append(p.operands, op)
 		if p.peek().kind != tokComma {
 			break
 		}
@@ -470,32 +495,33 @@ func (p *parser) parseApplication() error {
 	if _, err := p.expect(tokSemi); err != nil {
 		return err
 	}
-	return p.broadcast(name.text, name.line, params, operands, 0)
+	return p.broadcast(name.text, name.line)
 }
 
-// broadcast applies a gate over operand lists: when any operand is a full
-// register, all full-register operands must have the same length and the
-// gate is applied element-wise, with scalar operands repeated.
-func (p *parser) broadcast(name string, line int, params []float64, operands [][]int, depth int) error {
+// broadcast applies a gate over the statement's operands: when any
+// operand is a full register, all full-register operands must have the
+// same length and the gate is applied element-wise, with scalar operands
+// repeated.
+func (p *parser) broadcast(name string, line int) error {
 	width := 1
-	for _, op := range operands {
-		if len(op) > 1 {
-			if width > 1 && len(op) != width {
+	for _, op := range p.operands {
+		if op.n > 1 {
+			if width > 1 && op.n != width {
 				return fmt.Errorf("line %d: register-size mismatch in %q broadcast", line, name)
 			}
-			width = len(op)
+			width = op.n
 		}
 	}
 	for i := 0; i < width; i++ {
-		qs := make([]int, len(operands))
-		for j, op := range operands {
-			if len(op) == 1 {
-				qs[j] = op[0]
+		p.qs = p.qs[:0]
+		for _, op := range p.operands {
+			if op.n == 1 {
+				p.qs = append(p.qs, op.first)
 			} else {
-				qs[j] = op[i]
+				p.qs = append(p.qs, op.first+i)
 			}
 		}
-		if err := p.apply(name, line, params, qs, depth); err != nil {
+		if err := p.apply(name, line, p.params, p.qs, 0); err != nil {
 			return err
 		}
 	}
