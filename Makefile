@@ -66,11 +66,15 @@ race-root:
 # TestRouteCircuitZeroAllocs and TestFinderFindZeroAllocs.
 # BenchmarkJSONResponse times the render of the JSON responses that carry
 # a schedule: compile responses, envelope transcodes and a done poll.
+# BenchmarkParse and BenchmarkFingerprint time the request edge's two
+# passes over a circuit, the parse of a qasm body and its cache key.
 bench-route:
 	$(GO) test -bench 'BenchmarkFinderFind|BenchmarkOccupancy' -benchmem -benchtime 1000x ./internal/route/
 	$(GO) test -bench 'BenchmarkRouteCircuit|BenchmarkCompileQFT' -benchmem -benchtime 5x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkWire -benchmem -benchtime 200x .
 	$(GO) test -run '^$$' -bench BenchmarkJSONResponse -benchmem -benchtime 20x ./internal/service/
+	$(GO) test -run '^$$' -bench BenchmarkParse -benchmem -benchtime 20x ./internal/qasm/
+	$(GO) test -run '^$$' -bench BenchmarkFingerprint -benchmem -benchtime 20x .
 
 # Everything, including the paper-artifact benchmarks (slow).
 bench:
