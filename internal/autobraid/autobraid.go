@@ -63,12 +63,7 @@ type region struct {
 
 // Place implements place.Method.
 func (p PartitionPlacement) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
-	ig := graph.NewDense(c.NumQubits)
-	for _, gate := range c.Gates {
-		if gate.TwoQubit() {
-			ig.AddEdge(gate.Q0, gate.Q1, 1)
-		}
-	}
+	ig := circuit.InteractionGraph(c)
 	l := grid.NewLayout(c.NumQubits, g)
 	verts := make([]int, c.NumQubits)
 	for i := range verts {

@@ -16,7 +16,7 @@ func TestQFTShape(t *testing.T) {
 		if c.CXCount() != n*(n-1)/2 {
 			t.Errorf("QFT(%d) CX = %d, want %d", n, c.CXCount(), n*(n-1)/2)
 		}
-		m := circuit.NewInteractionMatrix(c)
+		m := circuit.InteractionGraph(c)
 		if m.Density() != 1 {
 			t.Errorf("QFT(%d) interaction graph not complete", n)
 		}
@@ -36,7 +36,7 @@ func TestBVShape(t *testing.T) {
 			t.Errorf("BV(%d) CX = %d", n, c.CXCount())
 		}
 		// Star interaction graph: ancilla degree n-1, others 1.
-		m := circuit.NewInteractionMatrix(c)
+		m := circuit.InteractionGraph(c)
 		if m.Degree(n-1) != n-1 {
 			t.Errorf("BV(%d) ancilla degree = %d", n, m.Degree(n-1))
 		}
@@ -52,7 +52,7 @@ func TestCCShape(t *testing.T) {
 
 func TestIsingShape(t *testing.T) {
 	c := Ising(10, 5)
-	m := circuit.NewInteractionMatrix(c)
+	m := circuit.InteractionGraph(c)
 	ok, _ := m.IsLinearChain()
 	if !ok {
 		t.Error("Ising interaction graph not a chain")
@@ -157,7 +157,7 @@ func TestPatternFriendlyGenerators(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		m := circuit.NewInteractionMatrix(c)
+		m := circuit.InteractionGraph(c)
 		if ok, _ := m.IsLinearChain(); !ok {
 			t.Errorf("%s: interaction graph not a chain", name)
 		}

@@ -127,18 +127,18 @@ func TestInteractionMatrix(t *testing.T) {
 	c.Add2(CX, 1, 0)
 	c.Add2(CX, 2, 3)
 	c.Add1(H, 2)
-	m := NewInteractionMatrix(c)
-	if m.At(0, 1) != 2 || m.At(1, 0) != 2 {
-		t.Errorf("At(0,1) = %d, want 2", m.At(0, 1))
+	m := InteractionGraph(c)
+	if m.Weight(0, 1) != 2 || m.Weight(1, 0) != 2 {
+		t.Errorf("Weight(0,1) = %d, want 2", m.Weight(0, 1))
 	}
-	if m.At(2, 3) != 1 || m.At(0, 2) != 0 {
+	if m.Weight(2, 3) != 1 || m.Weight(0, 2) != 0 {
 		t.Error("interaction counts wrong")
 	}
 	if m.Degree(0) != 1 || m.Degree(2) != 1 {
 		t.Error("degrees wrong")
 	}
-	if m.WeightSum(1) != 2 {
-		t.Errorf("WeightSum(1) = %d", m.WeightSum(1))
+	if m.WeightedDegree(1) != 2 {
+		t.Errorf("WeightedDegree(1) = %d", m.WeightedDegree(1))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestNeighborsSorted(t *testing.T) {
 	c.Add2(CX, 0, 1)
 	c.Add2(CX, 0, 3)
 	c.Add2(CX, 0, 3)
-	m := NewInteractionMatrix(c)
+	m := InteractionGraph(c)
 	got := m.Neighbors(0)
 	want := []int{2, 3, 1} // weights 3, 2, 1
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
@@ -165,7 +165,7 @@ func TestQueueByDegree(t *testing.T) {
 	c.Add2(CX, 0, 2)
 	c.Add2(CX, 0, 3)
 	c.Add2(CX, 1, 2)
-	m := NewInteractionMatrix(c)
+	m := InteractionGraph(c)
 	q := m.QueueByDegree()
 	if q[0] != 0 {
 		t.Errorf("highest-degree qubit = %d, want 0", q[0])
@@ -181,7 +181,7 @@ func TestIsLinearChain(t *testing.T) {
 	c.Add2(CX, 0, 1)
 	c.Add2(CX, 1, 2)
 	c.Add2(CX, 2, 3)
-	m := NewInteractionMatrix(c)
+	m := InteractionGraph(c)
 	ok, order := m.IsLinearChain()
 	if !ok {
 		t.Fatal("chain not detected")
@@ -199,7 +199,7 @@ func TestIsLinearChain(t *testing.T) {
 	s.Add2(CX, 0, 1)
 	s.Add2(CX, 0, 2)
 	s.Add2(CX, 0, 3)
-	if ok, _ := NewInteractionMatrix(s).IsLinearChain(); ok {
+	if ok, _ := InteractionGraph(s).IsLinearChain(); ok {
 		t.Error("star misdetected as chain")
 	}
 
@@ -208,7 +208,7 @@ func TestIsLinearChain(t *testing.T) {
 	cy.Add2(CX, 0, 1)
 	cy.Add2(CX, 1, 2)
 	cy.Add2(CX, 2, 0)
-	if ok, _ := NewInteractionMatrix(cy).IsLinearChain(); ok {
+	if ok, _ := InteractionGraph(cy).IsLinearChain(); ok {
 		t.Error("cycle misdetected as chain")
 	}
 
@@ -216,7 +216,7 @@ func TestIsLinearChain(t *testing.T) {
 	d := New("disjoint", 4)
 	d.Add2(CX, 0, 1)
 	d.Add2(CX, 2, 3)
-	if ok, _ := NewInteractionMatrix(d).IsLinearChain(); ok {
+	if ok, _ := InteractionGraph(d).IsLinearChain(); ok {
 		t.Error("disjoint edges misdetected as chain")
 	}
 }
@@ -225,7 +225,7 @@ func TestIsLinearChainWithIsolated(t *testing.T) {
 	c := New("chain+iso", 5)
 	c.Add2(CX, 1, 3)
 	c.Add2(CX, 3, 4)
-	m := NewInteractionMatrix(c)
+	m := InteractionGraph(c)
 	ok, order := m.IsLinearChain()
 	if !ok || len(order) != 5 {
 		t.Fatalf("ok=%v order=%v", ok, order)
@@ -242,7 +242,7 @@ func TestIsLinearChainWithIsolated(t *testing.T) {
 func TestDensity(t *testing.T) {
 	c := New("d", 3)
 	c.Add2(CX, 0, 1)
-	m := NewInteractionMatrix(c)
+	m := InteractionGraph(c)
 	if got := m.Density(); got < 0.33 || got > 0.34 {
 		t.Errorf("density = %g, want 1/3", got)
 	}
@@ -250,7 +250,7 @@ func TestDensity(t *testing.T) {
 	full.Add2(CX, 0, 1)
 	full.Add2(CX, 0, 2)
 	full.Add2(CX, 1, 2)
-	if got := NewInteractionMatrix(full).Density(); got != 1 {
+	if got := InteractionGraph(full).Density(); got != 1 {
 		t.Errorf("complete graph density = %g", got)
 	}
 }
@@ -311,17 +311,17 @@ func TestInteractionMatrixProperties(t *testing.T) {
 			}
 			c.Add2(CX, a, b)
 		}
-		m := NewInteractionMatrix(c)
+		m := InteractionGraph(c)
 		total := 0
 		for i := 0; i < n; i++ {
-			if m.At(i, i) != 0 {
+			if m.Weight(i, i) != 0 {
 				return false
 			}
 			for j := 0; j < n; j++ {
-				if m.At(i, j) != m.At(j, i) {
+				if m.Weight(i, j) != m.Weight(j, i) {
 					return false
 				}
-				total += m.At(i, j)
+				total += m.Weight(i, j)
 			}
 		}
 		return total == 2*c.CXCount()

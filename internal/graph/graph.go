@@ -1,9 +1,11 @@
 // Package graph provides the graph machinery the mapping heuristics are
-// built on: a dense weighted undirected graph, breadth-first orders,
-// greedy maximal independent sets (for the AutoBraid-style LLG gate
-// ordering), Kernighan–Lin recursive bisection (for the AutoBraid
-// partitioning placement), and a small binary min-heap used by the A*
-// path-finder.
+// built on: a dense weighted undirected graph (the circGraph of Alg. 1,
+// which circuit.InteractionGraph builds, and the LLG conflict graph),
+// the degree queue and pattern tests of HiLight's placement,
+// breadth-first orders, greedy maximal independent sets (for the
+// AutoBraid-style LLG gate ordering), Kernighan–Lin recursive bisection
+// (for the AutoBraid partitioning placement), and a small binary
+// min-heap used by the A* path-finder.
 package graph
 
 import (
@@ -49,15 +51,136 @@ func (g *Dense) WeightedDegree(u int) int {
 	return s
 }
 
-// Neighbors returns the neighbors of u in ascending index order.
+// Neighbors returns the neighbors of u sorted by descending edge weight,
+// ties broken by ascending index. On the circGraph this is the
+// SortByMaxDegree(circQueue[q]) step of Alg. 1.
 func (g *Dense) Neighbors(u int) []int {
+	row := g.weights[u*g.N : (u+1)*g.N]
 	var out []int
-	for v := 0; v < g.N; v++ {
-		if g.weights[u*g.N+v] > 0 {
+	for v, w := range row {
+		if w > 0 {
 			out = append(out, v)
 		}
 	}
+	sort.Slice(out, func(a, b int) bool {
+		wa, wb := row[out[a]], row[out[b]]
+		if wa != wb {
+			return wa > wb
+		}
+		return out[a] < out[b]
+	})
 	return out
+}
+
+// Degree returns the number of distinct neighbors of u.
+func (g *Dense) Degree(u int) int {
+	d := 0
+	for _, w := range g.weights[u*g.N : (u+1)*g.N] {
+		if w > 0 {
+			d++
+		}
+	}
+	return d
+}
+
+// QueueByDegree returns all vertices sorted by descending degree, ties
+// broken by descending weighted degree then ascending index: on the
+// circGraph, the circQueue of Alg. 1. Vertices without edges sort last.
+func (g *Dense) QueueByDegree() []int {
+	out := make([]int, g.N)
+	deg := make([]int, g.N)
+	wsum := make([]int, g.N)
+	for q := range out {
+		out[q] = q
+		deg[q] = g.Degree(q)
+		wsum[q] = g.WeightedDegree(q)
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		qa, qb := out[a], out[b]
+		if deg[qa] != deg[qb] {
+			return deg[qa] > deg[qb]
+		}
+		if wsum[qa] != wsum[qb] {
+			return wsum[qa] > wsum[qb]
+		}
+		return qa < qb
+	})
+	return out
+}
+
+// IsLinearChain reports whether the graph is a single simple path
+// covering all vertices with edges — on the circGraph, the shape for
+// which the paper's pattern matching selects the linear layout (1D
+// Ising, GHZ, W, VQE, graph-state circuits). Isolated vertices are
+// permitted; they simply ride along. The second return value is the
+// chain order when linear.
+func (g *Dense) IsLinearChain() (bool, []int) {
+	var ends []int
+	active := 0
+	for q := 0; q < g.N; q++ {
+		switch d := g.Degree(q); {
+		case d == 0:
+			continue
+		case d == 1:
+			ends = append(ends, q)
+			active++
+		case d == 2:
+			active++
+		default:
+			return false, nil
+		}
+	}
+	if active == 0 || len(ends) != 2 {
+		return false, nil
+	}
+	// Walk from one end; a cycle or a second component fails the walk.
+	start := ends[0]
+	order := []int{start}
+	prev, cur := -1, start
+	for {
+		next := -1
+		for j := 0; j < g.N; j++ {
+			if j != prev && g.Weight(cur, j) > 0 {
+				if next != -1 {
+					return false, nil
+				}
+				next = j
+			}
+		}
+		if next == -1 {
+			break
+		}
+		order = append(order, next)
+		prev, cur = cur, next
+	}
+	if len(order) != active {
+		return false, nil
+	}
+	// Append isolated vertices in index order so the layout is total.
+	for q := 0; q < g.N; q++ {
+		if g.Degree(q) == 0 {
+			order = append(order, q)
+		}
+	}
+	return true, order
+}
+
+// Density returns the fraction of vertex pairs joined by an edge: 1.0
+// means a complete graph (a QFT-like circGraph). Pattern matching uses
+// it to pick the random layout for dynamic-interaction algorithms.
+func (g *Dense) Density() float64 {
+	if g.N < 2 {
+		return 0
+	}
+	pairs := 0
+	for i := 0; i < g.N; i++ {
+		for j := i + 1; j < g.N; j++ {
+			if g.Weight(i, j) > 0 {
+				pairs++
+			}
+		}
+	}
+	return float64(pairs) / float64(g.N*(g.N-1)/2)
 }
 
 // BFSOrder returns vertices in breadth-first order from start, visiting
@@ -76,15 +199,7 @@ func (g *Dense) BFSOrder(start int) []int {
 			u := queue[0]
 			queue = queue[1:]
 			order = append(order, u)
-			nbrs := g.Neighbors(u)
-			sort.Slice(nbrs, func(a, b int) bool {
-				wa, wb := g.Weight(u, nbrs[a]), g.Weight(u, nbrs[b])
-				if wa != wb {
-					return wa > wb
-				}
-				return nbrs[a] < nbrs[b]
-			})
-			for _, v := range nbrs {
+			for _, v := range g.Neighbors(u) {
 				if !seen[v] {
 					seen[v] = true
 					queue = append(queue, v)

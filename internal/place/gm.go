@@ -9,14 +9,15 @@ import (
 )
 
 // GM is the graph-inspired placement heuristic of Park et al. (DAC 2022)
-// as the paper evaluates it: it builds explicit node/edge graphs for both
-// the circuit interactions and the hardware coupling, orders qubits by a
-// weighted breadth-first traversal from the heaviest node, and places each
-// qubit by exhaustively scoring every free tile against all already-placed
-// partners — over several restarts, keeping the lowest-cost layout. The
-// node/edge construction and full-grid candidate scans reproduce the
-// runtime profile the paper reports (≈2.5× identity placement), while the
-// layout quality approaches Proximity's.
+// as the paper evaluates it: it orders qubits by a weighted breadth-first
+// traversal of the circGraph from its heaviest qubit, and places each
+// qubit by exhaustively scoring every free tile against all
+// already-placed partners — over several restarts, keeping the layout
+// with the lowest Score. It reads the same interaction graph as Alg. 1,
+// so what Fig. 8a's GM bar ablates is this BFS-guided exhaustive
+// embedding, against Alg. 1's degree queue and cardinal fan-out. The
+// full-grid candidate scans buy a layout close to Proximity's at a
+// higher runtime.
 //
 // Restarts defaults to 4 when zero. Rng seeds restart perturbation and
 // must be non-nil.
@@ -34,13 +35,7 @@ func (m GM) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
 	if restarts == 0 {
 		restarts = 4
 	}
-	// Node/edge interaction graph (the heavier representation Alg. 1 avoids).
-	ig := graph.NewDense(c.NumQubits)
-	for _, gate := range c.Gates {
-		if gate.TwoQubit() {
-			ig.AddEdge(gate.Q0, gate.Q1, 1)
-		}
-	}
+	ig := circuit.InteractionGraph(c)
 	free := freeTiles(g)
 	var best *grid.Layout
 	bestCost := 1 << 62
@@ -50,7 +45,7 @@ func (m GM) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
 			start = m.Rng.Intn(c.NumQubits)
 		}
 		l := m.placeOnce(c, g, ig, free, start)
-		cost := weightedDistance(ig, g, l)
+		cost := Score(l, c, g)
 		if cost < bestCost {
 			best, bestCost = l, cost
 		}
@@ -70,13 +65,14 @@ func (m GM) placeOnce(c *circuit.Circuit, g *grid.Grid, ig *graph.Dense, free []
 		}
 		// Exhaustive candidate scan: score every free tile by the summed
 		// weighted distance to all placed partners of q.
+		nbrs := ig.Neighbors(q)
 		bestTile, bestCost := -1, 1<<62
 		for _, t := range free {
 			if l.TileQubit[t] != -1 {
 				continue
 			}
 			cost := 0
-			for _, nb := range ig.Neighbors(q) {
+			for _, nb := range nbrs {
 				if pt := l.QubitTile[nb]; pt != -1 {
 					cost += ig.Weight(q, nb) * g.Dist(t, pt)
 				}
@@ -91,20 +87,6 @@ func (m GM) placeOnce(c *circuit.Circuit, g *grid.Grid, ig *graph.Dense, free []
 		l.Assign(q, bestTile, g)
 	}
 	return l
-}
-
-// weightedDistance scores a complete layout: sum over interacting pairs of
-// weight × tile distance. Lower is better.
-func weightedDistance(ig *graph.Dense, g *grid.Grid, l *grid.Layout) int {
-	cost := 0
-	for u := 0; u < ig.N; u++ {
-		for v := u + 1; v < ig.N; v++ {
-			if w := ig.Weight(u, v); w > 0 {
-				cost += w * g.Dist(l.QubitTile[u], l.QubitTile[v])
-			}
-		}
-	}
-	return cost
 }
 
 // GMWP combines GM with the paper's pattern matching: when a pattern

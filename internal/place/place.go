@@ -4,11 +4,11 @@
 //   - Identity — program qubit i on the i-th free tile.
 //   - Random — a uniformly random assignment (the paper averages 100).
 //   - GM — the graph-inspired NISQ heuristic of Park et al. (DAC 2022):
-//     node/edge graph construction plus full-grid candidate scans, which
-//     buys a decent layout at a steep runtime cost.
-//   - Proximity — HiLight's Alg. 1: matrix-represented interactions, a
-//     degree-ordered queue, center seeding, and cardinal fan-out of each
-//     qubit's heaviest partners. SWAP-less: routing never changes it.
+//     a BFS-guided embedding with full-grid candidate scans, which buys a
+//     decent layout at a steep runtime cost.
+//   - Proximity — HiLight's Alg. 1: a degree-ordered queue, center
+//     seeding, and cardinal fan-out of each qubit's heaviest partners.
+//     SWAP-less: routing never changes it.
 //   - Pattern — the paper's pattern matching: a linear (snake) layout for
 //     chain-shaped interaction graphs, a random layout for near-complete
 //     (QFT-like) graphs, and no match otherwise.
@@ -87,7 +87,7 @@ func (Proximity) Name() string { return "proximity" }
 // Place implements Method.
 func (Proximity) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
 	l := grid.NewLayout(c.NumQubits, g)
-	m := circuit.NewInteractionMatrix(c)
+	m := circuit.InteractionGraph(c)
 	queue := m.QueueByDegree()
 
 	// FindClosestUnmappedLoc: nearest usable, unoccupied tile to ref.
@@ -173,7 +173,7 @@ func (Pattern) Name() string { return "pattern" }
 
 // Match attempts pattern detection and returns (layout, true) on success.
 func (p Pattern) Match(c *circuit.Circuit, g *grid.Grid) (*grid.Layout, bool) {
-	m := circuit.NewInteractionMatrix(c)
+	m := circuit.InteractionGraph(c)
 	if ok, chain := m.IsLinearChain(); ok {
 		return p.linearLayout(chain, c, g), true
 	}

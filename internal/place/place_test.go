@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"hilight/internal/circuit"
-	"hilight/internal/graph"
 	"hilight/internal/grid"
 )
 
@@ -166,26 +165,15 @@ func TestGMBeatsIdentityOnClusteredCircuit(t *testing.T) {
 		}
 	}
 	g := grid.Square(16)
-	ig := interactionDense(c)
-	idCost := weightedDistance(ig, g, Identity{}.Place(c, g))
-	gmCost := weightedDistance(ig, g, GM{Rng: rand.New(rand.NewSource(1))}.Place(c, g))
+	idCost := Score(Identity{}.Place(c, g), c, g)
+	gmCost := Score(GM{Rng: rand.New(rand.NewSource(1))}.Place(c, g), c, g)
 	if gmCost >= idCost {
 		t.Errorf("GM cost %d not better than identity %d", gmCost, idCost)
 	}
-	proxCost := weightedDistance(ig, g, Proximity{}.Place(c, g))
+	proxCost := Score(Proximity{}.Place(c, g), c, g)
 	if proxCost >= idCost {
 		t.Errorf("Proximity cost %d not better than identity %d", proxCost, idCost)
 	}
-}
-
-func interactionDense(c *circuit.Circuit) *graph.Dense {
-	ig := graph.NewDense(c.NumQubits)
-	for _, g := range c.Gates {
-		if g.TwoQubit() {
-			ig.AddEdge(g.Q0, g.Q1, 1)
-		}
-	}
-	return ig
 }
 
 func TestHiLightFallsBackToProximity(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // opportunities"); the SWAP-less property is preserved because the
 // refinement happens before routing starts.
 func Refine(l *grid.Layout, c *circuit.Circuit, g *grid.Grid, maxRounds int) *grid.Layout {
-	m := circuit.NewInteractionMatrix(c)
+	m := circuit.InteractionGraph(c)
 	out := l.Clone()
 	if maxRounds <= 0 {
 		maxRounds = 2 * c.NumQubits
@@ -25,7 +25,7 @@ func Refine(l *grid.Layout, c *circuit.Circuit, g *grid.Grid, maxRounds int) *gr
 	qubitCost := func(lay *grid.Layout, q, tile int) int {
 		cost := 0
 		for _, nb := range m.Neighbors(q) {
-			cost += m.At(q, nb) * g.Dist(tile, lay.QubitTile[nb])
+			cost += m.Weight(q, nb) * g.Dist(tile, lay.QubitTile[nb])
 		}
 		return cost
 	}
@@ -77,13 +77,13 @@ func Refine(l *grid.Layout, c *circuit.Circuit, g *grid.Grid, maxRounds int) *gr
 }
 
 // Score returns the total weighted interaction distance of a layout —
-// the objective Refine minimizes. Exposed for tests and ablations.
+// the objective Refine minimizes and GM ranks its restarts by.
 func Score(l *grid.Layout, c *circuit.Circuit, g *grid.Grid) int {
-	m := circuit.NewInteractionMatrix(c)
+	m := circuit.InteractionGraph(c)
 	total := 0
 	for q := 0; q < c.NumQubits; q++ {
 		for nb := q + 1; nb < c.NumQubits; nb++ {
-			if w := m.At(q, nb); w > 0 {
+			if w := m.Weight(q, nb); w > 0 {
 				total += w * g.Dist(l.QubitTile[q], l.QubitTile[nb])
 			}
 		}
