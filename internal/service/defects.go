@@ -142,33 +142,14 @@ func (s *Server) recompileStale(ctx context.Context, sr *storedResult, dm *hilig
 		return "", fmt.Errorf("entry %q schedule corrupt: %w", sr.Fingerprint, err)
 	}
 
-	wctx, progress, stopWd := s.watchdog.guard(ctx, "POST /v1/defects")
+	_, opts, stopWd := s.guard(ctx, "POST /v1/defects", s.cfg.DefaultTimeout, opts)
 	defer stopWd()
-	opts = append(opts,
-		hilight.WithContext(wctx),
-		hilight.WithTimeout(s.cfg.DefaultTimeout),
-		hilight.WithMetrics(s.cfg.Metrics),
-		hilight.WithObserver(func(cs hilight.CycleStats) {
-			progress()
-			routeCycleHook(cs)
-		}),
-	)
 	res, err := hilight.RecompileFrom(parentC, parentSched, c, g, opts...)
 	if err != nil {
 		return "", err
 	}
-	nsr, err := newStoredResult(fp, res)
-	if err != nil {
+	if _, err := s.keep(fp, res, &req, sr.Fingerprint); err != nil {
 		return "", err
-	}
-	nsr.Parent = sr.Fingerprint
-	nsr.ReqJSON, _ = json.Marshal(&req)
-	s.cache.Put(fp, nsr)
-	if s.jobs.journal != nil {
-		nsrJSON, _ := json.Marshal(nsr)
-		if err := s.jobs.journal.appendSession(fp, sr.Fingerprint, nsrJSON); err != nil {
-			return "", fmt.Errorf("journal session: %w", err)
-		}
 	}
 	return fp, nil
 }

@@ -259,16 +259,8 @@ func (s *Server) planBatch(req *jobsRequest, _ http.Header) ([]string, batchRun,
 		for k, i := range todo {
 			sub[k] = batch[i]
 		}
-		wctx, progress, stopWd := s.watchdog.guard(ctx, id)
-		opts := append([]hilight.Option{}, shared...)
+		wctx, opts, stopWd := s.guard(ctx, id, timeout, shared)
 		opts = append(opts,
-			hilight.WithContext(wctx),
-			hilight.WithTimeout(timeout),
-			hilight.WithMetrics(s.cfg.Metrics),
-			hilight.WithObserver(func(cs hilight.CycleStats) {
-				progress()
-				routeCycleHook(cs)
-			}),
 			hilight.WithJobDone(func(k int, br hilight.BatchResult) {
 				i := todo[k]
 				if br.Err != nil {
@@ -448,10 +440,10 @@ func (s *JobStore) run(j *batchJob, run batchRun, pre []jobResult) {
 			continue
 		}
 		if pre != nil && s.cache != nil {
+			// The stored entry as it is: a batch result says cached false
+			// whoever compiled it.
 			if sr, ok := s.cache.Get(j.fps[i]); ok {
-				hit := *sr // shallow copy; ScheduleBin bytes are immutable
-				hit.Cached = true
-				settle(i, jobResult{Result: &hit}, false)
+				settle(i, jobResult{Result: sr}, false)
 				continue
 			}
 		}

@@ -503,3 +503,69 @@ func TestJournalResumeKeepsTenantAndPriority(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 }
+
+// TestJournalResurrectedCacheHitNotCached resurrects a batch whose
+// missing job a previous life compiled for an earlier batch: the replay
+// serves it from the schedule cache, and its poll entry carries the
+// earlier batch's result bytes, "cached": false, as every batch result
+// does on either tier.
+func TestJournalResurrectedCacheHitNotCached(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := bootJournaled(t, dir, Config{Workers: 2})
+	idA, _ := submitBatch(t, ts.URL, "rd32_270")
+	pollDone(t, ts.URL, idA)
+	idB, _ := submitBatch(t, ts.URL, "rd32_270")
+	pollDone(t, ts.URL, idB)
+	stopGracefully(t, s, ts)
+
+	// Emulate a crash that lost batch B's completion and seal.
+	path := filepath.Join(dir, journalFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.ID == idB && (rec.Kind == recJob || rec.Kind == recDone) {
+			continue
+		}
+		kept = append(kept, line)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(kept, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := bootJournaled(t, dir, Config{Workers: 2})
+	defer stopGracefully(t, s2, ts2)
+	var results [2][]byte
+	for k, id := range []string{idA, idB} {
+		var st struct {
+			Results []struct {
+				Result json.RawMessage `json:"result"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(pollDone(t, ts2.URL, id), &st); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Results) != 1 || st.Results[0].Result == nil {
+			t.Fatalf("batch %s: results %+v, want one result", id, st.Results)
+		}
+		results[k] = st.Results[0].Result
+		var meta struct {
+			Cached bool `json:"cached"`
+		}
+		if err := json.Unmarshal(results[k], &meta); err != nil {
+			t.Fatal(err)
+		}
+		if meta.Cached {
+			t.Errorf("batch %s job 0 reports cached: true", id)
+		}
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("the resurrected job's result differs from the batch that compiled it:\n%s\nvs\n%s", results[1], results[0])
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -424,17 +425,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	timeout := clampTimeout(req.TimeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	wctx, progress, stopWd := s.watchdog.guard(r.Context(), "POST /v1/compile")
+	wctx, opts, stopWd := s.guard(r.Context(), "POST /v1/compile", timeout, opts)
 	defer stopWd()
-	opts = append(opts,
-		hilight.WithContext(wctx),
-		hilight.WithTimeout(timeout),
-		hilight.WithMetrics(s.cfg.Metrics),
-		hilight.WithObserver(func(cs hilight.CycleStats) {
-			progress() // every routing cycle feeds the watchdog
-			routeCycleHook(cs)
-		}),
-	)
 	var enc *wire.StreamEncoder
 	if streaming {
 		// The stream goes out under a 200 the moment the router seals its
@@ -494,7 +486,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.failCompile(w, r, err)
 		return
 	}
-	sr, err := newStoredResult(fp, res)
+	sr, err := s.keep(fp, res, &req, parentFP)
 	if err != nil {
 		if enc != nil && enc.Started() {
 			s.failed.Inc()
@@ -503,24 +495,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		s.fail(w, &apiError{Status: 500, Message: err.Error()})
 		return
-	}
-	sr.Parent = parentFP
-	// Record the canonical request so this entry can later be a session
-	// parent and a defect-feed recompile target. Marshaling the already-
-	// decoded struct cannot fail.
-	sr.ReqJSON, _ = json.Marshal(&req)
-	if !req.NoCache {
-		s.cache.Put(fp, sr)
-	}
-	if parentFP != "" && s.jobs.journal != nil {
-		// The ack below promises the session result exists; the waited
-		// fsync makes that promise crash-proof, mirroring the jobs ack.
-		srJSON, _ := json.Marshal(sr)
-		if err := s.jobs.journal.appendSession(fp, parentFP, srJSON); err != nil {
-			s.fail(w, &apiError{Status: http.StatusInternalServerError,
-				Message: fmt.Sprintf("journal session: %v", err)})
-			return
-		}
 	}
 	if enc != nil {
 		// The layers already went out frame by frame; seal the stream with
@@ -531,6 +505,49 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respond(w, mode, sr)
+}
+
+// guard starts the watchdog on a compile labeled label. It returns the
+// guarded context, a copy of opts with the options every compile of the
+// server runs under (that context, timeout, metrics, and a cycle observer
+// that ticks the watchdog and runs the chaos hooks), and the guard's stop.
+func (s *Server) guard(ctx context.Context, label string, timeout time.Duration, opts []hilight.Option) (context.Context, []hilight.Option, func()) {
+	wctx, progress, stop := s.watchdog.guard(ctx, label)
+	return wctx, append(slices.Clip(opts),
+		hilight.WithContext(wctx),
+		hilight.WithTimeout(timeout),
+		hilight.WithMetrics(s.cfg.Metrics),
+		hilight.WithObserver(func(cs hilight.CycleStats) {
+			progress() // every routing cycle feeds the watchdog
+			routeCycleHook(cs)
+		}),
+	), stop
+}
+
+// keep stores a fresh compile of req under fp and returns its stored
+// form, which records req and parent, the fingerprint it was recompiled
+// from ("" for a cold compile), so the entry can later be a session
+// parent and a defect-feed recompile target. The entry goes into the
+// cache unless req opts out; a session child also goes into the journal,
+// whose fsync keep waits for, as the ack that follows promises it.
+func (s *Server) keep(fp string, res *hilight.Result, req *compileRequest, parent string) (*storedResult, error) {
+	sr, err := newStoredResult(fp, res)
+	if err != nil {
+		return nil, err
+	}
+	sr.Parent = parent
+	// Marshaling the already-decoded request cannot fail.
+	sr.ReqJSON, _ = json.Marshal(req)
+	if !req.NoCache {
+		s.cache.Put(fp, sr)
+	}
+	if parent != "" && s.jobs.journal != nil {
+		srJSON, _ := json.Marshal(sr)
+		if err := s.jobs.journal.appendSession(fp, parent, srJSON); err != nil {
+			return nil, fmt.Errorf("journal session: %w", err)
+		}
+	}
+	return sr, nil
 }
 
 // respMode is the negotiated response rendering for a sync compile.
@@ -626,6 +643,7 @@ func (s *Server) respond(w http.ResponseWriter, mode respMode, sr *storedResult)
 	if mode == modeEnvelope {
 		s.succeeded.Inc()
 		w.Header().Set("Content-Type", wire.BinaryEnvelopeContentType)
+		w.Header().Set("X-Hilight-Cached", strconv.FormatBool(sr.Cached))
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
