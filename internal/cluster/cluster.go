@@ -476,6 +476,20 @@ func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
 		c.sessionForwards.Inc()
 	}
 
+	// Forward the admission-relevant client headers plus the session
+	// precondition (a worker missing the parent answers 412, which relays
+	// to the client untouched).
+	hdr := http.Header{}
+	for _, h := range []string{"X-Hilight-Tenant", "X-Hilight-Priority", "If-Fingerprint-Match"} {
+		if v := r.Header.Get(h); v != "" {
+			hdr.Set(h, v)
+		}
+	}
+	if pass {
+		hdr["Accept"] = r.Header.Values("Accept")
+	} else {
+		hdr.Set("Accept", wire.BinaryEnvelopeContentType)
+	}
 	var lastErr error
 	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
 		ws, viaAffinity := c.pickWorker(routeFP)
@@ -486,20 +500,7 @@ func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusServiceUnavailable, "no live workers")
 			return
 		}
-		req, err := http.NewRequestWithContext(r.Context(), "POST",
-			ws.url+"/v1/compile?"+r.URL.RawQuery, bytes.NewReader(body))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		copyRequestHeaders(req, r)
-		if pass {
-			req.Header["Accept"] = r.Header.Values("Accept")
-		} else {
-			req.Header.Set("Accept", wire.BinaryEnvelopeContentType)
-		}
-		resp, err := c.client.Do(req)
+		resp, err := c.call(r.Context(), ws, "/v1/compile?"+r.URL.RawQuery, body, hdr)
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The client went away; nothing to retry for.
@@ -507,17 +508,6 @@ func (c *Coordinator) handleCompile(w http.ResponseWriter, r *http.Request) {
 			}
 			lastErr = err
 			c.forwardRetry.Inc()
-			c.markDown(ws.url)
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			// The worker is draining; the prober will confirm, but don't
-			// wait for it — reshard now and retry elsewhere.
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("worker %s draining", ws.name)
-			c.forwardRetry.Inc()
-			c.markDown(ws.url)
 			continue
 		}
 		c.relayCompile(w, resp, ws, fp, pass)
@@ -578,15 +568,35 @@ var relayedHeaders = []string{
 	"X-Hilight-Latency-Cycles", "X-Hilight-Fallback-Method",
 }
 
-// copyRequestHeaders forwards the admission-relevant client headers plus
-// the session precondition (a worker missing the parent answers 412,
-// which relays to the client untouched).
-func copyRequestHeaders(dst *http.Request, src *http.Request) {
-	for _, h := range []string{"X-Hilight-Tenant", "X-Hilight-Priority", "If-Fingerprint-Match"} {
-		if v := src.Header.Get(h); v != "" {
-			dst.Header.Set(h, v)
-		}
+// call posts the JSON body to path on worker ws, with hdr's headers, and
+// returns the worker's response. A transport error or a 503 marks the
+// worker down at once (the prober would only confirm it an interval
+// later) and comes back as an error for the caller to retry or count,
+// unless ctx is done: then the caller went away, not the worker.
+func (c *Coordinator) call(ctx context.Context, ws *workerState, path string, body []byte, hdr http.Header) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, "POST", ws.url+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
+	for h, vs := range hdr {
+		req.Header[h] = vs
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.client.Do(req)
+	if err != nil {
+		if ctx.Err() == nil {
+			c.markDown(ws.url)
+		}
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		// The worker is draining: reshard now and retry elsewhere.
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		c.markDown(ws.url)
+		return nil, fmt.Errorf("worker %s draining", ws.name)
+	}
+	return resp, nil
 }
 
 // handleDefects broadcasts a defect feed to every live worker — each
@@ -620,16 +630,8 @@ func (c *Coordinator) handleDefects(w http.ResponseWriter, r *http.Request) {
 	total := service.DefectsResponse{Fingerprints: map[string]string{}}
 	failedWorkers := 0
 	for _, ws := range targets {
-		req, err := http.NewRequestWithContext(r.Context(), "POST",
-			ws.url+"/v1/defects", bytes.NewReader(body))
+		resp, err := c.call(r.Context(), ws, "/v1/defects", body, nil)
 		if err != nil {
-			failedWorkers++
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.client.Do(req)
-		if err != nil {
-			c.markDown(ws.url)
 			failedWorkers++
 			continue
 		}
@@ -756,27 +758,20 @@ func (c *Coordinator) execute(t *unitTask, worker string) {
 	ws := c.workers[worker]
 	c.mu.Unlock()
 
-	req, err := http.NewRequestWithContext(t.ctx, "POST", worker+"/v1/compile", bytes.NewReader(t.body))
-	if err != nil {
-		t.settle(nil, err)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wire.BinaryEnvelopeContentType)
+	hdr := http.Header{"Accept": {wire.BinaryEnvelopeContentType}}
 	if t.tenant != "" {
-		req.Header.Set("X-Hilight-Tenant", t.tenant)
+		hdr.Set("X-Hilight-Tenant", t.tenant)
 	}
-	resp, err := c.client.Do(req)
+	resp, err := c.call(t.ctx, ws, "/v1/compile", t.body, hdr)
 	if err != nil && t.ctx.Err() != nil {
 		// The coordinator is going down, not the worker.
 		t.settle(nil, errStopped)
 		return
 	}
 	if err != nil {
-		// The worker died (or the connection did) mid-unit: take it out
-		// of the ring and let the unit retry elsewhere. The unit was
-		// acked, so it must not be lost.
-		c.markDown(worker)
+		// The worker died or drains, or the connection broke mid-unit:
+		// call took the worker out of the ring, and the unit retries
+		// elsewhere. The unit was acked, so it must not be lost.
 		c.requeue(t, err.Error())
 		return
 	}
@@ -791,14 +786,10 @@ func (c *Coordinator) execute(t *unitTask, worker string) {
 		}
 		c.noteServed(t.fp, worker)
 		c.unitsDone.Inc()
-		if envelopeCached(env) {
+		if resp.Header.Get("X-Hilight-Cached") == "true" {
 			c.unitCacheHits.Inc()
 		}
 		t.settle(env, nil)
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		io.Copy(io.Discard, resp.Body)
-		c.markDown(worker)
-		c.requeue(t, fmt.Sprintf("worker %s draining", ws.name))
 	case resp.StatusCode == http.StatusTooManyRequests:
 		// Backpressure, not death: the worker stays up, the unit goes
 		// back in the queue (someone else may steal it).
@@ -814,14 +805,6 @@ func (c *Coordinator) execute(t *unitTask, worker string) {
 		}
 		t.settle(nil, errors.New(msg))
 	}
-}
-
-// envelopeCached peeks the cached flag out of an envelope body.
-func envelopeCached(env []byte) bool {
-	var e struct {
-		Cached bool `json:"cached"`
-	}
-	return json.Unmarshal(env, &e) == nil && e.Cached
 }
 
 // readErrorMessage extracts the message from a JSON error envelope.
