@@ -205,48 +205,56 @@ func (j *journal) append(rec *journalRecord, wait bool) error {
 	}
 }
 
-// syncer is the single writer: it drains whatever is queued, writes the
-// batch in one contiguous write, fsyncs once, and releases every waiter
-// of the group. It exits when quit closes — flushing the queue on a
-// graceful close, dropping it on kill.
+// syncer is the single writer: it commits whatever is queued as groups
+// (see commitGroup). It exits when quit closes — flushing the queue on
+// a graceful close, dropping it on kill.
 func (j *journal) syncer() {
 	defer j.wg.Done()
 	var buf []byte
 	var waits []chan error
 	for {
-		var first appendWait
 		select {
-		case first = <-j.ch:
+		case aw := <-j.ch:
+			buf, waits = j.commitGroup(aw, buf, waits)
 		case <-j.quit:
-			if !j.killed {
-				j.flushQueued()
+			// A graceful close commits what is still queued, so queued
+			// fire-and-forget lines make it to disk; a kill drops it. The
+			// syncer is the only receiver, so a queued line is there to take.
+			for !j.killed && len(j.ch) > 0 {
+				buf, waits = j.commitGroup(<-j.ch, buf, waits)
 			}
 			j.refuseQueued()
 			j.f.Close()
 			return
 		}
-		buf, waits = buf[:0], waits[:0]
-		buf = append(buf, first.line...)
-		if first.done != nil {
-			waits = append(waits, first.done)
+	}
+}
+
+// commitGroup takes first and whatever else is queued behind it, up to
+// about 1 MiB, writes the group in one contiguous write, fsyncs once,
+// and releases every waiter of the group with the outcome. buf and
+// waits are scratch space, returned for reuse.
+func (j *journal) commitGroup(first appendWait, buf []byte, waits []chan error) ([]byte, []chan error) {
+	buf, waits = buf[:0], waits[:0]
+	for aw, more := first, true; more; {
+		buf = append(buf, aw.line...)
+		if aw.done != nil {
+			waits = append(waits, aw.done)
 		}
-	drain:
-		for len(buf) < 1<<20 {
-			select {
-			case aw := <-j.ch:
-				buf = append(buf, aw.line...)
-				if aw.done != nil {
-					waits = append(waits, aw.done)
-				}
-			default:
-				break drain
-			}
+		if len(buf) >= 1<<20 {
+			break
 		}
-		err := j.commit(buf)
-		for _, d := range waits {
-			d <- err
+		select {
+		case aw = <-j.ch:
+		default:
+			more = false
 		}
 	}
+	err := j.commit(buf)
+	for _, d := range waits {
+		d <- err
+	}
+	return buf, waits
 }
 
 // commit writes one group's lines and fsyncs.
@@ -263,33 +271,6 @@ func (j *journal) commit(buf []byte) error {
 	j.bytes.Add(int64(len(buf)))
 	j.appends.Add(int64(countLines(buf)))
 	return nil
-}
-
-// flushQueued commits everything still sitting in the channel (graceful
-// close path). Senders blocked on done channels were all released by
-// commit already or will be refused below; queued fire-and-forget lines
-// make it to disk.
-func (j *journal) flushQueued() {
-	var buf []byte
-	var waits []chan error
-	for {
-		select {
-		case aw := <-j.ch:
-			buf = append(buf, aw.line...)
-			if aw.done != nil {
-				waits = append(waits, aw.done)
-			}
-		default:
-			err := error(nil)
-			if len(buf) > 0 {
-				err = j.commit(buf)
-			}
-			for _, d := range waits {
-				d <- err
-			}
-			return
-		}
-	}
 }
 
 // refuseQueued fails any waiter that raced its enqueue against quit.
