@@ -77,13 +77,6 @@ func newAdmission(workers, queue, quota int, m *obs.Registry) *admission {
 	}
 }
 
-// acquire is acquireFor with the default tenant and interactive
-// priority — the historical single-lane entry point, kept for callers
-// (and tests) that predate tenancy.
-func (a *admission) acquire(ctx context.Context) (release func(), err error) {
-	return a.acquireFor(ctx, "", priorityInteractive)
-}
-
 // acquireFor claims a compile slot for tenant, queueing (up to the
 // queue bound) when all workers are busy. It returns a release func on
 // success, and errQueueFull / errQuotaExceeded / errDraining / the
@@ -175,5 +168,5 @@ func (a *admission) load() int {
 }
 
 // drain moves the controller to its terminal state: every subsequent
-// acquire fails with errDraining. Idempotent.
+// acquireFor fails with errDraining. Idempotent.
 func (a *admission) drain() { a.draining.Store(true) }

@@ -13,11 +13,11 @@ func TestAdmissionPoolAndQueueBounds(t *testing.T) {
 	m := obs.NewRegistry()
 	a := newAdmission(2, 1, 0, m) // 2 workers, 1 queued
 
-	rel1, err := a.acquire(context.Background())
+	rel1, err := a.acquireFor(context.Background(), "", priorityInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := a.acquire(context.Background())
+	rel2, err := a.acquireFor(context.Background(), "", priorityInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAdmissionPoolAndQueueBounds(t *testing.T) {
 	got3 := make(chan error, 1)
 	var rel3 func()
 	go func() {
-		r, err := a.acquire(context.Background())
+		r, err := a.acquireFor(context.Background(), "", priorityInteractive)
 		rel3 = r
 		got3 <- err
 	}()
@@ -35,7 +35,7 @@ func TestAdmissionPoolAndQueueBounds(t *testing.T) {
 
 	// Workers and queue are now both full: a fourth acquire bounces
 	// immediately with errQueueFull.
-	if _, err := a.acquire(context.Background()); !errors.Is(err, errQueueFull) {
+	if _, err := a.acquireFor(context.Background(), "", priorityInteractive); !errors.Is(err, errQueueFull) {
 		t.Fatalf("fourth acquire returned %v, want errQueueFull", err)
 	}
 
@@ -80,14 +80,14 @@ func waitGauge(t *testing.T, m *obs.Registry, name string, want int64) {
 func TestAdmissionCanceledWhileQueued(t *testing.T) {
 	m := obs.NewRegistry()
 	a := newAdmission(1, 4, 0, m)
-	rel, err := a.acquire(context.Background())
+	rel, err := a.acquireFor(context.Background(), "", priorityInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := a.acquire(ctx)
+		_, err := a.acquireFor(ctx, "", priorityInteractive)
 		done <- err
 	}()
 	cancel()
@@ -97,7 +97,7 @@ func TestAdmissionCanceledWhileQueued(t *testing.T) {
 	rel()
 	// The canceled waiter must have returned its ticket: the queue is
 	// empty again and a fresh acquire succeeds immediately.
-	rel2, err := a.acquire(context.Background())
+	rel2, err := a.acquireFor(context.Background(), "", priorityInteractive)
 	if err != nil {
 		t.Fatalf("acquire after canceled waiter: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestAdmissionDrain(t *testing.T) {
 	m := obs.NewRegistry()
 	a := newAdmission(1, 1, 0, m)
 	a.drain()
-	if _, err := a.acquire(context.Background()); !errors.Is(err, errDraining) {
+	if _, err := a.acquireFor(context.Background(), "", priorityInteractive); !errors.Is(err, errDraining) {
 		t.Fatalf("acquire on draining controller returned %v", err)
 	}
 	a.drain() // idempotent

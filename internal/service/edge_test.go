@@ -187,7 +187,7 @@ func TestRetryAfterDerived(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1})
 
 	// Saturate the single worker so the next request is rejected.
-	rel, err := s.admit.acquire(context.Background())
+	rel, err := s.admit.acquireFor(context.Background(), "", priorityInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}

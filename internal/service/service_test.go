@@ -48,7 +48,7 @@ func waitNoCompileGoroutines(t *testing.T) {
 		"hilight.CompileAll(",
 		"hilight/internal/core.Run(",
 		"service.(*Server).handleCompile(",
-		"service.(*admission).acquire(",
+		"service.(*admission).acquireFor(",
 		"service.(*JobStore).run(",
 		"service.(*watchdog).guard.",
 	}
@@ -253,13 +253,13 @@ func TestQueueFullReturns429(t *testing.T) {
 
 	// Occupy the worker slot and the single queue ticket directly so the
 	// next request deterministically sees a full queue.
-	rel1, err := s.admit.acquire(context.Background())
+	rel1, err := s.admit.acquireFor(context.Background(), "", priorityInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queued := make(chan func(), 1)
 	go func() {
-		rel, err := s.admit.acquire(context.Background())
+		rel, err := s.admit.acquireFor(context.Background(), "", priorityInteractive)
 		if err != nil {
 			t.Error(err)
 		}
