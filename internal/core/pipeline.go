@@ -501,7 +501,7 @@ func runRoute(st *State, rt *router) error {
 		return err
 	}
 	st.Schedule = s
-	braids := int64(braidCount(s))
+	braids := int64(s.BraidCount())
 	st.Count("cycles", int64(s.Latency()))
 	st.Count("braids", braids)
 	stats, tracked := rt.searchStats()
@@ -527,15 +527,6 @@ func runRoute(st *State, rt *router) error {
 		}
 	}
 	return nil
-}
-
-// braidCount counts the braids of every layer.
-func braidCount(s *sched.Schedule) int {
-	n := 0
-	for _, l := range s.Layers {
-		n += len(l)
-	}
-	return n
 }
 
 // hoistedBraids counts the gates whose cycle changed between the
