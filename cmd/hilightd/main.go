@@ -181,6 +181,11 @@ type daemon interface {
 // serve listens on addr, announces the address after banner, serves d
 // until SIGINT or SIGTERM, then drains it and returns the exit code.
 func serve(d daemon, addr, banner string, drainTimeout time.Duration, stdout, stderr io.Writer) int {
+	// Catch the signals before the banner: a supervisor may send SIGTERM
+	// the moment it reads the address, and the default action would kill
+	// the process without a drain.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "hilightd:", err)
@@ -195,8 +200,6 @@ func serve(d daemon, addr, banner string, drainTimeout time.Duration, stdout, st
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
