@@ -36,6 +36,10 @@ func TestParserErrorPaths(t *testing.T) {
 		{"sqrt negative", `qreg q[1]; rz(sqrt(0-4)) q[0];`, `line 1: sqrt of negative value`},
 		{"ln nonpositive", `qreg q[1]; rz(ln(0)) q[0];`, `line 1: ln of non-positive value`},
 		{"unknown function", `qreg q[1]; rz(frob(1)) q[0];`, `line 1: unknown function "frob"`},
+		{"infinite param", `qreg q[1]; rz(1e308*10) q[0];`, `line 1: parameter evaluates to +Inf, not a finite number`},
+		{"negative infinite param", "qreg q[1];\nrz(-exp(1000)) q[0];", `line 2: parameter evaluates to -Inf, not a finite number`},
+		{"nan param", `qreg q[1]; u3(0, 1e308*10-1e308*10, 0) q[0];`, `line 1: parameter evaluates to NaN, not a finite number`},
+		{"infinite macro param", "qreg q[1];\ngate foo(x) a {\n  rz(x*x) a;\n}\nfoo(1e200) q[0];", `line 3: parameter evaluates to +Inf, not a finite number`},
 		{"barrier missing semi", `qreg q[1]; barrier q`, `line 1: unexpected EOF, missing ';'`},
 		{"register index non-number", `qreg q[x];`, `line 1: expected number, got identifier "x"`},
 		{"u2 wrong params", `qreg q[1]; u2(1) q[0];`, `line 1: gate "u2" wants 2 params, got 1`},

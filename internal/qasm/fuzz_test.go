@@ -29,6 +29,9 @@ func FuzzParse(f *testing.F) {
 		`gate rec a { rec a; } qreg q[1]; rec q[0];`,
 		"qreg q[1]; rz(\x00) q[0];",
 		`qreg q[1]; h q[0]`,
+		`qreg q[1]; rz(1e308*10) q[0];`,
+		`qreg q[1]; rz(1e308*10-1e308*10) q[0];`,
+		`qreg q[1]; gate g(x) a { rz(x*1e300) a; } g(1e300) q[0];`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -470,9 +470,9 @@ func (p *parser) parseApplication() error {
 			if err != nil {
 				return err
 			}
-			v, err := e.eval(nil)
+			v, err := evalParam(e, nil, name.line)
 			if err != nil {
-				return fmt.Errorf("line %d: %w", name.line, err)
+				return err
 			}
 			p.params = append(p.params, v)
 			if p.peek().kind == tokComma {
@@ -564,9 +564,9 @@ func (p *parser) apply(name string, line int, params []float64, qs []int, depth 
 		for _, st := range def.body {
 			sub := make([]float64, len(st.params))
 			for i, e := range st.params {
-				v, err := e.eval(env)
+				v, err := evalParam(e, env, st.line)
 				if err != nil {
-					return fmt.Errorf("line %d: %w", st.line, err)
+					return err
 				}
 				sub[i] = v
 			}
@@ -693,6 +693,20 @@ func (p *parser) applyBuiltin(name string, line int, params []float64, qs []int)
 }
 
 // --- constant expressions -------------------------------------------------
+
+// evalParam evaluates the parameter e of a gate application on line. A
+// value that is not finite is an error: the writer renders it as +Inf or
+// NaN, which do not parse, so the circuit's canonical form would not.
+func evalParam(e expr, env map[string]float64, line int) (float64, error) {
+	v, err := e.eval(env)
+	if err == nil && (math.IsInf(v, 0) || math.IsNaN(v)) {
+		err = fmt.Errorf("parameter evaluates to %v, not a finite number", v)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("line %d: %w", line, err)
+	}
+	return v, nil
+}
 
 // expr is a parsed parameter expression; identifiers other than pi must be
 // gate-definition formal parameters resolved at expansion time.
