@@ -5,10 +5,9 @@
 //
 //   - every recompiled schedule validates against the circuit the
 //     client actually sent (rebuilt client-side through the same
-//     SWAP-decomposition + QCO the daemon applies);
-//   - every schedule routes around every defect in the current map —
-//     no braid path through a dead vertex or channel, no endpoint or
-//     placed qubit on a dead tile;
+//     SWAP-decomposition + QCO the daemon applies), on the hardware the
+//     client announced: the schedule's grid with the current defect
+//     map, so it routes around every defect in that map;
 //   - no acknowledged session is lost: a 200 session response is
 //     fsynced to the journal before the ack, so the child fingerprint
 //     must resolve as a parent in every later life, crash or not;
@@ -326,75 +325,27 @@ func sessionFeed(l *life, rng *rand.Rand, st *sessionState, rep *SessionReport, 
 	checkSchedule(&sr, st, rep, cycle, "post-feed")
 }
 
-// checkSchedule asserts the two schedule invariants on a compile
-// response: it validates against the circuit the client sent (rebuilt
-// through the daemon's own working-circuit transform) and routes clear
-// of every current defect.
+// checkSchedule asserts the schedule invariants on a compile response:
+// the schedule validates against the circuit the client sent (rebuilt
+// through the daemon's own working-circuit transform) on the hardware
+// the client last announced, the schedule's shape and reserved tiles
+// with the session's current defect map.
 func checkSchedule(sr *sessionResp, st *sessionState, rep *SessionReport, cycle int, what string) bool {
 	schd, err := hilight.DecodeScheduleJSON(sr.Schedule)
 	if err != nil {
 		rep.violatef("cycle %d: %s schedule undecodable: %v", cycle, what, err)
 		return false
 	}
-	working := session.WorkingCircuit(st.circ, true)
-	if err := schd.Validate(working); err != nil {
-		rep.violatef("cycle %d: %s schedule invalid for %s: %v", cycle, what, clipFP(sr.Fingerprint), err)
-		return false
+	schd.Grid = schd.Grid.Healed()
+	if err = schd.Grid.ApplyDefects(st.defects); err == nil {
+		err = schd.Validate(session.WorkingCircuit(st.circ, true))
 	}
-	if v, kind := scheduleTouchesDefect(schd, st.defects); kind != "" {
-		rep.violatef("cycle %d: %s schedule %s routes through dead %s %d", cycle, what, clipFP(sr.Fingerprint), kind, v)
+	if err != nil {
+		rep.violatef("cycle %d: %s schedule invalid for %s: %v", cycle, what, clipFP(sr.Fingerprint), err)
 		return false
 	}
 	st.sched = schd
 	return true
-}
-
-// scheduleTouchesDefect reports the first dead element a schedule uses:
-// a placed qubit or braid endpoint on a dead tile, a path through a
-// dead vertex, or a hop across a dead channel.
-func scheduleTouchesDefect(s *hilight.Schedule, dm *hilight.DefectMap) (int, string) {
-	if dm.Empty() {
-		return 0, ""
-	}
-	deadTile := map[int]bool{}
-	for _, t := range dm.Tiles {
-		deadTile[t] = true
-	}
-	deadVertex := map[int]bool{}
-	for _, v := range dm.Vertices {
-		deadVertex[v] = true
-	}
-	deadChannel := map[[2]int]bool{}
-	for _, ch := range dm.Channels {
-		deadChannel[[2]int{ch[0], ch[1]}] = true
-		deadChannel[[2]int{ch[1], ch[0]}] = true
-	}
-	if s.Initial != nil {
-		for _, t := range s.Initial.QubitTile {
-			if deadTile[t] {
-				return t, "tile"
-			}
-		}
-	}
-	for _, layer := range s.Layers {
-		for _, b := range layer {
-			if deadTile[b.CtlTile] {
-				return b.CtlTile, "tile"
-			}
-			if deadTile[b.TgtTile] {
-				return b.TgtTile, "tile"
-			}
-			for i, v := range b.Path {
-				if deadVertex[v] {
-					return v, "vertex"
-				}
-				if i > 0 && deadChannel[[2]int{b.Path[i-1], v}] {
-					return v, "channel"
-				}
-			}
-		}
-	}
-	return 0, ""
 }
 
 // pickRoutedVertex returns a random vertex some braid path actually

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hilight/internal/bench"
@@ -27,8 +28,10 @@ import (
 func warmRouteQFT64(tb testing.TB) func() {
 	c := bench.QFT(64).DecomposeSWAPs()
 	g := grid.Rect(64)
-	var cfg config
-	cfg.fillDefaults()
+	cfg, err := Spec{}.components(rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
 	// The default configuration has no adjuster, so the router never
 	// mutates the layout and one placement serves every iteration.
 	layout := place.HiLight{}.Place(c, g)

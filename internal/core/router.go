@@ -97,16 +97,17 @@ type ScheduleSink interface {
 }
 
 // config is the resolved component bundle a pipeline threads into the
-// router: the materialized form of a Spec. Zero-value fields get the
-// HiLight defaults (pattern+proximity placement, proposed ordering,
-// closest-corner A*, threshold 4). External callers never build one —
-// they go through Spec and the registries.
+// router: the materialized form of a Spec, built only by
+// Spec.components, which states the HiLight defaults (pattern+proximity
+// placement, proposed ordering, closest-corner A*, threshold 4).
+// External callers never build one — they go through Spec and the
+// registries.
 type config struct {
 	Placement place.Method
 	Ordering  order.Strategy
 	Finder    route.Finder
 	// OrderingThreshold invokes Ordering only when the ready set is
-	// strictly larger; ≤0 means DefaultOrderingThreshold.
+	// strictly larger.
 	OrderingThreshold int
 	// Adjuster, when non-nil, may insert SWAPs between cycles.
 	Adjuster LayoutAdjuster
@@ -132,21 +133,6 @@ type config struct {
 	// Warm, when non-nil, makes the router replay Warm.Prefix verbatim
 	// before routing the rest with its step (see WarmStart).
 	Warm *WarmStart
-}
-
-func (cfg *config) fillDefaults() {
-	if cfg.Placement == nil {
-		cfg.Placement = place.HiLight{}
-	}
-	if cfg.Ordering == nil {
-		cfg.Ordering = order.Proposed{}
-	}
-	if cfg.Finder == nil {
-		cfg.Finder = &route.AStar{}
-	}
-	if cfg.OrderingThreshold <= 0 {
-		cfg.OrderingThreshold = DefaultOrderingThreshold
-	}
 }
 
 // swapOp tracks an in-flight inserted SWAP: three braids between two
@@ -538,11 +524,10 @@ func (r *router) replayPrefix(prefix []sched.Layer, remaining *int) (int, error)
 }
 
 // replayBraid verifies one prefix braid still holds on the current
-// compile state and appends it to the layer under construction. The
-// checks mirror sched.Validate: the gate exists, is two-qubit, is at
-// the front of both operand gate lists, its operands sit on the braid's
-// tiles, the tiles are usable, the path is a live simple walk anchored
-// at the endpoint corners, and nothing in this cycle conflicts.
+// compile state and appends it to the layer under construction: its
+// two-qubit gate is next on both operands, which sit on the braid's
+// tiles, and neither tile braids already this cycle; the braid passes
+// sched.CheckBraid; and its path is clear of the cycle's earlier braids.
 func (r *router) replayBraid(b sched.Braid) error {
 	if b.Gate < 0 || b.SwapTiles {
 		return fmt.Errorf("inserted-SWAP braid cannot be replayed")
@@ -564,27 +549,17 @@ func (r *router) replayBraid(b sched.Braid) error {
 		return fmt.Errorf("gate %d operands moved: layout has tiles %d,%d, braid has %d,%d",
 			b.Gate, r.layout.QubitTile[gate.Q0], r.layout.QubitTile[gate.Q1], b.CtlTile, b.TgtTile)
 	}
-	if !r.g.Usable(b.CtlTile) || !r.g.Usable(b.TgtTile) {
-		return fmt.Errorf("gate %d braids on an unusable tile (%d or %d)", b.Gate, b.CtlTile, b.TgtTile)
+	if err := sched.CheckBraid(r.g, b); err != nil {
+		return fmt.Errorf("gate %d: %v", b.Gate, err)
 	}
-	if err := b.Path.Validate(r.g); err != nil {
-		return fmt.Errorf("gate %d path: %v", b.Gate, err)
-	}
-	if !tileCorner(r.g, b.CtlTile, b.Path[0]) || !tileCorner(r.g, b.TgtTile, b.Path[len(b.Path)-1]) {
-		return fmt.Errorf("gate %d path not anchored at its tile corners", b.Gate)
+	if r.isBusy(b.CtlTile) || r.isBusy(b.TgtTile) {
+		return fmt.Errorf("gate %d operand braids twice in one cycle", b.Gate)
 	}
 	if r.occ.Conflicts(r.g, b.Path) {
 		return fmt.Errorf("gate %d path conflicts within its cycle", b.Gate)
 	}
 	r.commit(order.Ready{Gate: b.Gate, CtlTile: b.CtlTile, TgtTile: b.TgtTile}, b.Path)
 	return nil
-}
-
-// tileCorner reports whether vertex v is one of tile t's four corners.
-func tileCorner(g *grid.Grid, t, v int) bool {
-	x, y := g.TileXY(t)
-	return v == g.VertexID(x, y) || v == g.VertexID(x+1, y) ||
-		v == g.VertexID(x, y+1) || v == g.VertexID(x+1, y+1)
 }
 
 // ctxErr translates a done context into the typed cancellation error.

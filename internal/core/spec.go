@@ -161,7 +161,9 @@ func (sp Spec) components(rng *rand.Rand) (config, error) {
 	}
 	cfg.QCO = sp.QCO
 	cfg.OrderingThreshold = sp.OrderingThreshold
-	cfg.fillDefaults()
+	if cfg.OrderingThreshold <= 0 {
+		cfg.OrderingThreshold = DefaultOrderingThreshold
+	}
 	return cfg, nil
 }
 

@@ -172,8 +172,7 @@ func (g *Grid) Defects() *DefectMap {
 // Clone returns a deep copy of the grid, including reservations and
 // defects. Compile uses it so WithDefects never mutates a caller's grid.
 func (g *Grid) Clone() *Grid {
-	// Coordinate tables are immutable and dimension-determined — share them.
-	out := &Grid{W: g.W, H: g.H, reserved: append([]bool(nil), g.reserved...), vx: g.vx, vy: g.vy}
+	out := g.Healed()
 	if g.def != nil {
 		out.def = &defectState{
 			tile:   append([]bool(nil), g.def.tile...),
@@ -182,4 +181,11 @@ func (g *Grid) Clone() *Grid {
 		}
 	}
 	return out
+}
+
+// Healed returns a copy of g with its reservations but none of its
+// defects: the hardware a replacement defect map applies to.
+func (g *Grid) Healed() *Grid {
+	// Coordinate tables are immutable and dimension-determined — share them.
+	return &Grid{W: g.W, H: g.H, reserved: append([]bool(nil), g.reserved...), vx: g.vx, vy: g.vy}
 }

@@ -50,6 +50,9 @@ func TestParserErrorPaths(t *testing.T) {
 		{"parse error then stray char", "qreg q[1]; h q[5];\n$", `line 2: unexpected character '$'`},
 		{"parse error then unterminated string", "qreg q[1]; h q[5];\ninclude \"qelib1.inc;\n", `line 2: unterminated string`},
 		{"past MaxGates then stray char", pastMaxGates, `line 259: unexpected character '$'`},
+		{"expression past its term bound", "qreg q[1];\nrz(" + strings.Repeat("-", maxExprTerms) + "1) q[0];",
+			`line 2: parameter expression has more than 64 terms`},
+		{"macros past the evaluation budget", evalBudgetSource(), `line 2: source evaluates more than 16777216 parameter terms`},
 	}
 	for _, tc := range cases {
 		_, err := Parse("t", tc.src)
@@ -134,4 +137,17 @@ func TestParserExpansionBounds(t *testing.T) {
 	if _, err := Parse("t", nest.String()); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d gates, counting macro applications", maxApplications)) {
 		t.Errorf("macro nest: %v", err)
 	}
+}
+
+// evalBudgetSource nests gate macros until a source asks for more than
+// maxEvalTerms parameter terms: w evaluates 96 terms per application,
+// and c applies w 64³ times, 25M terms in all, well inside
+// maxApplications and MaxGates.
+func evalBudgetSource() string {
+	e := "1" + strings.Repeat("+1", maxExprTerms/2-1)
+	nest := func(name, inner string) string {
+		return "gate " + name + " x { " + strings.Repeat(inner+" x; ", 64) + "}\n"
+	}
+	return "qreg q[1];\ngate w x { u3(" + e + "," + e + "," + e + ") x; }\n" +
+		nest("a", "w") + nest("b", "a") + nest("c", "b") + "c q[0];\n"
 }

@@ -27,6 +27,14 @@ const (
 	// maxApplications bounds gate applications, macro and built-in: a
 	// nest of gate macros with empty bodies applies without emitting.
 	maxApplications = 2 * MaxGates
+	// maxExprTerms bounds the terms of one parameter expression: its
+	// signs, parentheses, numbers, identifiers and calls. Parsing and
+	// evaluation recurse once per sign, parenthesis and operator, and a
+	// goroutine that outgrows its stack dies where no recover reaches.
+	maxExprTerms = 64
+	// maxEvalTerms bounds the parameter terms a source evaluates: a gate
+	// macro evaluates its body's parameters again at every application.
+	maxEvalTerms = 1 << 24
 )
 
 // Parse reads OpenQASM 2.0 source and returns the flattened circuit. All
@@ -80,6 +88,7 @@ type gateDef struct {
 type bodyStmt struct {
 	name   string
 	params []expr
+	terms  int   // terms over all params, charged at every evaluation
 	args   []int // indices into the enclosing def's args
 	line   int
 }
@@ -97,6 +106,8 @@ type parser struct {
 	gates   map[string]*gateDef
 	order   []string // qreg declaration order, for deterministic flattening
 	applied int      // gate applications so far, against maxApplications
+	terms   int      // terms of the expression being parsed, against maxExprTerms
+	charged int      // parameter terms evaluated so far, against maxEvalTerms
 
 	// One top-level application's parameters, operands and the qubits of
 	// each gate it broadcasts to, reset at every statement. apply and
@@ -310,9 +321,9 @@ func (p *parser) parseGateDef(opaque bool) error {
 	for i, a := range def.args {
 		argIndex[a] = i
 	}
-	paramSet := map[string]bool{}
-	for _, q := range def.params {
-		paramSet[q] = true
+	paramIndex := map[string]int{}
+	for i, q := range def.params {
+		paramIndex[q] = i
 	}
 	for p.peek().kind != tokRBrace {
 		tk := p.peek()
@@ -326,7 +337,7 @@ func (p *parser) parseGateDef(opaque bool) error {
 			}
 			continue
 		}
-		stmt, err := p.parseBodyStmt(argIndex, paramSet)
+		stmt, err := p.parseBodyStmt(argIndex, paramIndex)
 		if err != nil {
 			return err
 		}
@@ -337,7 +348,7 @@ func (p *parser) parseGateDef(opaque bool) error {
 	return nil
 }
 
-func (p *parser) parseBodyStmt(argIndex map[string]int, params map[string]bool) (bodyStmt, error) {
+func (p *parser) parseBodyStmt(argIndex, params map[string]int) (bodyStmt, error) {
 	name, err := p.expect(tokIdent)
 	if err != nil {
 		return bodyStmt{}, err
@@ -351,6 +362,7 @@ func (p *parser) parseBodyStmt(argIndex map[string]int, params map[string]bool) 
 				return bodyStmt{}, err
 			}
 			st.params = append(st.params, e)
+			st.terms += p.terms
 			if p.peek().kind == tokComma {
 				p.advance()
 			}
@@ -470,6 +482,9 @@ func (p *parser) parseApplication() error {
 			if err != nil {
 				return err
 			}
+			if err := p.charge(p.terms, name.line); err != nil {
+				return err
+			}
 			v, err := evalParam(e, nil, name.line)
 			if err != nil {
 				return err
@@ -554,17 +569,13 @@ func (p *parser) apply(name string, line int, params []float64, qs []int, depth 
 		if len(params) != len(def.params) {
 			return fmt.Errorf("line %d: gate %q wants %d params, got %d", line, name, len(def.params), len(params))
 		}
-		var env map[string]float64 // parameter-free bodies look nothing up
-		if len(def.params) > 0 {
-			env = make(map[string]float64, len(def.params))
-			for i, pn := range def.params {
-				env[pn] = params[i]
-			}
-		}
 		for _, st := range def.body {
+			if err := p.charge(st.terms, st.line); err != nil {
+				return err
+			}
 			sub := make([]float64, len(st.params))
 			for i, e := range st.params {
-				v, err := evalParam(e, env, st.line)
+				v, err := evalParam(e, params, st.line)
 				if err != nil {
 					return err
 				}
@@ -694,10 +705,19 @@ func (p *parser) applyBuiltin(name string, line int, params []float64, qs []int)
 
 // --- constant expressions -------------------------------------------------
 
+// charge counts the parameter terms a statement on line is about to
+// evaluate against the source's maxEvalTerms.
+func (p *parser) charge(terms, line int) error {
+	if p.charged += terms; p.charged > maxEvalTerms {
+		return fmt.Errorf("line %d: source evaluates more than %d parameter terms", line, maxEvalTerms)
+	}
+	return nil
+}
+
 // evalParam evaluates the parameter e of a gate application on line. A
 // value that is not finite is an error: the writer renders it as +Inf or
 // NaN, which do not parse, so the circuit's canonical form would not.
-func evalParam(e expr, env map[string]float64, line int) (float64, error) {
+func evalParam(e expr, env []float64, line int) (float64, error) {
 	v, err := e.eval(env)
 	if err == nil && (math.IsInf(v, 0) || math.IsNaN(v)) {
 		err = fmt.Errorf("parameter evaluates to %v, not a finite number", v)
@@ -709,30 +729,28 @@ func evalParam(e expr, env map[string]float64, line int) (float64, error) {
 }
 
 // expr is a parsed parameter expression; identifiers other than pi must be
-// gate-definition formal parameters resolved at expansion time.
+// gate-definition formal parameters resolved at expansion time, against
+// env, the values an application passes.
 type expr interface {
-	eval(env map[string]float64) (float64, error)
+	eval(env []float64) (float64, error)
 }
 
 type numExpr float64
 
-func (n numExpr) eval(map[string]float64) (float64, error) { return float64(n), nil }
+func (n numExpr) eval([]float64) (float64, error) { return float64(n), nil }
 
-type varExpr string
+// varExpr is a formal parameter by its position in the definition; apply
+// passes one value per formal.
+type varExpr int
 
-func (v varExpr) eval(env map[string]float64) (float64, error) {
-	if val, ok := env[string(v)]; ok {
-		return val, nil
-	}
-	return 0, fmt.Errorf("unknown parameter %q", string(v))
-}
+func (v varExpr) eval(env []float64) (float64, error) { return env[v], nil }
 
 type unaryExpr struct {
 	op rune
 	x  expr
 }
 
-func (u unaryExpr) eval(env map[string]float64) (float64, error) {
+func (u unaryExpr) eval(env []float64) (float64, error) {
 	v, err := u.x.eval(env)
 	if err != nil {
 		return 0, err
@@ -748,7 +766,7 @@ type binExpr struct {
 	l, r expr
 }
 
-func (b binExpr) eval(env map[string]float64) (float64, error) {
+func (b binExpr) eval(env []float64) (float64, error) {
 	l, err := b.l.eval(env)
 	if err != nil {
 		return 0, err
@@ -780,7 +798,7 @@ type callExpr struct {
 	x  expr
 }
 
-func (c callExpr) eval(env map[string]float64) (float64, error) {
+func (c callExpr) eval(env []float64) (float64, error) {
 	v, err := c.x.eval(env)
 	if err != nil {
 		return 0, err
@@ -808,13 +826,15 @@ func (c callExpr) eval(env map[string]float64) (float64, error) {
 	return 0, fmt.Errorf("unknown function %q", c.fn)
 }
 
-// parseExpr parses an additive expression. params, when non-nil, names the
-// identifiers legal as variables (gate formal parameters).
-func (p *parser) parseExpr(params map[string]bool) (expr, error) {
+// parseExpr parses an additive expression and leaves its term count in
+// p.terms. params, when non-nil, maps the identifiers legal as variables
+// (gate formal parameters) to their positions.
+func (p *parser) parseExpr(params map[string]int) (expr, error) {
+	p.terms = 0
 	return p.parseAdd(params)
 }
 
-func (p *parser) parseAdd(params map[string]bool) (expr, error) {
+func (p *parser) parseAdd(params map[string]int) (expr, error) {
 	l, err := p.parseMul(params)
 	if err != nil {
 		return nil, err
@@ -841,7 +861,7 @@ func (p *parser) parseAdd(params map[string]bool) (expr, error) {
 	}
 }
 
-func (p *parser) parseMul(params map[string]bool) (expr, error) {
+func (p *parser) parseMul(params map[string]int) (expr, error) {
 	l, err := p.parseUnary(params)
 	if err != nil {
 		return nil, err
@@ -875,8 +895,14 @@ func (p *parser) parseMul(params map[string]bool) (expr, error) {
 	}
 }
 
-func (p *parser) parseUnary(params map[string]bool) (expr, error) {
-	switch tk := p.peek(); tk.kind {
+// parseUnary parses one term, counting it against maxExprTerms: every
+// sign, parenthesis, number, identifier and call passes through here.
+func (p *parser) parseUnary(params map[string]int) (expr, error) {
+	tk := p.peek()
+	if p.terms++; p.terms > maxExprTerms {
+		return nil, fmt.Errorf("line %d: parameter expression has more than %d terms", tk.line, maxExprTerms)
+	}
+	switch tk.kind {
 	case tokMinus:
 		p.advance()
 		x, err := p.parseUnary(params)
@@ -910,8 +936,8 @@ func (p *parser) parseUnary(params map[string]bool) (expr, error) {
 			}
 			return callExpr{tk.text, x}, nil
 		}
-		if params != nil && params[tk.text] {
-			return varExpr(tk.text), nil
+		if i, ok := params[tk.text]; ok {
+			return varExpr(i), nil
 		}
 		return nil, fmt.Errorf("line %d: unknown identifier %q in expression", tk.line, tk.text)
 	case tokLParen:
@@ -925,6 +951,5 @@ func (p *parser) parseUnary(params map[string]bool) (expr, error) {
 		}
 		return x, nil
 	}
-	tk := p.peek()
 	return nil, fmt.Errorf("line %d: unexpected %v %q in expression", tk.line, tk.kind, tk.text)
 }

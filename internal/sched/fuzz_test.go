@@ -2,13 +2,16 @@ package sched
 
 import (
 	"testing"
+
+	"hilight/internal/circuit"
 )
 
 // FuzzDecodeJSON checks that the schedule decoder never panics on hostile
 // input, that everything it accepts re-encodes through AppendJSON to
-// encoding/json's bytes (checkAppendJSON), and that it survives an
-// encode/decode round trip with the same shape. Run the seed corpus with
-// `go test`; extend with `go test -fuzz=FuzzDecodeJSON`.
+// encoding/json's bytes (checkAppendJSON), that Validate returns on it
+// (checkValidateReturns), and that it survives an encode/decode round
+// trip with the same shape. Run the seed corpus with `go test`; extend
+// with `go test -fuzz=FuzzDecodeJSON`.
 func FuzzDecodeJSON(f *testing.F) {
 	seeds := []string{
 		``,
@@ -19,6 +22,10 @@ func FuzzDecodeJSON(f *testing.F) {
 		`{"version":2,"grid_w":2,"grid_h":2,"qubits":0,"initial":[]}`,
 		`{"version":1,"grid_w":2,"grid_h":2,"qubits":0,"initial":[],"layers":[]}`,
 		`{"version":1,"grid_w":3,"grid_h":2,"qubits":2,"initial":[0,5],"layers":[[{"gate":0,"ctl":0,"tgt":5,"path":[0,1,2,6]}]]}`,
+		// A braid on a tile past the grid.
+		`{"version":1,"grid_w":3,"grid_h":2,"qubits":2,"initial":[0,5],"layers":[[{"gate":0,"ctl":99,"tgt":5,"path":[0,1,2,6]}]]}`,
+		// A layout of one qubit under circuits of two and three.
+		`{"version":1,"grid_w":3,"grid_h":2,"qubits":1,"initial":[0],"layers":[[{"gate":0,"ctl":0,"tgt":5,"path":[0,1,2,6]}]]}`,
 		`{"version":1,"grid_w":2,"grid_h":2,"qubits":1,"initial":[9]}`,
 		`{"version":1,"grid_w":2,"grid_h":2,"qubits":2,"initial":[0,0]}`,
 		`{"version":1,"grid_w":-1,"grid_h":2,"qubits":0,"initial":[]}`,
@@ -39,6 +46,7 @@ func FuzzDecodeJSON(f *testing.F) {
 			return // rejection is fine; panics are not
 		}
 		checkAppendJSON(t, s)
+		checkValidateReturns(s)
 		out, err := EncodeJSON(s)
 		if err != nil {
 			t.Fatalf("accepted schedule failed to encode: %v", err)
@@ -59,4 +67,17 @@ func FuzzDecodeJSON(f *testing.F) {
 			t.Fatalf("round trip changed grid %v -> %v", s.Grid, s2.Grid)
 		}
 	})
+}
+
+// checkValidateReturns validates a decoded schedule against CX(0,1) on
+// two qubits and CX(0,2) on three, wider than most decoded layouts. The
+// decoders leave braids to Validate, so whatever they accept it must
+// judge with an error or nil: a panic fails the fuzz target.
+func checkValidateReturns(s *Schedule) {
+	narrow := circuit.New("narrow", 2)
+	narrow.Add2(circuit.CX, 0, 1)
+	wide := circuit.New("wide", 3)
+	wide.Add2(circuit.CX, 0, 2)
+	_ = s.Validate(narrow)
+	_ = s.Validate(wide)
 }

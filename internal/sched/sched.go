@@ -91,14 +91,40 @@ func (s *Schedule) InsertedBraids() int {
 	return n
 }
 
+// CheckBraid is the one per-braid rule, checked against grid g alone:
+// both tiles are in range and usable (not reserved, not defective), and
+// the path is a simple lattice walk clear of g's dead vertices and
+// closed channels, from a corner of CtlTile to a corner of TgtTile.
+func CheckBraid(g *grid.Grid, b Braid) error {
+	if n := g.Tiles(); b.CtlTile < 0 || b.CtlTile >= n || b.TgtTile < 0 || b.TgtTile >= n {
+		return fmt.Errorf("tile %d or %d out of range for %d tiles", b.CtlTile, b.TgtTile, n)
+	}
+	if err := b.Path.Validate(g); err != nil {
+		return err
+	}
+	if !g.Usable(b.CtlTile) || !g.Usable(b.TgtTile) {
+		return fmt.Errorf("anchored on unusable (reserved/defective) tile %d or %d", b.CtlTile, b.TgtTile)
+	}
+	// Tile t's corners sit at x in {tx, tx+1} and y in {ty, ty+1}.
+	corner := func(v, t int) bool {
+		tx, ty := g.TileXY(t)
+		x, y := g.VertexXY(v)
+		return uint(x-tx) <= 1 && uint(y-ty) <= 1
+	}
+	if !corner(b.Path[0], b.CtlTile) {
+		return fmt.Errorf("path start not a corner of tile %d", b.CtlTile)
+	}
+	if !corner(b.Path[len(b.Path)-1], b.TgtTile) {
+		return fmt.Errorf("path end not a corner of tile %d", b.TgtTile)
+	}
+	return nil
+}
+
 // Validate replays the schedule against the circuit it claims to
 // implement and returns the first inconsistency, or nil. It checks that:
 //
-//   - every braid's path is a valid simple lattice walk avoiding
-//     defective vertices and channels;
+//   - every braid passes CheckBraid on the schedule's grid;
 //   - braids within a layer are vertex- and channel-disjoint;
-//   - path endpoints are corners of the braid's recorded tiles, and those
-//     tiles are usable (not reserved, not defective);
 //   - recorded tiles match the evolving layout (replaying SWAP braids);
 //   - every two-qubit gate of the circuit is executed exactly once;
 //   - gates sharing a qubit execute in program order, in distinct cycles.
@@ -108,6 +134,9 @@ func (s *Schedule) Validate(c *circuit.Circuit) error {
 	}
 	if err := s.Initial.Validate(s.Grid); err != nil {
 		return fmt.Errorf("sched: initial layout: %w", err)
+	}
+	if len(s.Initial.QubitTile) < c.NumQubits {
+		return fmt.Errorf("sched: initial layout places %d qubits, circuit has %d", len(s.Initial.QubitTile), c.NumQubits)
 	}
 	layout := s.Initial.Clone()
 
@@ -133,23 +162,13 @@ func (s *Schedule) Validate(c *circuit.Circuit) error {
 		occ.Reset()
 		qubitBusy := make(map[int]bool)
 		for bi, b := range layer {
-			if err := b.Path.Validate(s.Grid); err != nil {
+			if err := CheckBraid(s.Grid, b); err != nil {
 				return fmt.Errorf("sched: layer %d braid %d: %w", li, bi, err)
-			}
-			if !s.Grid.Usable(b.CtlTile) || !s.Grid.Usable(b.TgtTile) {
-				return fmt.Errorf("sched: layer %d braid %d: anchored on unusable (reserved/defective) tile %d or %d",
-					li, bi, b.CtlTile, b.TgtTile)
 			}
 			if occ.Conflicts(s.Grid, b.Path) {
 				return fmt.Errorf("sched: layer %d braid %d: path intersects another braid", li, bi)
 			}
 			occ.Add(s.Grid, b.Path)
-			if !isCorner(s.Grid, b.Path[0], b.CtlTile) {
-				return fmt.Errorf("sched: layer %d braid %d: path start not a corner of tile %d", li, bi, b.CtlTile)
-			}
-			if !isCorner(s.Grid, b.Path[len(b.Path)-1], b.TgtTile) {
-				return fmt.Errorf("sched: layer %d braid %d: path end not a corner of tile %d", li, bi, b.TgtTile)
-			}
 			switch {
 			case b.Gate >= 0:
 				if b.Gate >= len(c.Gates) || !c.Gates[b.Gate].TwoQubit() {
@@ -197,13 +216,4 @@ func (s *Schedule) Validate(c *circuit.Circuit) error {
 		}
 	}
 	return nil
-}
-
-func isCorner(g *grid.Grid, v, tile int) bool {
-	for _, c := range g.Corners(tile) {
-		if c == v {
-			return true
-		}
-	}
-	return false
 }

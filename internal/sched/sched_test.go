@@ -171,3 +171,97 @@ func TestValidateRequiresInitialLayout(t *testing.T) {
 		t.Fatal("nil initial layout accepted")
 	}
 }
+
+// TestCheckBraid holds the one per-braid rule to each of its clauses on
+// a 3×2 grid, where a braid from tile 0 to tile 2 runs along the top
+// edge through vertices 1 and 2.
+func TestCheckBraid(t *testing.T) {
+	ok := Braid{Gate: 0, CtlTile: 0, TgtTile: 2, Path: route.Path{1, 2}}
+	with := func(f func(*Braid)) Braid {
+		b := ok
+		f(&b)
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		b       Braid
+		degrade func(*grid.Grid)
+		want    string // "" = passes
+	}{
+		{"valid", ok, nil, ""},
+		{"tile past the grid", with(func(b *Braid) { b.CtlTile = 99 }), nil, "tile 99 or 2 out of range for 6 tiles"},
+		{"negative tile", with(func(b *Braid) { b.TgtTile = -1 }), nil, "tile 0 or -1 out of range for 6 tiles"},
+		{"empty path", with(func(b *Braid) { b.Path = nil }), nil, "route: empty path"},
+		{"vertex past the lattice", with(func(b *Braid) { b.Path = route.Path{1, 12} }), nil, "route: vertex 12 out of range"},
+		{"jump", with(func(b *Braid) { b.Path = route.Path{1, 3} }), nil, "route: vertices 1 and 3 not adjacent"},
+		{"repeated vertex", with(func(b *Braid) { b.Path = route.Path{1, 2, 6, 5, 1} }), nil, "route: vertex 1 repeated"},
+		{"dead vertex", ok, func(g *grid.Grid) { mustDefects(t, g, &grid.DefectMap{Vertices: []int{2}}) }, "route: vertex 2 is defective"},
+		{"broken channel", ok, func(g *grid.Grid) { mustDefects(t, g, &grid.DefectMap{Channels: [][2]int{{2, 1}}}) }, "route: channel 1-2 not routable"},
+		// The top-edge channel 1-2 has one tile beside it, tile 1: a
+		// dead tile 1 closes it.
+		{"channel a dead tile closes", ok, func(g *grid.Grid) { mustDefects(t, g, &grid.DefectMap{Tiles: []int{1}}) }, "route: channel 1-2 not routable"},
+		{"reserved endpoint tile", ok, func(g *grid.Grid) { g.ReserveTile(2) }, "anchored on unusable (reserved/defective) tile 0 or 2"},
+		{"dead endpoint tile", ok, func(g *grid.Grid) { mustDefects(t, g, &grid.DefectMap{Tiles: []int{0}}) }, "anchored on unusable (reserved/defective) tile 0 or 2"},
+		{"start off the control tile", with(func(b *Braid) { b.CtlTile = 3 }), nil, "path start not a corner of tile 3"},
+		{"start left of the control tile", with(func(b *Braid) { b.CtlTile, b.Path = 1, route.Path{0, 1, 2} }), nil, "path start not a corner of tile 1"},
+		{"end off the target tile", with(func(b *Braid) { b.TgtTile = 5 }), nil, "path end not a corner of tile 5"},
+		{"end below the target tile", with(func(b *Braid) { b.Path = route.Path{1, 2, 6, 10} }), nil, "path end not a corner of tile 2"},
+	} {
+		g := grid.New(3, 2)
+		if tc.degrade != nil {
+			tc.degrade(g)
+		}
+		err := CheckBraid(g, tc.b)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: CheckBraid = %v, want nil", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: CheckBraid = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func mustDefects(t *testing.T, g *grid.Grid, dm *grid.DefectMap) {
+	t.Helper()
+	if err := g.ApplyDefects(dm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateDecodedHostile feeds Validate schedules the decoder
+// accepts but no compile produces. The decoders leave braids to
+// Validate, so each must come back as an error, not a panic.
+func TestValidateDecodedHostile(t *testing.T) {
+	cx := func(n, a, b int) *circuit.Circuit {
+		c := circuit.New("hostile", n)
+		c.Add2(circuit.CX, a, b)
+		return c
+	}
+	for _, tc := range []struct {
+		name, json string
+		c          *circuit.Circuit
+		want       string
+	}{
+		{"braid tile past the grid",
+			`{"version":1,"grid_w":3,"grid_h":2,"qubits":2,"initial":[0,5],"layers":[[{"gate":0,"ctl":99,"tgt":5,"path":[0,1,2,6]}]]}`,
+			cx(2, 0, 1), "sched: layer 0 braid 0: tile 99 or 5 out of range for 6 tiles"},
+		{"circuit wider than the layout",
+			`{"version":1,"grid_w":3,"grid_h":2,"qubits":2,"initial":[0,5],"layers":[[{"gate":0,"ctl":0,"tgt":5,"path":[0,1,2,6]}]]}`,
+			cx(3, 0, 2), "sched: initial layout places 2 qubits, circuit has 3"},
+	} {
+		s, err := DecodeJSON([]byte(tc.json))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Validate panicked: %v", tc.name, r)
+				}
+			}()
+			if err := s.Validate(tc.c); err == nil || err.Error() != tc.want {
+				t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+			}
+		}()
+	}
+}

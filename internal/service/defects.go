@@ -9,13 +9,14 @@ import (
 	"slices"
 
 	"hilight"
+	"hilight/internal/sched"
 )
 
 // This file is the live defect feed: POST /v1/defects announces the
 // hardware's current defect map, and the server sweeps its schedule
-// cache for entries whose schedules geometrically conflict with it —
-// a braid path through a newly dead vertex or channel, a braid endpoint
-// or placed qubit on a dead tile. Conflicting entries are evicted and,
+// cache for entries whose schedules fail on the hardware it describes —
+// a placed qubit on a dead tile, or a braid that sched.CheckBraid no
+// longer passes. Conflicting entries are evicted and,
 // when their originating request was recorded, recompiled warm against
 // the new map: the stale schedule becomes its own session parent, so
 // the unaffected prefix replays and only the suffix re-routes.
@@ -154,11 +155,11 @@ func (s *Server) recompileStale(ctx context.Context, sr *storedResult, dm *hilig
 	return fp, nil
 }
 
-// deadSets is a defect map as sorted, deduplicated id lists, searched
-// by binary search. A feed builds them once and checks every cached
-// schedule against them, so its cost follows the feed, not the feed
-// times the cache; and they hold one copy of the feed's ids, where hash
-// sets took several times their bytes.
+// deadSets is a defect map as sorted, deduplicated id lists. A feed
+// builds them once and slices them by binary search to each cached
+// schedule's grid, so its cost follows the feed, not the feed times the
+// cache; and they hold one copy of the feed's ids, where hash sets took
+// several times their bytes.
 type deadSets struct {
 	tile, vertex []int
 	channel      [][2]int // each channel once, lower vertex first
@@ -190,51 +191,61 @@ func comparePairs(a, b [2]int) int {
 	return cmp.Compare(a[1], b[1])
 }
 
-func (d *deadSets) deadTile(t int) bool {
-	_, ok := slices.BinarySearch(d.tile, t)
-	return ok
+// on returns the grid a recompile against the feed would use for a
+// schedule on g, or nil when no feed id lands on g: g's shape and
+// reserved tiles with the feed's tiles and vertices in range and its
+// channels between adjacent vertices. Channels are looked up per lower
+// vertex, so stray channels cost each cached entry a search, not a scan.
+func (d *deadSets) on(g *hilight.Grid) (*hilight.Grid, error) {
+	nv := g.NumVertices()
+	dm := &hilight.DefectMap{Tiles: inRange(d.tile, g.Tiles()), Vertices: inRange(d.vertex, nv)}
+	lo, _ := slices.BinarySearchFunc(d.channel, [2]int{0, 0}, comparePairs)
+	hi, _ := slices.BinarySearchFunc(d.channel, [2]int{nv, 0}, comparePairs)
+	for chs := d.channel[lo:hi]; len(chs) > 0; {
+		u := chs[0][0]
+		for _, v := range [2]int{u + 1, u + g.VW()} {
+			_, ok := slices.BinarySearchFunc(chs, [2]int{u, v}, comparePairs)
+			if ok && v < nv && g.VertexDist(u, v) == 1 {
+				dm.Channels = append(dm.Channels, [2]int{u, v})
+			}
+		}
+		next, _ := slices.BinarySearchFunc(chs, [2]int{u + 1, 0}, comparePairs)
+		chs = chs[next:]
+	}
+	if dm.Empty() {
+		return nil, nil
+	}
+	h := g.Healed()
+	return h, h.ApplyDefects(dm)
 }
 
-func (d *deadSets) deadVertex(v int) bool {
-	_, ok := slices.BinarySearch(d.vertex, v)
-	return ok
+// inRange returns the ids of the sorted set ids in [0, n).
+func inRange(ids []int, n int) []int {
+	lo, _ := slices.BinarySearch(ids, 0)
+	hi, _ := slices.BinarySearch(ids, n)
+	return ids[lo:hi]
 }
 
-// deadChannel reports whether the channel between u and v, in either
-// direction, is dead.
-func (d *deadSets) deadChannel(u, v int) bool {
-	_, ok := slices.BinarySearchFunc(d.channel, [2]int{min(u, v), max(u, v)}, comparePairs)
-	return ok
-}
-
-// scheduleConflicts reports whether a stored schedule geometrically
-// conflicts with the defects: any braid path visiting a dead vertex or
-// crossing a dead channel, any braid endpoint on a dead tile, or a
-// placed qubit's tile going dead.
+// scheduleConflicts reports whether a stored schedule fails on the grid
+// its recompile would use (deadSets.on). A feed changes no circuit and
+// moves no braid, so only the initial layout and sched.CheckBraid can
+// fail there.
 func scheduleConflicts(sr *storedResult, dead *deadSets) (bool, error) {
 	schd, err := hilight.DecodeScheduleBinary(sr.ScheduleBin)
 	if err != nil {
 		return true, err
 	}
-	if schd.Initial != nil {
-		for _, t := range schd.Initial.QubitTile {
-			if dead.deadTile(t) {
-				return true, nil
-			}
-		}
+	g, err := dead.on(schd.Grid)
+	if g == nil || err != nil {
+		return err != nil, err
+	}
+	if schd.Initial.Validate(g) != nil {
+		return true, nil
 	}
 	for _, layer := range schd.Layers {
 		for _, b := range layer {
-			if dead.deadTile(b.CtlTile) || dead.deadTile(b.TgtTile) {
+			if sched.CheckBraid(g, b) != nil {
 				return true, nil
-			}
-			for i, v := range b.Path {
-				if dead.deadVertex(v) {
-					return true, nil
-				}
-				if i > 0 && dead.deadChannel(b.Path[i-1], v) {
-					return true, nil
-				}
 			}
 		}
 	}

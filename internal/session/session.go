@@ -16,7 +16,7 @@
 //  2. The layer prefix. The replayable schedule prefix is the longest
 //     run of whole layers whose braids all execute gates below P, carry
 //     no inserted SWAPs (SWAPs move the layout, invalidating later
-//     tiles), and whose paths still avoid the current defect map. The
+//     tiles), and still pass sched.CheckBraid on the current grid. The
 //     run stops at the first layer violating any of these — layers are
 //     atomic, since a half-replayed cycle would change the deferral
 //     pattern of everything after it.
@@ -203,21 +203,15 @@ func PlanPrefix(parent *sched.Schedule, p int, g *grid.Grid) Plan {
 }
 
 // layerReplayable reports whether every braid of the layer executes a
-// gate below the common prefix, moves no qubits, and still routes clear
-// of g's defects. Within-layer disjointness and corner anchoring are
-// inherited from the parent's validity and re-checked by the router.
+// gate below the common prefix, moves no qubits, and still passes
+// sched.CheckBraid on g. Within-layer disjointness and program order
+// are re-checked by the router as it replays.
 func layerReplayable(layer sched.Layer, p int, g *grid.Grid) bool {
 	if len(layer) == 0 {
 		return false
 	}
 	for _, b := range layer {
-		if b.Gate < 0 || b.Gate >= p || b.SwapTiles {
-			return false
-		}
-		if !g.Usable(b.CtlTile) || !g.Usable(b.TgtTile) {
-			return false
-		}
-		if b.Path.Validate(g) != nil {
+		if b.Gate < 0 || b.Gate >= p || b.SwapTiles || sched.CheckBraid(g, b) != nil {
 			return false
 		}
 	}

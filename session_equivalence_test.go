@@ -268,3 +268,56 @@ func parent2(t *testing.T, c *hilight.Circuit, g *hilight.Grid) *hilight.Result 
 	}
 	return res
 }
+
+// TestRecompileFromHostileParent hands RecompileFrom parents that no
+// compile produces, decoded from JSON as the service decodes a cached
+// one. Each recompile must return a schedule that validates, or an
+// error, and none may panic. The grid is 3×1: qubit 0 sits on the
+// middle tile, qubits 1 and 2 on either side, and the circuit is
+// CX(0,1) then CX(0,2).
+func TestRecompileFromHostileParent(t *testing.T) {
+	c := hilight.NewCircuit("hostile", 3)
+	c.Add2(hilight.CX, 0, 1)
+	c.Add2(hilight.CX, 0, 2)
+	const head = `{"version":1,"grid_w":3,"grid_h":1,"qubits":3,"initial":[1,0,2],"layers":`
+	for _, tc := range []struct {
+		name, parent string
+		opts         []hilight.Option
+	}{
+		// Both braids leave qubit 0's tile, from different corners, on
+		// disjoint paths.
+		{"operand braids twice in one cycle",
+			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1]},{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil},
+		{"braid tile past the grid",
+			head + `[[{"gate":0,"ctl":99,"tgt":0,"path":[1]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil},
+		{"endpoint not a tile corner",
+			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1,2]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil},
+		{"path through a vertex the new grid kills",
+			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`,
+			[]hilight.Option{hilight.WithDefects(&hilight.DefectMap{Vertices: []int{6}})}},
+		{"circuit wider than the layout",
+			`{"version":1,"grid_w":3,"grid_h":1,"qubits":2,"initial":[1,0],"layers":[[{"gate":0,"ctl":1,"tgt":0,"path":[1]}]]}`, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parent, err := hilight.DecodeScheduleJSON([]byte(tc.parent))
+			if err != nil {
+				t.Fatalf("decode parent: %v", err)
+			}
+			opts := append([]hilight.Option{hilight.WithMethod("hilight-map")}, tc.opts...)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("RecompileFrom panicked: %v", r)
+				}
+			}()
+			res, err := hilight.RecompileFrom(c, parent, c, hilight.NewGrid(3, 1), opts...)
+			if err != nil {
+				t.Logf("RecompileFrom: %v", err)
+				return
+			}
+			if err := res.Schedule.Validate(res.Circuit); err != nil {
+				t.Errorf("RecompileFrom returned a schedule Validate rejects (%d warm cycles): %v", res.WarmCycles, err)
+			}
+			t.Logf("%d warm cycles", res.WarmCycles)
+		})
+	}
+}
