@@ -41,6 +41,7 @@ import (
 // complete interaction graph.
 func QFT(n int) *circuit.Circuit {
 	c := circuit.New(fmt.Sprintf("QFT-%d", n), n)
+	c.Gates = make([]circuit.Gate, 0, n*n)
 	for i := 0; i < n; i++ {
 		c.Add1(circuit.H, i)
 		for j := i + 1; j < n; j++ {
@@ -56,6 +57,7 @@ func QFT(n int) *circuit.Circuit {
 // ancilla target.
 func BV(n int) *circuit.Circuit {
 	c := circuit.New(fmt.Sprintf("BV-%d", n), n)
+	c.Gates = make([]circuit.Gate, 0, max(3*n-1, 0))
 	for q := 0; q < n-1; q++ {
 		c.Add1(circuit.H, q)
 	}
@@ -74,6 +76,7 @@ func BV(n int) *circuit.Circuit {
 // CX star into the last qubit (2(n−1) gates).
 func CC(n int) *circuit.Circuit {
 	c := circuit.New(fmt.Sprintf("CC-%d", n), n)
+	c.Gates = make([]circuit.Gate, 0, max(2*(n-1), 0))
 	for q := 0; q < n-1; q++ {
 		c.Add1(circuit.H, q)
 	}

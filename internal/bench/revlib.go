@@ -18,6 +18,8 @@ import (
 // qubits, which the uniform operand choice reproduces.
 func RevLib(name string, n, gates int) *circuit.Circuit {
 	c := circuit.New(name, n)
+	// The loop stops within one Toffoli's 15-gate expansion past gates.
+	c.Gates = make([]circuit.Gate, 0, gates+15)
 	seed := int64(0)
 	for _, r := range name {
 		seed = seed*131 + int64(r)

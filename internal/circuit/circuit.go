@@ -292,9 +292,16 @@ func (c *Circuit) Validate() error {
 
 // DecomposeSWAPs returns a circuit in which every SWAP gate is replaced by
 // its three-CX expansion. Other gates are copied unchanged. The receiver is
-// not modified.
+// not modified. The output's gate slice is sized once from the SWAP count.
 func (c *Circuit) DecomposeSWAPs() *Circuit {
+	swaps := 0
+	for _, g := range c.Gates {
+		if g.Kind == SWAP {
+			swaps++
+		}
+	}
 	out := New(c.Name, c.NumQubits)
+	out.Gates = make([]Gate, 0, len(c.Gates)+2*swaps)
 	for _, g := range c.Gates {
 		if g.Kind == SWAP {
 			out.Add2(CX, g.Q0, g.Q1)

@@ -252,3 +252,63 @@ func TestMinHeapReset(t *testing.T) {
 		t.Error("heap unusable after Reset")
 	}
 }
+
+// TestMinHeapMatchesSortedReference holds the packed-key heap to the
+// (priority, value) order, found by a scan, over seeded random pushes and pops: plain and
+// congestion-shifted (f<<10|c) A* priorities, values up to the vertex
+// count of a grid of sched.MaxGridTiles (2^22) tiles, the largest
+// priority and value a key holds, and runs of equal priorities, so ties
+// break on value.
+func TestMinHeapMatchesSortedReference(t *testing.T) {
+	const maxGridVertices = 2*(1<<22+1) + 1 // a 1×2^22 grid's (W+1)(H+1)
+	type item struct{ value, priority int }
+	rng := rand.New(rand.NewSource(7))
+	value := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Intn(64)
+		case 1:
+			return maxGridVertices - 1 - rng.Intn(64)
+		case 2:
+			return 1<<heapValueBits - 1 - rng.Intn(64)
+		}
+		return rng.Intn(maxGridVertices)
+	}
+	priority := func() int {
+		f := rng.Intn(1 << 25)
+		if rng.Intn(3) == 0 {
+			f = rng.Intn(8) // runs of equal priorities
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return f
+		case 1:
+			return 1<<38 - 1 - rng.Intn(4)
+		}
+		return f<<10 | rng.Intn(1024)
+	}
+	var h MinHeap
+	var ref []item
+	for step := 0; step < 20000; step++ {
+		if len(ref) == 0 || rng.Intn(5) < 3 {
+			it := item{value(), priority()}
+			h.Push(it.value, it.priority)
+			ref = append(ref, it)
+			continue
+		}
+		first := 0
+		for i, it := range ref {
+			if it.priority < ref[first].priority || it.priority == ref[first].priority && it.value < ref[first].value {
+				first = i
+			}
+		}
+		v, p := h.Pop()
+		if want := ref[first]; v != want.value || p != want.priority {
+			t.Fatalf("step %d: Pop = (%d, %d), want (%d, %d)", step, v, p, want.value, want.priority)
+		}
+		ref = append(ref[:first], ref[first+1:]...)
+		if h.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d, want %d", step, h.Len(), len(ref))
+		}
+	}
+}

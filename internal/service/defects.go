@@ -60,8 +60,9 @@ func (s *Server) handleDefects(w http.ResponseWriter, r *http.Request) {
 	resp := DefectsResponse{Checked: len(snapshot)}
 
 	var stale []*storedResult
+	var dead *deadSets
 	if !dm.Empty() {
-		dead := newDeadSets(dm)
+		dead = newDeadSets(dm)
 		for _, sr := range snapshot {
 			conflict, err := scheduleConflicts(sr, dead)
 			if err != nil || conflict {
@@ -94,7 +95,7 @@ func (s *Server) handleDefects(w http.ResponseWriter, r *http.Request) {
 			resp.Evicted++
 			s.defectEvicted.Inc()
 		}
-		newFP, err := s.recompileStale(r.Context(), sr, dm)
+		newFP, err := s.recompileStale(r.Context(), sr, dm, dead)
 		if err != nil {
 			resp.Failed++
 			resp.Fingerprints[sr.Fingerprint] = ""
@@ -110,14 +111,25 @@ func (s *Server) handleDefects(w http.ResponseWriter, r *http.Request) {
 
 // recompileStale re-issues a stale entry's recorded request under the
 // new defect map, warm-starting from the stale schedule itself, and
-// installs the result under its new fingerprint.
-func (s *Server) recompileStale(ctx context.Context, sr *storedResult, dm *hilight.DefectMap) (string, error) {
+// installs the result under its new fingerprint. A feed that names ids
+// off the entry's grid (a feed for a larger chip) recompiles it under the
+// part of the feed that lands on its grid, the map the sweep judged it
+// by; a feed wholly on the grid keeps its own map, and so its
+// fingerprint.
+func (s *Server) recompileStale(ctx context.Context, sr *storedResult, dm *hilight.DefectMap, dead *deadSets) (string, error) {
 	if len(sr.ReqJSON) == 0 {
 		return "", fmt.Errorf("entry %q has no recorded request", sr.Fingerprint)
 	}
 	var req compileRequest
 	if err := json.Unmarshal(sr.ReqJSON, &req); err != nil {
 		return "", fmt.Errorf("entry %q request corrupt: %w", sr.Fingerprint, err)
+	}
+	parentSched, err := hilight.DecodeScheduleBinary(sr.ScheduleBin)
+	if err != nil {
+		return "", fmt.Errorf("entry %q schedule corrupt: %w", sr.Fingerprint, err)
+	}
+	if onGrid, whole := dead.on(parentSched.Grid); !whole {
+		dm = onGrid
 	}
 	if dm.Empty() {
 		req.Defects = nil
@@ -138,10 +150,6 @@ func (s *Server) recompileStale(ctx context.Context, sr *storedResult, dm *hilig
 	// Only the defect map changed, so the stale entry's input circuit is
 	// exactly the circuit the rebuilt request produced.
 	parentC := c
-	parentSched, err := hilight.DecodeScheduleBinary(sr.ScheduleBin)
-	if err != nil {
-		return "", fmt.Errorf("entry %q schedule corrupt: %w", sr.Fingerprint, err)
-	}
 
 	_, opts, stopWd := s.guard(ctx, "POST /v1/defects", s.cfg.DefaultTimeout, opts)
 	defer stopWd()
@@ -191,14 +199,14 @@ func comparePairs(a, b [2]int) int {
 	return cmp.Compare(a[1], b[1])
 }
 
-// on returns the grid a recompile against the feed would use for a
-// schedule on g, or nil when no feed id lands on g: g's shape and
-// reserved tiles with the feed's tiles and vertices in range and its
-// channels between adjacent vertices. Channels are looked up per lower
-// vertex, so stray channels cost each cached entry a search, not a scan.
-func (d *deadSets) on(g *hilight.Grid) (*hilight.Grid, error) {
+// on returns the part of the feed that lands on g, nil when none does:
+// its tiles and vertices in range and its channels between adjacent
+// vertices. whole reports that this is every id of the feed. Channels are
+// looked up per lower vertex, so stray channels cost each cached entry a
+// search, not a scan.
+func (d *deadSets) on(g *hilight.Grid) (dm *hilight.DefectMap, whole bool) {
 	nv := g.NumVertices()
-	dm := &hilight.DefectMap{Tiles: inRange(d.tile, g.Tiles()), Vertices: inRange(d.vertex, nv)}
+	dm = &hilight.DefectMap{Tiles: inRange(d.tile, g.Tiles()), Vertices: inRange(d.vertex, nv)}
 	lo, _ := slices.BinarySearchFunc(d.channel, [2]int{0, 0}, comparePairs)
 	hi, _ := slices.BinarySearchFunc(d.channel, [2]int{nv, 0}, comparePairs)
 	for chs := d.channel[lo:hi]; len(chs) > 0; {
@@ -212,11 +220,11 @@ func (d *deadSets) on(g *hilight.Grid) (*hilight.Grid, error) {
 		next, _ := slices.BinarySearchFunc(chs, [2]int{u + 1, 0}, comparePairs)
 		chs = chs[next:]
 	}
+	whole = len(dm.Tiles) == len(d.tile) && len(dm.Vertices) == len(d.vertex) && len(dm.Channels) == len(d.channel)
 	if dm.Empty() {
-		return nil, nil
+		return nil, whole
 	}
-	h := g.Healed()
-	return h, h.ApplyDefects(dm)
+	return dm, whole
 }
 
 // inRange returns the ids of the sorted set ids in [0, n).
@@ -227,17 +235,22 @@ func inRange(ids []int, n int) []int {
 }
 
 // scheduleConflicts reports whether a stored schedule fails on the grid
-// its recompile would use (deadSets.on). A feed changes no circuit and
-// moves no braid, so only the initial layout and sched.CheckBraid can
-// fail there.
+// its recompile would use: its grid's shape and reserved tiles under the
+// part of the feed that lands on it (deadSets.on). A feed changes no
+// circuit and moves no braid, so only the initial layout and
+// sched.CheckBraid can fail there.
 func scheduleConflicts(sr *storedResult, dead *deadSets) (bool, error) {
 	schd, err := hilight.DecodeScheduleBinary(sr.ScheduleBin)
 	if err != nil {
 		return true, err
 	}
-	g, err := dead.on(schd.Grid)
-	if g == nil || err != nil {
-		return err != nil, err
+	dm, _ := dead.on(schd.Grid)
+	if dm == nil {
+		return false, nil
+	}
+	g := schd.Grid.Healed()
+	if err := g.ApplyDefects(dm); err != nil {
+		return true, err
 	}
 	if schd.Initial.Validate(g) != nil {
 		return true, nil

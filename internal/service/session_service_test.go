@@ -217,6 +217,54 @@ func TestDefectFeedSweep(t *testing.T) {
 	}
 }
 
+// TestDefectFeedForLargerChip sends a feed that names a vertex on a
+// cached 8-qubit schedule's path and a tile no 8-qubit grid has, as a
+// feed for a larger chip would: the entry is recompiled under the part
+// of the feed on its grid, not failed on the tile ApplyDefects rejects.
+func TestDefectFeedForLargerChip(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	parentQASM, _ := sessionCircuits(t, 8)
+	resp, body := postJSON(t, ts.URL+"/v1/compile", map[string]any{"qasm": parentQASM})
+	if resp.StatusCode != 200 {
+		t.Fatalf("cold compile: %d: %s", resp.StatusCode, body)
+	}
+	var cold compileResponse
+	if err := json.Unmarshal(body, &cold); err != nil {
+		t.Fatal(err)
+	}
+	schd, err := hilight.DecodeScheduleJSON(cold.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := schd.Layers[0][0].Path[0]
+
+	resp, body = postJSON(t, ts.URL+"/v1/defects", map[string]any{
+		"defects": map[string]any{"vertices": []int{dead}, "tiles": []int{100000}},
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("defect feed: %d: %s", resp.StatusCode, body)
+	}
+	var feed DefectsResponse
+	if err := json.Unmarshal(body, &feed); err != nil {
+		t.Fatal(err)
+	}
+	if feed.Checked != 1 || feed.Conflicting != 1 || feed.Evicted != 1 || feed.Recompiled != 1 || feed.Failed != 0 {
+		t.Fatalf("feed = %+v, want 1 checked/conflicting/evicted/recompiled, 0 failed", feed)
+	}
+	c, err := hilight.ParseQASM("request", parentQASM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hilight.Fingerprint(c, hilight.RectGrid(c.NumQubits),
+		hilight.WithDefects(&hilight.DefectMap{Vertices: []int{dead}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := feed.Fingerprints[cold.Fingerprint]; got != want {
+		t.Errorf("recompiled fingerprint = %q, want %q, the request's under the feed's part on its grid", got, want)
+	}
+}
+
 // TestDefectFeedCostFollowsFeed holds a defect feed's cost to the feed,
 // not to the feed times the cache: a node with 64 cached schedules
 // answers an 8 MiB feed with at most 1.5× the allocation of a node with

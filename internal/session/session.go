@@ -63,7 +63,15 @@ func ApplyEdits(c *circuit.Circuit, edits []Edit) (*circuit.Circuit, error) {
 	if c == nil {
 		return nil, fmt.Errorf("session: nil circuit")
 	}
-	out := c.Clone()
+	// The copy is sized once for the gates the edits add.
+	added := 0
+	for _, e := range edits {
+		if e.Op == OpAppend || e.Op == OpInsert {
+			added++
+		}
+	}
+	out := circuit.New(c.Name, c.NumQubits)
+	out.Gates = append(make([]circuit.Gate, 0, len(c.Gates)+added), c.Gates...)
 	appendOnly := true
 	for i, e := range edits {
 		switch e.Op {

@@ -233,6 +233,14 @@ func decodePreamble(r *reader) (preamble, error) {
 	if pre.reserved, err = r.deltaList("reserved"); err != nil {
 		return pre, err
 	}
+	// The encoder writes reserved tiles in tile order, so any other order
+	// (or a repeat) would decode to a schedule that re-encodes to other
+	// bytes: v1 has one encoding per schedule.
+	for i := 1; i < len(pre.reserved); i++ {
+		if pre.reserved[i] <= pre.reserved[i-1] {
+			return pre, fmt.Errorf("wire: reserved tile %d follows %d; reserved tiles must ascend", pre.reserved[i], pre.reserved[i-1])
+		}
+	}
 
 	flag, err := r.byte()
 	if err != nil {

@@ -161,6 +161,36 @@ func TestDecodeHostileInput(t *testing.T) {
 	}
 }
 
+// unorderedReserved is a schedule payload whose reserved tiles, 24, 48,
+// 72 and 47 on a 48×48 grid, do not ascend; FuzzDecodeWire found it.
+var unorderedReserved = []byte("HLS\x01\x30\x30\x04\x30\x30\x30\x31\x00\x00\x00")
+
+// TestDecodeErrors pins the message of each decode error a schedule's
+// reserved list can raise, on the full payload and on a stream's grid
+// frame, which share the preamble decoder.
+func TestDecodeErrors(t *testing.T) {
+	repeated := []byte("HLS\x01\x30\x30\x02\x30\x00\x00\x00\x00")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"reserved out of order", unorderedReserved, "wire: reserved tile 47 follows 72; reserved tiles must ascend"},
+		{"reserved repeated", repeated, "wire: reserved tile 24 follows 24; reserved tiles must ascend"},
+	} {
+		_, err := Binary.Decode(tc.data)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Decode err = %v, want %q", tc.name, err, tc.want)
+		}
+		// The payload less its header and its trailing zero layer count
+		// is the preamble a stream's 'G' frame carries.
+		_, err = DecodeGridFrame(tc.data[headerLen : len(tc.data)-1])
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: DecodeGridFrame err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	s := testSchedule(t)
 	var buf bytes.Buffer
