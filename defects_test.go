@@ -194,6 +194,41 @@ func TestCompileGuards(t *testing.T) {
 	}
 }
 
+// TestCompileRefusesGridPastHeapBound holds compile entry to the vertex
+// bound of the router's packed heap keys: a grid with more routing
+// vertices than 2^26 fails with ErrGridTooLarge under every method and
+// fallback chain, where A* would otherwise pop vertex ids its keys cut
+// short. The grids carry only their dimensions, since a real
+// 8,192×8,192 grid holds some 335 MB of per-tile and per-vertex tables
+// and the check reads none of them; the one at the bound gets past it
+// and stops at the capacity check, as its tables are empty.
+func TestCompileRefusesGridPastHeapBound(t *testing.T) {
+	c := hilight.NewCircuit("pair", 2)
+	c.Add2(hilight.CX, 0, 1)
+	past := &hilight.Grid{W: 8192, H: 8192} // 8,193² routing vertices
+	at := &hilight.Grid{W: 8191, H: 8191}   // 8,192² = 2^26
+	for _, method := range hilight.Methods() {
+		t.Run(method, func(t *testing.T) {
+			_, err := hilight.Compile(c, past, hilight.WithMethod(method), hilight.WithFallback("identity", "random"))
+			var sizeErr *hilight.ErrGridTooLarge
+			if !errors.As(err, &sizeErr) {
+				t.Fatalf("8192x8192 grid: got %v, want ErrGridTooLarge", err)
+			}
+			if sizeErr.Vertices != 8193*8193 || sizeErr.Limit != 1<<26 {
+				t.Fatalf("size error = %+v, want %d vertices past a limit of %d", sizeErr, 8193*8193, 1<<26)
+			}
+			if want := "8192x8192 grid has 67125249 routing vertices, more than the 67108864"; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
+			}
+			_, err = hilight.Compile(c, at, hilight.WithMethod(method))
+			var capErr *hilight.ErrInsufficientCapacity
+			if !errors.As(err, &capErr) {
+				t.Fatalf("8191x8191 grid: got %v, want it past the size check and refused for capacity", err)
+			}
+		})
+	}
+}
+
 // TestDefectYieldAcceptance is the ISSUE's headline robustness bar: with
 // 5% random defects at seed 1, the hilight method (with identity
 // fallback) must compile at least 90% of the small Table 1 benchmarks on

@@ -77,9 +77,9 @@ type (
 	DefectMap = grid.DefectMap
 )
 
-// Error taxonomy. ErrUnroutable and ErrInsufficientCapacity are struct
-// types retrieved with errors.As; ErrCanceled, ErrNilCircuit and
-// ErrNilGrid are sentinels matched with errors.Is.
+// Error taxonomy. ErrUnroutable, ErrInsufficientCapacity and
+// ErrGridTooLarge are struct types retrieved with errors.As; ErrCanceled,
+// ErrNilCircuit and ErrNilGrid are sentinels matched with errors.Is.
 type (
 	// ErrUnroutable means the router proved a gate cannot be braided:
 	// defects or reserved regions disconnect its operand tiles, so the
@@ -88,6 +88,10 @@ type (
 	// ErrInsufficientCapacity means the grid has fewer usable tiles than
 	// the circuit has program qubits.
 	ErrInsufficientCapacity = core.ErrInsufficientCapacity
+	// ErrGridTooLarge means the grid has more routing vertices than the
+	// router's search heap holds (2^26): a square grid of more than
+	// 8,191×8,191 tiles.
+	ErrGridTooLarge = core.ErrGridTooLarge
 )
 
 var (
@@ -333,6 +337,7 @@ func Methods() []string { return core.MethodNames() }
 // circuit — including on defective hardware (WithDefects), where every
 // braid provably avoids dead tiles, vertices and channels. Failures are
 // typed: ErrNilCircuit / ErrNilGrid for missing inputs,
+// ErrGridTooLarge for a grid past the router's search heap,
 // ErrInsufficientCapacity when the circuit is wider than the grid's
 // usable tiles, ErrUnroutable when defects disconnect a gate's
 // operands, and ErrCanceled when a WithContext / WithTimeout deadline
@@ -389,10 +394,12 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 			if firstErr == nil {
 				firstErr = err
 			}
-			// Cancellation and capacity failures are method-independent:
-			// no fallback can recover them, so abort the chain.
+			// Cancellation, capacity and grid-size failures are
+			// method-independent: no fallback can recover them, so abort
+			// the chain.
 			var capErr *ErrInsufficientCapacity
-			if errors.Is(err, ErrCanceled) || errors.As(err, &capErr) {
+			var sizeErr *ErrGridTooLarge
+			if errors.Is(err, ErrCanceled) || errors.As(err, &capErr) || errors.As(err, &sizeErr) {
 				return nil, err
 			}
 			continue

@@ -36,6 +36,21 @@ func (e *ErrUnroutable) Error() string {
 	return "core: unroutable: " + e.Reason
 }
 
+// ErrGridTooLarge reports that the grid has more routing vertices than
+// the router's search heap keys (graph.HeapValueLimit), so no method can
+// route on it. Retrieve with errors.As.
+type ErrGridTooLarge struct {
+	W, H     int // tiles per row and per column
+	Vertices int // routing vertices, (W+1)(H+1)
+	Limit    int // graph.HeapValueLimit
+}
+
+// Error implements error.
+func (e *ErrGridTooLarge) Error() string {
+	return fmt.Sprintf("core: %dx%d grid has %d routing vertices, more than the %d the router's search heap holds",
+		e.W, e.H, e.Vertices, e.Limit)
+}
+
 // ErrInsufficientCapacity reports that the grid has fewer usable tiles
 // than the circuit has program qubits, so no placement exists. Retrieve
 // with errors.As.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hilight/internal/circuit"
+	"hilight/internal/graph"
 	"hilight/internal/grid"
 	"hilight/internal/obs"
 	"hilight/internal/place"
@@ -346,14 +347,17 @@ func Run(c *circuit.Circuit, g *grid.Grid, sp Spec, opt RunOptions) (*Result, er
 // The standard passes. Each is a plain value so pipeline definitions
 // stay declarative and inspectable.
 var (
-	// passValidate rejects nil or structurally invalid inputs before
-	// any rewriting happens.
+	// passValidate rejects nil or structurally invalid inputs, and grids
+	// past the router's search heap, before any rewriting happens.
 	passValidate = Pass{Name: "validate", Run: func(st *State) error {
 		if st.Input == nil {
 			return fmt.Errorf("core: nil circuit")
 		}
 		if st.Grid == nil {
 			return fmt.Errorf("core: nil grid")
+		}
+		if n := st.Grid.NumVertices(); n > graph.HeapValueLimit {
+			return &ErrGridTooLarge{W: st.Grid.W, H: st.Grid.H, Vertices: n, Limit: graph.HeapValueLimit}
 		}
 		if err := st.Input.Validate(); err != nil {
 			return fmt.Errorf("core: invalid circuit: %w", err)

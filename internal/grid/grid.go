@@ -298,6 +298,11 @@ func (g *Grid) VertexNeighbors(v int, dst []int) []int {
 	return dst
 }
 
+// CornerDist returns the Manhattan distance between the closest corners
+// of two tiles dx columns and dy rows apart: the fewest routing channels
+// a braid between them crosses.
+func CornerDist(dx, dy int) int { return max(abs(dx)-1, 0) + max(abs(dy)-1, 0) }
+
 // VertexDist returns the Manhattan distance between two routing vertices.
 func (g *Grid) VertexDist(u, v int) int {
 	ux, uy := g.VertexXY(u)
