@@ -64,6 +64,9 @@ race-root:
 # the benchmark. BenchmarkRouteCircuit and BenchmarkFinderFind report
 # 0 allocs/op in steady state, which go test asserts through
 # TestRouteCircuitZeroAllocs and TestFinderFindZeroAllocs.
+# BenchmarkFinderFind's congested cases and BenchmarkComponentsCompute
+# time the A* expansion and the free-component labeling on a seeded,
+# half-occupied lattice.
 # BenchmarkJSONResponse times the render of the JSON responses that carry
 # a schedule: compile responses, envelope transcodes and a done poll.
 # BenchmarkParse and BenchmarkFingerprint time the request edge's two
@@ -72,7 +75,7 @@ race-root:
 # and Shor-471 under hilight and hilight-map; its B/op is what
 # TestColdCompileAllocationBudget bounds.
 bench-route:
-	$(GO) test -bench 'BenchmarkFinderFind|BenchmarkOccupancy' -benchmem -benchtime 1000x ./internal/route/
+	$(GO) test -bench 'BenchmarkFinderFind|BenchmarkComponentsCompute|BenchmarkOccupancy' -benchmem -benchtime 1000x ./internal/route/
 	$(GO) test -bench 'BenchmarkRouteCircuit|BenchmarkCompileQFT' -benchmem -benchtime 5x ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkWire -benchmem -benchtime 200x .
 	$(GO) test -run '^$$' -bench BenchmarkJSONResponse -benchmem -benchtime 20x ./internal/service/

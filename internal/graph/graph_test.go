@@ -188,15 +188,19 @@ func TestBisectSeparatesClusters(t *testing.T) {
 	}
 }
 
+// priorityOf returns the priority field of k.
+func priorityOf(k HeapKey) int { return int(k >> heapValueBits) }
+
 func TestMinHeapOrdering(t *testing.T) {
 	var h MinHeap
 	input := []int{5, 3, 8, 1, 9, 2, 7}
 	for _, p := range input {
-		h.Push(p*10, p)
+		h.Push(PackKey(p*10, p))
 	}
 	prev := -1
 	for h.Len() > 0 {
-		v, p := h.Pop()
+		k := h.Pop()
+		v, p := k.Value(), priorityOf(k)
 		if p < prev {
 			t.Fatalf("heap order violated: %d after %d", p, prev)
 		}
@@ -209,10 +213,10 @@ func TestMinHeapOrdering(t *testing.T) {
 
 func TestMinHeapTieBreaksOnValue(t *testing.T) {
 	var h MinHeap
-	h.Push(9, 1)
-	h.Push(2, 1)
-	h.Push(5, 1)
-	v, _ := h.Pop()
+	h.Push(PackKey(9, 1))
+	h.Push(PackKey(2, 1))
+	h.Push(PackKey(5, 1))
+	v := h.Pop().Value()
 	if v != 2 {
 		t.Errorf("tie break = %d, want 2", v)
 	}
@@ -222,12 +226,12 @@ func TestMinHeapProperty(t *testing.T) {
 	f := func(ps []uint8) bool {
 		var h MinHeap
 		for i, p := range ps {
-			h.Push(i, int(p))
+			h.Push(PackKey(i, int(p)))
 		}
-		h.Push(len(ps), 0)
+		h.Push(PackKey(len(ps), 0))
 		prev := -1
 		for h.Len() > 0 {
-			_, p := h.Pop()
+			p := priorityOf(h.Pop())
 			if p < prev {
 				return false
 			}
@@ -242,13 +246,13 @@ func TestMinHeapProperty(t *testing.T) {
 
 func TestMinHeapReset(t *testing.T) {
 	var h MinHeap
-	h.Push(1, 1)
+	h.Push(PackKey(1, 1))
 	h.Reset()
 	if h.Len() != 0 {
 		t.Error("Reset did not empty heap")
 	}
-	h.Push(2, 2)
-	if v, _ := h.Pop(); v != 2 {
+	h.Push(PackKey(2, 2))
+	if v := h.Pop().Value(); v != 2 {
 		t.Error("heap unusable after Reset")
 	}
 }
@@ -292,7 +296,7 @@ func TestMinHeapMatchesSortedReference(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		if len(ref) == 0 || rng.Intn(5) < 3 {
 			it := item{value(), priority()}
-			h.Push(it.value, it.priority)
+			h.Push(PackKey(it.value, it.priority))
 			ref = append(ref, it)
 			continue
 		}
@@ -302,7 +306,11 @@ func TestMinHeapMatchesSortedReference(t *testing.T) {
 				first = i
 			}
 		}
-		v, p := h.Pop()
+		if want := ref[first]; h.Min() != PackKey(want.value, want.priority) {
+			t.Fatalf("step %d: Min = %#x, want the key of (%d, %d)", step, h.Min(), want.value, want.priority)
+		}
+		k := h.Pop()
+		v, p := k.Value(), priorityOf(k)
 		if want := ref[first]; v != want.value || p != want.priority {
 			t.Fatalf("step %d: Pop = (%d, %d), want (%d, %d)", step, v, p, want.value, want.priority)
 		}

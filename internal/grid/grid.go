@@ -26,7 +26,7 @@ type Grid struct {
 	W, H     int
 	reserved []bool       // per tile; true = no program qubit, non-braiding
 	def      *defectState // fabrication defects; nil on a pristine grid
-	vx, vy   []int16      // vertex id → corner coordinates; spares the hot paths a div/mod pair
+	vx, vy   []int32      // vertex id → corner coordinates; spares the hot paths a div/mod pair
 }
 
 // New returns a w×h grid with no reserved tiles.
@@ -40,14 +40,16 @@ func New(w, h int) *Grid {
 }
 
 // initCoords fills the vertex coordinate tables. Coordinates depend only
-// on W and H, so grids sharing dimensions may share the slices.
+// on W and H, so grids sharing dimensions may share the slices. int32
+// holds every coordinate of a grid New accepts whose vertices fit in
+// memory: a side of 2^31 tiles alone would need 2^32 vertices.
 func (g *Grid) initCoords() {
 	n := g.NumVertices()
-	g.vx = make([]int16, n)
-	g.vy = make([]int16, n)
+	g.vx = make([]int32, n)
+	g.vy = make([]int32, n)
 	for v := 0; v < n; v++ {
-		g.vx[v] = int16(v % g.VW())
-		g.vy[v] = int16(v / g.VW())
+		g.vx[v] = int32(v % g.VW())
+		g.vy[v] = int32(v / g.VW())
 	}
 }
 

@@ -123,6 +123,22 @@ func TestVertexLattice(t *testing.T) {
 	}
 }
 
+// TestVertexXYWideGrid holds VertexXY exact on a grid wider than an
+// int16 coordinate: a 40,000×1 grid, whose vertex (35000, 0) once read
+// back as (−30536, 0).
+func TestVertexXYWideGrid(t *testing.T) {
+	g := New(40000, 1)
+	for v := 0; v < g.NumVertices(); v++ {
+		x, y := g.VertexXY(v)
+		if x != v%g.VW() || y != v/g.VW() || g.VertexID(x, y) != v {
+			t.Fatalf("vertex %d reads (%d, %d), want (%d, %d)", v, x, y, v%g.VW(), v/g.VW())
+		}
+	}
+	if d := g.VertexDist(1, 35001); d != 35000 {
+		t.Errorf("VertexDist(1, 35001) = %d, want 35000", d)
+	}
+}
+
 func TestEdgeIDCanonical(t *testing.T) {
 	g := New(3, 3)
 	u := g.VertexID(1, 1)

@@ -6,21 +6,78 @@ package route
 // TestFinderFindZeroAllocs asserts. BENCH_route.json at the repo root
 // keeps a frozen snapshot; run them with
 //
-//	go test ./internal/route -bench BenchmarkFinderFind -benchmem
+//	go test ./internal/route -bench 'BenchmarkFinderFind|BenchmarkComponentsCompute' -benchmem
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hilight/internal/grid"
 )
 
-// BenchmarkFinderFind measures one uncongested corner-to-corner search per
-// finder on a 24×24 grid (the Fig. 9 scalability regime), reusing the
-// finder, occupancy, and path buffer the way the router's inner loop does.
+// congestedLattice returns an occupancy of g about half of whose
+// vertices seeded random braids (walks of 2–9 vertices) take, each braid
+// kept only when tiles 0 and g.Tiles()−1 stay connected, so a search
+// between them winds through a maze: the regime where the A* expansion
+// and the free-component labeling do the work.
+func congestedLattice(g *grid.Grid, seed int64) *Occupancy {
+	rng := rand.New(rand.NewSource(seed))
+	occ := NewOccupancy(g)
+	var kept []Path
+	var nbr []int
+	var a AStar
+	used := 0
+	for tries := 0; used < g.NumVertices()/2 && tries < 20*g.NumVertices(); tries++ {
+		v := rng.Intn(g.NumVertices())
+		if occ.VertexUsed(v) {
+			continue
+		}
+		p := Path{v}
+		for j := 0; j < 1+rng.Intn(8); j++ {
+			nbr = g.VertexNeighbors(v, nbr[:0])
+			v = nbr[rng.Intn(len(nbr))]
+			if occ.VertexUsed(v) || slices.Contains(p, v) {
+				break
+			}
+			p = append(p, v)
+		}
+		occ.Add(g, p)
+		if _, ok := a.Find(g, occ, 0, g.Tiles()-1, nil); ok {
+			kept = append(kept, p)
+			used += len(p)
+			continue
+		}
+		occ.Reset() // drop p: replay the braids kept so far
+		for _, k := range kept {
+			occ.Add(g, k)
+		}
+	}
+	return occ
+}
+
+// BenchmarkFinderFind measures one corner-to-corner search per finder on
+// a 24×24 grid (the Fig. 9 scalability regime), reusing the finder,
+// occupancy, and path buffer the way the router's inner loop does: on
+// the empty lattice, and (the congested sub-benchmarks) on
+// congestedLattice, where the search winds through about half the
+// vertices taken. L-shape finds no path there; it is timed failing.
 func BenchmarkFinderFind(b *testing.B) {
 	g := grid.New(24, 24)
 	finders := []Finder{&AStar{}, &Full16{}, &StackDFS{}, LShape{}}
 	for _, f := range finders {
+		b.Run(f.Name()+"/congested", func(b *testing.B) {
+			occ := congestedLattice(g, 1)
+			buf := make(Path, 0, g.NumVertices())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, _ := f.Find(g, occ, 0, g.Tiles()-1, buf[:0])
+				if p != nil {
+					buf = p
+				}
+			}
+		})
 		b.Run(f.Name(), func(b *testing.B) {
 			occ := NewOccupancy(g)
 			var buf Path
@@ -39,6 +96,32 @@ func BenchmarkFinderFind(b *testing.B) {
 					b.Fatal("no path on empty grid")
 				}
 				buf = p
+			}
+		})
+	}
+}
+
+// BenchmarkComponentsCompute measures one free-component labeling of a
+// 24×24 lattice, empty and congested, and of a 100×100 congested one,
+// whose 101-vertex rows straddle 64-bit words.
+func BenchmarkComponentsCompute(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *grid.Grid
+		occ  func(g *grid.Grid) *Occupancy
+	}{
+		{"24x24/empty", grid.New(24, 24), NewOccupancy},
+		{"24x24/congested", grid.New(24, 24), func(g *grid.Grid) *Occupancy { return congestedLattice(g, 1) }},
+		{"100x100/congested", grid.New(100, 100), func(g *grid.Grid) *Occupancy { return congestedLattice(g, 1) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			occ := tc.occ(tc.g)
+			var cc Components
+			cc.Compute(tc.g, occ)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cc.Compute(tc.g, occ)
 			}
 		})
 	}

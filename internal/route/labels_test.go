@@ -17,7 +17,9 @@ import (
 // unprunedAStar is AStar.Find without pruning: A* on each free corner
 // pair in distance order; the first path wins.
 func unprunedAStar(a *AStar, g *grid.Grid, occ *Occupancy, t1, t2 int) (Path, bool) {
-	for _, pr := range cornerPairsByDistance(g, t1, t2) {
+	var pairs [16]cornerPair
+	cornerPairsByDistance(g, t1, t2, &pairs)
+	for _, pr := range &pairs {
 		if occ.VertexUsed(pr.u) || occ.VertexUsed(pr.v) {
 			continue
 		}
@@ -30,7 +32,9 @@ func unprunedAStar(a *AStar, g *grid.Grid, occ *Occupancy, t1, t2 int) (Path, bo
 
 // unprunedStackDFS is StackDFS.Find without pruning.
 func unprunedStackDFS(s *StackDFS, g *grid.Grid, occ *Occupancy, t1, t2 int) (Path, bool) {
-	for _, pr := range cornerPairsByDistance(g, t1, t2) {
+	var pairs [16]cornerPair
+	cornerPairsByDistance(g, t1, t2, &pairs)
+	for _, pr := range &pairs {
 		if occ.VertexUsed(pr.u) || occ.VertexUsed(pr.v) {
 			continue
 		}

@@ -16,8 +16,9 @@ func (LShape) Name() string { return "l-shape" }
 
 // Find implements Finder.
 func (LShape) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Path) (Path, bool) {
-	pairs := cornerPairsByDistance(g, ctlTile, tgtTile)
-	for _, pr := range pairs {
+	var pairs [16]cornerPair
+	cornerPairsByDistance(g, ctlTile, tgtTile, &pairs)
+	for _, pr := range &pairs {
 		if occ.VertexUsed(pr.u) || occ.VertexUsed(pr.v) {
 			continue
 		}

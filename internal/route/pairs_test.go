@@ -34,7 +34,9 @@ func sortedCornerPairs(g *grid.Grid, a, b int) [16]cornerPair {
 func TestCornerPairTableMatchesSort(t *testing.T) {
 	check := func(g *grid.Grid, a, b int) {
 		t.Helper()
-		if got, want := cornerPairsByDistance(g, a, b), sortedCornerPairs(g, a, b); got != want {
+		var got [16]cornerPair
+		cornerPairsByDistance(g, a, b, &got)
+		if want := sortedCornerPairs(g, a, b); got != want {
 			t.Errorf("%dx%d grid, tiles %d→%d:\ngot  %v\nwant %v", g.W, g.H, a, b, got, want)
 		}
 	}

@@ -26,6 +26,7 @@ package route
 import (
 	"cmp"
 	"fmt"
+	"math"
 
 	"hilight/internal/graph"
 	"hilight/internal/grid"
@@ -259,21 +260,6 @@ func (o *Occupancy) sWordAt(w int) uint64 {
 	return o.sBase[w]
 }
 
-// gatherBits extracts count (≤ 64) consecutive bits starting at global
-// bit index start from an epoch-checked word reader, unused high bits
-// zero.
-func gatherBits(wordAt func(int) uint64, start, count int) uint64 {
-	w, lo := start>>6, uint(start&63)
-	out := wordAt(w) >> lo
-	if int(lo)+count > 64 {
-		out |= wordAt(w+1) << (64 - lo)
-	}
-	if count < 64 {
-		out &= (1 << uint(count)) - 1
-	}
-	return out
-}
-
 // onesRange returns a word with bits [lo, hi] set, 0 ≤ lo ≤ hi ≤ 63.
 func onesRange(lo, hi int) uint64 {
 	return (^uint64(0) >> uint(63-(hi-lo))) << uint(lo)
@@ -442,15 +428,25 @@ type AStar struct {
 	// windowed-lookahead router.
 	Cong []int32
 
-	open     graph.MinHeap
-	gScore   []int
-	cameFrom []int
-	closed   []bool
-	stamp    []int
-	epoch    int
-	stats    SearchStats
-	labels   freeLabels
+	open   graph.MinHeap
+	nodes  []searchNode
+	epoch  int32
+	stats  SearchStats
+	labels freeLabels
 }
+
+// searchNode is one vertex's A* state, kept in one record so a relaxation
+// touches one cache line. A record whose stamp is not the current
+// search's epoch reads as unreached: g infinite, no predecessor, open.
+type searchNode struct {
+	stamp  int32
+	g      int32
+	from   int32
+	closed bool
+}
+
+// unreached is the g-score of a vertex no search step has reached.
+const unreached = 1 << 30
 
 // Stats implements StatsReporter.
 func (a *AStar) Stats() SearchStats { return a.stats }
@@ -458,10 +454,12 @@ func (a *AStar) Stats() SearchStats { return a.stats }
 // Name implements Finder.
 func (a *AStar) Name() string { return "astar-closest" }
 
-// Find implements Finder.
+// Find implements Finder. It decodes each corner pair only when the
+// previous one failed: most calls search the closest pair alone.
 func (a *AStar) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Path) (Path, bool) {
-	pairs := cornerPairsByDistance(g, ctlTile, tgtTile)
-	for _, pr := range pairs {
+	pairs := newCornerPairs(g, ctlTile, tgtTile)
+	for k := range pairs.ord.pair {
+		pr := pairs.at(k)
 		if occ.VertexUsed(pr.u) || occ.VertexUsed(pr.v) || a.labels.separates(occ, pr.u, pr.v) {
 			continue
 		}
@@ -510,28 +508,47 @@ type cornerPair struct {
 	u, v, d int
 }
 
-// cornerPairsByDistance returns the 16 corner pairs of two tiles in
-// ascending Manhattan distance, stable within equal distances. The array
-// is returned by value so the hot path never heap-allocates it. The
+// cornerPairs decodes the 16 corner pairs of two tiles in ascending
+// Manhattan distance, stable within equal distances: pair k is at(k). The
 // order and the distances come from pairOrders, chosen by the signs of
-// the tile offset.
-func cornerPairsByDistance(g *grid.Grid, a, b int) [16]cornerPair {
+// the tile offset, so decoding a pair is a table load and three adds.
+type cornerPairs struct {
+	ord              *pairOrder
+	ua, vb, vw, base int
+}
+
+// newCornerPairs prepares the corner pairs of tiles a and b.
+func newCornerPairs(g *grid.Grid, a, b int) cornerPairs {
 	ax, ay := g.TileXY(a)
 	bx, by := g.TileXY(b)
 	dx, dy := bx-ax, by-ay
-	ord := &pairOrders[3*(cmp.Compare(dy, 0)+1)+cmp.Compare(dx, 0)+1]
-	base := grid.CornerDist(dx, dy)
-	ua, vb, vw := g.VertexID(ax, ay), g.VertexID(bx, by), g.VW()
-	var pairs [16]cornerPair
-	for k, p := range ord.pair {
-		i, j := p>>2, p&3
-		pairs[k] = cornerPair{
-			u: ua + int(i&1) + int(i>>1)*vw,
-			v: vb + int(j&1) + int(j>>1)*vw,
-			d: base + int(ord.off[k]),
-		}
+	return cornerPairs{
+		ord:  &pairOrders[3*(cmp.Compare(dy, 0)+1)+cmp.Compare(dx, 0)+1],
+		ua:   g.VertexID(ax, ay),
+		vb:   g.VertexID(bx, by),
+		vw:   g.VW(),
+		base: grid.CornerDist(dx, dy),
 	}
-	return pairs
+}
+
+// at returns the k-th closest corner pair.
+func (c *cornerPairs) at(k int) cornerPair {
+	p := c.ord.pair[k]
+	i, j := p>>2, p&3
+	return cornerPair{
+		u: c.ua + int(i&1) + int(i>>1)*c.vw,
+		v: c.vb + int(j&1) + int(j>>1)*c.vw,
+		d: c.base + int(c.ord.off[k]),
+	}
+}
+
+// cornerPairsByDistance writes the 16 corner pairs of tiles a and b into
+// the caller's array, in cornerPairs order.
+func cornerPairsByDistance(g *grid.Grid, a, b int, dst *[16]cornerPair) {
+	pairs := newCornerPairs(g, a, b)
+	for k := range dst {
+		dst[k] = pairs.at(k)
+	}
 }
 
 // pairOrder is the distance order of the 16 corner pairs for one sign
@@ -589,19 +606,16 @@ func (a *AStar) pri(f, v int) int {
 	return f<<10 | int(c)
 }
 
-// touch lazily re-initializes per-vertex search state for the current
-// epoch.
-func (a *AStar) touch(v int) {
-	if a.stamp[v] != a.epoch {
-		a.stamp[v] = a.epoch
-		a.gScore[v] = 1 << 30
-		a.cameFrom[v] = -1
-		a.closed[v] = false
-	}
-}
-
 // search runs A* from src to dst over unoccupied vertices and channels,
 // writing the path into buf's storage.
+//
+// An expansion holds back the improved neighbor with the smallest key and
+// expands it next without a push and a pop when it orders below the open
+// set's minimum (or the set is empty): a heap would pop exactly that key
+// next. Keys are distinct — a vertex is pushed again only with a strictly
+// smaller g, so a strictly smaller priority — so the expansion order,
+// every predecessor and the returned path are the plain heap search's,
+// and so are Searches and Pops: the skipped pop counts as one.
 func (a *AStar) search(g *grid.Grid, occ *Occupancy, src, dst int, buf Path) (Path, bool) {
 	if occ.VertexUsed(src) || occ.VertexUsed(dst) {
 		return nil, false
@@ -609,81 +623,116 @@ func (a *AStar) search(g *grid.Grid, occ *Occupancy, src, dst int, buf Path) (Pa
 	if src == dst {
 		return append(buf[:0], src), true
 	}
-	n := g.NumVertices()
-	if len(a.gScore) < n {
-		a.gScore = make([]int, n)
-		a.cameFrom = make([]int, n)
-		a.closed = make([]bool, n)
-		a.stamp = make([]int, n)
+	if n := g.NumVertices(); len(a.nodes) < n {
+		a.nodes = make([]searchNode, n)
+		a.epoch = 0
 	}
-	a.stats.Searches++
+	if a.epoch == math.MaxInt32 {
+		// Restart the stamps before they wrap, so no stale record can
+		// carry the epoch of a later search.
+		clear(a.nodes)
+		a.epoch = 0
+	}
 	a.epoch++
+	a.stats.Searches++
 	a.open.Reset()
-	a.touch(src)
-	a.gScore[src] = 0
-	a.open.Push(src, a.pri(g.VertexDist(src, dst), src))
+	a.nodes[src] = searchNode{stamp: a.epoch, from: -1}
+	tx, ty := g.VertexXY(dst)
 	vw := g.VW()
-	for a.open.Len() > 0 {
-		cur, _ := a.open.Pop()
+	// The source is the first pop: the open set holds nothing else.
+	for cur := src; ; {
 		a.stats.Pops++
 		if cur == dst {
 			return a.reconstruct(dst, buf), true
 		}
-		// Skip stale heap entries before touching any per-vertex state:
-		// every pushed vertex was touched when pushed, so a popped vertex
-		// is already initialized for this epoch and a closed pop needs no
-		// re-initialization at all.
-		if a.closed[cur] {
-			continue
+		// A closed pop is a stale heap entry; a popped or held-back vertex
+		// was stamped when its g improved, so its record is current.
+		if n := &a.nodes[cur]; !n.closed {
+			n.closed = true
+			next := a.expand(g, occ, cur, int(n.g)+1, tx, ty, vw)
+			if next < a.open.Min() {
+				cur = next.Value()
+				continue
+			}
+			if next != graph.NoHeapKey {
+				a.open.Push(next)
+			}
 		}
-		a.closed[cur] = true
-		tentative := a.gScore[cur] + 1
-		// Expansion probes the word-packed channel mirrors: a set bit bakes
-		// occupied, defective, unroutable, and off-lattice in one load, so
-		// no InBounds/EdgeRoutable/EdgeID work remains on the hot path. The
-		// N, E, S, W order matches VertexNeighbors, keeping equal-length
-		// path tie-breaks — and thus emitted schedules — unchanged.
-		if cur >= vw && !occ.SouthBlocked(cur-vw) {
-			a.relax(g, occ, cur, cur-vw, tentative, dst)
+		if a.open.Len() == 0 {
+			return nil, false
 		}
-		if !occ.EastBlocked(cur) {
-			a.relax(g, occ, cur, cur+1, tentative, dst)
-		}
-		if !occ.SouthBlocked(cur) {
-			a.relax(g, occ, cur, cur+vw, tentative, dst)
-		}
-		if cur > 0 && !occ.EastBlocked(cur-1) {
-			a.relax(g, occ, cur, cur-1, tentative, dst)
-		}
+		cur = a.open.Pop().Value()
 	}
-	return nil, false
+}
+
+// expand relaxes cur's neighbors at g-score tentative toward the target
+// at (tx, ty). It pushes every improved neighbor but the one with the
+// smallest key, which it returns (graph.NoHeapKey when none improved).
+// Expansion probes the word-packed channel mirrors: a set bit bakes
+// occupied, defective, unroutable, and off-lattice in one load, so no
+// InBounds/EdgeRoutable/EdgeID work remains on the hot path. The N, E, S,
+// W order matches VertexNeighbors, and each neighbor's heuristic follows
+// from cur's coordinates.
+func (a *AStar) expand(g *grid.Grid, occ *Occupancy, cur, tentative, tx, ty, vw int) graph.HeapKey {
+	cx, cy := g.VertexXY(cur)
+	held := graph.NoHeapKey
+	if cur >= vw && !occ.SouthBlocked(cur-vw) {
+		held = a.relax(occ, cur, cur-vw, tentative, tentative+abs(cx-tx)+abs(cy-1-ty), held)
+	}
+	if !occ.EastBlocked(cur) {
+		held = a.relax(occ, cur, cur+1, tentative, tentative+abs(cx+1-tx)+abs(cy-ty), held)
+	}
+	if !occ.SouthBlocked(cur) {
+		held = a.relax(occ, cur, cur+vw, tentative, tentative+abs(cx-tx)+abs(cy+1-ty), held)
+	}
+	if cur > 0 && !occ.EastBlocked(cur-1) {
+		held = a.relax(occ, cur, cur-1, tentative, tentative+abs(cx-1-tx)+abs(cy-ty), held)
+	}
+	return held
 }
 
 // relax is one A* edge relaxation toward an in-bounds neighbor whose
-// connecting channel is already known to be open.
-func (a *AStar) relax(g *grid.Grid, occ *Occupancy, cur, nb, tentative, dst int) {
-	a.touch(nb)
-	if a.closed[nb] || occ.VertexUsed(nb) {
-		return
+// connecting channel is already known to be open, with f-score f. Of the
+// improved neighbor's key and held it returns the smaller and pushes the
+// other.
+func (a *AStar) relax(occ *Occupancy, cur, nb, tentative, f int, held graph.HeapKey) graph.HeapKey {
+	n := &a.nodes[nb]
+	if n.stamp != a.epoch {
+		*n = searchNode{stamp: a.epoch, g: unreached, from: -1}
 	}
-	if tentative < a.gScore[nb] {
-		a.gScore[nb] = tentative
-		a.cameFrom[nb] = cur
-		a.open.Push(nb, a.pri(tentative+g.VertexDist(nb, dst), nb))
+	if n.closed || tentative >= int(n.g) || occ.VertexUsed(nb) {
+		return held
 	}
+	n.g, n.from = int32(tentative), int32(cur)
+	k := graph.PackKey(nb, a.pri(f, nb))
+	if k < held {
+		k, held = held, k
+	}
+	if k != graph.NoHeapKey {
+		a.open.Push(k)
+	}
+	return held
 }
 
-// reconstruct writes the src→dst path into buf by walking the cameFrom
+// reconstruct writes the src→dst path into buf by walking the predecessor
 // chain backwards and reversing in place.
 func (a *AStar) reconstruct(dst int, buf Path) Path {
 	buf = buf[:0]
-	for v := dst; v != -1; v = a.cameFrom[v] {
-		buf = append(buf, v)
+	for v := int32(dst); v != -1; v = a.nodes[v].from {
+		buf = append(buf, int(v))
 	}
 	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
 	return buf
+}
+
+// abs returns |x|.
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // --- exhaustive 16-pair search (Fig. 9 "baseline") --------------------------
@@ -751,6 +800,7 @@ type StackDFS struct {
 	stack   []int
 	stats   SearchStats
 	labels  freeLabels
+	pairs   [16]cornerPair
 }
 
 // Stats implements StatsReporter.
@@ -768,8 +818,8 @@ func (s *StackDFS) Name() string { return "stack-dfs" }
 
 // Find implements Finder.
 func (s *StackDFS) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Path) (Path, bool) {
-	pairs := cornerPairsByDistance(g, ctlTile, tgtTile)
-	for _, pr := range pairs {
+	cornerPairsByDistance(g, ctlTile, tgtTile, &s.pairs)
+	for _, pr := range &s.pairs {
 		if occ.VertexUsed(pr.u) || occ.VertexUsed(pr.v) || s.labels.separates(occ, pr.u, pr.v) {
 			continue
 		}

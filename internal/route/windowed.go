@@ -11,9 +11,16 @@ import (
 // path-finding cheap: A* (and any other complete finder) proves "no
 // path" only by flooding the entire free region around the source, which
 // under congestion is the dominant routing cost. With labels computed
-// once per snapshot — one sweep over the occupancy's word-packed mirror
-// — the same proof is a pair of array loads: two free vertices are
-// connected iff their labels match.
+// once per snapshot — a few word-parallel sweeps over the occupancy's
+// mirrors — the same proof is two bit tests and two run-root loads.
+//
+// The labeling works on runs: maximal sequences of free vertices along a
+// row joined by open east channels. Bit v of free marks a free vertex and
+// bit v of start the first vertex of a run; a vertex's run id is the
+// number of run starts at or before it, one popcount on top of a per-word
+// rank. Runs are unioned wherever a free south channel joins two free
+// vertices, and root maps each run to its component's root run. Nothing
+// is stored per vertex.
 //
 // A labeling is exact only for the occupancy state it was computed from.
 // Since an occupancy only grows within an epoch, a labeling taken earlier
@@ -23,122 +30,137 @@ import (
 // The zero value is ready to use, buffers are reused across Compute
 // calls, and a computed labeling is safe for concurrent readers.
 type Components struct {
-	label  []int32
-	parent []int32
+	free  []uint64 // bit v: vertex v is free
+	start []uint64 // bit v: vertex v is free and starts a run
+	rank  []int32  // rank[w]: runs that start in words below w
+	root  []int32  // run id → root run id of its component
+	link  []uint64 // Compute scratch; bit v: v and v+1 share a run
 }
 
 // find resolves a run id to its union-find root with path halving.
 func (cc *Components) find(r int32) int32 {
-	for cc.parent[r] != r {
-		cc.parent[r] = cc.parent[cc.parent[r]]
-		r = cc.parent[r]
+	for cc.root[r] != r {
+		cc.root[r] = cc.root[cc.root[r]]
+		r = cc.root[r]
 	}
 	return r
 }
 
-// Compute labels the free subgraph of g under occ: label[v] is -1 for an
-// occupied (or defective) vertex and a positive component id otherwise.
-// Channels that are occupied, defective, or unroutable do not connect.
+// run returns the run id of free vertex v.
+func (cc *Components) run(v int) int32 {
+	w := v >> 6
+	return cc.rank[w] + int32(bits.OnesCount64(cc.start[w]<<(63-uint(v&63)))) - 1
+}
+
+// isFree reports bit v of the free mask.
+func (cc *Components) isFree(v int) bool { return cc.free[v>>6]>>(uint(v)&63)&1 != 0 }
+
+// Compute labels the free subgraph of g under occ. A vertex is free when
+// it is neither occupied nor defective; channels that are occupied,
+// defective, or unroutable do not connect.
 //
-// The sweep is word-parallel over the occupancy mirror: each vertex row
-// is split into maximal free runs (consecutive free vertices joined by
-// open east channels), adjacent rows' runs are unioned wherever a free
-// south channel joins two free vertices, and a final pass flattens run
-// ids to component roots. No per-edge EdgeID/EdgeRoutable calls at all.
+// Every step is word-parallel over the occupancy mirrors, whose vertex
+// ids run row-major, so one word may hold the end of a row and the start
+// of the next. The east mirror's row-end bit is always set, so no run
+// crosses a row end. A south connection whose west neighbor joins the
+// same two runs is skipped, so each pair of vertically adjacent runs is
+// unioned once per stretch of shared open channels, not once per channel.
 func (cc *Components) Compute(g *grid.Grid, occ *Occupancy) {
-	n := g.NumVertices()
-	vw, vh := g.VW(), g.VH()
-	if cap(cc.label) < n {
-		cc.label = make([]int32, n)
+	n, vw := g.NumVertices(), g.VW()
+	nw := (n + 63) >> 6
+	cc.free = sized(cc.free, nw)
+	cc.start = sized(cc.start, nw)
+	cc.link = sized(cc.link, nw)
+	cc.rank = sized(cc.rank, nw)
+	for w := range cc.free {
+		cc.free[w] = ^occ.vWordAt(w)
 	}
-	cc.label = cc.label[:n]
-	cc.parent = cc.parent[:0]
+	if tail := n & 63; tail != 0 {
+		cc.free[nw-1] &= 1<<uint(tail) - 1
+	}
 
-	// Pass 1: row runs. A run extends from vertex x to x+1 iff both are
-	// free and the east channel between them is open.
-	for y := 0; y < vh; y++ {
-		row := y * vw
-		run := int32(-1)
-		for x0 := 0; x0 < vw; x0 += 64 {
-			cnt := vw - x0
-			if cnt > 64 {
-				cnt = 64
-			}
-			free := ^gatherBits(occ.vWordAt, row+x0, cnt)
-			eastOpen := ^gatherBits(occ.eWordAt, row+x0, cnt)
-			if cnt < 64 {
-				free &= (1 << uint(cnt)) - 1
-			}
-			for x := 0; x < cnt; x++ {
-				v := row + x0 + x
-				if free>>uint(x)&1 == 0 {
-					cc.label[v] = -1
-					run = -1
-					continue
-				}
-				if run < 0 {
-					run = int32(len(cc.parent))
-					cc.parent = append(cc.parent, run)
-				}
-				cc.label[v] = run
-				if eastOpen>>uint(x)&1 == 0 {
-					run = -1 // channel to x+1 blocked; next free vertex starts a run
-				}
+	// Runs: link bit v when v and v+1 are free and the east channel
+	// between them is open; a run starts at a free vertex no link enters
+	// from the west. carry is the previous word's top link bit.
+	runs, carry := int32(0), uint64(0)
+	for w, free := range cc.free {
+		var next uint64
+		if w+1 < nw {
+			next = cc.free[w+1]
+		}
+		link := free & (free>>1 | next<<63) &^ occ.eWordAt(w)
+		start := free &^ (link<<1 | carry)
+		carry = link >> 63
+		cc.link[w], cc.start[w], cc.rank[w] = link, start, runs
+		runs += int32(bits.OnesCount64(start))
+	}
+	cc.root = sized(cc.root, int(runs))
+	for r := range cc.root {
+		cc.root[r] = int32(r)
+	}
+
+	// Unions: bit v of conn marks a free south channel between free
+	// vertices v and v+vw; same marks such a connection whose vertices
+	// both link east, which makes the connection east of it redundant.
+	carry = 0
+	for w := 0; w < nw; w++ {
+		conn := cc.free[w] & gatherBits(cc.free, w<<6+vw) &^ occ.sWordAt(w)
+		same := conn & cc.link[w] & gatherBits(cc.link, w<<6+vw)
+		conn &^= same<<1 | carry
+		carry = same >> 63
+		for conn != 0 {
+			v := w<<6 + bits.TrailingZeros64(conn)
+			conn &= conn - 1
+			ra, rb := cc.find(cc.run(v)), cc.find(cc.run(v+vw))
+			if ra != rb {
+				cc.root[rb] = ra
 			}
 		}
 	}
 
-	// Pass 2: vertical unions. Bit x of conn marks a free south channel
-	// between free vertices (x,y) and (x,y+1).
-	for y := 0; y+1 < vh; y++ {
-		row := y * vw
-		for x0 := 0; x0 < vw; x0 += 64 {
-			cnt := vw - x0
-			if cnt > 64 {
-				cnt = 64
-			}
-			conn := ^gatherBits(occ.vWordAt, row+x0, cnt) &
-				^gatherBits(occ.vWordAt, row+vw+x0, cnt) &
-				^gatherBits(occ.sWordAt, row+x0, cnt)
-			if cnt < 64 {
-				conn &= (1 << uint(cnt)) - 1
-			}
-			for conn != 0 {
-				x := bits.TrailingZeros64(conn)
-				conn &= conn - 1
-				v := row + x0 + x
-				ra, rb := cc.find(cc.label[v]), cc.find(cc.label[v+vw])
-				if ra != rb {
-					cc.parent[rb] = ra
-				}
-			}
-		}
+	// Flatten: each run maps straight to its root.
+	for r := range cc.root {
+		cc.root[r] = cc.find(int32(r))
 	}
+}
 
-	// Pass 3: flatten run ids to 1-based component roots — roots are
-	// resolved once per run, so the per-vertex step is a table load.
-	for r := range cc.parent {
-		cc.parent[r] = cc.find(int32(r))
+// gatherBits returns the 64 bits of words starting at bit index i; bits
+// past the end read 0.
+func gatherBits(words []uint64, i int) uint64 {
+	w, lo := i>>6, uint(i&63)
+	var out uint64
+	if w < len(words) {
+		out = words[w] >> lo
 	}
-	for v := 0; v < n; v++ {
-		if cc.label[v] >= 0 {
-			cc.label[v] = cc.parent[cc.label[v]] + 1
-		}
+	if lo != 0 && w+1 < len(words) {
+		out |= words[w+1] << (64 - lo)
 	}
+	return out
+}
+
+// sized returns s with length n, reusing its capacity when it suffices;
+// elements are not cleared.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // CopyFrom makes cc an independent copy of src's labeling — the cheap
 // way to restore a cached snapshot (e.g. the empty-lattice labeling,
 // which never changes between cycles) without re-sweeping the lattice.
 func (cc *Components) CopyFrom(src *Components) {
-	cc.label = append(cc.label[:0], src.label...)
+	cc.free = append(cc.free[:0], src.free...)
+	cc.start = append(cc.start[:0], src.start...)
+	cc.rank = append(cc.rank[:0], src.rank...)
+	cc.root = append(cc.root[:0], src.root...)
 }
 
 // Connected reports whether u and v are both free and reachable from
 // each other in the labeled snapshot.
 func (cc *Components) Connected(u, v int) bool {
-	lu := cc.label[u]
-	return lu > 0 && lu == cc.label[v]
+	return cc.isFree(u) && cc.isFree(v) && cc.root[cc.run(u)] == cc.root[cc.run(v)]
 }
 
 // Windowed is the parallel router's path-finder: HiLight's
@@ -167,9 +189,9 @@ func (cc *Components) Connected(u, v int) bool {
 // Both hooks are optional and read-only during Find: with Comp and Cong
 // nil, Windowed accepts and rejects exactly like AStar (paths may differ
 // among equal-length choices). A Windowed is not safe for concurrent
-// use, but distinct instances may share one Comp and Cong — which is how
-// the parallel router's workers speculate concurrently against a shared
-// snapshot.
+// use; distinct instances may share one Comp and Cong, which Find only
+// reads. The speculative route step runs on one goroutine and drives one
+// instance through both its speculation and its finish phase.
 type Windowed struct {
 	// Comp, when non-nil, prunes disconnected corner pairs. It must be
 	// recomputed whenever the occupancy changes; a stale labeling breaks
@@ -180,6 +202,7 @@ type Windowed struct {
 	Cong []int32
 
 	astar AStar
+	pairs [16]cornerPair
 }
 
 // Name implements Finder.
@@ -191,7 +214,8 @@ func (w *Windowed) Stats() SearchStats { return w.astar.stats }
 
 // Find implements Finder.
 func (w *Windowed) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Path) (Path, bool) {
-	pairs := cornerPairsByDistance(g, ctlTile, tgtTile)
+	pairs := &w.pairs
+	cornerPairsByDistance(g, ctlTile, tgtTile, pairs)
 	if w.Cong != nil {
 		// Stable secondary sort: congestion orders pairs only within
 		// equal-distance runs, so the paper's distance-first pair

@@ -135,26 +135,29 @@ func TestChannelBlockedMatchesScalar(t *testing.T) {
 
 func TestGatherBits(t *testing.T) {
 	words := []uint64{0xDEADBEEFCAFEBABE, 0x0123456789ABCDEF, ^uint64(0)}
-	wordAt := func(w int) uint64 { return words[w] }
-	bitAt := func(i int) uint64 { return words[i>>6] >> (uint(i) & 63) & 1 }
-	for _, tc := range []struct{ start, count int }{
-		{0, 64},   // aligned full word
-		{0, 17},   // aligned partial: high bits must be masked
-		{3, 61},   // unaligned, exactly reaching a word end
-		{60, 10},  // straddles the first boundary
-		{63, 2},   // minimal straddle
-		{64, 64},  // aligned second word
-		{100, 64}, // unaligned full straddle
-		{127, 1},  // single bit at a word edge
-	} {
-		got := gatherBits(wordAt, tc.start, tc.count)
-		for i := 0; i < tc.count; i++ {
-			if got>>uint(i)&1 != bitAt(tc.start+i) {
-				t.Errorf("gatherBits(%d, %d): bit %d wrong", tc.start, tc.count, i)
-			}
+	bitAt := func(i int) uint64 {
+		if i>>6 >= len(words) {
+			return 0
 		}
-		if tc.count < 64 && got>>uint(tc.count) != 0 {
-			t.Errorf("gatherBits(%d, %d): unused high bits set", tc.start, tc.count)
+		return words[i>>6] >> (uint(i) & 63) & 1
+	}
+	for _, start := range []int{
+		0,   // aligned first word
+		3,   // unaligned, straddling into the second word
+		60,  // straddles the first boundary
+		63,  // minimal straddle
+		64,  // aligned second word
+		100, // unaligned straddle into the last word
+		128, // aligned last word: no word after it
+		150, // unaligned in the last word: high bits read past the end
+		191, // the last bit alone
+		192, // wholly past the end
+	} {
+		got := gatherBits(words, start)
+		for i := 0; i < 64; i++ {
+			if got>>uint(i)&1 != bitAt(start+i) {
+				t.Errorf("gatherBits(%d): bit %d wrong", start, i)
+			}
 		}
 	}
 }

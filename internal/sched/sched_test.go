@@ -231,6 +231,24 @@ func mustDefects(t *testing.T, g *grid.Grid, dm *grid.DefectMap) {
 // TestValidateDecodedHostile feeds Validate schedules the decoder
 // accepts but no compile produces. The decoders leave braids to
 // Validate, so each must come back as an error, not a panic.
+// TestValidateWideGridBraid decodes a 70,000×1 schedule whose one braid
+// runs from tile 0's north-east corner, vertex 1, to vertex 65,536, tile
+// 65,535's north-east corner, in one step. The two vertices are 65,535
+// columns apart; with int16 coordinates vertex 65,536 read as (0, 0), so
+// the pair looked adjacent and the braid validated.
+func TestValidateWideGridBraid(t *testing.T) {
+	s, err := DecodeJSON([]byte(`{"version":1,"grid_w":70000,"grid_h":1,"qubits":2,"initial":[0,65535],` +
+		`"layers":[[{"gate":0,"ctl":0,"tgt":65535,"path":[1,65536]}]]}`))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	c := circuit.New("wide", 2)
+	c.Add2(circuit.CX, 0, 1)
+	if err := s.Validate(c); err == nil || !strings.Contains(err.Error(), "not adjacent") {
+		t.Errorf("Validate = %v, want a not-adjacent error", err)
+	}
+}
+
 func TestValidateDecodedHostile(t *testing.T) {
 	cx := func(n, a, b int) *circuit.Circuit {
 		c := circuit.New("hostile", n)
