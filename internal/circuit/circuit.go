@@ -11,6 +11,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -288,6 +289,11 @@ func (c *Circuit) Validate() error {
 		}
 	}
 	return nil
+}
+
+// HasSWAP reports whether the circuit holds a SWAP gate.
+func (c *Circuit) HasSWAP() bool {
+	return slices.ContainsFunc(c.Gates, func(g Gate) bool { return g.Kind == SWAP })
 }
 
 // DecomposeSWAPs returns a circuit in which every SWAP gate is replaced by

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hilight/internal/circuit"
 	"hilight/internal/grid"
 )
 
@@ -115,6 +116,35 @@ func TestTraceCountersMatchResult(t *testing.T) {
 	}
 	if _, ok := fin.Counter("no-such-counter"); ok {
 		t.Error("Counter returned ok for an unrecorded name")
+	}
+}
+
+// TestWorkingCircuitIsNeverTheInput compiles a SWAP-free circuit, and one
+// with a SWAP, under a QCO method and a method without QCO. Under QCO a
+// SWAP-free input reaches the qco pass without a copy of its own, so the
+// working circuit must still be a fresh one, sharing no gate storage with
+// the caller's, and decompose-swaps must still count the gates it hands on.
+func TestWorkingCircuitIsNeverTheInput(t *testing.T) {
+	swapped := qftCircuit(8)
+	swapped.Add2(circuit.SWAP, 0, 7)
+	for _, c := range []*circuit.Circuit{qftCircuit(8), swapped} {
+		for _, method := range []string{"hilight", "hilight-map"} {
+			res, err := Run(c, grid.Rect(c.NumQubits), MustMethod(method), RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := res.Circuit
+			if w == c || &w.Gates[0] == &c.Gates[0] {
+				t.Errorf("%s, %d gates: the working circuit shares the input's storage", method, len(c.Gates))
+			}
+			want := len(c.Gates)
+			if c.HasSWAP() {
+				want += 2
+			}
+			if n, _ := traceStage(t, res, "decompose-swaps").Counter("gates"); n != int64(want) {
+				t.Errorf("%s, %d gates: decompose-swaps counted %d gates, want %d", method, len(c.Gates), n, want)
+			}
+		}
 	}
 }
 

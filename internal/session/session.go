@@ -124,12 +124,16 @@ func ApplyEdits(c *circuit.Circuit, edits []Edit) (*circuit.Circuit, error) {
 // the parent's working circuit can be reconstructed from its input
 // circuit alone — which is what lets the service warm-start from a
 // cached QASM string instead of persisting the rewritten gate list.
+// Under QCO a SWAP-free input skips the decomposition's copy, as the
+// pipeline does: qco.Optimize always returns a fresh circuit.
 func WorkingCircuit(c *circuit.Circuit, qcoOn bool) *circuit.Circuit {
-	w := c.DecomposeSWAPs()
-	if qcoOn {
-		w = qco.Optimize(w)
+	if !qcoOn {
+		return c.DecomposeSWAPs()
 	}
-	return w
+	if c.HasSWAP() {
+		c = c.DecomposeSWAPs()
+	}
+	return qco.Optimize(c)
 }
 
 // AppendWorking extends a parent working circuit with freshly appended

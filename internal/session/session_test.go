@@ -3,11 +3,13 @@ package session
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hilight/internal/circuit"
 	"hilight/internal/core"
 	"hilight/internal/grid"
+	"hilight/internal/qco"
 )
 
 func qft(n int) *circuit.Circuit {
@@ -82,6 +84,30 @@ func TestApplyEdits(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWorkingCircuitNeverAliasesInput holds WorkingCircuit to the two
+// transforms it stands for, SWAP decomposition and then QCO, on inputs
+// with and without a SWAP: the same gates, in storage the input does not
+// share, also where a SWAP-free input skips the decomposition's copy.
+func TestWorkingCircuitNeverAliasesInput(t *testing.T) {
+	swapped := qft(8)
+	swapped.Add2(circuit.SWAP, 0, 7)
+	for _, c := range []*circuit.Circuit{qft(8), swapped} {
+		for _, qcoOn := range []bool{false, true} {
+			w := WorkingCircuit(c, qcoOn)
+			want := c.DecomposeSWAPs()
+			if qcoOn {
+				want = qco.Optimize(want)
+			}
+			if !slices.Equal(w.Gates, want.Gates) {
+				t.Errorf("qco %v, swap %v: working circuit differs from the transforms", qcoOn, c.HasSWAP())
+			}
+			if w == c || &w.Gates[0] == &c.Gates[0] {
+				t.Errorf("qco %v, swap %v: working circuit shares the input's storage", qcoOn, c.HasSWAP())
+			}
+		}
+	}
 }
 
 func TestCommonPrefixGates(t *testing.T) {
