@@ -71,6 +71,9 @@ race-root:
 # a schedule: compile responses, envelope transcodes and a done poll.
 # BenchmarkParse and BenchmarkFingerprint time the request edge's two
 # passes over a circuit, the parse of a qasm body and its cache key.
+# BenchmarkPlacementMethods times Proximity, GM and Pattern on QFT-100,
+# Ising-1000, CC-300, Shor-471 and a 4,096-qubit star of four CX, with
+# allocations.
 # BenchmarkColdCompile times a cold hilight.Compile of urf5_158, QFT-200
 # and Shor-471 under hilight and hilight-map; its B/op is what
 # TestColdCompileAllocationBudget bounds.
@@ -81,6 +84,7 @@ bench-route:
 	$(GO) test -run '^$$' -bench BenchmarkJSONResponse -benchmem -benchtime 20x ./internal/service/
 	$(GO) test -run '^$$' -bench BenchmarkParse -benchmem -benchtime 20x ./internal/qasm/
 	$(GO) test -run '^$$' -bench BenchmarkFingerprint -benchmem -benchtime 20x .
+	$(GO) test -run '^$$' -bench BenchmarkPlacementMethods -benchmem -benchtime 5x .
 	$(GO) test -run '^$$' -bench BenchmarkColdCompile -benchmem -benchtime 5x .
 
 # Everything, including the paper-artifact benchmarks (slow).

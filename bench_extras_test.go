@@ -9,6 +9,7 @@ import (
 
 	"hilight"
 	"hilight/internal/bench"
+	"hilight/internal/circuit"
 	"hilight/internal/core"
 	"hilight/internal/grid"
 	"hilight/internal/lattice"
@@ -42,12 +43,12 @@ func BenchmarkRefinement(b *testing.B) {
 	c := e.Build()
 	g := grid.Rect(c.NumQubits)
 	base := place.Random{Rng: rand.New(rand.NewSource(1))}.Place(c, g)
-	before := place.Score(base, c, g)
+	before := place.Score(base, circuit.InteractionGraph(c), g)
 	var after int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		refined := place.Refine(base, c, g, 0)
-		after = place.Score(refined, c, g)
+		after = place.Score(refined, circuit.InteractionGraph(c), g)
 	}
 	b.ReportMetric(float64(before-after), "score-improvement")
 }

@@ -264,22 +264,35 @@ func BenchmarkOrderingStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkPlacementMethods isolates initial-placement cost (matrix
-// proximity vs node/edge GM) on a mid-size circuit.
+// BenchmarkPlacementMethods times initial placement, with allocations,
+// where it costs: QFT-100, where Pattern picks the random layout; the
+// 1,000-qubit Ising chain, where it picks the linear one; CC-300,
+// Shor-471 and the 4,096-qubit star of four CX, where it falls back to
+// Proximity; against GM's exhaustive embedding. Every method builds its
+// circGraph, a sparse graph whose size follows the circuit.
 func BenchmarkPlacementMethods(b *testing.B) {
-	c := bench.QFT(100)
-	g := grid.Rect(100)
-	methods := map[string]place.Method{
-		"proximity": place.Proximity{},
-		"gm":        place.GM{Rng: rand.New(rand.NewSource(1))},
-		"pattern":   place.Pattern{Rng: rand.New(rand.NewSource(1))},
+	circuits := []*hilight.Circuit{bench.QFT(100), wideStar(4096)}
+	for _, name := range []string{"Ising-1000", "CC-300", "Shor-471"} {
+		c, ok := hilight.Benchmark(name)
+		if !ok {
+			b.Fatalf("unknown benchmark %s", name)
+		}
+		circuits = append(circuits, c)
 	}
-	for name, m := range methods {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.Place(c, g)
-			}
-		})
+	for _, c := range circuits {
+		g := grid.Rect(c.NumQubits)
+		for _, m := range []place.Method{
+			place.Proximity{},
+			place.GM{Rng: rand.New(rand.NewSource(1))},
+			place.Pattern{Rng: rand.New(rand.NewSource(1))},
+		} {
+			b.Run(c.Name+"/"+m.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.Place(c, g)
+				}
+			})
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package hilight_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"hilight"
@@ -51,11 +53,11 @@ func resultBytes(res *hilight.Result) uint64 {
 // TestColdCompileAllocationBudget holds a cold hilight.Compile under
 // hilight to a fixed multiple of the bytes its Result holds. Each pass
 // sizes its output once (DESIGN.md, "Performance architecture"), so the
-// compile allocates 2.1–2.6× its result: the decomposed and the optimized
-// circuit, the router's stores and the placement's n² circGraph. When
-// the transforms and stores regrew from empty, the same compiles
-// allocated 8.6–11.5× their results; a pass that starts to regrow again
-// fails here, not first in a benchmark run.
+// compile allocates about twice its result: the decomposed and the
+// optimized circuit, the router's stores and the placement's sparse
+// circGraph. When the transforms and stores regrew from empty, the same
+// compiles allocated 8.6–11.5× their results; a pass that starts to
+// regrow again fails here, not first in a benchmark run.
 func TestColdCompileAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles three large Table 1 circuits")
@@ -79,6 +81,42 @@ func TestColdCompileAllocationBudget(t *testing.T) {
 		if alloc > budget*held {
 			t.Errorf("%s: cold compile allocated %d bytes, %.2f× the %d its result holds; budget %d×",
 				name, alloc, float64(alloc)/float64(held), held, budget)
+		}
+	}
+}
+
+// wideStar returns an n-qubit circuit of four CX gates, from qubit 0 to
+// qubits 1–4, with every other qubit idle: a star no pattern matches, so
+// HiLight places it by proximity, and a circuit far wider than its gates.
+func wideStar(n int) *hilight.Circuit {
+	c := hilight.NewCircuit(fmt.Sprintf("star4-%d", n), n)
+	for q := 1; q <= 4; q++ {
+		c.Add2(hilight.CX, 0, q)
+	}
+	return c
+}
+
+// TestWideCircuitCompiles compiles wideStar at 4,096 and 40,000 qubits
+// under hilight-map to a valid schedule. Placement's memory and work
+// follow the circuit and the grid: an n² circGraph would take 134 MB at
+// 4,096 qubits and ask for 12.8 GB at 40,000, which killed the process,
+// and a scan of every tile per placed qubit would take 1.6·10⁹ steps.
+// The bound on time holds under -race with room to spare.
+func TestWideCircuitCompiles(t *testing.T) {
+	for _, n := range []int{4096, 40000} {
+		c := wideStar(n)
+		start := time.Now()
+		res, err := hilight.Compile(c, hilight.RectGrid(n), hilight.WithMethod("hilight-map"))
+		if err != nil {
+			t.Fatalf("%d qubits: %v", n, err)
+		}
+		took := time.Since(start)
+		t.Logf("%d qubits: compiled in %v", n, took)
+		if err := res.Schedule.Validate(c); err != nil {
+			t.Fatalf("%d qubits: %v", n, err)
+		}
+		if took > 30*time.Second {
+			t.Errorf("%d qubits: compile took %v, want under 30s", n, took)
 		}
 	}
 }

@@ -387,8 +387,9 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 			o.metrics.Counter("compile/fallback-activations").Inc()
 		}
 		// Each attempt gets a fresh seeded rng, so a method sees the same
-		// random stream whether it runs as primary or as fallback.
-		ro := o.runOptions(ctx, rand.New(rand.NewSource(o.seed)))
+		// random stream whether it runs as primary or as fallback. The rng
+		// seeds itself on its first draw, which most methods never make.
+		ro := o.runOptions(ctx, core.NewRand(o.seed))
 		res, err := core.Run(c, g, specs[i], ro)
 		if err != nil {
 			if firstErr == nil {

@@ -86,7 +86,7 @@ func capacity(g *grid.Grid, r region) int {
 	return n
 }
 
-func (p PartitionPlacement) embed(ig *graph.Dense, g *grid.Grid, l *grid.Layout, verts []int, r region) {
+func (p PartitionPlacement) embed(ig *graph.Sparse, g *grid.Grid, l *grid.Layout, verts []int, r region) {
 	if len(verts) == 0 {
 		return
 	}
@@ -198,7 +198,8 @@ func (a *SwapAdjuster) Propose(st *core.RouterState) []core.TileSwap {
 	to := st.Layout.QubitTile[bp]
 	best := -1
 	bestD := st.Grid.Dist(from, to)
-	for _, t := range st.Grid.CardinalNeighbors(from) {
+	adj, n := st.Grid.CardinalNeighbors(from)
+	for _, t := range adj[:n] {
 		if d := st.Grid.Dist(t, to); d < bestD {
 			best, bestD = t, d
 		}

@@ -3,23 +3,23 @@ package circuit
 import "hilight/internal/graph"
 
 // InteractionGraph builds the circGraph of Alg. 1: the weight of edge
-// {i,j} counts the two-qubit gates between program qubits i and j. The
-// paper adopts this flat matrix instead of a node/edge graph because it
-// is cheap to build and scan.
-func InteractionGraph(c *Circuit) *graph.Dense {
-	g := graph.NewDense(c.NumQubits)
-	for _, gate := range c.Gates {
-		if gate.TwoQubit() {
-			g.AddEdge(gate.Q0, gate.Q1, 1)
+// {i,j} counts the two-qubit gates between program qubits i and j. It
+// reads the gates in one pass per build phase and stores only the pairs
+// that interact, so its size follows the circuit, not its width squared.
+func InteractionGraph(c *Circuit) *graph.Sparse {
+	return graph.NewSparse(c.NumQubits, len(c.Gates), func(i int) (int, int) {
+		if g := c.Gates[i]; g.TwoQubit() {
+			return g.Q0, g.Q1
 		}
-	}
-	return g
+		return 0, 0 // a single-qubit gate joins no pair
+	})
 }
 
 // QubitLists is the circList of Alg. 2: for every program qubit, the
-// indices (into Circuit.Gates) of the gates touching it, in program order.
-// The routing loop consumes these lists front-to-back via per-qubit
-// cursors.
+// indices (into Circuit.Gates) of the two-qubit gates touching it, in
+// program order. Single-qubit gates cost no braiding cycle, so the lists
+// leave them out. The routing loop consumes these lists front-to-back
+// via per-qubit cursors.
 type QubitLists struct {
 	Lists [][]int
 
@@ -40,8 +40,8 @@ func (ql *QubitLists) Fill(c *Circuit) {
 	offs := ql.offs[:n+1]
 	clear(offs)
 	for _, g := range c.Gates {
-		offs[g.Q0+1]++
 		if g.TwoQubit() {
+			offs[g.Q0+1]++
 			offs[g.Q1+1]++
 		}
 	}
@@ -59,8 +59,8 @@ func (ql *QubitLists) Fill(c *Circuit) {
 		ql.Lists[q] = ql.back[offs[q]:offs[q]:offs[q+1]]
 	}
 	for i, g := range c.Gates {
-		ql.Lists[g.Q0] = append(ql.Lists[g.Q0], i)
 		if g.TwoQubit() {
+			ql.Lists[g.Q0] = append(ql.Lists[g.Q0], i)
 			ql.Lists[g.Q1] = append(ql.Lists[g.Q1], i)
 		}
 	}

@@ -210,7 +210,7 @@ type Pipeline struct {
 func NewPipeline(sp Spec, opt RunOptions) (*Pipeline, error) {
 	rng := opt.Rng
 	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
+		rng = NewRand(1)
 	}
 	if opt.QCO != nil {
 		sp.QCO = *opt.QCO

@@ -181,11 +181,10 @@ type router struct {
 	layerBuf sched.Layer
 	pathBuf  route.Path
 
-	// Adjuster support (only populated when an adjuster is configured).
-	pending     [][]int
-	pendingBack []int
-	pendingOffs []int
-	state       RouterState
+	// Adjuster support (only populated when an adjuster is configured):
+	// per qubit, its list from the cursor on.
+	pending [][]int
+	state   RouterState
 
 	// Result storage. Braiding paths are appended into arena and braids
 	// into braidArena, both sliced out and both reserved by init from
@@ -261,12 +260,7 @@ func (r *router) route(c *circuit.Circuit, g *grid.Grid, layout *grid.Layout, cf
 		step = r.routeSpeculative
 	}
 
-	// skip1Q advances each qubit's cursor past single-qubit gates: they
-	// cost no braiding cycles.
 	remaining := c.CXCount()
-	for q := 0; q < c.NumQubits; q++ {
-		r.skip1Q(q)
-	}
 
 	cycle := 0
 	if cfg.Warm != nil {
@@ -426,8 +420,6 @@ func (r *router) execute(rd order.Ready, p route.Path) circuit.Gate {
 	gate := r.c.Gates[rd.Gate]
 	r.cursor[gate.Q0]++
 	r.cursor[gate.Q1]++
-	r.skip1Q(gate.Q0)
-	r.skip1Q(gate.Q1)
 	if r.cfg.Adjuster != nil {
 		// The executed gate is at the front of both pending lists.
 		r.pending[gate.Q0] = r.pending[gate.Q0][1:]
@@ -566,14 +558,6 @@ func ctxErr(ctx context.Context) error {
 		return fmt.Errorf("core: %w (%v)", ErrCanceled, err)
 	}
 	return nil
-}
-
-// skip1Q advances qubit q's cursor past single-qubit gates.
-func (r *router) skip1Q(q int) {
-	lst := r.ql.Lists[q]
-	for r.cursor[q] < len(lst) && !r.c.Gates[lst[r.cursor[q]]].TwoQubit() {
-		r.cursor[q]++
-	}
 }
 
 // markBusy stamps tiles as braiding this cycle.
@@ -735,26 +719,14 @@ func (r *router) minPathLen(q0, q1 int) int {
 	return grid.CornerDist(bx-ax, by-ay) + 1
 }
 
-// initPending builds the per-qubit remaining two-qubit gate lists for the
-// adjuster, as views into one shared backing slice. The lists are then
-// maintained incrementally: when a gate executes, the router pops it off
-// the front of both operands' lists.
+// initPending points the adjuster's per-qubit remaining two-qubit gate
+// lists at the qubit lists from each cursor on. The router then keeps
+// them there: when a gate executes, it drops off the front of both
+// operands' lists.
 func (r *router) initPending() {
-	c := r.c
-	r.pending = resize(r.pending, c.NumQubits)
-	r.pendingBack = r.pendingBack[:0]
-	r.pendingOffs = resize(r.pendingOffs, c.NumQubits+1)
-	for q := 0; q < c.NumQubits; q++ {
-		r.pendingOffs[q] = len(r.pendingBack)
-		for _, gi := range r.ql.Lists[q][r.cursor[q]:] {
-			if c.Gates[gi].TwoQubit() {
-				r.pendingBack = append(r.pendingBack, gi)
-			}
-		}
-	}
-	r.pendingOffs[c.NumQubits] = len(r.pendingBack)
-	for q := 0; q < c.NumQubits; q++ {
-		r.pending[q] = r.pendingBack[r.pendingOffs[q]:r.pendingOffs[q+1]]
+	r.pending = resize(r.pending, r.c.NumQubits)
+	for q := range r.pending {
+		r.pending[q] = r.ql.Lists[q][r.cursor[q]:]
 	}
 }
 

@@ -96,16 +96,13 @@ type speculator struct {
 	congDiff []int32
 	qtx      []int32
 	qty      []int32
-	// Per-qubit positions of two-qubit gates within ql.Lists[q] (arena +
-	// offsets), with a monotone pointer per qubit — so the per-cycle
-	// lookahead window is found without re-skipping single-qubit gates.
-	// q2rect parallels q2arena with each entry's stamp rectangle packed
-	// into one int64 (-1 when the gate stamps from its other operand), so
-	// the per-cycle sweep never loads gate records at all.
-	q2arena []int32
-	q2rect  []int64
-	q2off   []int32
-	q2ptr   []int32
+	// Per qubit, the stamp rectangle of each gate in ql.Lists[q], packed
+	// into one int64 (-1 when the gate stamps from its other operand):
+	// q2rect[q2off[q]+i] belongs to the list's entry i, so the cursor
+	// finds the lookahead window and the per-cycle sweep never loads gate
+	// records at all.
+	q2rect []int64
+	q2off  []int32
 
 	// Per-cycle speculation state. retry holds indices into the cycle's
 	// ordered ready slice; specOK/specPath receive each candidate's
@@ -136,24 +133,15 @@ func (r *router) initSpeculation() {
 		x, y := g.TileXY(r.layout.QubitTile[q])
 		s.qtx[q], s.qty[q] = int32(x), int32(y)
 	}
-	// Index each qubit's two-qubit gates once; the congestion sweep then
-	// jumps straight to the pending window every cycle. The stamp
-	// rectangle (operand tiles' corner-vertex bounding box, normalized and
-	// widened to the far corner column/row) is resolved here too — the
-	// layout never moves without an adjuster.
-	s.q2arena = s.q2arena[:0]
+	// Resolve each list entry's stamp rectangle once (operand tiles'
+	// corner-vertex bounding box, normalized and widened to the far corner
+	// column/row) — the layout never moves without an adjuster.
 	s.q2rect = s.q2rect[:0]
 	s.q2off = resize(s.q2off, c.NumQubits+1)
-	s.q2ptr = resize(s.q2ptr, c.NumQubits)
-	clear(s.q2ptr)
 	for q := 0; q < c.NumQubits; q++ {
-		s.q2off[q] = int32(len(s.q2arena))
-		for i, gi := range r.ql.Lists[q] {
+		s.q2off[q] = int32(len(s.q2rect))
+		for _, gi := range r.ql.Lists[q] {
 			gate := c.Gates[gi]
-			if !gate.TwoQubit() {
-				continue
-			}
-			s.q2arena = append(s.q2arena, int32(i))
 			rect := int64(-1)
 			if gate.Q0 == q { // count each gate once, from its control side
 				x0, y0 := s.qtx[gate.Q0], s.qty[gate.Q0]
@@ -171,7 +159,7 @@ func (r *router) initSpeculation() {
 			s.q2rect = append(s.q2rect, rect)
 		}
 	}
-	s.q2off[c.NumQubits] = int32(len(s.q2arena))
+	s.q2off[c.NumQubits] = int32(len(s.q2rect))
 }
 
 // routeSpeculative is the speculative step: speculate every ordered
@@ -274,20 +262,11 @@ func (r *router) computeCongestion() {
 	s.congDiff = resize(s.congDiff, w*(vh+1))
 	clear(s.congDiff)
 	for q := 0; q < r.c.NumQubits; q++ {
-		off := int(s.q2off[q])
-		pos := s.q2arena[off:s.q2off[q+1]]
-		rects := s.q2rect[off:s.q2off[q+1]]
-		p := int(s.q2ptr[q])
-		for p < len(pos) && int(pos[p]) < r.cursor[q] {
-			p++ // cursors only advance, so this pointer is monotone too
-		}
-		s.q2ptr[q] = int32(p)
-		// Window: the imminent gate at pos[p] routes this wavefront and is
-		// not "pending"; the lookahead gates after it stamp the field.
-		end := p + lookahead
-		if end > len(pos)-1 {
-			end = len(pos) - 1
-		}
+		rects := s.q2rect[s.q2off[q]:s.q2off[q+1]]
+		// Window: the imminent gate at the cursor routes this wavefront and
+		// is not "pending"; the lookahead gates after it stamp the field.
+		p := r.cursor[q]
+		end := min(p+lookahead, len(rects)-1)
 		for j := p + 1; j <= end; j++ {
 			rc := rects[j]
 			if rc < 0 {

@@ -215,8 +215,8 @@ func (a *swapHappyAdjuster) Propose(st *RouterState) []TileSwap {
 	a.done = true
 	// Swap the first two adjacent tiles that exist.
 	t0 := 0
-	for _, t := range st.Grid.CardinalNeighbors(t0) {
-		return []TileSwap{{T1: t0, T2: t}}
+	if adj, n := st.Grid.CardinalNeighbors(t0); n > 0 {
+		return []TileSwap{{T1: t0, T2: adj[0]}}
 	}
 	return nil
 }

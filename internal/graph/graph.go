@@ -1,109 +1,143 @@
 // Package graph provides the graph machinery the mapping heuristics are
-// built on: a dense weighted undirected graph (the circGraph of Alg. 1,
-// which circuit.InteractionGraph builds, and the LLG conflict graph),
-// the degree queue and pattern tests of HiLight's placement,
-// breadth-first orders, greedy maximal independent sets (for the
-// AutoBraid-style LLG gate ordering), Kernighan–Lin recursive bisection
-// (for the AutoBraid partitioning placement), and a small binary
-// min-heap used by the A* path-finder.
+// built on: a sparse weighted undirected graph in compressed rows (the
+// circGraph of Alg. 1, which circuit.InteractionGraph builds, and the
+// LLG conflict graph), the degree queue and pattern tests of HiLight's
+// placement, breadth-first orders, greedy maximal independent sets (for
+// the AutoBraid-style LLG gate ordering), Kernighan–Lin recursive
+// bisection (for the AutoBraid partitioning placement), and a small
+// binary min-heap used by the A* path-finder.
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
-// Dense is a weighted undirected graph on vertices 0..N-1 stored as a
-// row-major adjacency matrix. Zero weight means no edge. Self-loops are
-// not representable (the diagonal is ignored).
-type Dense struct {
-	N       int
-	weights []int
+// Sparse is a weighted undirected graph on vertices 0..N-1 stored in
+// compressed rows: row u lists u's neighbors by descending edge weight,
+// ties broken by ascending index, with each edge's weight alongside.
+// Every edge sits in both of its endpoints' rows, and there are no
+// self-loops. A Sparse is immutable once built, so its rows are handed
+// out as views, and its memory is linear in its vertices and edges.
+type Sparse struct {
+	N int
+
+	offs []int   // row u is nbrs[offs[u]:offs[u+1]]
+	nbrs []int32 // every row's neighbors, row after row
+	wts  []int32 // wts[i] is the weight of the edge to nbrs[i]
+	wdeg []int   // per vertex, the sum of its row's weights
 }
 
-// NewDense returns an empty graph on n vertices.
-func NewDense(n int) *Dense {
+// NewSparse builds the graph on n vertices in which edge {u,v} weighs
+// the number of indices i < m at which pair(i) returns u and v, in
+// either order. A pair with u == v is a self-loop and adds nothing.
+// pair is called twice per index and must return the same pair both
+// times. The build counts each row's pair ends, fills every row out of
+// one array, merges repeated pairs row by row through a vertex-indexed
+// slot table and sorts each row: O(m + n + edges·log degree) time and
+// O(m + n) memory.
+func NewSparse(n, m int, pair func(i int) (u, v int)) *Sparse {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	return &Dense{N: n, weights: make([]int, n*n)}
-}
-
-// AddEdge adds w to the weight of edge {u,v}. Adding to the diagonal is a
-// no-op.
-func (g *Dense) AddEdge(u, v, w int) {
-	if u == v {
-		return
+	g := &Sparse{N: n, offs: make([]int, n+1), wdeg: make([]int, n)}
+	offs := g.offs
+	for i := 0; i < m; i++ {
+		if u, v := pair(i); u != v {
+			offs[u+1]++
+			offs[v+1]++
+		}
 	}
-	g.weights[u*g.N+v] += w
-	g.weights[v*g.N+u] += w
-}
-
-// Weight returns the weight of edge {u,v} (0 when absent).
-func (g *Dense) Weight(u, v int) int { return g.weights[u*g.N+v] }
-
-// WeightedDegree returns the total incident edge weight of u.
-func (g *Dense) WeightedDegree(u int) int {
-	s := 0
-	for v := 0; v < g.N; v++ {
-		s += g.weights[u*g.N+v]
+	for u := 0; u < n; u++ {
+		offs[u+1] += offs[u]
 	}
-	return s
+	// Each pair end is a sort key, (MaxUint32 − weight)<<32 | neighbor,
+	// so ascending keys are the row order: heaviest first, then lowest
+	// index. offs[u] serves as row u's fill cursor, and ends at row u+1's
+	// start.
+	keys := make([]uint64, offs[n])
+	for i := 0; i < m; i++ {
+		if u, v := pair(i); u != v {
+			keys[offs[u]] = key(1, v)
+			offs[u]++
+			keys[offs[v]] = key(1, u)
+			offs[v]++
+		}
+	}
+	copy(offs[1:], offs[:n])
+	offs[0] = 0
+	// Merge each row's repeated pairs into the first: slot[v] is where
+	// the current row holds v, when it is at or past the row's start.
+	slot := make([]int, n)
+	for v := range slot {
+		slot[v] = -1
+	}
+	out := 0
+	for u := 0; u < n; u++ {
+		start := out
+		for _, k := range keys[offs[u]:offs[u+1]] {
+			v := int(uint32(k))
+			if s := slot[v]; s >= start {
+				keys[s] -= 1 << 32
+				continue
+			}
+			slot[v] = out
+			keys[out] = k
+			out++
+		}
+		offs[u] = start
+		slices.Sort(keys[start:out])
+	}
+	offs[n] = out
+	g.nbrs = make([]int32, out)
+	g.wts = make([]int32, out)
+	for u := 0; u < n; u++ {
+		for i := offs[u]; i < offs[u+1]; i++ {
+			g.nbrs[i] = int32(uint32(keys[i]))
+			g.wts[i] = int32(math.MaxUint32 - uint32(keys[i]>>32))
+			g.wdeg[u] += int(g.wts[i])
+		}
+	}
+	return g
 }
+
+// key is the row sort key of an edge of weight w to v.
+func key(w, v int) uint64 { return uint64(math.MaxUint32-uint32(w))<<32 | uint64(v) }
 
 // Neighbors returns the neighbors of u sorted by descending edge weight,
-// ties broken by ascending index. On the circGraph this is the
-// SortByMaxDegree(circQueue[q]) step of Alg. 1.
-func (g *Dense) Neighbors(u int) []int {
-	row := g.weights[u*g.N : (u+1)*g.N]
-	var out []int
-	for v, w := range row {
-		if w > 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		wa, wb := row[out[a]], row[out[b]]
-		if wa != wb {
-			return wa > wb
-		}
-		return out[a] < out[b]
-	})
-	return out
-}
+// ties broken by ascending index: on the circGraph, the
+// SortByMaxDegree(circQueue[q]) step of Alg. 1. The slice is a view of
+// the graph and must not be modified.
+func (g *Sparse) Neighbors(u int) []int32 { return g.nbrs[g.offs[u]:g.offs[u+1]] }
+
+// Weights returns the weights of u's edges in Neighbors(u)'s order. The
+// slice is a view of the graph and must not be modified.
+func (g *Sparse) Weights(u int) []int32 { return g.wts[g.offs[u]:g.offs[u+1]] }
 
 // Degree returns the number of distinct neighbors of u.
-func (g *Dense) Degree(u int) int {
-	d := 0
-	for _, w := range g.weights[u*g.N : (u+1)*g.N] {
-		if w > 0 {
-			d++
-		}
-	}
-	return d
-}
+func (g *Sparse) Degree(u int) int { return g.offs[u+1] - g.offs[u] }
+
+// WeightedDegree returns the total incident edge weight of u.
+func (g *Sparse) WeightedDegree(u int) int { return g.wdeg[u] }
 
 // QueueByDegree returns all vertices sorted by descending degree, ties
 // broken by descending weighted degree then ascending index: on the
 // circGraph, the circQueue of Alg. 1. Vertices without edges sort last.
-func (g *Dense) QueueByDegree() []int {
+func (g *Sparse) QueueByDegree() []int {
 	out := make([]int, g.N)
-	deg := make([]int, g.N)
-	wsum := make([]int, g.N)
 	for q := range out {
 		out[q] = q
-		deg[q] = g.Degree(q)
-		wsum[q] = g.WeightedDegree(q)
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		qa, qb := out[a], out[b]
-		if deg[qa] != deg[qb] {
-			return deg[qa] > deg[qb]
+	slices.SortFunc(out, func(a, b int) int {
+		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
+			return c
 		}
-		if wsum[qa] != wsum[qb] {
-			return wsum[qa] > wsum[qb]
+		if c := cmp.Compare(g.wdeg[b], g.wdeg[a]); c != 0 {
+			return c
 		}
-		return qa < qb
+		return cmp.Compare(a, b)
 	})
 	return out
 }
@@ -114,15 +148,17 @@ func (g *Dense) QueueByDegree() []int {
 // Ising, GHZ, W, VQE, graph-state circuits). Isolated vertices are
 // permitted; they simply ride along. The second return value is the
 // chain order when linear.
-func (g *Dense) IsLinearChain() (bool, []int) {
-	var ends []int
-	active := 0
+func (g *Sparse) IsLinearChain() (bool, []int) {
+	start, ends, active := -1, 0, 0
 	for q := 0; q < g.N; q++ {
 		switch d := g.Degree(q); {
 		case d == 0:
 			continue
 		case d == 1:
-			ends = append(ends, q)
+			if ends == 0 {
+				start = q
+			}
+			ends++
 			active++
 		case d == 2:
 			active++
@@ -130,21 +166,19 @@ func (g *Dense) IsLinearChain() (bool, []int) {
 			return false, nil
 		}
 	}
-	if active == 0 || len(ends) != 2 {
+	if active == 0 || ends != 2 {
 		return false, nil
 	}
-	// Walk from one end; a cycle or a second component fails the walk.
-	start := ends[0]
-	order := []int{start}
+	// Walk from the lower-index end; a cycle or a second component
+	// leaves vertices with edges off the walk.
+	order := make([]int, 0, g.N)
+	order = append(order, start)
 	prev, cur := -1, start
 	for {
 		next := -1
-		for j := 0; j < g.N; j++ {
-			if j != prev && g.Weight(cur, j) > 0 {
-				if next != -1 {
-					return false, nil
-				}
-				next = j
+		for _, v := range g.Neighbors(cur) {
+			if int(v) != prev {
+				next = int(v)
 			}
 		}
 		if next == -1 {
@@ -168,19 +202,11 @@ func (g *Dense) IsLinearChain() (bool, []int) {
 // Density returns the fraction of vertex pairs joined by an edge: 1.0
 // means a complete graph (a QFT-like circGraph). Pattern matching uses
 // it to pick the random layout for dynamic-interaction algorithms.
-func (g *Dense) Density() float64 {
+func (g *Sparse) Density() float64 {
 	if g.N < 2 {
 		return 0
 	}
-	pairs := 0
-	for i := 0; i < g.N; i++ {
-		for j := i + 1; j < g.N; j++ {
-			if g.Weight(i, j) > 0 {
-				pairs++
-			}
-		}
-	}
-	return float64(pairs) / float64(g.N*(g.N-1)/2)
+	return float64(len(g.nbrs)/2) / float64(g.N*(g.N-1)/2)
 }
 
 // BFSOrder returns vertices in breadth-first order from start, visiting
@@ -188,32 +214,30 @@ func (g *Dense) Density() float64 {
 // are appended afterwards in ascending index order, each starting a fresh
 // BFS from the lowest-index unvisited vertex, so the result is always a
 // permutation of all vertices.
-func (g *Dense) BFSOrder(start int) []int {
+func (g *Sparse) BFSOrder(start int) []int {
 	order := make([]int, 0, g.N)
+	if g.N == 0 {
+		return order
+	}
 	seen := make([]bool, g.N)
-	var bfs func(int)
-	bfs = func(s int) {
-		queue := []int{s}
+	// visit appends the component of s in breadth-first order; the
+	// vertices of order from head on are its queue.
+	visit := func(s int) {
 		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			order = append(order, u)
-			for _, v := range g.Neighbors(u) {
+		order = append(order, s)
+		for head := len(order) - 1; head < len(order); head++ {
+			for _, v := range g.Neighbors(order[head]) {
 				if !seen[v] {
 					seen[v] = true
-					queue = append(queue, v)
+					order = append(order, int(v))
 				}
 			}
 		}
 	}
-	if g.N == 0 {
-		return order
-	}
-	bfs(start)
+	visit(start)
 	for v := 0; v < g.N; v++ {
 		if !seen[v] {
-			bfs(v)
+			visit(v)
 		}
 	}
 	return order
@@ -221,10 +245,10 @@ func (g *Dense) BFSOrder(start int) []int {
 
 // MaxWeightVertex returns the vertex with the largest weighted degree
 // (lowest index on ties); -1 for an empty graph.
-func (g *Dense) MaxWeightVertex() int {
+func (g *Sparse) MaxWeightVertex() int {
 	best, bestW := -1, -1
-	for v := 0; v < g.N; v++ {
-		if w := g.WeightedDegree(v); w > bestW {
+	for v, w := range g.wdeg {
+		if w > bestW {
 			best, bestW = v, w
 		}
 	}
@@ -236,18 +260,16 @@ func (g *Dense) MaxWeightVertex() int {
 // the selection step of the AutoBraid-style LLG gate ordering: the graph
 // is a conflict graph between executable gates, and an independent set is
 // a group of gates whose braiding paths can coexist.
-func (g *Dense) GreedyIndependentSet(candidates []int) []int {
-	blocked := make(map[int]bool, len(candidates))
+func (g *Sparse) GreedyIndependentSet(candidates []int) []int {
+	blocked := make([]bool, g.N)
 	var out []int
 	for _, v := range candidates {
 		if blocked[v] {
 			continue
 		}
 		out = append(out, v)
-		for u := 0; u < g.N; u++ {
-			if g.weights[v*g.N+u] > 0 {
-				blocked[u] = true
-			}
+		for _, u := range g.Neighbors(v) {
+			blocked[u] = true
 		}
 		blocked[v] = true
 	}

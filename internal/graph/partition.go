@@ -1,6 +1,10 @@
 package graph
 
-import "math/rand"
+import (
+	"cmp"
+	"math/rand"
+	"slices"
+)
 
 // BisectK splits verts into a left part of exactly leftSize vertices and
 // a right part with the rest, heuristically minimizing the cut weight.
@@ -8,8 +12,8 @@ import "math/rand"
 // degree-seeded initial split — the iterative graph-partitioning
 // primitive AutoBraid's placement is built from. rng drives tie-breaking;
 // pass a deterministic source for reproducible placements. leftSize is
-// clamped to [0, len(verts)].
-func (g *Dense) BisectK(verts []int, leftSize int, rng *rand.Rand) (left, right []int) {
+// clamped to [0, len(verts)]; verts must be distinct.
+func (g *Sparse) BisectK(verts []int, leftSize int, rng *rand.Rand) (left, right []int) {
 	n := len(verts)
 	if leftSize < 0 {
 		leftSize = 0
@@ -26,90 +30,112 @@ func (g *Dense) BisectK(verts []int, leftSize int, rng *rand.Rand) (left, right 
 	if leftSize == n {
 		return append([]int(nil), verts...), nil
 	}
+	// pos[v] is 1 + v's index in verts, 0 when v is not in the subset;
+	// every per-vertex quantity below is kept at that index, and an edge
+	// counts only when both ends are in the subset.
+	pos := make([]int32, g.N)
+	for i, v := range verts {
+		pos[v] = int32(i + 1)
+	}
 	// Seed: order by weighted degree within the subset, fill the left half
 	// with the heaviest vertices, then let refinement pull partners
 	// together.
-	subDeg := func(v int) int {
-		s := 0
-		for _, u := range verts {
-			s += g.Weight(v, u)
+	subDeg := make([]int, n)
+	for i, v := range verts {
+		w := g.Weights(v)
+		for k, u := range g.Neighbors(v) {
+			if pos[u] != 0 {
+				subDeg[i] += int(w[k])
+			}
 		}
-		return s
 	}
 	ordered := append([]int(nil), verts...)
 	rng.Shuffle(len(ordered), func(i, j int) { ordered[i], ordered[j] = ordered[j], ordered[i] })
-	insertionSortBy(ordered, subDeg)
-
-	side := map[int]bool{} // true = left
+	slices.SortStableFunc(ordered, func(a, b int) int {
+		return cmp.Compare(subDeg[pos[b]-1], subDeg[pos[a]-1])
+	})
+	isLeft := make([]bool, n)
 	for i, v := range ordered {
-		side[v] = i < leftSize
+		isLeft[pos[v]-1] = i < leftSize
+	}
+
+	// gain[i] is verts[i]'s external minus internal weight under the
+	// current sides; move keeps every gain current as a vertex changes
+	// sides, so the refinement reads each in O(1).
+	gain := make([]int, n)
+	for i, v := range verts {
+		w := g.Weights(v)
+		for k, u := range g.Neighbors(v) {
+			if j := pos[u] - 1; j >= 0 {
+				if isLeft[j] == isLeft[i] {
+					gain[i] -= int(w[k])
+				} else {
+					gain[i] += int(w[k])
+				}
+			}
+		}
+	}
+	move := func(i int) {
+		isLeft[i] = !isLeft[i]
+		gain[i] = -gain[i]
+		w := g.Weights(verts[i])
+		for k, u := range g.Neighbors(verts[i]) {
+			if j := pos[u] - 1; j >= 0 {
+				if isLeft[j] == isLeft[i] {
+					gain[j] -= 2 * int(w[k])
+				} else {
+					gain[j] += 2 * int(w[k])
+				}
+			}
+		}
+	}
+	// pivot holds the weights from the left vertex under trial to the
+	// subset, loaded from its row (scale 1) and cleared after (scale 0),
+	// so a pair's weight is one lookup.
+	pivot := make([]int, n)
+	setPivot := func(v, scale int) {
+		w := g.Weights(v)
+		for k, u := range g.Neighbors(v) {
+			if j := pos[u] - 1; j >= 0 {
+				pivot[j] = scale * int(w[k])
+			}
+		}
 	}
 
 	// Kernighan–Lin style passes: repeatedly swap the pair with the best
 	// cut-weight gain until no positive gain remains (bounded passes).
-	gain := func(v int) int {
-		// External minus internal weight for v under current sides.
-		ext, int_ := 0, 0
-		for _, u := range verts {
-			if u == v {
-				continue
-			}
-			w := g.Weight(v, u)
-			if w == 0 {
-				continue
-			}
-			if side[u] == side[v] {
-				int_ += w
-			} else {
-				ext += w
-			}
-		}
-		return ext - int_
-	}
 	for pass := 0; pass < 4; pass++ {
 		improved := false
-		for _, a := range verts {
-			if !side[a] {
+		for a := range verts {
+			if !isLeft[a] {
 				continue
 			}
-			for _, b := range verts {
-				if side[b] {
+			setPivot(verts[a], 1)
+			for b := range verts {
+				if isLeft[b] {
 					continue
 				}
 				// Swapping a (left) and b (right) changes the cut by
 				// -(gain(a)+gain(b)) + 2*w(a,b).
-				delta := gain(a) + gain(b) - 2*g.Weight(a, b)
-				if delta > 0 {
-					side[a], side[b] = false, true
+				if gain[a]+gain[b]-2*pivot[b] > 0 {
+					move(a)
+					move(b)
 					improved = true
 					break // a moved sides; restart with the next left vertex
 				}
 			}
+			setPivot(verts[a], 0)
 		}
 		if !improved {
 			break
 		}
 	}
-	for _, v := range verts {
-		if side[v] {
+	for i, v := range verts {
+		if isLeft[i] {
 			left = append(left, v)
 		} else {
 			right = append(right, v)
 		}
 	}
 	return left, right
-}
-
-// insertionSortBy sorts vs by descending key(v), stably.
-func insertionSortBy(vs []int, key func(int) int) {
-	for i := 1; i < len(vs); i++ {
-		v := vs[i]
-		k := key(v)
-		j := i - 1
-		for j >= 0 && key(vs[j]) < k {
-			vs[j+1] = vs[j]
-			j--
-		}
-		vs[j+1] = v
-	}
 }

@@ -138,17 +138,18 @@ func (g *Grid) Dist(a, b int) int {
 }
 
 // CardinalNeighbors returns the in-bounds, usable tiles adjacent to t
-// in N, E, S, W order — the adjacentLoc candidates of Alg. 1.
-func (g *Grid) CardinalNeighbors(t int) []int {
+// in N, E, S, W order — the adjacentLoc candidates of Alg. 1 — as the
+// first n entries of nbrs.
+func (g *Grid) CardinalNeighbors(t int) (nbrs [4]int, n int) {
 	x, y := g.TileXY(t)
-	var out []int
 	for _, d := range [4][2]int{{0, -1}, {1, 0}, {0, 1}, {-1, 0}} {
 		nx, ny := x+d[0], y+d[1]
 		if g.InBounds(nx, ny) && g.Usable(g.TileAt(nx, ny)) {
-			out = append(out, g.TileAt(nx, ny))
+			nbrs[n] = g.TileAt(nx, ny)
+			n++
 		}
 	}
-	return out
+	return nbrs, n
 }
 
 // Reserve marks the rectangle of tiles [x0,x1]×[y0,y1] (inclusive) as a

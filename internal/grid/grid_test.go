@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -74,18 +75,18 @@ func TestDistAndCardinalNeighbors(t *testing.T) {
 	if d := g.Dist(g.TileAt(0, 0), g.TileAt(3, 2)); d != 5 {
 		t.Errorf("Dist = %d", d)
 	}
-	n := g.CardinalNeighbors(g.TileAt(1, 1))
-	if len(n) != 4 {
-		t.Errorf("interior neighbors = %v", n)
+	nb, n := g.CardinalNeighbors(g.TileAt(1, 1))
+	if want := [4]int{1, 6, 9, 4}; n != 4 || nb != want { // N, E, S, W
+		t.Errorf("interior neighbors = %v", nb[:n])
 	}
-	n = g.CardinalNeighbors(g.TileAt(0, 0))
-	if len(n) != 2 {
-		t.Errorf("corner neighbors = %v", n)
+	nb, n = g.CardinalNeighbors(g.TileAt(0, 0))
+	if n != 2 {
+		t.Errorf("corner neighbors = %v", nb[:n])
 	}
 	g.ReserveTile(g.TileAt(1, 0))
-	n = g.CardinalNeighbors(g.TileAt(0, 0))
-	if len(n) != 1 {
-		t.Errorf("neighbors with reserved = %v", n)
+	nb, n = g.CardinalNeighbors(g.TileAt(0, 0))
+	if n != 1 || nb[0] != g.TileAt(0, 1) {
+		t.Errorf("neighbors with reserved = %v", nb[:n])
 	}
 }
 
@@ -245,13 +246,13 @@ func TestLayoutAssignValidate(t *testing.T) {
 	if err := l.Validate(g); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if l.Complete() {
-		t.Error("partial layout reported complete")
+	if !slices.Contains(l.QubitTile, -1) {
+		t.Error("partial layout has every qubit mapped")
 	}
 	l.Assign(2, 0, g)
 	l.Assign(3, 2, g)
-	if !l.Complete() {
-		t.Error("complete layout reported incomplete")
+	if slices.Contains(l.QubitTile, -1) {
+		t.Error("complete layout has an unmapped qubit")
 	}
 	mustPanic := func(f func()) {
 		t.Helper()
@@ -327,7 +328,7 @@ func TestLayoutRandomAssignProperty(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			l.Swap(rng.Intn(g.Tiles()), rng.Intn(g.Tiles()))
 		}
-		return l.Validate(g) == nil && l.Complete()
+		return l.Validate(g) == nil && !slices.Contains(l.QubitTile, -1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

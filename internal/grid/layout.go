@@ -60,16 +60,6 @@ func (l *Layout) Swap(t1, t2 int) {
 	}
 }
 
-// Complete reports whether every program qubit is mapped.
-func (l *Layout) Complete() bool {
-	for _, t := range l.QubitTile {
-		if t == -1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a deep copy.
 func (l *Layout) Clone() *Layout {
 	return &Layout{

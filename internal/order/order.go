@@ -167,19 +167,19 @@ func (LLG) Order(ready []Ready, g *grid.Grid) []Ready {
 		boxes[i] = box{min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)}
 		length[i] = g.Dist(r.CtlTile, r.TgtTile)
 	}
-	// Conflict graph, rebuilt every call (the cost the paper measures).
-	cg := graph.NewDense(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			// Boxes sharing a tile row/column boundary still conflict:
-			// braids hug tile corners, so expand by nothing but compare
-			// with closed intervals.
-			if boxes[i].x0 <= boxes[j].x1 && boxes[j].x0 <= boxes[i].x1 &&
-				boxes[i].y0 <= boxes[j].y1 && boxes[j].y0 <= boxes[i].y1 {
-				cg.AddEdge(i, j, 1)
-			}
+	// Conflict graph, rebuilt every call (the cost the paper measures):
+	// pair k stands for gates k/n < k%n.
+	cg := graph.NewSparse(n, n*n, func(k int) (int, int) {
+		i, j := k/n, k%n
+		// Boxes sharing a tile row/column boundary still conflict:
+		// braids hug tile corners, so expand by nothing but compare
+		// with closed intervals.
+		if i < j && boxes[i].x0 <= boxes[j].x1 && boxes[j].x0 <= boxes[i].x1 &&
+			boxes[i].y0 <= boxes[j].y1 && boxes[j].y0 <= boxes[i].y1 {
+			return i, j
 		}
-	}
+		return 0, 0 // no conflict: a self-loop adds no edge
+	})
 	// Preference: longest braids first (they are hardest to place late).
 	pref := make([]int, n)
 	for i := range pref {

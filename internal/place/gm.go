@@ -45,7 +45,7 @@ func (m GM) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
 			start = m.Rng.Intn(c.NumQubits)
 		}
 		l := m.placeOnce(c, g, ig, free, start)
-		cost := Score(l, c, g)
+		cost := Score(l, ig, g)
 		if cost < bestCost {
 			best, bestCost = l, cost
 		}
@@ -55,31 +55,32 @@ func (m GM) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
 
 // placeOnce performs one BFS-guided greedy embedding starting from qubit
 // start.
-func (m GM) placeOnce(c *circuit.Circuit, g *grid.Grid, ig *graph.Dense, free []int, start int) *grid.Layout {
+func (m GM) placeOnce(c *circuit.Circuit, g *grid.Grid, ig *graph.Sparse, free []int, start int) *grid.Layout {
 	l := grid.NewLayout(c.NumQubits, g)
+	center := g.Center()
 	order := ig.BFSOrder(start)
 	for i, q := range order {
 		if i == 0 {
-			l.Assign(q, g.Center(), g)
+			l.Assign(q, center, g)
 			continue
 		}
 		// Exhaustive candidate scan: score every free tile by the summed
 		// weighted distance to all placed partners of q.
-		nbrs := ig.Neighbors(q)
+		nbrs, wts := ig.Neighbors(q), ig.Weights(q)
 		bestTile, bestCost := -1, 1<<62
 		for _, t := range free {
 			if l.TileQubit[t] != -1 {
 				continue
 			}
 			cost := 0
-			for _, nb := range nbrs {
+			for k, nb := range nbrs {
 				if pt := l.QubitTile[nb]; pt != -1 {
-					cost += ig.Weight(q, nb) * g.Dist(t, pt)
+					cost += int(wts[k]) * g.Dist(t, pt)
 				}
 			}
 			// Light tie-break toward the center keeps disconnected
 			// components compact.
-			cost = cost*1024 + g.Dist(t, g.Center())
+			cost = cost*1024 + g.Dist(t, center)
 			if cost < bestCost {
 				bestTile, bestCost = t, cost
 			}

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 
 	"hilight/internal/circuit"
+	"hilight/internal/graph"
 	"hilight/internal/grid"
 )
 
@@ -86,73 +87,123 @@ func (Proximity) Name() string { return "proximity" }
 
 // Place implements Method.
 func (Proximity) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
+	return proximity(circuit.InteractionGraph(c), c, g)
+}
+
+// proximity is Alg. 1 on the circGraph m of c.
+func proximity(m *graph.Sparse, c *circuit.Circuit, g *grid.Grid) *grid.Layout {
 	l := grid.NewLayout(c.NumQubits, g)
-	m := circuit.InteractionGraph(c)
-	queue := m.QueueByDegree()
-
-	// FindClosestUnmappedLoc: nearest usable, unoccupied tile to ref.
-	closestFree := func(ref int) int {
-		best, bestD := -1, 1<<30
-		for t := 0; t < g.Tiles(); t++ {
-			if !g.Usable(t) || l.TileQubit[t] != -1 {
-				continue
-			}
-			if d := g.Dist(ref, t); d < bestD {
-				best, bestD = t, d
-			}
-		}
-		return best
-	}
-
-	for i, q := range queue {
-		if l.Complete() {
+	center := g.Center()
+	free := newRingSearch(g, l)
+	placed := 0
+	for i, q := range m.QueueByDegree() {
+		if placed == c.NumQubits {
 			break
 		}
 		neighbors := m.Neighbors(q)
 		if l.QubitTile[q] == -1 {
-			switch {
-			case i == 0:
-				l.Assign(q, g.Center(), g)
-			default:
+			ref := center
+			if i > 0 {
 				// refLoc: the location of the first already-mapped
-				// neighbor (heaviest first); fall back to the grid center
-				// for disconnected qubits.
-				ref := -1
+				// neighbor (heaviest first); the grid center for
+				// disconnected qubits.
 				for _, nb := range neighbors {
-					if l.QubitTile[nb] != -1 {
-						ref = l.QubitTile[nb]
+					if t := l.QubitTile[nb]; t != -1 {
+						ref = t
 						break
 					}
 				}
-				if ref == -1 {
-					ref = g.Center()
-				}
-				l.Assign(q, closestFree(ref), g)
+				ref = free.closest(ref)
 			}
+			l.Assign(q, ref, g)
+			placed++
 		}
 		// Fan the unmapped heavy partners out into the free cardinal
-		// positions around π[q] (Alg. 1 lines 12–15).
-		var adjQubits []int
+		// positions around π[q] (Alg. 1 lines 12–15), heaviest partner
+		// first, in N, E, S, W order.
+		adj, n := g.CardinalNeighbors(l.QubitTile[q])
+		k := 0
 		for _, nb := range neighbors {
-			if l.QubitTile[nb] == -1 {
-				adjQubits = append(adjQubits, nb)
+			if l.QubitTile[nb] != -1 {
+				continue
 			}
-		}
-		var adjLocs []int
-		for _, t := range g.CardinalNeighbors(l.QubitTile[q]) {
-			if l.TileQubit[t] == -1 {
-				adjLocs = append(adjLocs, t)
+			for k < n && l.TileQubit[adj[k]] != -1 {
+				k++
 			}
-		}
-		n := len(adjQubits)
-		if len(adjLocs) < n {
-			n = len(adjLocs)
-		}
-		for k := 0; k < n; k++ {
-			l.Assign(adjQubits[k], adjLocs[k], g)
+			if k == n {
+				break
+			}
+			l.Assign(int(nb), adj[k], g)
+			placed++
+			k++
 		}
 	}
 	return l
+}
+
+// ringSearch is FindClosestUnmappedLoc of Alg. 1: the usable tile no
+// qubit holds that lies closest to a reference tile, least Manhattan
+// distance first, then least index — the tile a scan of every tile
+// picks. It walks rings of growing distance around the reference, each
+// ring in ascending tile index, and each reference's search resumes at
+// the tile its previous search returned: tiles only fill during a
+// placement, so every tile a search passed over is still taken. A
+// reference's searches together visit each tile once, not once per
+// qubit placed.
+type ringSearch struct {
+	g    *grid.Grid
+	l    *grid.Layout
+	last []int32 // per reference tile, 1 + the tile its last search returned; 0 before its first
+}
+
+func newRingSearch(g *grid.Grid, l *grid.Layout) *ringSearch {
+	return &ringSearch{g: g, l: l, last: make([]int32, g.Tiles())}
+}
+
+// closest returns the closest free usable tile to ref, or -1 when every
+// usable tile is taken.
+func (r *ringSearch) closest(ref int) int {
+	g := r.g
+	rx, ry := g.TileXY(ref)
+	// The search position: ring d, row y, and side s of the row's two
+	// ring tiles (0 west of ref, 1 east).
+	d, y, s := 0, ry, 0
+	if t := int(r.last[ref]) - 1; t >= 0 {
+		x, ty := g.TileXY(t)
+		d, y = abs(x-rx)+abs(ty-ry), ty
+		if x > rx {
+			s = 1
+		}
+	}
+	for maxD := g.W + g.H - 2; d <= maxD; d, y, s = d+1, max(ry-d-1, 0), 0 {
+		for ; y <= min(ry+d, g.H-1); y, s = y+1, 0 {
+			dx := d - abs(y-ry)
+			for ; s < 2; s++ {
+				x := rx - dx
+				if s == 1 {
+					if dx == 0 {
+						break // the ring's one tile in this row
+					}
+					x = rx + dx
+				}
+				if x < 0 || x >= g.W {
+					continue
+				}
+				if t := g.TileAt(x, y); g.Usable(t) && r.l.TileQubit[t] == -1 {
+					r.last[ref] = int32(t + 1)
+					return t
+				}
+			}
+		}
+	}
+	return -1
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // Pattern implements the paper's pattern matching. Match returns the
@@ -173,7 +224,11 @@ func (Pattern) Name() string { return "pattern" }
 
 // Match attempts pattern detection and returns (layout, true) on success.
 func (p Pattern) Match(c *circuit.Circuit, g *grid.Grid) (*grid.Layout, bool) {
-	m := circuit.InteractionGraph(c)
+	return p.match(circuit.InteractionGraph(c), c, g)
+}
+
+// match is Match on the circGraph m of c.
+func (p Pattern) match(m *graph.Sparse, c *circuit.Circuit, g *grid.Grid) (*grid.Layout, bool) {
 	if ok, chain := m.IsLinearChain(); ok {
 		return p.linearLayout(chain, c, g), true
 	}
@@ -191,12 +246,14 @@ func (p Pattern) Match(c *circuit.Circuit, g *grid.Grid) (*grid.Layout, bool) {
 	return nil, false
 }
 
-// Place implements Method: Match with Proximity fallback.
+// Place implements Method: Match with Proximity fallback, both on one
+// circGraph.
 func (p Pattern) Place(c *circuit.Circuit, g *grid.Grid) *grid.Layout {
-	if l, ok := p.Match(c, g); ok {
+	m := circuit.InteractionGraph(c)
+	if l, ok := p.match(m, c, g); ok {
 		return l
 	}
-	return Proximity{}.Place(c, g)
+	return proximity(m, c, g)
 }
 
 // linearLayout maps the chain order along a boustrophedon walk of the

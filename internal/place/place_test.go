@@ -2,6 +2,8 @@ package place
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -58,7 +60,7 @@ func TestAllMethodsProduceCompleteValidLayouts(t *testing.T) {
 			if err := l.Validate(g); err != nil {
 				t.Errorf("%s on %s: %v", m.Name(), c.Name, err)
 			}
-			if !l.Complete() {
+			if slices.Contains(l.QubitTile, -1) {
 				t.Errorf("%s on %s: incomplete layout", m.Name(), c.Name)
 			}
 		}
@@ -165,12 +167,13 @@ func TestGMBeatsIdentityOnClusteredCircuit(t *testing.T) {
 		}
 	}
 	g := grid.Square(16)
-	idCost := Score(Identity{}.Place(c, g), c, g)
-	gmCost := Score(GM{Rng: rand.New(rand.NewSource(1))}.Place(c, g), c, g)
+	m := circuit.InteractionGraph(c)
+	idCost := Score(Identity{}.Place(c, g), m, g)
+	gmCost := Score(GM{Rng: rand.New(rand.NewSource(1))}.Place(c, g), m, g)
 	if gmCost >= idCost {
 		t.Errorf("GM cost %d not better than identity %d", gmCost, idCost)
 	}
-	proxCost := Score(Proximity{}.Place(c, g), c, g)
+	proxCost := Score(Proximity{}.Place(c, g), m, g)
 	if proxCost >= idCost {
 		t.Errorf("Proximity cost %d not better than identity %d", proxCost, idCost)
 	}
@@ -204,7 +207,7 @@ func TestPlacementBijectionProperty(t *testing.T) {
 		g := grid.Rect(n)
 		for _, m := range allMethods() {
 			l := m.Place(c, g)
-			if l.Validate(g) != nil || !l.Complete() {
+			if l.Validate(g) != nil || slices.Contains(l.QubitTile, -1) {
 				return false
 			}
 		}
@@ -212,5 +215,96 @@ func TestPlacementBijectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanClosestFree is FindClosestUnmappedLoc as a scan of every tile:
+// the usable tile no qubit holds at the least distance from ref, least
+// index first; -1 when there is none. ringSearch is held to it.
+func scanClosestFree(g *grid.Grid, l *grid.Layout, ref int) int {
+	best, bestD := -1, 1<<30
+	for t := 0; t < g.Tiles(); t++ {
+		if !g.Usable(t) || l.TileQubit[t] != -1 {
+			continue
+		}
+		if d := g.Dist(ref, t); d < bestD {
+			best, bestD = t, d
+		}
+	}
+	return best
+}
+
+// TestRingSearchMatchesScan holds the resumed ring search to the scan of
+// every tile on seeded random grids with a reserved block and defective
+// tiles, as the grid fills in a random order: between fills, searches
+// from a few reused references (which resume) and from fresh random ones
+// must return the tile the scan returns, until no free tile is left.
+func TestRingSearchMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		g := grid.New(1+rng.Intn(14), 1+rng.Intn(14))
+		if rng.Intn(2) == 0 && g.W > 2 && g.H > 2 {
+			x, y := rng.Intn(g.W-1), rng.Intn(g.H-1)
+			if err := g.Reserve(x, y, x+rng.Intn(2), y+rng.Intn(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var dead grid.DefectMap
+		for i := rng.Intn(g.Tiles()/4 + 1); i > 0; i-- {
+			if tile := rng.Intn(g.Tiles()); !slices.Contains(dead.Tiles, tile) {
+				dead.Tiles = append(dead.Tiles, tile)
+			}
+		}
+		if err := g.ApplyDefects(&dead); err != nil {
+			t.Fatal(err)
+		}
+		l := grid.NewLayout(g.Capacity(), g)
+		rs := newRingSearch(g, l)
+		refs := []int{rng.Intn(g.Tiles()), rng.Intn(g.Tiles()), rng.Intn(g.Tiles())}
+		for q := 0; ; q++ {
+			for i := 0; i < 3; i++ {
+				ref := refs[rng.Intn(len(refs))]
+				if i == 2 {
+					ref = rng.Intn(g.Tiles())
+				}
+				if got, want := rs.closest(ref), scanClosestFree(g, l, ref); got != want {
+					t.Fatalf("trial %d (%dx%d, %d placed): closest(%d) = %d, want %d", trial, g.W, g.H, q, ref, got, want)
+				}
+			}
+			if q == g.Capacity() {
+				break
+			}
+			// Fill the tile a search picks, as Proximity does, or a random
+			// free one, which skips ahead of every reference's ring.
+			next := rs.closest(refs[rng.Intn(len(refs))])
+			if rng.Intn(3) == 0 {
+				for next = rng.Intn(g.Tiles()); !g.Usable(next) || l.TileQubit[next] != -1; next = rng.Intn(g.Tiles()) {
+				}
+			}
+			l.Assign(q, next, g)
+		}
+	}
+}
+
+// TestWidePlacementMemory places a 4,096-qubit circuit of four CX that
+// no pattern matches (a star on five qubits, the rest idle) through
+// HiLight's placement: its memory follows the circuit and the grid, not
+// the width squared, so it allocates under 4 MB (an n² circGraph alone
+// is 134 MB).
+func TestWidePlacementMemory(t *testing.T) {
+	c := circuit.New("wide-star", 4096)
+	for q := 1; q <= 4; q++ {
+		c.Add2(circuit.CX, 0, q)
+	}
+	g := grid.Rect(c.NumQubits)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := HiLight{}.Place(c, g)
+	runtime.ReadMemStats(&after)
+	if err := l.Validate(g); err != nil || slices.Contains(l.QubitTile, -1) {
+		t.Fatalf("layout not complete and valid: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4_000_000 {
+		t.Errorf("placement allocated %d bytes, want under 4 MB", got)
 	}
 }

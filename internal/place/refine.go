@@ -2,6 +2,7 @@ package place
 
 import (
 	"hilight/internal/circuit"
+	"hilight/internal/graph"
 	"hilight/internal/grid"
 )
 
@@ -24,8 +25,9 @@ func Refine(l *grid.Layout, c *circuit.Circuit, g *grid.Grid, maxRounds int) *gr
 	// qubitCost is the weighted distance from q to all its partners.
 	qubitCost := func(lay *grid.Layout, q, tile int) int {
 		cost := 0
-		for _, nb := range m.Neighbors(q) {
-			cost += m.Weight(q, nb) * g.Dist(tile, lay.QubitTile[nb])
+		wts := m.Weights(q)
+		for k, nb := range m.Neighbors(q) {
+			cost += int(wts[k]) * g.Dist(tile, lay.QubitTile[nb])
 		}
 		return cost
 	}
@@ -76,15 +78,16 @@ func Refine(l *grid.Layout, c *circuit.Circuit, g *grid.Grid, maxRounds int) *gr
 	return out
 }
 
-// Score returns the total weighted interaction distance of a layout —
-// the objective Refine minimizes and GM ranks its restarts by.
-func Score(l *grid.Layout, c *circuit.Circuit, g *grid.Grid) int {
-	m := circuit.InteractionGraph(c)
+// Score returns the total weighted interaction distance of a layout on
+// the circGraph m — the objective Refine minimizes and GM ranks its
+// restarts by. It walks every edge once, from its lower end's row.
+func Score(l *grid.Layout, m *graph.Sparse, g *grid.Grid) int {
 	total := 0
-	for q := 0; q < c.NumQubits; q++ {
-		for nb := q + 1; nb < c.NumQubits; nb++ {
-			if w := m.Weight(q, nb); w > 0 {
-				total += w * g.Dist(l.QubitTile[q], l.QubitTile[nb])
+	for q := 0; q < m.N; q++ {
+		wts := m.Weights(q)
+		for k, nb := range m.Neighbors(q) {
+			if int(nb) > q {
+				total += int(wts[k]) * g.Dist(l.QubitTile[q], l.QubitTile[nb])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package place
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,9 +25,9 @@ func TestRefineImprovesRandomLayout(t *testing.T) {
 	}
 	g := grid.Rect(12)
 	bad := Random{Rng: rand.New(rand.NewSource(5))}.Place(c, g)
-	before := Score(bad, c, g)
+	before := Score(bad, circuit.InteractionGraph(c), g)
 	refined := Refine(bad, c, g, 0)
-	after := Score(refined, c, g)
+	after := Score(refined, circuit.InteractionGraph(c), g)
 	if after > before {
 		t.Fatalf("refinement worsened score: %d -> %d", before, after)
 	}
@@ -37,7 +38,7 @@ func TestRefineImprovesRandomLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The input layout must be untouched.
-	if Score(bad, c, g) != before {
+	if Score(bad, circuit.InteractionGraph(c), g) != before {
 		t.Error("Refine mutated its input")
 	}
 }
@@ -50,9 +51,9 @@ func TestRefineLeavesOptimumAlone(t *testing.T) {
 	if !ok {
 		t.Fatal("pattern should match")
 	}
-	before := Score(snake, c, g)
+	before := Score(snake, circuit.InteractionGraph(c), g)
 	refined := Refine(snake, c, g, 0)
-	if got := Score(refined, c, g); got != before {
+	if got := Score(refined, circuit.InteractionGraph(c), g); got != before {
 		t.Errorf("optimal layout changed: %d -> %d", before, got)
 	}
 }
@@ -92,7 +93,7 @@ func TestRefinedMethodComposes(t *testing.T) {
 	if err := l.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Complete() {
+	if slices.Contains(l.QubitTile, -1) {
 		t.Fatal("incomplete")
 	}
 	// Default base is Proximity.
@@ -120,12 +121,12 @@ func TestRefineMonotoneProperty(t *testing.T) {
 		}
 		g := grid.Rect(n)
 		l := Random{Rng: rng}.Place(c, g)
-		before := Score(l, c, g)
+		before := Score(l, circuit.InteractionGraph(c), g)
 		refined := Refine(l, c, g, 1+rng.Intn(20))
-		if refined.Validate(g) != nil || !refined.Complete() {
+		if refined.Validate(g) != nil || slices.Contains(refined.QubitTile, -1) {
 			return false
 		}
-		return Score(refined, c, g) <= before
+		return Score(refined, circuit.InteractionGraph(c), g) <= before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -36,81 +36,68 @@ func (LShape) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Path)
 }
 
 // lWalk builds the two-bend path from src to dst into buf's storage,
-// moving horizontally first when hFirst is set. It fails on the first
-// occupied vertex, occupied channel, or unroutable (factory-interior)
-// channel.
+// moving horizontally first when hFirst is set. It probes both legs
+// before it writes a vertex, so a blocked walk costs no buffer: it fails
+// on any occupied vertex, occupied channel, or unroutable
+// (factory-interior) channel.
 func lWalk(g *grid.Grid, occ *Occupancy, src, dst int, hFirst bool, buf Path) (Path, bool) {
 	sx, sy := g.VertexXY(src)
 	dx, dy := g.VertexXY(dst)
-	p := append(buf[:0], src)
-	cur := src
-	step := func(nx, ny int) bool {
-		next := g.VertexID(nx, ny)
+	// The horizontal leg runs along row hy, the vertical one along
+	// column vx; they meet at the bend (vx, hy).
+	hy, vx := sy, dx
+	if !hFirst {
+		hy, vx = dy, sx
+	}
+	// The horizontal leg is probed word-wide: its vertices, east channels
+	// and routability are one HRunFree call. Including the leg's first
+	// vertex only re-confirms a fact — the caller checked the corner, or
+	// the vertical leg ends on the bend.
+	if sx != dx && !occ.HRunFree(hy, min(sx, dx), max(sx, dx)) {
+		return nil, false
+	}
+	for y, step := sy, sign(dy-sy); y != dy; y += step {
+		cur, next := g.VertexID(vx, y), g.VertexID(vx, y+step)
 		if occ.VertexUsed(next) || !g.EdgeRoutable(cur, next) || occ.EdgeUsed(g, cur, next) {
-			return false
+			return nil, false
 		}
-		p = append(p, next)
-		cur = next
-		return true
 	}
-	// Horizontal legs are probed word-wide: the run's feasibility
-	// (vertices + east channels + routability) is one HRunFree call, and
-	// the vertices are then appended unchecked. The leg's starting vertex
-	// is always known-free (the caller checked the corner, or walkY just
-	// stepped onto the pivot), so including it in the probe only
-	// re-confirms a fact — accept/reject and the path bytes are identical
-	// to the scalar step loop.
-	walkX := func(y int) bool {
-		if sx == dx {
-			return true
-		}
-		lo, hi := sx, dx
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if !occ.HRunFree(y, lo, hi) {
-			return false
-		}
-		for x := sx; x != dx; {
-			if dx > x {
-				x++
-			} else {
-				x--
-			}
-			p = append(p, g.VertexID(x, y))
-		}
-		cur = g.VertexID(dx, y)
-		return true
-	}
-	walkY := func(x int) bool {
-		for y := sy; y != dy; {
-			if dy > y {
-				y++
-			} else {
-				y--
-			}
-			if !step(x, y) {
-				return false
-			}
-		}
-		return true
-	}
+	p := append(buf[:0], src)
 	if hFirst {
-		if !walkX(sy) {
-			return nil, false
-		}
-		sx = dx
-		if !walkY(dx) {
-			return nil, false
-		}
-	} else {
-		if !walkY(sx) {
-			return nil, false
-		}
-		sy = dy
-		if !walkX(dy) {
-			return nil, false
-		}
+		p = appendRow(g, p, sy, sx, dx)
+		return appendColumn(g, p, dx, sy, dy), true
 	}
-	return p, true
+	p = appendColumn(g, p, sx, sy, dy)
+	return appendRow(g, p, dy, sx, dx), true
+}
+
+// appendRow appends the vertices of row y after column x0, up to and
+// including column x1.
+func appendRow(g *grid.Grid, p Path, y, x0, x1 int) Path {
+	for x, step := x0, sign(x1-x0); x != x1; {
+		x += step
+		p = append(p, g.VertexID(x, y))
+	}
+	return p
+}
+
+// appendColumn appends the vertices of column x after row y0, up to and
+// including row y1.
+func appendColumn(g *grid.Grid, p Path, x, y0, y1 int) Path {
+	for y, step := y0, sign(y1-y0); y != y1; {
+		y += step
+		p = append(p, g.VertexID(x, y))
+	}
+	return p
+}
+
+// sign returns -1, 0 or 1 as v is negative, zero or positive.
+func sign(v int) int {
+	switch {
+	case v < 0:
+		return -1
+	case v > 0:
+		return 1
+	}
+	return 0
 }

@@ -58,6 +58,28 @@ func TestLShapeDefersWhenBothBendsBlocked(t *testing.T) {
 	}
 }
 
+// TestLShapeFailedFindAllocatesNothing holds a Find that fails on every
+// corner pair to zero allocations with a nil buffer: each bend is probed
+// before a vertex is written, so only a free walk takes storage.
+func TestLShapeFailedFindAllocatesNothing(t *testing.T) {
+	g := grid.New(5, 3)
+	occ := NewOccupancy(g)
+	var wall Path
+	for y := 1; y <= g.H; y++ {
+		wall = append(wall, g.VertexID(2, y))
+	}
+	occ.Add(g, wall)
+	var l LShape
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, ok := l.Find(g, occ, g.TileAt(0, 1), g.TileAt(4, 1), nil); ok {
+			t.Fatal("L-shape routed through a wall it cannot bend around")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("failed Find: %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestLShapeTriesBothOrientations(t *testing.T) {
 	g := grid.New(4, 4)
 	occ := NewOccupancy(g)
