@@ -3,9 +3,9 @@ package circuit
 import "hilight/internal/graph"
 
 // InteractionGraph builds the circGraph of Alg. 1: the weight of edge
-// {i,j} counts the two-qubit gates between program qubits i and j. It
-// reads the gates in one pass per build phase and stores only the pairs
-// that interact, so its size follows the circuit, not its width squared.
+// {i,j} counts the two-qubit gates between program qubits i and j. The
+// graph keeps only the pairs that interact, so its size follows the
+// circuit, not its width squared.
 func InteractionGraph(c *Circuit) *graph.Sparse {
 	return graph.NewSparse(c.NumQubits, len(c.Gates), func(i int) (int, int) {
 		if g := c.Gates[i]; g.TwoQubit() {

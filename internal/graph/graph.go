@@ -33,11 +33,11 @@ type Sparse struct {
 // NewSparse builds the graph on n vertices in which edge {u,v} weighs
 // the number of indices i < m at which pair(i) returns u and v, in
 // either order. A pair with u == v is a self-loop and adds nothing.
-// pair is called twice per index and must return the same pair both
-// times. The build counts each row's pair ends, fills every row out of
-// one array, merges repeated pairs row by row through a vertex-indexed
-// slot table and sorts each row: O(m + n + edges·log degree) time and
-// O(m + n) memory.
+// pair is called twice per index, so the pairs need not be stored, and
+// must return the same pair both times. The build counts each row's
+// pair ends, fills every row out of one array, merges repeated pairs row
+// by row through a vertex-indexed slot table and sorts each row:
+// O(m + n + edges·log degree) time and O(pairs + n) memory.
 func NewSparse(n, m int, pair func(i int) (u, v int)) *Sparse {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
@@ -57,12 +57,13 @@ func NewSparse(n, m int, pair func(i int) (u, v int)) *Sparse {
 	// so ascending keys are the row order: heaviest first, then lowest
 	// index. offs[u] serves as row u's fill cursor, and ends at row u+1's
 	// start.
+	const weight1 = (math.MaxUint32 - 1) << 32
 	keys := make([]uint64, offs[n])
 	for i := 0; i < m; i++ {
 		if u, v := pair(i); u != v {
-			keys[offs[u]] = key(1, v)
+			keys[offs[u]] = weight1 | uint64(v)
 			offs[u]++
-			keys[offs[v]] = key(1, u)
+			keys[offs[v]] = weight1 | uint64(u)
 			offs[v]++
 		}
 	}
@@ -103,9 +104,6 @@ func NewSparse(n, m int, pair func(i int) (u, v int)) *Sparse {
 	return g
 }
 
-// key is the row sort key of an edge of weight w to v.
-func key(w, v int) uint64 { return uint64(math.MaxUint32-uint32(w))<<32 | uint64(v) }
-
 // Neighbors returns the neighbors of u sorted by descending edge weight,
 // ties broken by ascending index: on the circGraph, the
 // SortByMaxDegree(circQueue[q]) step of Alg. 1. The slice is a view of
@@ -134,7 +132,7 @@ func (g *Sparse) QueueByDegree() []int {
 		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(g.wdeg[b], g.wdeg[a]); c != 0 {
+		if c := cmp.Compare(g.WeightedDegree(b), g.WeightedDegree(a)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
@@ -247,8 +245,8 @@ func (g *Sparse) BFSOrder(start int) []int {
 // (lowest index on ties); -1 for an empty graph.
 func (g *Sparse) MaxWeightVertex() int {
 	best, bestW := -1, -1
-	for v, w := range g.wdeg {
-		if w > bestW {
+	for v := 0; v < g.N; v++ {
+		if w := g.WeightedDegree(v); w > bestW {
 			best, bestW = v, w
 		}
 	}

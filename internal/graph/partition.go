@@ -31,23 +31,27 @@ func (g *Sparse) BisectK(verts []int, leftSize int, rng *rand.Rand) (left, right
 		return append([]int(nil), verts...), nil
 	}
 	// pos[v] is 1 + v's index in verts, 0 when v is not in the subset;
-	// every per-vertex quantity below is kept at that index, and an edge
-	// counts only when both ends are in the subset.
+	// every per-vertex quantity below is kept at that index, and edges
+	// calls f with each edge from v into the subset: the other end's
+	// index and the weight.
 	pos := make([]int32, g.N)
 	for i, v := range verts {
 		pos[v] = int32(i + 1)
+	}
+	edges := func(v int, f func(j, w int)) {
+		w := g.Weights(v)
+		for k, u := range g.Neighbors(v) {
+			if pos[u] != 0 {
+				f(int(pos[u]-1), int(w[k]))
+			}
+		}
 	}
 	// Seed: order by weighted degree within the subset, fill the left half
 	// with the heaviest vertices, then let refinement pull partners
 	// together.
 	subDeg := make([]int, n)
 	for i, v := range verts {
-		w := g.Weights(v)
-		for k, u := range g.Neighbors(v) {
-			if pos[u] != 0 {
-				subDeg[i] += int(w[k])
-			}
-		}
+		edges(v, func(_, w int) { subDeg[i] += w })
 	}
 	ordered := append([]int(nil), verts...)
 	rng.Shuffle(len(ordered), func(i, j int) { ordered[i], ordered[j] = ordered[j], ordered[i] })
@@ -64,43 +68,29 @@ func (g *Sparse) BisectK(verts []int, leftSize int, rng *rand.Rand) (left, right
 	// sides, so the refinement reads each in O(1).
 	gain := make([]int, n)
 	for i, v := range verts {
-		w := g.Weights(v)
-		for k, u := range g.Neighbors(v) {
-			if j := pos[u] - 1; j >= 0 {
-				if isLeft[j] == isLeft[i] {
-					gain[i] -= int(w[k])
-				} else {
-					gain[i] += int(w[k])
-				}
+		edges(v, func(j, w int) {
+			if isLeft[j] == isLeft[i] {
+				gain[i] -= w
+			} else {
+				gain[i] += w
 			}
-		}
+		})
 	}
 	move := func(i int) {
 		isLeft[i] = !isLeft[i]
 		gain[i] = -gain[i]
-		w := g.Weights(verts[i])
-		for k, u := range g.Neighbors(verts[i]) {
-			if j := pos[u] - 1; j >= 0 {
-				if isLeft[j] == isLeft[i] {
-					gain[j] -= 2 * int(w[k])
-				} else {
-					gain[j] += 2 * int(w[k])
-				}
+		edges(verts[i], func(j, w int) {
+			if isLeft[j] == isLeft[i] {
+				gain[j] -= 2 * w
+			} else {
+				gain[j] += 2 * w
 			}
-		}
+		})
 	}
 	// pivot holds the weights from the left vertex under trial to the
-	// subset, loaded from its row (scale 1) and cleared after (scale 0),
-	// so a pair's weight is one lookup.
+	// subset, loaded from its row and cleared after, so a pair's weight
+	// is one lookup.
 	pivot := make([]int, n)
-	setPivot := func(v, scale int) {
-		w := g.Weights(v)
-		for k, u := range g.Neighbors(v) {
-			if j := pos[u] - 1; j >= 0 {
-				pivot[j] = scale * int(w[k])
-			}
-		}
-	}
 
 	// Kernighan–Lin style passes: repeatedly swap the pair with the best
 	// cut-weight gain until no positive gain remains (bounded passes).
@@ -110,7 +100,7 @@ func (g *Sparse) BisectK(verts []int, leftSize int, rng *rand.Rand) (left, right
 			if !isLeft[a] {
 				continue
 			}
-			setPivot(verts[a], 1)
+			edges(verts[a], func(j, w int) { pivot[j] = w })
 			for b := range verts {
 				if isLeft[b] {
 					continue
@@ -124,7 +114,7 @@ func (g *Sparse) BisectK(verts []int, leftSize int, rng *rand.Rand) (left, right
 					break // a moved sides; restart with the next left vertex
 				}
 			}
-			setPivot(verts[a], 0)
+			edges(verts[a], func(j, _ int) { pivot[j] = 0 })
 		}
 		if !improved {
 			break

@@ -167,18 +167,21 @@ func (LLG) Order(ready []Ready, g *grid.Grid) []Ready {
 		boxes[i] = box{min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)}
 		length[i] = g.Dist(r.CtlTile, r.TgtTile)
 	}
-	// Conflict graph, rebuilt every call (the cost the paper measures):
-	// pair k stands for gates k/n < k%n.
-	cg := graph.NewSparse(n, n*n, func(k int) (int, int) {
-		i, j := k/n, k%n
-		// Boxes sharing a tile row/column boundary still conflict:
-		// braids hug tile corners, so expand by nothing but compare
-		// with closed intervals.
-		if i < j && boxes[i].x0 <= boxes[j].x1 && boxes[j].x0 <= boxes[i].x1 &&
-			boxes[i].y0 <= boxes[j].y1 && boxes[j].y0 <= boxes[i].y1 {
-			return i, j
+	// Conflict graph, rebuilt every call (the cost the paper measures).
+	var conflicts [][2]int32
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			// Boxes sharing a tile row/column boundary still conflict:
+			// braids hug tile corners, so expand by nothing but compare
+			// with closed intervals.
+			if boxes[i].x0 <= boxes[j].x1 && boxes[j].x0 <= boxes[i].x1 &&
+				boxes[i].y0 <= boxes[j].y1 && boxes[j].y0 <= boxes[i].y1 {
+				conflicts = append(conflicts, [2]int32{int32(i), int32(j)})
+			}
 		}
-		return 0, 0 // no conflict: a self-loop adds no edge
+	}
+	cg := graph.NewSparse(n, len(conflicts), func(k int) (int, int) {
+		return int(conflicts[k][0]), int(conflicts[k][1])
 	})
 	// Preference: longest braids first (they are hardest to place late).
 	pref := make([]int, n)

@@ -102,20 +102,21 @@ func proximity(m *graph.Sparse, c *circuit.Circuit, g *grid.Grid) *grid.Layout {
 		}
 		neighbors := m.Neighbors(q)
 		if l.QubitTile[q] == -1 {
-			ref := center
+			tile := center
 			if i > 0 {
 				// refLoc: the location of the first already-mapped
 				// neighbor (heaviest first); the grid center for
 				// disconnected qubits.
+				ref := center
 				for _, nb := range neighbors {
 					if t := l.QubitTile[nb]; t != -1 {
 						ref = t
 						break
 					}
 				}
-				ref = free.closest(ref)
+				tile = free.closest(ref)
 			}
-			l.Assign(q, ref, g)
+			l.Assign(q, tile, g)
 			placed++
 		}
 		// Fan the unmapped heavy partners out into the free cardinal
@@ -170,14 +171,14 @@ func (r *ringSearch) closest(ref int) int {
 	d, y, s := 0, ry, 0
 	if t := int(r.last[ref]) - 1; t >= 0 {
 		x, ty := g.TileXY(t)
-		d, y = abs(x-rx)+abs(ty-ry), ty
+		d, y = g.Dist(ref, t), ty
 		if x > rx {
 			s = 1
 		}
 	}
 	for maxD := g.W + g.H - 2; d <= maxD; d, y, s = d+1, max(ry-d-1, 0), 0 {
 		for ; y <= min(ry+d, g.H-1); y, s = y+1, 0 {
-			dx := d - abs(y-ry)
+			dx := d - max(y-ry, ry-y)
 			for ; s < 2; s++ {
 				x := rx - dx
 				if s == 1 {
@@ -197,13 +198,6 @@ func (r *ringSearch) closest(ref int) int {
 		}
 	}
 	return -1
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Pattern implements the paper's pattern matching. Match returns the
