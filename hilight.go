@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -344,6 +343,15 @@ func Methods() []string { return core.MethodNames() }
 // fires.
 func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 	o := newOptions(opts)
+	return compile(c, g, &o, nil)
+}
+
+// compile is Compile with the options resolved and, for a recompile, the
+// parent to warm-start from. With a parent, the first attempt runs warm
+// under the primary method (warmAttempt); any warm failure but
+// cancellation falls through to the cold attempts, which run on the
+// same degraded grid under the same context and deadline.
+func compile(c *Circuit, g *Grid, o *options, parent *warmParent) (*Result, error) {
 	if c == nil {
 		return nil, ErrNilCircuit
 	}
@@ -379,6 +387,17 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 		g = gg
 	}
 
+	if parent != nil {
+		res, err := o.warmAttempt(ctx, c, g, specs[0], parent)
+		if errors.Is(err, ErrCanceled) {
+			return nil, err
+		}
+		if res != nil && err == nil {
+			res.BaseGrid = baseGrid
+			return res, nil
+		}
+	}
+
 	var firstErr error
 	for i, name := range chain {
 		if i > 0 && o.metrics != nil {
@@ -386,11 +405,7 @@ func Compile(c *Circuit, g *Grid, opts ...Option) (*Result, error) {
 			// earlier fallback) failed with a recoverable error.
 			o.metrics.Counter("compile/fallback-activations").Inc()
 		}
-		// Each attempt gets a fresh seeded rng, so a method sees the same
-		// random stream whether it runs as primary or as fallback. The rng
-		// seeds itself on its first draw, which most methods never make.
-		ro := o.runOptions(ctx, core.NewRand(o.seed))
-		res, err := core.Run(c, g, specs[i], ro)
+		res, err := core.Run(c, g, specs[i], o.runOptions(ctx))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -442,10 +457,14 @@ func (o *options) compileContext() (context.Context, context.CancelFunc, error) 
 }
 
 // runOptions builds the core options of one compile attempt, cold or
-// warm.
-func (o *options) runOptions(ctx context.Context, rng *rand.Rand) core.RunOptions {
+// warm. Each attempt gets a fresh seeded rng, so a method sees the same
+// random stream whether it runs as primary, as fallback or after a
+// failed warm attempt. The rng seeds itself on its first draw, which
+// most methods never make, and no method makes during a warm start,
+// which skips placement.
+func (o *options) runOptions(ctx context.Context) core.RunOptions {
 	return core.RunOptions{
-		Rng:       rng,
+		Rng:       core.NewRand(o.seed),
 		QCO:       o.qco,
 		Observer:  o.observer,
 		Sink:      o.sink,

@@ -10,11 +10,13 @@ import (
 // before Compile started or a deadline fired mid-routing.
 var ErrCanceled = errors.New("compile canceled")
 
-// ErrWarmStart is the sentinel wrapped into every warm-start replay
-// failure: the previous schedule's prefix no longer replays verbatim on
-// the new circuit or grid (a braid's gate diverged, a path crosses a new
-// defect, the layout drifted). Callers detect it with errors.Is and fall
-// back to a cold compile — a warm-start failure is never fatal.
+// ErrWarmStart is the sentinel wrapped into every warm-start failure:
+// no layer of the previous schedule replays on the new circuit or grid
+// (the first layer's gates diverged, a path crosses a new defect, the
+// layout lost a tile), or a replayed braid no longer holds (its gate is
+// not next on its operands, which moved). Callers detect it with
+// errors.Is and fall back to a cold compile — a warm-start failure is
+// never fatal.
 var ErrWarmStart = errors.New("warm-start prefix replay failed")
 
 // ErrUnroutable reports that the router proved a gate cannot be braided:

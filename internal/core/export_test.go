@@ -66,10 +66,11 @@ func (c *readyCheck) Order(ready []order.Ready, g *grid.Grid) []order.Ready {
 }
 
 // RouteCheckingReady routes the working circuit c on g under sp's
-// components (seed 1), from warm's prefix and initial layout when warm is
-// set and from sp's placement otherwise, and holds the ready slice of
-// every routed cycle to the scan of every qubit. It returns the schedule,
-// which must validate, and how many cycles it checked.
+// components (seed 1), from warm's initial layout and the parent layers
+// it replays when warm is set and from sp's placement otherwise, and
+// holds the ready slice of every routed cycle to the scan of every
+// qubit. It returns the schedule, which must validate, and how many
+// cycles it checked.
 func RouteCheckingReady(c *circuit.Circuit, g *grid.Grid, sp Spec, warm *WarmStart) (*sched.Schedule, int, error) {
 	cfg, err := sp.components(rand.New(rand.NewSource(1)))
 	if err != nil {

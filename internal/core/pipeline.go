@@ -119,26 +119,33 @@ type Result struct {
 	Delta *sched.Diff
 }
 
-// WarmStart seeds a pipeline with the reusable part of a previous
-// compile: the parent's initial layout and the schedule layer-prefix
-// that is still valid for the edited circuit and current grid. The
-// route pass replays the prefix verbatim — re-verifying every braid
-// against the new circuit, layout and defect map — and resumes the
-// Alg. 2 loop where the prefix ends. A prefix braid that no longer
-// replays fails the pipeline with ErrWarmStart; callers fall back to a
-// cold compile. Warm starts are incompatible with layout adjusters and
-// the compact pass (both rewrite cycles the replay promised to keep).
+// WarmStart seeds a pipeline with a previous compile: the parent's
+// initial layout, its schedule's layers and the gate prefix its working
+// circuit shares with this one. The route pass alone decides which
+// layers still hold: the longest run, from the first layer, whose braids
+// execute gates below the prefix, carry no inserted SWAP and pass
+// sched.CheckBraid on the compile grid. It replays that run verbatim,
+// checking every braid against the new circuit and layout, and resumes
+// the Alg. 2 loop where the run ends. An empty run, or a braid that no
+// longer replays, fails the pipeline with ErrWarmStart; callers fall
+// back to a cold compile. Warm starts are incompatible with layout
+// adjusters and the compact pass (both rewrite cycles the replay
+// promised to keep).
 type WarmStart struct {
 	// Initial is the parent's initial layout; the warm pipeline adopts a
 	// clone of it instead of running placement.
 	Initial *grid.Layout
-	// Prefix holds the parent schedule layers to replay, in order. The
-	// layers are read, never mutated; paths are copied into the new
-	// schedule's arena.
-	Prefix []sched.Layer
+	// Layers are the parent schedule's layers, in order. They are read,
+	// never mutated; replayed paths are copied into the new schedule's
+	// arena.
+	Layers []sched.Layer
+	// GatePrefix is the length of the gate prefix the parent's working
+	// circuit shares with this compile's: a layer replays only if every
+	// braid in it executes a gate below GatePrefix.
+	GatePrefix int
 	// Working, when non-nil, is the already-transformed working circuit
-	// (post SWAP decomposition and QCO) the session planner computed to
-	// find the prefix. The pipeline adopts it instead of re-running both
+	// (post SWAP decomposition and QCO) the caller built to find
+	// GatePrefix. The pipeline adopts it instead of re-running both
 	// transforms, which would otherwise dominate a short warm recompile.
 	Working *circuit.Circuit
 }
@@ -179,8 +186,8 @@ type RunOptions struct {
 	Adjuster LayoutAdjuster
 	// Warm, when non-nil, warm-starts the compile from a previous
 	// result: placement is replaced by the parent layout and the route
-	// pass replays Warm.Prefix before routing the remainder. See
-	// WarmStart for the compatibility rules.
+	// pass replays the parent layers that still hold before routing the
+	// remainder. See WarmStart for the replay and compatibility rules.
 	Warm *WarmStart
 }
 
@@ -389,9 +396,9 @@ var (
 		return nil
 	}}
 
-	// passAdoptWorking installs the session planner's precomputed working
-	// circuit in place of the decompose-swaps and qco passes: the planner
-	// already ran both transforms to find the replayable prefix, and they
+	// passAdoptWorking installs the warm start's precomputed working
+	// circuit in place of the decompose-swaps and qco passes: the caller
+	// already ran both transforms to find the shared gate prefix, and they
 	// are deterministic, so re-running them would only burn the time a
 	// warm start exists to save.
 	passAdoptWorking = Pass{Name: "adopt-working", Run: func(st *State) error {
@@ -421,11 +428,11 @@ var (
 	}}
 
 	// passPlaceWarm adopts the warm-start parent's initial layout instead
-	// of running placement: the replayed prefix braided from exactly this
-	// layout, so re-placing would invalidate every prefix path. The
-	// layout must still be structurally valid for the (possibly
-	// defect-degraded) grid — a program qubit on a newly dead tile means
-	// the warm start is off the table.
+	// of running placement: the replayed layers braided from exactly this
+	// layout, so re-placing would invalidate every replayed path. It is
+	// the one check of that layout against the (possibly defect-degraded)
+	// grid: a program qubit on a newly dead tile means the warm start is
+	// off the table.
 	passPlaceWarm = Pass{Name: "place-warm", Run: func(st *State) error {
 		warm := st.cfg.Warm
 		if len(warm.Initial.QubitTile) < st.Circuit.NumQubits {
@@ -437,7 +444,6 @@ var (
 		}
 		st.Layout = warm.Initial.Clone()
 		st.Count("qubits", int64(st.Circuit.NumQubits))
-		st.Count("warm-prefix", int64(len(warm.Prefix)))
 		return nil
 	}}
 
@@ -491,9 +497,6 @@ var (
 		res.Latency = st.Schedule.Latency()
 		res.PathLen = st.Schedule.TotalPathLength()
 		res.ResUtil = st.Schedule.ResUtil()
-		if st.cfg.Warm != nil {
-			res.WarmCycles = len(st.cfg.Warm.Prefix)
-		}
 		st.Count("latency", int64(res.Latency))
 		st.Count("pathlen", int64(res.PathLen))
 		return nil
@@ -502,15 +505,20 @@ var (
 
 // runRoute routes st.Circuit with rt and records the route counters:
 // trace counters on the running pass and, with a registry attached,
-// route/... totals. Search-effort stats (A* pops, DFS stack pops) are
-// reported when the finder tracks them; the speculative step adds its
-// contention stats.
+// route/... totals. A warm start reports the parent layers it replayed
+// (warm-prefix, and Result.WarmCycles). Search-effort stats (A* pops,
+// DFS stack pops) are reported when the finder tracks them; the
+// speculative step adds its contention stats.
 func runRoute(st *State, rt *router) error {
 	s, err := rt.route(st.Circuit, st.Grid, st.Layout, st.cfg)
 	if err != nil {
 		return err
 	}
 	st.Schedule = s
+	if st.cfg.Warm != nil {
+		st.Result.WarmCycles = rt.replayed
+		st.Count("warm-prefix", int64(rt.replayed))
+	}
 	braids := int64(s.BraidCount())
 	st.Count("cycles", int64(s.Latency()))
 	st.Count("braids", braids)

@@ -4,8 +4,8 @@ package core_test
 // commits update. These tests hold that set, cycle by cycle, to the scan
 // over every qubit it replaced (core.RouteCheckingReady), under a plain
 // method, the AutoBraid adjuster whose inserted SWAPs move operands
-// between cycles, the speculative step, and a warm start from the plan a
-// recompile builds.
+// between cycles, the speculative step, and a warm start as a recompile
+// runs it.
 
 import (
 	"fmt"
@@ -50,11 +50,11 @@ func TestReadySetMatchesScan(t *testing.T) {
 	}
 }
 
-// TestReadySetMatchesScanWarm replays a parent schedule's prefix, from
-// the plan a recompile builds after a gate three quarters in is removed,
-// and checks the ready set the router rebuilds after the replay at every
-// cycle that follows. hilight-map keeps program order, so the removal
-// leaves both a prefix and a suffix on every circuit.
+// TestReadySetMatchesScanWarm warm-starts from a parent schedule after a
+// gate three quarters in is removed, as RecompileFrom does, and checks
+// the ready set the router rebuilds after the replay at every cycle that
+// follows. hilight-map keeps program order, so the removal leaves both a
+// replayed run and a suffix on every circuit.
 func TestReadySetMatchesScanWarm(t *testing.T) {
 	sp := core.MustMethod("hilight-map")
 	for _, c := range readyCircuits() {
@@ -69,11 +69,17 @@ func TestReadySetMatchesScanWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 			pw, cw := session.WorkingCircuit(c, sp.QCO), session.WorkingCircuit(edited, sp.QCO)
-			plan := session.PlanPrefix(parent.Schedule, session.CommonPrefixGates(pw, cw), g)
-			if plan.PrefixLen == 0 || plan.PrefixLen == len(parent.Schedule.Layers) {
-				t.Fatalf("prefix of %d of %d layers leaves no warm start with a suffix", plan.PrefixLen, len(parent.Schedule.Layers))
+			warm := &core.WarmStart{
+				Initial: parent.Schedule.Initial, Layers: parent.Schedule.Layers,
+				GatePrefix: session.CommonPrefixGates(pw, cw), Working: cw,
 			}
-			warm := &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix}
+			res, err := core.Run(edited, g, sp, core.RunOptions{Warm: warm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.WarmCycles == 0 || res.WarmCycles == len(parent.Schedule.Layers) {
+				t.Fatalf("replaying %d of %d layers leaves no warm start with a suffix", res.WarmCycles, len(parent.Schedule.Layers))
+			}
 			_, cycles, err := core.RouteCheckingReady(cw, g, sp, warm)
 			if err != nil {
 				t.Fatal(err)

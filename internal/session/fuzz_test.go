@@ -1,6 +1,7 @@
 package session
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -61,10 +62,12 @@ func decodeEdits(data []byte) []Edit {
 }
 
 // FuzzDelta throws hostile delta inputs at the whole session path:
-// edits are applied (or rejected), the plan is computed from each fuzz
-// parent, and when a warm start is possible the pipeline must either
-// fail cleanly or produce a schedule that fully validates — an invalid
-// schedule is the one outcome that must never happen.
+// edits are applied (or rejected), and each fuzz parent is warm-started
+// on the edited circuit. The router must cut the parent's layers where
+// the replay rule does (replayableLayers), failing with ErrWarmStart when
+// it replays none, and then either fail cleanly or produce a schedule
+// that fully validates — an invalid schedule is the one outcome that
+// must never happen.
 func FuzzDelta(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, 3})                // append CX
 	f.Add([]byte{1, 2, 0, 9, 5, 2, 1, 0, 0, 0}) // insert + remove
@@ -85,27 +88,24 @@ func FuzzDelta(f *testing.F) {
 		p := CommonPrefixGates(WorkingCircuit(c, true), WorkingCircuit(edited, true))
 		for i, parent := range parents {
 			method := fuzzMethods[i]
-			plan := PlanPrefix(parent.Schedule, p, g)
-			if plan.PrefixLen > len(parent.Schedule.Layers) {
-				t.Fatalf("%s: plan prefix %d exceeds parent layers %d", method, plan.PrefixLen, len(parent.Schedule.Layers))
-			}
-			if plan.PrefixLen == 0 {
+			want := replayableLayers(parent.Schedule, p, g)
+			res, err := warmRun(edited, g, method, parent.Schedule, p)
+			if want == 0 {
+				if !errors.Is(err, core.ErrWarmStart) {
+					t.Fatalf("%s: no layer replays, but the warm start returned err = %v", method, err)
+				}
 				continue
 			}
-			res, err := core.Run(edited, g, core.MustMethod(method), core.RunOptions{
-				Rng:  rand.New(rand.NewSource(1)),
-				Warm: &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix},
-			})
 			if err != nil {
 				continue // a clean warm failure degrades to cold in the public API
 			}
 			if err := res.Schedule.Validate(res.Circuit); err != nil {
 				t.Fatalf("%s: warm schedule invalid after edits %v: %v", method, edits, err)
 			}
-			if res.WarmCycles != plan.PrefixLen {
-				t.Fatalf("%s: WarmCycles %d != plan %d", method, res.WarmCycles, plan.PrefixLen)
+			if res.WarmCycles != want {
+				t.Fatalf("%s: WarmCycles %d, the rule replays %d", method, res.WarmCycles, want)
 			}
-			checkPrefixIdentical(t, parent.Schedule, res.Schedule, plan.PrefixLen)
+			checkPrefixIdentical(t, parent.Schedule, res.Schedule, res.WarmCycles)
 		}
 	})
 }

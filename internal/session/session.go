@@ -1,38 +1,30 @@
-// Package session is the incremental-recompilation engine behind the
-// public hilight.Recompile: it turns a (previous result, delta) pair
-// into a warm-start plan the core pipeline can replay.
+// Package session holds the circuit side of the incremental
+// recompilation behind the public hilight.Recompile: it applies a
+// delta's edits and builds the working circuits a warm start compares.
 //
 // The model: a Delta is either a circuit edit (append / insert / remove
 // / replace of gates, applied to the parent's input circuit) or a
 // DefectMap change (a full replacement map applied to the parent's
 // pristine grid). Both reduce to the same question — how much of the
-// parent's schedule is still exactly right? The answer has two parts:
-//
-//  1. The gate prefix. Schedules validate against the working circuit
-//     (input after SWAP decomposition and QCO), so the engine rebuilds
-//     both working circuits deterministically and takes their longest
-//     common gate prefix P. Every braid for a gate with index < P is
-//     routing work the edit cannot have changed.
-//  2. The layer prefix. The replayable schedule prefix is the longest
-//     run of whole layers whose braids all execute gates below P, carry
-//     no inserted SWAPs (SWAPs move the layout, invalidating later
-//     tiles), and still pass sched.CheckBraid on the current grid. The
-//     run stops at the first layer violating any of these — layers are
-//     atomic, since a half-replayed cycle would change the deferral
-//     pattern of everything after it.
-//
-// The plan is handed to core.RunOptions.Warm; the router re-verifies
-// every braid as it replays (defense in depth — a stale or hostile plan
-// degrades to a cold compile, never to an invalid schedule).
+// parent's schedule is still exactly right? Schedules validate against
+// the working circuit (input after SWAP decomposition and QCO), so the
+// engine rebuilds both working circuits deterministically and takes
+// their longest common gate prefix P (CommonPrefixGates): every braid
+// for a gate with index < P is routing work the edit cannot have
+// changed. P goes to core.RunOptions.Warm with the parent's layers, and
+// the route pass alone decides which of them replay: the longest run of
+// whole layers whose braids execute gates below P, carry no inserted
+// SWAP and pass sched.CheckBraid on the current grid. It checks each
+// replayed braid against the live compile as it replays, so a stale or
+// hostile parent degrades to a cold compile, never to an invalid
+// schedule.
 package session
 
 import (
 	"fmt"
 
 	"hilight/internal/circuit"
-	"hilight/internal/grid"
 	"hilight/internal/qco"
-	"hilight/internal/sched"
 )
 
 // Op enumerates circuit-edit operations.
@@ -172,60 +164,4 @@ func CommonPrefixGates(a, b *circuit.Circuit) int {
 		}
 	}
 	return n
-}
-
-// Plan is a computed warm start: the parent schedule layers to replay
-// and the working-circuit gate prefix they came from. A zero PrefixLen
-// means the delta reaches into the first cycle and the compile should
-// run cold.
-type Plan struct {
-	// GatePrefix is the common working-circuit gate prefix length P.
-	GatePrefix int
-	// PrefixLen is the number of whole parent layers to replay.
-	PrefixLen int
-	// Prefix aliases the parent schedule's first PrefixLen layers; the
-	// router copies paths out, never mutating them.
-	Prefix []sched.Layer
-	// Initial is the parent's initial layout (validated against the
-	// current grid when PrefixLen > 0).
-	Initial *grid.Layout
-}
-
-// PlanPrefix computes the replayable layer prefix of the parent
-// schedule for gate prefix P on grid g (g carries the *current* defect
-// map). The parent's initial layout must also survive on g — a program
-// qubit on a newly dead tile rules the warm start out entirely.
-func PlanPrefix(parent *sched.Schedule, p int, g *grid.Grid) Plan {
-	plan := Plan{GatePrefix: p}
-	if parent == nil || parent.Initial == nil || g == nil || p <= 0 {
-		return plan
-	}
-	if parent.Initial.Validate(g) != nil {
-		return plan
-	}
-	for _, layer := range parent.Layers {
-		if !layerReplayable(layer, p, g) {
-			break
-		}
-		plan.PrefixLen++
-	}
-	plan.Prefix = parent.Layers[:plan.PrefixLen]
-	plan.Initial = parent.Initial
-	return plan
-}
-
-// layerReplayable reports whether every braid of the layer executes a
-// gate below the common prefix, moves no qubits, and still passes
-// sched.CheckBraid on g. Within-layer disjointness and program order
-// are re-checked by the router as it replays.
-func layerReplayable(layer sched.Layer, p int, g *grid.Grid) bool {
-	if len(layer) == 0 {
-		return false
-	}
-	for _, b := range layer {
-		if b.Gate < 0 || b.Gate >= p || b.SwapTiles || sched.CheckBraid(g, b) != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -10,6 +10,7 @@ import (
 	"hilight/internal/core"
 	"hilight/internal/grid"
 	"hilight/internal/qco"
+	"hilight/internal/sched"
 )
 
 func qft(n int) *circuit.Circuit {
@@ -126,9 +127,9 @@ func TestCommonPrefixGates(t *testing.T) {
 	}
 }
 
-// compile is a minimal cold compile through the core pipeline for plan
-// tests (the public package depends on this one, so tests drive core
-// directly).
+// compile is a minimal cold compile through the core pipeline for warm
+// replay tests (the public package depends on this one, so tests drive
+// core directly).
 func compile(t *testing.T, c *circuit.Circuit, g *grid.Grid) *core.Result {
 	t.Helper()
 	res, err := core.Run(c, g, core.MustMethod("hilight"), core.RunOptions{
@@ -140,7 +141,38 @@ func compile(t *testing.T, c *circuit.Circuit, g *grid.Grid) *core.Result {
 	return res
 }
 
-func TestPlanPrefixAppendReplaysEverything(t *testing.T) {
+// replayableLayers states the router's replay rule on its own, as the
+// oracle its cut is held to: the longest run of the parent's non-empty
+// layers, from the first, whose braids all execute a gate below the gate
+// prefix p, move no qubits, and pass sched.CheckBraid on g. A parent
+// layout that g rules out replays nothing.
+func replayableLayers(parent *sched.Schedule, p int, g *grid.Grid) int {
+	if parent.Initial.Validate(g) != nil {
+		return 0
+	}
+	for li, layer := range parent.Layers {
+		if len(layer) == 0 {
+			return li
+		}
+		for _, b := range layer {
+			if b.Gate < 0 || b.Gate >= p || b.SwapTiles || sched.CheckBraid(g, b) != nil {
+				return li
+			}
+		}
+	}
+	return len(parent.Layers)
+}
+
+// warmRun warm-starts method on c and g from parent's layout and layers
+// with gate prefix p.
+func warmRun(c *circuit.Circuit, g *grid.Grid, method string, parent *sched.Schedule, p int) (*core.Result, error) {
+	return core.Run(c, g, core.MustMethod(method), core.RunOptions{
+		Rng:  rand.New(rand.NewSource(1)),
+		Warm: &core.WarmStart{Initial: parent.Initial, Layers: parent.Layers, GatePrefix: p},
+	})
+}
+
+func TestWarmReplayAppendReplaysEverything(t *testing.T) {
 	c := qft(8)
 	g := grid.Rect(c.NumQubits)
 	parent := compile(t, c, g)
@@ -152,64 +184,45 @@ func TestPlanPrefixAppendReplaysEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := CommonPrefixGates(WorkingCircuit(c, true), WorkingCircuit(edited, true))
-	plan := PlanPrefix(parent.Schedule, p, g)
-	if plan.PrefixLen != len(parent.Schedule.Layers) {
-		t.Fatalf("append: prefix %d layers, want all %d", plan.PrefixLen, len(parent.Schedule.Layers))
+	if n := replayableLayers(parent.Schedule, p, g); n != len(parent.Schedule.Layers) {
+		t.Fatalf("append: the rule replays %d layers, want all %d", n, len(parent.Schedule.Layers))
 	}
 
 	// Warm-run the edited circuit and check the replay really is
 	// byte-identical layer by layer.
-	res, err := core.Run(edited, g, core.MustMethod("hilight"), core.RunOptions{
-		Rng:  rand.New(rand.NewSource(1)),
-		Warm: &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix},
-	})
+	res, err := warmRun(edited, g, "hilight", parent.Schedule, p)
 	if err != nil {
 		t.Fatalf("warm compile: %v", err)
 	}
-	if res.WarmCycles != plan.PrefixLen {
-		t.Fatalf("WarmCycles = %d, want %d", res.WarmCycles, plan.PrefixLen)
+	if res.WarmCycles != len(parent.Schedule.Layers) {
+		t.Fatalf("WarmCycles = %d, want %d", res.WarmCycles, len(parent.Schedule.Layers))
 	}
 	if err := res.Schedule.Validate(res.Circuit); err != nil {
 		t.Fatalf("warm schedule invalid: %v", err)
 	}
-	for li := 0; li < plan.PrefixLen; li++ {
-		a, b := parent.Schedule.Layers[li], res.Schedule.Layers[li]
-		if len(a) != len(b) {
-			t.Fatalf("layer %d: %d braids vs %d", li, len(a), len(b))
-		}
-		for bi := range a {
-			if a[bi].Gate != b[bi].Gate || a[bi].CtlTile != b[bi].CtlTile || a[bi].TgtTile != b[bi].TgtTile {
-				t.Fatalf("layer %d braid %d diverged: %+v vs %+v", li, bi, a[bi], b[bi])
-			}
-			if len(a[bi].Path) != len(b[bi].Path) {
-				t.Fatalf("layer %d braid %d path length diverged", li, bi)
-			}
-			for pi := range a[bi].Path {
-				if a[bi].Path[pi] != b[bi].Path[pi] {
-					t.Fatalf("layer %d braid %d path diverged at %d", li, bi, pi)
-				}
-			}
-		}
-	}
+	checkPrefixIdentical(t, parent.Schedule, res.Schedule, res.WarmCycles)
 }
 
-func TestPlanPrefixDefectDeltaStopsAtConflict(t *testing.T) {
+func TestWarmReplayDefectStopsAtConflict(t *testing.T) {
 	c := qft(8)
 	g := grid.Rect(c.NumQubits)
 	parent := compile(t, c, g)
+	p := len(WorkingCircuit(c, true).Gates)
 
 	// Kill the vertex the very first braid routes through: no layer
-	// containing that path may replay.
+	// containing that path may replay, so the warm start fails before
+	// routing anything.
 	firstPath := parent.Schedule.Layers[0][0].Path
 	dm := &grid.DefectMap{Vertices: []int{firstPath[len(firstPath)/2]}}
 	dg := g.Clone()
 	if err := dg.ApplyDefects(dm); err != nil {
 		t.Fatal(err)
 	}
-	p := len(WorkingCircuit(c, true).Gates)
-	plan := PlanPrefix(parent.Schedule, p, dg)
-	if plan.PrefixLen != 0 {
-		t.Fatalf("defect on layer 0 path: prefix %d, want 0", plan.PrefixLen)
+	if n := replayableLayers(parent.Schedule, p, dg); n != 0 {
+		t.Fatalf("defect on layer 0 path: the rule replays %d layers, want 0", n)
+	}
+	if _, err := warmRun(c, dg, "hilight", parent.Schedule, p); !errors.Is(err, core.ErrWarmStart) {
+		t.Fatalf("defect on layer 0 path: err = %v, want ErrWarmStart", err)
 	}
 
 	// A defect nothing routes through leaves the full schedule
@@ -233,10 +246,19 @@ func TestPlanPrefixDefectDeltaStopsAtConflict(t *testing.T) {
 		if err := dg2.ApplyDefects(&grid.DefectMap{Tiles: []int{free}}); err != nil {
 			t.Fatal(err)
 		}
-		plan2 := PlanPrefix(parent.Schedule, p, dg2)
-		// Paths may still cross the free tile's corners; the plan just
+		res, err := warmRun(c, dg2, "hilight", parent.Schedule, p)
+		warm := 0
+		if err == nil {
+			warm = res.WarmCycles
+		} else if !errors.Is(err, core.ErrWarmStart) {
+			t.Fatal(err)
+		}
+		if want := replayableLayers(parent.Schedule, p, dg2); warm != want {
+			t.Fatalf("free-tile defect: %d warm cycles, the rule replays %d", warm, want)
+		}
+		// Paths may still cross the free tile's corners; the replay just
 		// must not be trivially empty because of an unrelated defect.
-		if plan2.PrefixLen == 0 && parent.Schedule.Initial.Validate(dg2) == nil {
+		if warm == 0 && parent.Schedule.Initial.Validate(dg2) == nil {
 			ok := false
 			for _, b := range parent.Schedule.Layers[0] {
 				if b.Path.Validate(dg2) != nil {
@@ -244,7 +266,7 @@ func TestPlanPrefixDefectDeltaStopsAtConflict(t *testing.T) {
 				}
 			}
 			if !ok {
-				t.Fatal("unrelated defect emptied the plan")
+				t.Fatal("unrelated defect emptied the replay")
 			}
 		}
 	}
@@ -255,16 +277,12 @@ func TestWarmStartMismatchFallsOut(t *testing.T) {
 	g := grid.Rect(c.NumQubits)
 	parent := compile(t, c, g)
 
-	// Hand the router a prefix that references gates beyond the edited
-	// circuit's end: it must fail with ErrWarmStart, not emit a broken
-	// schedule.
+	// Hand the router parent layers that reference gates beyond the
+	// edited circuit's end, under a gate prefix that claims them all: it
+	// must fail with ErrWarmStart, not emit a broken schedule.
 	edited := c.Clone()
 	edited.Gates = edited.Gates[:1]
-	bad := &core.WarmStart{Initial: parent.Schedule.Initial, Prefix: parent.Schedule.Layers}
-	_, err := core.Run(edited, g, core.MustMethod("hilight"), core.RunOptions{
-		Rng:  rand.New(rand.NewSource(1)),
-		Warm: bad,
-	})
+	_, err := warmRun(edited, g, "hilight", parent.Schedule, len(c.Gates))
 	if !errors.Is(err, core.ErrWarmStart) {
 		t.Fatalf("divergent prefix: err = %v, want ErrWarmStart", err)
 	}

@@ -1,9 +1,8 @@
 package hilight
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"math/rand"
 
 	"hilight/internal/core"
 	"hilight/internal/sched"
@@ -39,26 +38,24 @@ type Delta struct {
 	Defects *DefectMap `json:"defects,omitempty"`
 }
 
-// ErrWarmStart matches warm-start replay failures surfaced by the core
-// pipeline. Recompile handles it internally (falling back to a cold
-// compile); it is exported for callers driving core.RunOptions.Warm
-// directly.
-var ErrWarmStart = core.ErrWarmStart
-
 // Recompile compiles an edited version of a previous result, reusing as
 // much of the parent's work as the delta allows: the parent's placement
 // is adopted verbatim and the longest still-valid prefix of the parent
 // schedule is replayed byte-identically, so only the affected suffix
-// pays routing cost. Result.WarmCycles reports how many layers were
-// replayed (0 when the engine had to fall back to a cold compile — a
-// fallback is always silent and always correct, never an error), and
-// Result.Delta reports exactly what changed versus the parent schedule.
+// pays routing cost. The router decides which parent layers still hold
+// and checks each one as it replays. Result.WarmCycles reports how many
+// layers were replayed (0 when the engine had to fall back to a cold
+// compile — a fallback is always silent and always correct, never an
+// error), and Result.Delta reports exactly what changed versus the
+// parent schedule.
 //
-// The method defaults to the parent's; options override it and
-// everything else, exactly as in Compile. Warm starts are incompatible
-// with WithCompaction, WithFallback and layout-adjusting methods
-// (anything that rewrites replayed cycles): those recompiles run cold
-// but still report Delta.
+// The warm start is the first attempt of Compile's attempt loop: the
+// cold compile it falls back to runs on the same degraded grid, and
+// WithTimeout bounds both together. The method defaults to the
+// parent's; options override it and everything else, exactly as in
+// Compile. Warm starts are incompatible with WithCompaction,
+// WithFallback and layout-adjusting methods (anything that rewrites
+// replayed cycles): those recompiles run cold but still report Delta.
 func Recompile(prev *Result, delta Delta, opts ...Option) (*Result, error) {
 	if prev == nil || prev.Schedule == nil || prev.Input == nil {
 		return nil, fmt.Errorf("hilight: Recompile needs a previous Result with its Schedule and Input circuit")
@@ -112,7 +109,8 @@ func Recompile(prev *Result, delta Delta, opts ...Option) (*Result, error) {
 	// resolve QCO differently than the parent's compile did, the prefix
 	// comes out wrong and replay verification degrades to cold — never
 	// an incorrect schedule.
-	res, err := recompileFrom(prev.Input, prev.Circuit, childWorking, prev.Schedule, edited, g, opts...)
+	p := &warmParent{schedule: prev.Schedule, input: prev.Input, working: prev.Circuit, childWorking: childWorking}
+	res, err := recompileFrom(p, edited, g, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -130,113 +128,61 @@ func Recompile(prev *Result, delta Delta, opts ...Option) (*Result, error) {
 // (already edited) circuit and g the pristine grid; options are applied
 // as in Compile. See Recompile for the warm-start semantics.
 func RecompileFrom(parentCircuit *Circuit, parentSched *Schedule, c *Circuit, g *Grid, opts ...Option) (*Result, error) {
-	return recompileFrom(parentCircuit, nil, nil, parentSched, c, g, opts...)
+	return recompileFrom(&warmParent{schedule: parentSched, input: parentCircuit}, c, g, opts...)
 }
 
-// recompileFrom is RecompileFrom with optional precomputed parent and
-// child working circuits (nil recomputes them from the input circuits).
-func recompileFrom(parentCircuit, parentWorking, childWorking *Circuit, parentSched *Schedule, c *Circuit, g *Grid, opts ...Option) (*Result, error) {
-	if parentCircuit == nil || parentSched == nil {
+// recompileFrom compiles c on g warm-started from p and reports the diff
+// against the parent schedule.
+func recompileFrom(p *warmParent, c *Circuit, g *Grid, opts ...Option) (*Result, error) {
+	if p.input == nil || p.schedule == nil {
 		return nil, fmt.Errorf("hilight: RecompileFrom needs the parent circuit and schedule")
 	}
 	o := newOptions(opts)
-	if c == nil {
-		return nil, ErrNilCircuit
-	}
-	if g == nil {
-		return nil, ErrNilGrid
-	}
-	// No explicit c.Validate here: the pipeline's validate pass (and the
-	// cold-fallback Compile) checks the circuit before any work happens,
-	// and re-walking every gate per recompile is measurable on the
-	// session hot path.
-	sp, ok := core.LookupMethod(o.method)
-	if !ok {
-		return nil, fmt.Errorf("hilight: unknown method %q (have %v)", o.method, Methods())
-	}
-
-	// Anything that would rewrite replayed cycles — or retry with a
-	// different method mid-flight — rules the warm path out.
-	warmable := sp.Adjuster == "" && !o.compact && len(o.fallback) == 0
-
-	var plan session.Plan
-	var cw *Circuit
-	dg := g
-	if warmable {
-		if !o.defects.Empty() {
-			gg := g.Clone()
-			if err := gg.ApplyDefects(o.defects); err != nil {
-				return nil, err
-			}
-			dg = gg
-		}
-		qcoOn := sp.QCO
-		if o.qco != nil {
-			qcoOn = *o.qco
-		}
-		pw := parentWorking
-		if pw == nil {
-			pw = session.WorkingCircuit(parentCircuit, qcoOn)
-		}
-		cw = childWorking
-		if cw == nil {
-			cw = session.WorkingCircuit(c, qcoOn)
-		}
-		plan = session.PlanPrefix(parentSched, session.CommonPrefixGates(pw, cw), dg)
-	}
-
-	var res *Result
-	var err error
-	if plan.PrefixLen > 0 {
-		res, err = runWarm(c, dg, sp, &o, &plan, cw)
-		if err != nil && !errors.Is(err, ErrCanceled) {
-			// Any warm failure — a replay mismatch, or a suffix the parent
-			// placement cannot route — degrades to a cold compile, which
-			// may still succeed under a fresh placement.
-			res, err = nil, nil
-		}
-	}
-	if res == nil && err == nil {
-		res, err = Compile(c, g, opts...)
-	}
+	res, err := compile(c, g, &o, p)
 	if err != nil {
 		return nil, err
 	}
-	res.BaseGrid = g
-	d := sched.Compare(parentSched, res.Schedule)
+	d := sched.Compare(p.schedule, res.Schedule)
 	res.Delta = &d
 	return res, nil
 }
 
-// runWarm executes one warm-start pipeline attempt for the resolved
-// method spec and plan. It shares Compile's context and option setup but
-// not its fallback chain, which the caller owns.
-func runWarm(c *Circuit, dg *Grid, sp core.Spec, o *options, plan *session.Plan, working *Circuit) (*Result, error) {
-	ctx, cancel, err := o.compileContext()
-	if err != nil {
-		return nil, err
-	}
-	defer cancel()
-	ro := o.runOptions(ctx, rand.New(&warmSource{s: uint64(o.seed)}))
-	ro.Warm = &core.WarmStart{Initial: plan.Initial, Prefix: plan.Prefix, Working: working}
-	return core.Run(c, dg, sp, ro)
+// warmParent is the compile a recompile warm-starts from: its schedule
+// and input circuit, and the working circuits of the parent and of the
+// child when the caller has them (nil rebuilds them from the inputs).
+type warmParent struct {
+	schedule              *Schedule
+	input                 *Circuit
+	working, childWorking *Circuit
 }
 
-// warmSource is a splitmix64 rand.Source for warm recompiles: seeding
-// the stdlib source costs more than replaying a short prefix, while a
-// warm suffix consumes only a handful of values for ordering
-// tie-breaks. The stream differing from Compile's is fine — a warm
-// result promises a valid schedule with a byte-identical replayed
-// prefix, not the exact schedule a cold compile would emit — and
-// determinism holds: same seed, same schedule.
-type warmSource struct{ s uint64 }
-
-func (w *warmSource) Seed(seed int64) { w.s = uint64(seed) }
-
-func (w *warmSource) Int63() int64 {
-	w.s += 0x9e3779b97f4a7c15
-	z := w.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64((z ^ (z >> 31)) >> 1)
+// warmAttempt runs the warm attempt of a recompile from p under the
+// primary method's spec sp: the parent's layout is adopted and the route
+// pass replays the parent layers that still hold before routing the
+// rest. It returns no result and no error when a warm start is ruled
+// out: an adjuster, compaction or a fallback chain would rewrite replayed
+// cycles or retry mid-flight, and a zero shared gate prefix replays
+// nothing.
+func (o *options) warmAttempt(ctx context.Context, c *Circuit, g *Grid, sp core.Spec, p *warmParent) (*Result, error) {
+	if sp.Adjuster != "" || o.compact || len(o.fallback) > 0 {
+		return nil, nil
+	}
+	qcoOn := sp.QCO
+	if o.qco != nil {
+		qcoOn = *o.qco
+	}
+	pw, cw := p.working, p.childWorking
+	if pw == nil {
+		pw = session.WorkingCircuit(p.input, qcoOn)
+	}
+	if cw == nil {
+		cw = session.WorkingCircuit(c, qcoOn)
+	}
+	prefix := session.CommonPrefixGates(pw, cw)
+	if prefix == 0 {
+		return nil, nil
+	}
+	ro := o.runOptions(ctx)
+	ro.Warm = &core.WarmStart{Initial: p.schedule.Initial, Layers: p.schedule.Layers, GatePrefix: prefix, Working: cw}
+	return core.Run(c, g, sp, ro)
 }

@@ -1,8 +1,11 @@
 package hilight_test
 
 import (
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"hilight"
 )
@@ -271,32 +274,41 @@ func parent2(t *testing.T, c *hilight.Circuit, g *hilight.Grid) *hilight.Result 
 
 // TestRecompileFromHostileParent hands RecompileFrom parents that no
 // compile produces, decoded from JSON as the service decodes a cached
-// one. Each recompile must return a schedule that validates, or an
-// error, and none may panic. The grid is 3×1: qubit 0 sits on the
-// middle tile, qubits 1 and 2 on either side, and the circuit is
-// CX(0,1) then CX(0,2).
+// one, and an edited circuit that does not validate. Each recompile must
+// return a schedule that validates, or an error, and none may panic. The
+// grid is 3×1: qubit 0 sits on the middle tile, qubits 1 and 2 on either
+// side, and the circuit is CX(0,1) then CX(0,2).
 func TestRecompileFromHostileParent(t *testing.T) {
 	c := hilight.NewCircuit("hostile", 3)
 	c.Add2(hilight.CX, 0, 1)
 	c.Add2(hilight.CX, 0, 2)
+	// A 4-qubit child whose one gate names qubit 9; NewCircuit's Add2
+	// would reject it, so the gate goes in by hand.
+	invalid := hilight.NewCircuit("hostile", 4)
+	invalid.Gates = append(invalid.Gates, hilight.Gate{Kind: hilight.CX, Q0: 0, Q1: 9})
 	const head = `{"version":1,"grid_w":3,"grid_h":1,"qubits":3,"initial":[1,0,2],"layers":`
+	valid := head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`
 	for _, tc := range []struct {
 		name, parent string
 		opts         []hilight.Option
+		child        *hilight.Circuit // nil: c
 	}{
 		// Both braids leave qubit 0's tile, from different corners, on
 		// disjoint paths.
 		{"operand braids twice in one cycle",
-			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1]},{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil},
+			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1]},{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil, nil},
 		{"braid tile past the grid",
-			head + `[[{"gate":0,"ctl":99,"tgt":0,"path":[1]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil},
+			head + `[[{"gate":0,"ctl":99,"tgt":0,"path":[1]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil, nil},
 		{"endpoint not a tile corner",
-			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1,2]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil},
-		{"path through a vertex the new grid kills",
-			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`,
-			[]hilight.Option{hilight.WithDefects(&hilight.DefectMap{Vertices: []int{6}})}},
+			head + `[[{"gate":0,"ctl":1,"tgt":0,"path":[1,2]}],[{"gate":1,"ctl":1,"tgt":2,"path":[6]}]]}`, nil, nil},
+		{"path through a vertex the new grid kills", valid,
+			[]hilight.Option{hilight.WithDefects(&hilight.DefectMap{Vertices: []int{6}})}, nil},
 		{"circuit wider than the layout",
-			`{"version":1,"grid_w":3,"grid_h":1,"qubits":2,"initial":[1,0],"layers":[[{"gate":0,"ctl":1,"tgt":0,"path":[1]}]]}`, nil},
+			`{"version":1,"grid_w":3,"grid_h":1,"qubits":2,"initial":[1,0],"layers":[[{"gate":0,"ctl":1,"tgt":0,"path":[1]}]]}`, nil, nil},
+		// The QCO rewrite of hilight reads every gate's qubits, so the
+		// child must be validated before its working circuit is built.
+		{"invalid child under hilight", valid, []hilight.Option{hilight.WithMethod("hilight")}, invalid},
+		{"invalid child under hilight-map", valid, nil, invalid},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			parent, err := hilight.DecodeScheduleJSON([]byte(tc.parent))
@@ -309,7 +321,14 @@ func TestRecompileFromHostileParent(t *testing.T) {
 					t.Fatalf("RecompileFrom panicked: %v", r)
 				}
 			}()
-			res, err := hilight.RecompileFrom(c, parent, c, hilight.NewGrid(3, 1), opts...)
+			child := c
+			if tc.child != nil {
+				child = tc.child
+			}
+			res, err := hilight.RecompileFrom(c, parent, child, hilight.NewGrid(3, 1), opts...)
+			if tc.child != nil && err == nil {
+				t.Fatal("RecompileFrom accepted an invalid circuit")
+			}
 			if err != nil {
 				t.Logf("RecompileFrom: %v", err)
 				return
@@ -320,4 +339,46 @@ func TestRecompileFromHostileParent(t *testing.T) {
 			t.Logf("%d warm cycles", res.WarmCycles)
 		})
 	}
+}
+
+// TestRecompileTimeoutCoversColdFallback holds WithTimeout to the whole
+// recompile: the warm attempt and the cold compile it falls back to share
+// one deadline. The parent is QFT-8's hilight-map schedule with its third-
+// and second-to-last layers swapped, so the warm attempt replays every
+// layer before them and then fails. An observer sleeps per cycle, so a
+// successful recompile sleeps through the replayed cycles and then every
+// cold cycle. The deadline leaves room for either attempt alone, not for
+// both, so the recompile must end canceled.
+func TestRecompileTimeoutCoversColdFallback(t *testing.T) {
+	c := hilight.QFT(8)
+	g := hilight.RectGrid(c.NumQubits)
+	parent, err := hilight.Compile(c, g, hilight.WithMethod("hilight-map"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(parent.Schedule.Layers)
+	swapped := *parent.Schedule
+	swapped.Layers = slices.Clone(parent.Schedule.Layers)
+	swapped.Layers[n-3], swapped.Layers[n-2] = swapped.Layers[n-2], swapped.Layers[n-3]
+
+	const perCycle = 10 * time.Millisecond
+	replayed := n - 3
+	timeout := time.Duration(n)*perCycle + time.Duration(replayed)*perCycle/2
+	start := time.Now()
+	res, err := hilight.RecompileFrom(c, &swapped, c, g,
+		hilight.WithMethod("hilight-map"),
+		hilight.WithTimeout(timeout),
+		hilight.WithObserver(func(hilight.CycleStats) { time.Sleep(perCycle) }))
+	if !errors.Is(err, hilight.ErrCanceled) {
+		t.Fatalf("recompile after %v under a %v timeout: err = %v (%d warm cycles), want ErrCanceled",
+			time.Since(start), timeout, err, warmCycles(res))
+	}
+}
+
+// warmCycles is res.WarmCycles, or -1 for a nil result.
+func warmCycles(res *hilight.Result) int {
+	if res == nil {
+		return -1
+	}
+	return res.WarmCycles
 }
