@@ -33,97 +33,68 @@ func CompactSchedule(s *sched.Schedule, c *circuit.Circuit, finder route.Finder)
 	if finder == nil {
 		finder = &route.AStar{}
 	}
-	// Rebuild per-qubit program order to know each gate's predecessor.
-	perQubit := make([][]int, c.NumQubits)
+	// pred holds each two-qubit gate's predecessor on either operand (-1
+	// none): the last two-qubit gate on that qubit before it.
+	pred := make([][2]int, len(c.Gates))
+	last := make([]int, c.NumQubits)
+	for q := range last {
+		last[q] = -1
+	}
 	for gi, g := range c.Gates {
 		if g.TwoQubit() {
-			perQubit[g.Q0] = append(perQubit[g.Q0], gi)
-			perQubit[g.Q1] = append(perQubit[g.Q1], gi)
+			pred[gi] = [2]int{last[g.Q0], last[g.Q1]}
+			last[g.Q0], last[g.Q1] = gi, gi
 		}
-	}
-	pred := map[int][2]int{} // gate -> predecessor gate per operand (-1 none)
-	for gi, g := range c.Gates {
-		if !g.TwoQubit() {
-			continue
-		}
-		p := [2]int{-1, -1}
-		for k, q := range [2]int{g.Q0, g.Q1} {
-			lst := perQubit[q]
-			for i, x := range lst {
-				if x == gi && i > 0 {
-					p[k] = lst[i-1]
-				}
-			}
-		}
-		pred[gi] = p
 	}
 
-	// Working copy: layers as slices of braids, plus per-layer occupancy
-	// and per-qubit usage, all rebuilt as we hoist.
+	// Working copy of the layers, and each gate's current layer (-1 for
+	// a gate no braid executes).
 	layers := make([]sched.Layer, len(s.Layers))
+	layerOf := make([]int, len(c.Gates))
+	for gi := range layerOf {
+		layerOf[gi] = -1
+	}
 	for i, l := range s.Layers {
 		layers[i] = append(sched.Layer(nil), l...)
-	}
-	occs := make([]*route.Occupancy, len(layers))
-	qubitBusy := make([]map[int]bool, len(layers))
-	layerOf := map[int]int{}
-	for i, l := range layers {
-		occs[i] = route.NewOccupancy(s.Grid)
-		qubitBusy[i] = map[int]bool{}
 		for _, b := range l {
-			occs[i].Add(s.Grid, b.Path)
-			g := c.Gates[b.Gate]
-			qubitBusy[i][g.Q0] = true
-			qubitBusy[i][g.Q1] = true
 			layerOf[b.Gate] = i
 		}
 	}
 
+	// A target layer's occupancy is exactly its braids' paths, so one
+	// occupancy is refilled with them before each probe.
+	occ := route.NewOccupancy(s.Grid)
 	for li := 1; li < len(layers); li++ {
 		kept := layers[li][:0]
 		for _, b := range layers[li] {
-			target := hoistTarget(b, pred, layerOf, li)
+			g := c.Gates[b.Gate]
 			moved := false
-			for t := target; t < li; t++ {
-				g := c.Gates[b.Gate]
-				if qubitBusy[t][g.Q0] || qubitBusy[t][g.Q1] {
+			for t := hoistTarget(pred[b.Gate], layerOf, li); t < li; t++ {
+				if braidsQubit(layers[t], c, g.Q0, g.Q1) {
 					continue
+				}
+				occ.Reset()
+				for _, o := range layers[t] {
+					occ.Add(s.Grid, o.Path)
 				}
 				// nil buf: the hoisted path is retained in the layer, so it
 				// must own its storage.
-				p, ok := finder.Find(s.Grid, occs[t], b.CtlTile, b.TgtTile, nil)
+				p, ok := finder.Find(s.Grid, occ, b.CtlTile, b.TgtTile, nil)
 				if !ok {
 					continue
 				}
 				nb := b
 				nb.Path = p
 				layers[t] = append(layers[t], nb)
-				occs[t].Add(s.Grid, p)
-				qubitBusy[t][g.Q0] = true
-				qubitBusy[t][g.Q1] = true
 				layerOf[b.Gate] = t
 				moved = true
 				break
 			}
 			if !moved {
 				kept = append(kept, b)
-				continue
 			}
-			// Remove the braid's footprint from its old layer lazily: the
-			// occupancy of layer li is only used for braids hoisted *into*
-			// it from later layers, and freeing space there is an extra
-			// opportunity, not a correctness issue. Rebuild it.
-			// (Handled below by reconstructing occupancy for li.)
 		}
 		layers[li] = kept
-		occs[li] = route.NewOccupancy(s.Grid)
-		qubitBusy[li] = map[int]bool{}
-		for _, b := range kept {
-			occs[li].Add(s.Grid, b.Path)
-			g := c.Gates[b.Gate]
-			qubitBusy[li][g.Q0] = true
-			qubitBusy[li][g.Q1] = true
-		}
 	}
 
 	out := &sched.Schedule{Grid: s.Grid, Initial: s.Initial.Clone()}
@@ -137,20 +108,27 @@ func CompactSchedule(s *sched.Schedule, c *circuit.Circuit, finder route.Finder)
 	return out
 }
 
-// hoistTarget returns the earliest layer gate b may legally move to:
-// one past the latest layer among its per-qubit predecessors.
-func hoistTarget(b sched.Braid, pred map[int][2]int, layerOf map[int]int, cur int) int {
+// hoistTarget returns the earliest layer a gate with per-operand
+// predecessors pred may legally move to from layer cur: one past the
+// latest layer among its predecessors.
+func hoistTarget(pred [2]int, layerOf []int, cur int) int {
 	earliest := 0
-	for _, p := range pred[b.Gate] {
-		if p < 0 {
-			continue
-		}
-		if l, ok := layerOf[p]; ok && l+1 > earliest {
-			earliest = l + 1
+	for _, p := range pred {
+		if p >= 0 && layerOf[p]+1 > earliest {
+			earliest = layerOf[p] + 1
 		}
 	}
-	if earliest > cur {
-		return cur
+	return min(earliest, cur)
+}
+
+// braidsQubit reports whether a braid of layer l executes a gate on
+// qubit q0 or q1.
+func braidsQubit(l sched.Layer, c *circuit.Circuit, q0, q1 int) bool {
+	for _, b := range l {
+		g := c.Gates[b.Gate]
+		if g.Q0 == q0 || g.Q0 == q1 || g.Q1 == q0 || g.Q1 == q1 {
+			return true
+		}
 	}
-	return earliest
+	return false
 }
