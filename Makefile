@@ -77,6 +77,9 @@ race-root:
 # BenchmarkColdCompile times a cold hilight.Compile of urf5_158, QFT-200
 # and Shor-471 under hilight and hilight-map; its B/op is what
 # TestColdCompileAllocationBudget bounds.
+# BenchmarkRecompileEdit times a warm single-gate recompile (replay of
+# the parent's layers, then the suffix) on four Table 1 circuits, and
+# BenchmarkCompaction the compact pass on an L-shape-routed QFT-36.
 bench-route:
 	$(GO) test -bench 'BenchmarkFinderFind|BenchmarkComponentsCompute|BenchmarkOccupancy' -benchmem -benchtime 1000x ./internal/route/
 	$(GO) test -bench 'BenchmarkRouteCircuit|BenchmarkCompileQFT' -benchmem -benchtime 5x ./internal/core/
@@ -86,6 +89,7 @@ bench-route:
 	$(GO) test -run '^$$' -bench BenchmarkFingerprint -benchmem -benchtime 20x .
 	$(GO) test -run '^$$' -bench BenchmarkPlacementMethods -benchmem -benchtime 5x .
 	$(GO) test -run '^$$' -bench BenchmarkColdCompile -benchmem -benchtime 5x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRecompileEdit$$|BenchmarkCompaction$$' -benchmem -benchtime 200x .
 
 # Everything, including the paper-artifact benchmarks (slow).
 bench:
