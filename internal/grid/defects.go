@@ -187,5 +187,5 @@ func (g *Grid) Clone() *Grid {
 // defects: the hardware a replacement defect map applies to.
 func (g *Grid) Healed() *Grid {
 	// Coordinate tables are immutable and dimension-determined — share them.
-	return &Grid{W: g.W, H: g.H, reserved: append([]bool(nil), g.reserved...), vx: g.vx, vy: g.vy}
+	return &Grid{W: g.W, H: g.H, reserved: append([]bool(nil), g.reserved...), anyReserved: g.anyReserved, vx: g.vx, vy: g.vy}
 }

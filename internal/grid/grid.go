@@ -23,10 +23,11 @@ import "fmt"
 // Grid is a W×H tile array. The zero value is unusable; construct with
 // New, Square, or Rect.
 type Grid struct {
-	W, H     int
-	reserved []bool       // per tile; true = no program qubit, non-braiding
-	def      *defectState // fabrication defects; nil on a pristine grid
-	vx, vy   []int32      // vertex id → corner coordinates; spares the hot paths a div/mod pair
+	W, H        int
+	reserved    []bool       // per tile; true = no program qubit, non-braiding
+	anyReserved bool         // some tile is reserved; false keeps EdgeRoutable's answer constant
+	def         *defectState // fabrication defects; nil on a pristine grid
+	vx, vy      []int32      // vertex id → corner coordinates; spares the hot paths a div/mod pair
 }
 
 // New returns a w×h grid with no reserved tiles.
@@ -161,7 +162,7 @@ func (g *Grid) Reserve(x0, y0, x1, y1 int) error {
 	}
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			g.reserved[g.TileAt(x, y)] = true
+			g.ReserveTile(g.TileAt(x, y))
 		}
 	}
 	return nil
@@ -170,6 +171,7 @@ func (g *Grid) Reserve(x0, y0, x1, y1 int) error {
 // ReserveTile marks a single tile as reserved.
 func (g *Grid) ReserveTile(t int) {
 	g.reserved[t] = true
+	g.anyReserved = true
 }
 
 // Reserved reports whether tile t is reserved.
@@ -245,8 +247,18 @@ func (g *Grid) EdgeEndpoints(id int) (u, v int) {
 // region (both flanking tiles closed, or one flanking tile closed and the
 // channel on the array boundary) are unroutable, as are channels marked
 // defective and channels incident to a dead vertex. Boundary channels of
-// a closed region shared with live tiles stay open.
+// a closed region shared with live tiles stay open. On a grid with no
+// reserved tile and no defect every channel is open, and the answer
+// takes no lookup.
 func (g *Grid) EdgeRoutable(u, v int) bool {
+	if g.def == nil && !g.anyReserved {
+		return true
+	}
+	return g.edgeRoutable(u, v)
+}
+
+// edgeRoutable is EdgeRoutable on a grid with a closed tile or a defect.
+func (g *Grid) edgeRoutable(u, v int) bool {
 	if u > v {
 		u, v = v, u
 	}

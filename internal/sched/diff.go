@@ -84,10 +84,15 @@ func Compare(a, b *Schedule) Diff {
 }
 
 // layerEqual reports whether two layers schedule exactly the same braids
-// along exactly the same paths.
+// along exactly the same paths. A warm recompile's replayed layers are
+// the parent's own (see core.WarmStart), so a layer that shares its
+// storage is equal without a walk.
 func layerEqual(a, b Layer) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) > 0 && &a[0] == &b[0] {
+		return true
 	}
 	for i := range a {
 		if a[i].Gate != b[i].Gate || a[i].CtlTile != b[i].CtlTile ||

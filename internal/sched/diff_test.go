@@ -70,3 +70,21 @@ func TestDiffPrintFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareSharedAndCopiedLayers compares a schedule with one that
+// shares its layer (a warm recompile's replayed prefix) and with a
+// same-length copy of it that re-routes one braid: the shared layer is
+// equal without a walk, the copy is walked and its repath counted.
+func TestCompareSharedAndCopiedLayers(t *testing.T) {
+	g, _, a := buildFixture(t)
+	shared := &Schedule{Grid: g, Initial: a.Initial, Layers: []Layer{a.Layers[0]}}
+	if d := Compare(a, shared); d.GateMoves != 0 || d.GateRepaths != 0 {
+		t.Errorf("shared layer: moves %d, repaths %d, want 0, 0", d.GateMoves, d.GateRepaths)
+	}
+	copied := append(Layer(nil), a.Layers[0]...)
+	copied[0].Path = route.Path{g.VertexID(1, 1)}
+	repathed := &Schedule{Grid: g, Initial: a.Initial, Layers: []Layer{copied}}
+	if d := Compare(a, repathed); d.GateMoves != 0 || d.GateRepaths != 1 {
+		t.Errorf("copied layer: moves %d, repaths %d, want 0, 1", d.GateMoves, d.GateRepaths)
+	}
+}

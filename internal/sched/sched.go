@@ -128,6 +128,9 @@ func CheckBraid(g *grid.Grid, b Braid) error {
 //   - recorded tiles match the evolving layout (replaying SWAP braids);
 //   - every two-qubit gate of the circuit is executed exactly once;
 //   - gates sharing a qubit execute in program order, in distinct cycles.
+//
+// Its allocations do not grow with layers or gates: it sizes a few
+// per-qubit, per-gate and per-grid arrays once.
 func (s *Schedule) Validate(c *circuit.Circuit) error {
 	if s.Initial == nil {
 		return fmt.Errorf("sched: schedule has no initial layout")
@@ -140,68 +143,58 @@ func (s *Schedule) Validate(c *circuit.Circuit) error {
 	}
 	layout := s.Initial.Clone()
 
-	// Program-order tracking: for each qubit, the next two-qubit gate (by
-	// scanning the circuit) that must execute.
-	type gateRef struct {
-		index int
-	}
-	var order []gateRef
-	nextPos := make([]int, c.NumQubits) // per-qubit cursor into order-of-that-qubit
-	perQubit := make([][]int, c.NumQubits)
-	for i, g := range c.Gates {
-		if g.TwoQubit() {
-			order = append(order, gateRef{i})
-			perQubit[g.Q0] = append(perQubit[g.Q0], i)
-			perQubit[g.Q1] = append(perQubit[g.Q1], i)
-		}
-	}
-	executed := make(map[int]bool, len(order))
+	// Program order: each qubit's two-qubit gates in circuit order, and
+	// a cursor per qubit at the next one that must execute.
+	var ql circuit.QubitLists
+	ql.Fill(c)
+	nextPos := make([]int, c.NumQubits)
+	// busy[q] is 1 + the index of the last layer in which qubit q
+	// braided, so a qubit braids at most once per layer without a
+	// per-layer set.
+	busy := make([]int, c.NumQubits)
+	executed := make([]uint64, (len(c.Gates)+63)/64)
 
 	occ := route.NewOccupancy(s.Grid)
 	for li, layer := range s.Layers {
 		occ.Reset()
-		qubitBusy := make(map[int]bool)
+		stamp := li + 1
 		for bi, b := range layer {
 			if err := CheckBraid(s.Grid, b); err != nil {
 				return fmt.Errorf("sched: layer %d braid %d: %w", li, bi, err)
 			}
-			if occ.Conflicts(s.Grid, b.Path) {
+			if !occ.TryAdd(b.Path) {
 				return fmt.Errorf("sched: layer %d braid %d: path intersects another braid", li, bi)
 			}
-			occ.Add(s.Grid, b.Path)
-			switch {
-			case b.Gate >= 0:
-				if b.Gate >= len(c.Gates) || !c.Gates[b.Gate].TwoQubit() {
-					return fmt.Errorf("sched: layer %d braid %d: gate %d is not a two-qubit gate", li, bi, b.Gate)
-				}
-				if executed[b.Gate] {
-					return fmt.Errorf("sched: gate %d executed twice", b.Gate)
-				}
-				g := c.Gates[b.Gate]
-				if qubitBusy[g.Q0] || qubitBusy[g.Q1] {
-					return fmt.Errorf("sched: layer %d: qubit of gate %d braids twice in one cycle", li, b.Gate)
-				}
-				qubitBusy[g.Q0], qubitBusy[g.Q1] = true, true
-				// Program order per qubit.
-				for _, q := range [2]int{g.Q0, g.Q1} {
-					lst := perQubit[q]
-					if nextPos[q] >= len(lst) || lst[nextPos[q]] != b.Gate {
-						return fmt.Errorf("sched: layer %d: gate %d out of program order on qubit %d", li, b.Gate, q)
-					}
-				}
-				nextPos[g.Q0]++
-				nextPos[g.Q1]++
-				// Tiles match current layout.
-				if layout.QubitTile[g.Q0] != b.CtlTile || layout.QubitTile[g.Q1] != b.TgtTile {
-					return fmt.Errorf("sched: layer %d gate %d: recorded tiles (%d,%d) but layout has (%d,%d)",
-						li, b.Gate, b.CtlTile, b.TgtTile, layout.QubitTile[g.Q0], layout.QubitTile[g.Q1])
-				}
-				executed[b.Gate] = true
-			case b.SwapTiles:
-				// Validity of the swap braid path is already checked.
-			default:
-				// A non-final braid of an inserted SWAP: nothing to track.
+			if b.Gate < 0 {
+				// An inserted SWAP braid: its path is checked, and a
+				// final one moves the layout after the cycle.
+				continue
 			}
+			if b.Gate >= len(c.Gates) || !c.Gates[b.Gate].TwoQubit() {
+				return fmt.Errorf("sched: layer %d braid %d: gate %d is not a two-qubit gate", li, bi, b.Gate)
+			}
+			word, bit := b.Gate>>6, uint64(1)<<(uint(b.Gate)&63)
+			if executed[word]&bit != 0 {
+				return fmt.Errorf("sched: gate %d executed twice", b.Gate)
+			}
+			g := c.Gates[b.Gate]
+			if busy[g.Q0] == stamp || busy[g.Q1] == stamp {
+				return fmt.Errorf("sched: layer %d: qubit of gate %d braids twice in one cycle", li, b.Gate)
+			}
+			busy[g.Q0], busy[g.Q1] = stamp, stamp
+			for _, q := range [2]int{g.Q0, g.Q1} {
+				lst := ql.Lists[q]
+				if nextPos[q] >= len(lst) || lst[nextPos[q]] != b.Gate {
+					return fmt.Errorf("sched: layer %d: gate %d out of program order on qubit %d", li, b.Gate, q)
+				}
+			}
+			nextPos[g.Q0]++
+			nextPos[g.Q1]++
+			if layout.QubitTile[g.Q0] != b.CtlTile || layout.QubitTile[g.Q1] != b.TgtTile {
+				return fmt.Errorf("sched: layer %d gate %d: recorded tiles (%d,%d) but layout has (%d,%d)",
+					li, b.Gate, b.CtlTile, b.TgtTile, layout.QubitTile[g.Q0], layout.QubitTile[g.Q1])
+			}
+			executed[word] |= bit
 		}
 		// Apply layout changes after the whole cycle.
 		for _, b := range layer {
@@ -210,9 +203,9 @@ func (s *Schedule) Validate(c *circuit.Circuit) error {
 			}
 		}
 	}
-	for _, ref := range order {
-		if !executed[ref.index] {
-			return fmt.Errorf("sched: gate %d never executed", ref.index)
+	for i, g := range c.Gates {
+		if g.TwoQubit() && executed[i>>6]&(1<<(uint(i)&63)) == 0 {
+			return fmt.Errorf("sched: gate %d never executed", i)
 		}
 	}
 	return nil
