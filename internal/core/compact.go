@@ -75,7 +75,7 @@ func CompactSchedule(s *sched.Schedule, c *circuit.Circuit, finder route.Finder)
 				}
 				occ.Reset()
 				for _, o := range layers[t] {
-					occ.Add(s.Grid, o.Path)
+					occ.Add(o.Path)
 				}
 				// nil buf: the hoisted path is retained in the layer, so it
 				// must own its storage.

@@ -49,7 +49,7 @@ func TestFinderFindZeroAllocs(t *testing.T) {
 			t.Run("walled", func(t *testing.T) {
 				walledFind := func() bool {
 					occ.Reset()
-					occ.Add(g, wall)
+					occ.Add(wall)
 					_, ok := f.Find(g, occ, 0, g.Tiles()-1, buf[:0])
 					return ok
 				}

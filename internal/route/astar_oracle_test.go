@@ -135,7 +135,7 @@ func TestAStarMatchesHeapSearch(t *testing.T) {
 					return false
 				}
 				if ok && rng.Intn(3) == 0 {
-					occ.Add(g, p)
+					occ.Add(p)
 				}
 			}
 			occ.Reset()

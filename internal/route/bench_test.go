@@ -11,6 +11,7 @@ package route
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"hilight/internal/grid"
@@ -42,7 +43,7 @@ func congestedLattice(g *grid.Grid, seed int64) *Occupancy {
 			}
 			p = append(p, v)
 		}
-		occ.Add(g, p)
+		occ.Add(p)
 		if _, ok := a.Find(g, occ, 0, g.Tiles()-1, nil); ok {
 			kept = append(kept, p)
 			used += len(p)
@@ -50,7 +51,7 @@ func congestedLattice(g *grid.Grid, seed int64) *Occupancy {
 		}
 		occ.Reset() // drop p: replay the braids kept so far
 		for _, k := range kept {
-			occ.Add(g, k)
+			occ.Add(k)
 		}
 	}
 	return occ
@@ -136,7 +137,7 @@ func BenchmarkOccupancy(b *testing.B) {
 	for x := 0; x <= 24; x++ {
 		p = append(p, g.VertexID(x, 12))
 	}
-	occ.Add(g, p)
+	occ.Add(p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -144,9 +145,43 @@ func BenchmarkOccupancy(b *testing.B) {
 		if occ.Conflicts(g, p) {
 			b.Fatal("occupancy survived Reset")
 		}
-		occ.Add(g, p)
+		occ.Add(p)
 		if !occ.Conflicts(g, p) {
 			b.Fatal("Add not visible")
 		}
 	}
+}
+
+// BenchmarkPathValidate measures Validate of a simple walk of 5, 12, 13,
+// 40, 64 and 65 vertices on an open 16×16 grid: the braid lengths
+// Table 1 routes (a mean of about 5) and lengths either side of the
+// 64-vertex bound of firstRepeat's stack table.
+func BenchmarkPathValidate(b *testing.B) {
+	g := grid.New(16, 16)
+	for _, n := range []int{5, 12, 13, 40, 64, 65} {
+		p := snakeWalk(g, n)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := p.Validate(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// snakeWalk returns a simple walk of n vertices on g: along vertex row
+// 0, down, back along row 1, and so on.
+func snakeWalk(g *grid.Grid, n int) Path {
+	w := g.W + 1
+	p := make(Path, 0, n)
+	for i := 0; len(p) < n; i++ {
+		x, y := i%w, i/w
+		if y%2 == 1 {
+			x = w - 1 - x
+		}
+		p = append(p, g.VertexID(x, y))
+	}
+	return p
 }

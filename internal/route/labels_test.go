@@ -106,7 +106,7 @@ func TestPrunedFindersMatchUnprunedLoops(t *testing.T) {
 						failures++
 						continue
 					}
-					o.Add(g, p)
+					o.Add(p)
 				}
 				for _, o := range occs {
 					o.Reset()

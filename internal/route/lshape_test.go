@@ -47,7 +47,7 @@ func TestLShapeDefersWhenBothBendsBlocked(t *testing.T) {
 	for y := 1; y <= g.H; y++ {
 		wall = append(wall, g.VertexID(2, y))
 	}
-	occ.Add(g, wall)
+	occ.Add(wall)
 	var l LShape
 	if _, ok := l.Find(g, occ, g.TileAt(0, 1), g.TileAt(4, 1), nil); ok {
 		t.Fatal("L-shape routed through a wall it cannot bend around")
@@ -68,7 +68,7 @@ func TestLShapeFailedFindAllocatesNothing(t *testing.T) {
 	for y := 1; y <= g.H; y++ {
 		wall = append(wall, g.VertexID(2, y))
 	}
-	occ.Add(g, wall)
+	occ.Add(wall)
 	var l LShape
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, ok := l.Find(g, occ, g.TileAt(0, 1), g.TileAt(4, 1), nil); ok {
@@ -88,7 +88,7 @@ func TestLShapeTriesBothOrientations(t *testing.T) {
 	// source's closest corner.
 	src := g.TileAt(0, 0)
 	tgt := g.TileAt(2, 2)
-	occ.Add(g, Path{g.VertexID(2, 1)})
+	occ.Add(Path{g.VertexID(2, 1)})
 	var l LShape
 	p, ok := l.Find(g, occ, src, tgt, nil)
 	if !ok {
@@ -125,7 +125,7 @@ func TestLShapePathProperty(t *testing.T) {
 			if p.Len() != g.VertexDist(p[0], p[len(p)-1]) {
 				return false
 			}
-			occ.Add(g, p)
+			occ.Add(p)
 		}
 		return true
 	}

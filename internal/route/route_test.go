@@ -45,7 +45,7 @@ func TestOccupancyConflicts(t *testing.T) {
 	occ := NewOccupancy(g)
 	v := func(x, y int) int { return g.VertexID(x, y) }
 	p1 := Path{v(0, 0), v(1, 0), v(2, 0)}
-	occ.Add(g, p1)
+	occ.Add(p1)
 	if !occ.Conflicts(g, Path{v(1, 0), v(1, 1)}) {
 		t.Error("shared vertex not detected")
 	}
@@ -131,7 +131,7 @@ func TestOccupancyMatchesMapReference(t *testing.T) {
 				ref.Reset()
 			case 1:
 				p := randomPath()
-				occ.Add(g, p)
+				occ.Add(p)
 				ref.Add(g, p)
 			default:
 				p := randomPath()
@@ -167,7 +167,7 @@ func TestOccupancyManyResets(t *testing.T) {
 		if occ.Conflicts(g, p) {
 			t.Fatalf("reset %d: stale occupancy", i)
 		}
-		occ.Add(g, p)
+		occ.Add(p)
 		if !occ.Conflicts(g, p) {
 			t.Fatalf("reset %d: Add not visible", i)
 		}
@@ -276,7 +276,7 @@ func TestFindersRouteAroundCongestion(t *testing.T) {
 	for y := 1; y <= g.H; y++ {
 		wall = append(wall, g.VertexID(2, y))
 	}
-	occ.Add(g, wall)
+	occ.Add(wall)
 	for _, f := range finders() {
 		p, ok := f.Find(g, occ, g.TileAt(0, 1), g.TileAt(4, 1), nil)
 		if !ok {
@@ -299,7 +299,7 @@ func TestFindersFailWhenBlocked(t *testing.T) {
 	for y := 0; y <= g.H; y++ {
 		wall = append(wall, g.VertexID(2, y))
 	}
-	occ.Add(g, wall)
+	occ.Add(wall)
 	for _, f := range finders() {
 		if _, ok := f.Find(g, occ, g.TileAt(0, 1), g.TileAt(4, 1), nil); ok {
 			t.Errorf("%s: found path through a full wall", f.Name())
@@ -320,7 +320,7 @@ func TestFull16NotWorseThanAStar(t *testing.T) {
 				continue
 			}
 			if p, ok := a.Find(g, occ, t1, t2, nil); ok {
-				occ.Add(g, p)
+				occ.Add(p)
 			}
 		}
 		t1, t2 := rng.Intn(g.Tiles()), rng.Intn(g.Tiles())
@@ -368,7 +368,7 @@ func TestFinderPathsAlwaysValid(t *testing.T) {
 			if !isCorner(g, p[0], t1) || !isCorner(g, p[len(p)-1], t2) {
 				return false
 			}
-			occ.Add(g, p)
+			occ.Add(p)
 		}
 		return true
 	}

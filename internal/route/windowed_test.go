@@ -59,7 +59,7 @@ func randomGrid(rng *rand.Rand) (*grid.Grid, *Occupancy) {
 			v = nbr[rng.Intn(len(nbr))]
 			p = append(p, v)
 		}
-		occ.Add(g, p)
+		occ.Add(p)
 	}
 	return g, occ
 }
