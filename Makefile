@@ -103,9 +103,10 @@ bench:
 # Fuzz the hostile-input surfaces: the QASM parser, the schedule JSON
 # decoder, the binary wire decoders, session deltas and the request edge
 # every node and coordinator runs before admission; the compiler itself,
-# every method over random circuits on random defect maps; and the one
+# every method over random circuits on random defect maps; the one
 # braid rule, sched.CheckBraid, against its oracle on random grids and
-# walks.
+# walks; and the A* search against the plain heap search over sequences
+# of searches, adds and resets on random defective grids.
 # FUZZTIME=20s per target by default; raise it for deeper runs.
 FUZZTIME ?= 20s
 fuzz:
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWire -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDelta -fuzztime $(FUZZTIME) ./internal/session/
 	$(GO) test -run '^$$' -fuzz FuzzDigestCompile -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzAStarMatchesHeapSearch -fuzztime $(FUZZTIME) ./internal/route/
 
 # Refresh the behavior-preservation goldens after an *intentional* schedule
 # change (testdata/golden_schedules.json).

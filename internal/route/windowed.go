@@ -12,7 +12,7 @@ import (
 // path" only by flooding the entire free region around the source, which
 // under congestion is the dominant routing cost. With labels computed
 // once per snapshot — a few word-parallel sweeps over the occupancy's
-// mirrors — the same proof is two bit tests and two run-root loads.
+// bit words — the same proof is two bit tests and two run-root loads.
 //
 // The labeling works on runs: maximal sequences of free vertices along a
 // row joined by open east channels. Bit v of free marks a free vertex and
@@ -59,9 +59,9 @@ func (cc *Components) isFree(v int) bool { return cc.free[v>>6]>>(uint(v)&63)&1 
 // it is neither occupied nor defective; channels that are occupied,
 // defective, or unroutable do not connect.
 //
-// Every step is word-parallel over the occupancy mirrors, whose vertex
-// ids run row-major, so one word may hold the end of a row and the start
-// of the next. The east mirror's row-end bit is always set, so no run
+// Every step is word-parallel over the occupancy's bit words, whose
+// vertex ids run row-major, so one word may hold the end of a row and the
+// start of the next. The east words' row-end bit is always set, so no run
 // crosses a row end. A south connection whose west neighbor joins the
 // same two runs is skipped, so each pair of vertically adjacent runs is
 // unioned once per stretch of shared open channels, not once per channel.
@@ -73,7 +73,7 @@ func (cc *Components) Compute(g *grid.Grid, occ *Occupancy) {
 	cc.link = sized(cc.link, nw)
 	cc.rank = sized(cc.rank, nw)
 	for w := range cc.free {
-		cc.free[w] = ^occ.vWordAt(w)
+		cc.free[w] = ^occ.vWords[w]
 	}
 	if tail := n & 63; tail != 0 {
 		cc.free[nw-1] &= 1<<uint(tail) - 1
@@ -88,7 +88,7 @@ func (cc *Components) Compute(g *grid.Grid, occ *Occupancy) {
 		if w+1 < nw {
 			next = cc.free[w+1]
 		}
-		link := free & (free>>1 | next<<63) &^ occ.eWordAt(w)
+		link := free & (free>>1 | next<<63) &^ occ.eWords[w]
 		start := free &^ (link<<1 | carry)
 		carry = link >> 63
 		cc.link[w], cc.start[w], cc.rank[w] = link, start, runs
@@ -104,7 +104,7 @@ func (cc *Components) Compute(g *grid.Grid, occ *Occupancy) {
 	// both link east, which makes the connection east of it redundant.
 	carry = 0
 	for w := 0; w < nw; w++ {
-		conn := cc.free[w] & gatherBits(cc.free, w<<6+vw) &^ occ.sWordAt(w)
+		conn := cc.free[w] & gatherBits(cc.free, w<<6+vw) &^ occ.sWords[w]
 		same := conn & cc.link[w] & gatherBits(cc.link, w<<6+vw)
 		conn &^= same<<1 | carry
 		carry = same >> 63
