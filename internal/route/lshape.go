@@ -52,13 +52,14 @@ func lWalk(g *grid.Grid, occ *Occupancy, src, dst int, hFirst bool, buf Path) (P
 	// The horizontal leg is probed word-wide: its vertices, east channels
 	// and routability are one HRunFree call. Including the leg's first
 	// vertex only re-confirms a fact — the caller checked the corner, or
-	// the vertical leg ends on the bend.
+	// the vertical leg ends on the bend. The vertical leg reads, per step,
+	// the next vertex's bit and the south-channel bit of the step's upper
+	// vertex, which is also set for an unroutable channel.
 	if sx != dx && !occ.HRunFree(hy, min(sx, dx), max(sx, dx)) {
 		return nil, false
 	}
 	for y, step := sy, sign(dy-sy); y != dy; y += step {
-		cur, next := g.VertexID(vx, y), g.VertexID(vx, y+step)
-		if occ.VertexUsed(next) || !g.EdgeRoutable(cur, next) || occ.EdgeUsed(g, cur, next) {
+		if occ.VertexUsed(g.VertexID(vx, y+step)) || occ.SouthBlocked(g.VertexID(vx, min(y, y+step))) {
 			return nil, false
 		}
 	}
