@@ -200,7 +200,7 @@ func (r *router) routeSpeculative(ready []order.Ready) int {
 		if !s.specOK[ci] {
 			continue // deferred to the next cycle
 		}
-		if r.occ.Conflicts(g, s.specPath[ci]) {
+		if r.occ.Conflicts(s.specPath[ci]) {
 			s.retry = append(s.retry, ci)
 			s.stats.Conflicts++
 			continue // speculation lost the commit race; finish phase

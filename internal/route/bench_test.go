@@ -142,11 +142,11 @@ func BenchmarkOccupancy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		occ.Reset()
-		if occ.Conflicts(g, p) {
+		if occ.Conflicts(p) {
 			b.Fatal("occupancy survived Reset")
 		}
 		occ.Add(p)
-		if !occ.Conflicts(g, p) {
+		if !occ.Conflicts(p) {
 			b.Fatal("Add not visible")
 		}
 	}

@@ -39,7 +39,7 @@ func TestOccupancyDefects(t *testing.T) {
 		// Normal occupancy still works and still clears on Reset.
 		p := Path{g.VertexID(0, 0), g.VertexID(1, 0)}
 		o.Add(p)
-		if !o.VertexUsed(live) || !o.Conflicts(g, p) {
+		if !o.VertexUsed(live) || !o.Conflicts(p) {
 			t.Fatalf("epoch %d: Add did not register", epoch)
 		}
 		o.Reset()

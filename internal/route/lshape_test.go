@@ -97,7 +97,7 @@ func TestLShapeTriesBothOrientations(t *testing.T) {
 	if err := p.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if occ.Conflicts(g, p) {
+	if occ.Conflicts(p) {
 		t.Fatal("path crosses occupancy")
 	}
 }
@@ -119,7 +119,7 @@ func TestLShapePathProperty(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if p.Validate(g) != nil || occ.Conflicts(g, p) {
+			if p.Validate(g) != nil || occ.Conflicts(p) {
 				return false
 			}
 			if p.Len() != g.VertexDist(p[0], p[len(p)-1]) {
