@@ -194,14 +194,15 @@ func TestCompileGuards(t *testing.T) {
 	}
 }
 
-// TestCompileRefusesGridPastHeapBound holds compile entry to the vertex
-// bound of the router's packed heap keys: a grid with more routing
-// vertices than 2^26 fails with ErrGridTooLarge under every method and
-// fallback chain, where A* would otherwise pop vertex ids its keys cut
-// short. The grids carry only their dimensions, since a real
-// 8,192×8,192 grid holds some 335 MB of per-tile and per-vertex tables
-// and the check reads none of them; the one at the bound gets past it
-// and stops at the capacity check, as its tables are empty.
+// TestCompileRefusesGridPastHeapBound holds compile entry to the
+// router's vertex bound: a grid with more routing vertices than 2^26,
+// where the router's per-vertex A* records alone would take 1 GiB, fails
+// with ErrGridTooLarge under every method and fallback chain, before
+// anything allocates for it. The grids carry only their dimensions,
+// since a real 8,192×8,192 grid holds some 335 MB of per-tile and
+// per-vertex tables and the check reads none of them; the one at the
+// bound gets past it and stops at the capacity check, as its tables are
+// empty.
 func TestCompileRefusesGridPastHeapBound(t *testing.T) {
 	c := hilight.NewCircuit("pair", 2)
 	c.Add2(hilight.CX, 0, 1)

@@ -88,8 +88,8 @@ type (
 	// the circuit has program qubits.
 	ErrInsufficientCapacity = core.ErrInsufficientCapacity
 	// ErrGridTooLarge means the grid has more routing vertices than the
-	// router's search heap holds (2^26): a square grid of more than
-	// 8,191×8,191 tiles.
+	// router takes (2^26, where its per-vertex search records alone take
+	// 1 GiB): a square grid of more than 8,191×8,191 tiles.
 	ErrGridTooLarge = core.ErrGridTooLarge
 )
 
@@ -336,7 +336,7 @@ func Methods() []string { return core.MethodNames() }
 // circuit — including on defective hardware (WithDefects), where every
 // braid provably avoids dead tiles, vertices and channels. Failures are
 // typed: ErrNilCircuit / ErrNilGrid for missing inputs,
-// ErrGridTooLarge for a grid past the router's search heap,
+// ErrGridTooLarge for a grid past the router's vertex bound,
 // ErrInsufficientCapacity when the circuit is wider than the grid's
 // usable tiles, ErrUnroutable when defects disconnect a gate's
 // operands, and ErrCanceled when a WithContext / WithTimeout deadline

@@ -21,11 +21,11 @@ import (
 
 // warmRouteQFT64 is BenchmarkRouteCircuit's setup: QFT-64 on its
 // rectangular grid with the default (HiLight) configuration, a fixed
-// pre-computed placement, and one warm-up route that sizes all per-grid,
-// per-circuit and result scratch. It returns a call that routes the
-// circuit again; in the steady state after the warm-up that call must
-// be allocation-free.
-func warmRouteQFT64(tb testing.TB) func() {
+// pre-computed placement, and one warm-up route by rt that sizes all
+// per-grid, per-circuit and result scratch. It returns a call that
+// routes the circuit again with rt; in the steady state after the
+// warm-up that call must be allocation-free.
+func warmRouteQFT64(tb testing.TB, rt *router) func() {
 	c := bench.QFT(64).DecomposeSWAPs()
 	g := grid.Rect(64)
 	cfg, err := Spec{}.components(rand.New(rand.NewSource(1)))
@@ -35,7 +35,6 @@ func warmRouteQFT64(tb testing.TB) func() {
 	// The default configuration has no adjuster, so the router never
 	// mutates the layout and one placement serves every iteration.
 	layout := place.HiLight{}.Place(c, g)
-	var rt router
 	routeOnce := func() {
 		if _, err := rt.route(c, g, layout, cfg); err != nil {
 			tb.Fatal(err)
@@ -48,7 +47,7 @@ func warmRouteQFT64(tb testing.TB) func() {
 // BenchmarkRouteCircuit measures one full routing pass over QFT-64 with
 // the default (HiLight) configuration and a fixed pre-computed placement.
 func BenchmarkRouteCircuit(b *testing.B) {
-	routeOnce := warmRouteQFT64(b)
+	routeOnce := warmRouteQFT64(b, &router{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,11 +57,23 @@ func BenchmarkRouteCircuit(b *testing.B) {
 
 // TestRouteCircuitZeroAllocs pins BenchmarkRouteCircuit's 0 allocs/op:
 // after the warm-up, routing QFT-64 again must not allocate, so a lost
-// fast path fails go test instead of only moving a benchmark figure.
+// fast path fails go test instead of only moving a benchmark figure. The
+// speculative step's router is held to the same, so its finder keeps its
+// per-grid buffers across route calls.
 func TestRouteCircuitZeroAllocs(t *testing.T) {
-	routeOnce := warmRouteQFT64(t)
-	if allocs := testing.AllocsPerRun(3, routeOnce); allocs != 0 {
-		t.Errorf("route QFT-64: %.1f allocs/op in steady state, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		rt   *router
+	}{
+		{"sequential", &router{}},
+		{"speculative", &router{speculator: &speculator{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			routeOnce := warmRouteQFT64(t, tc.rt)
+			if allocs := testing.AllocsPerRun(3, routeOnce); allocs != 0 {
+				t.Errorf("route QFT-64: %.1f allocs/op in steady state, want 0", allocs)
+			}
+		})
 	}
 }
 

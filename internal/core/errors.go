@@ -38,18 +38,23 @@ func (e *ErrUnroutable) Error() string {
 	return "core: unroutable: " + e.Reason
 }
 
+// maxGridVertices is the most routing vertices a compile accepts in a
+// grid: at 2^26, the router's per-vertex A* records alone take 1 GiB.
+const maxGridVertices = 1 << 26
+
 // ErrGridTooLarge reports that the grid has more routing vertices than
-// the router's search heap keys (graph.HeapValueLimit), so no method can
-// route on it. Retrieve with errors.As.
+// a compile accepts (maxGridVertices), so no method routes on it: the
+// validate pass refuses it before the router allocates for it. Retrieve
+// with errors.As.
 type ErrGridTooLarge struct {
 	W, H     int // tiles per row and per column
 	Vertices int // routing vertices, (W+1)(H+1)
-	Limit    int // graph.HeapValueLimit
+	Limit    int // maxGridVertices
 }
 
 // Error implements error.
 func (e *ErrGridTooLarge) Error() string {
-	return fmt.Sprintf("core: %dx%d grid has %d routing vertices, more than the %d the router's search heap holds",
+	return fmt.Sprintf("core: %dx%d grid has %d routing vertices, more than the %d the router takes",
 		e.W, e.H, e.Vertices, e.Limit)
 }
 

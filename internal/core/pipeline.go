@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hilight/internal/circuit"
-	"hilight/internal/graph"
 	"hilight/internal/grid"
 	"hilight/internal/obs"
 	"hilight/internal/place"
@@ -363,7 +362,7 @@ func Run(c *circuit.Circuit, g *grid.Grid, sp Spec, opt RunOptions) (*Result, er
 // stay declarative and inspectable.
 var (
 	// passValidate rejects nil or structurally invalid inputs, and grids
-	// past the router's search heap, before any rewriting happens.
+	// past the router's vertex bound, before any rewriting happens.
 	passValidate = Pass{Name: "validate", Run: func(st *State) error {
 		if st.Input == nil {
 			return fmt.Errorf("core: nil circuit")
@@ -371,8 +370,8 @@ var (
 		if st.Grid == nil {
 			return fmt.Errorf("core: nil grid")
 		}
-		if n := st.Grid.NumVertices(); n > graph.HeapValueLimit {
-			return &ErrGridTooLarge{W: st.Grid.W, H: st.Grid.H, Vertices: n, Limit: graph.HeapValueLimit}
+		if n := st.Grid.NumVertices(); n > maxGridVertices {
+			return &ErrGridTooLarge{W: st.Grid.W, H: st.Grid.H, Vertices: n, Limit: maxGridVertices}
 		}
 		if err := st.Input.Validate(); err != nil {
 			return fmt.Errorf("core: invalid circuit: %w", err)

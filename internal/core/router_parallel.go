@@ -82,6 +82,9 @@ func parallelCompatible(cfg config) bool {
 // shared scratch: its finder, the free-component labeling and the
 // windowed-lookahead field.
 type speculator struct {
+	// finder lives as long as the speculator, so a reused router keeps
+	// its per-grid search buffers, and its search counts accumulate as
+	// the sequential step's finder's do.
 	finder route.Windowed
 	comp   route.Components
 	// emptyComp caches the empty-lattice labeling (a function of the
@@ -115,11 +118,12 @@ type speculator struct {
 }
 
 // initSpeculation prepares the speculative step for the current route
-// call: the finder, the empty-lattice labeling and the lookahead index.
+// call: the finder's labeling, the empty-lattice labeling and the
+// lookahead index.
 func (r *router) initSpeculation() {
 	s := r.speculator
 	c, g := r.c, r.g
-	s.finder = route.Windowed{Comp: &s.comp}
+	s.finder.Comp = &s.comp
 
 	// The empty-lattice labeling depends only on the defect map: compute
 	// it once against the reset occupancy and restore it by copy each
@@ -171,7 +175,7 @@ func (r *router) routeSpeculative(ready []order.Ready) int {
 	g := r.g
 	f := &s.finder
 	r.computeCongestion()
-	f.Cong = s.cong
+	f.SetCong(s.cong)
 	s.specOK = resize(s.specOK, len(ready))
 	s.specPath = resize(s.specPath, len(ready))
 

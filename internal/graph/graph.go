@@ -3,9 +3,8 @@
 // circGraph of Alg. 1, which circuit.InteractionGraph builds, and the
 // LLG conflict graph), the degree queue and pattern tests of HiLight's
 // placement, breadth-first orders, greedy maximal independent sets (for
-// the AutoBraid-style LLG gate ordering), Kernighan–Lin recursive
-// bisection (for the AutoBraid partitioning placement), and a small
-// binary min-heap used by the A* path-finder.
+// the AutoBraid-style LLG gate ordering), and Kernighan–Lin recursive
+// bisection (for the AutoBraid partitioning placement).
 package graph
 
 import (

@@ -339,136 +339,3 @@ func TestBisectSeparatesClusters(t *testing.T) {
 		t.Errorf("cut weight = %d, want 1 (l=%v r=%v)", cut, l, r)
 	}
 }
-
-// priorityOf returns the priority field of k.
-func priorityOf(k HeapKey) int { return int(k >> heapValueBits) }
-
-func TestMinHeapOrdering(t *testing.T) {
-	var h MinHeap
-	input := []int{5, 3, 8, 1, 9, 2, 7}
-	for _, p := range input {
-		h.Push(PackKey(p*10, p))
-	}
-	prev := -1
-	for h.Len() > 0 {
-		k := h.Pop()
-		v, p := k.Value(), priorityOf(k)
-		if p < prev {
-			t.Fatalf("heap order violated: %d after %d", p, prev)
-		}
-		if v != p*10 {
-			t.Fatalf("value/priority pairing lost: %d/%d", v, p)
-		}
-		prev = p
-	}
-}
-
-func TestMinHeapTieBreaksOnValue(t *testing.T) {
-	var h MinHeap
-	h.Push(PackKey(9, 1))
-	h.Push(PackKey(2, 1))
-	h.Push(PackKey(5, 1))
-	v := h.Pop().Value()
-	if v != 2 {
-		t.Errorf("tie break = %d, want 2", v)
-	}
-}
-
-func TestMinHeapProperty(t *testing.T) {
-	f := func(ps []uint8) bool {
-		var h MinHeap
-		for i, p := range ps {
-			h.Push(PackKey(i, int(p)))
-		}
-		h.Push(PackKey(len(ps), 0))
-		prev := -1
-		for h.Len() > 0 {
-			p := priorityOf(h.Pop())
-			if p < prev {
-				return false
-			}
-			prev = p
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinHeapReset(t *testing.T) {
-	var h MinHeap
-	h.Push(PackKey(1, 1))
-	h.Reset()
-	if h.Len() != 0 {
-		t.Error("Reset did not empty heap")
-	}
-	h.Push(PackKey(2, 2))
-	if v := h.Pop().Value(); v != 2 {
-		t.Error("heap unusable after Reset")
-	}
-}
-
-// TestMinHeapMatchesSortedReference holds the packed-key heap to the
-// (priority, value) order, found by a scan, over seeded random pushes and pops: plain and
-// congestion-shifted (f<<10|c) A* priorities, values up to the vertex
-// count of a grid of sched.MaxGridTiles (2^22) tiles, the largest
-// priority and value a key holds, and runs of equal priorities, so ties
-// break on value.
-func TestMinHeapMatchesSortedReference(t *testing.T) {
-	const maxGridVertices = 2*(1<<22+1) + 1 // a 1×2^22 grid's (W+1)(H+1)
-	type item struct{ value, priority int }
-	rng := rand.New(rand.NewSource(7))
-	value := func() int {
-		switch rng.Intn(4) {
-		case 0:
-			return rng.Intn(64)
-		case 1:
-			return maxGridVertices - 1 - rng.Intn(64)
-		case 2:
-			return 1<<heapValueBits - 1 - rng.Intn(64)
-		}
-		return rng.Intn(maxGridVertices)
-	}
-	priority := func() int {
-		f := rng.Intn(1 << 25)
-		if rng.Intn(3) == 0 {
-			f = rng.Intn(8) // runs of equal priorities
-		}
-		switch rng.Intn(4) {
-		case 0:
-			return f
-		case 1:
-			return 1<<38 - 1 - rng.Intn(4)
-		}
-		return f<<10 | rng.Intn(1024)
-	}
-	var h MinHeap
-	var ref []item
-	for step := 0; step < 20000; step++ {
-		if len(ref) == 0 || rng.Intn(5) < 3 {
-			it := item{value(), priority()}
-			h.Push(PackKey(it.value, it.priority))
-			ref = append(ref, it)
-			continue
-		}
-		first := 0
-		for i, it := range ref {
-			if it.priority < ref[first].priority || it.priority == ref[first].priority && it.value < ref[first].value {
-				first = i
-			}
-		}
-		if want := ref[first]; h.Min() != PackKey(want.value, want.priority) {
-			t.Fatalf("step %d: Min = %#x, want the key of (%d, %d)", step, h.Min(), want.value, want.priority)
-		}
-		k := h.Pop()
-		v, p := k.Value(), priorityOf(k)
-		if want := ref[first]; v != want.value || p != want.priority {
-			t.Fatalf("step %d: Pop = (%d, %d), want (%d, %d)", step, v, p, want.value, want.priority)
-		}
-		ref = append(ref[:first], ref[first+1:]...)
-		if h.Len() != len(ref) {
-			t.Fatalf("step %d: Len = %d, want %d", step, h.Len(), len(ref))
-		}
-	}
-}

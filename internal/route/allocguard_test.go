@@ -11,7 +11,9 @@ import (
 // scratch and the path buffer, Finder.Find must not allocate. This pins
 // the steady-state behavior BenchmarkFinderFind measures, so a
 // regression fails `go test` instead of only drifting a benchmark
-// number. The walled case pins the failure path the same way.
+// number. The walled case pins the failure path the same way. Windowed
+// runs without and with a congestion field; with one, every Find
+// attaches the field again, so every search ranks it anew.
 func TestFinderFindZeroAllocs(t *testing.T) {
 	g := grid.New(24, 24)
 	// A wall down vertex column 12 cuts the lattice in two, so no path
@@ -20,7 +22,7 @@ func TestFinderFindZeroAllocs(t *testing.T) {
 	for y := 0; y < g.VH(); y++ {
 		wall = append(wall, g.VertexID(12, y))
 	}
-	finders := []Finder{&AStar{}, &Full16{}, &StackDFS{}, LShape{}}
+	finders := []Finder{&AStar{}, &Full16{}, &StackDFS{}, LShape{}, &Windowed{}, newCongWindowed(g)}
 	for _, f := range finders {
 		f := f
 		t.Run(f.Name(), func(t *testing.T) {

@@ -1,30 +1,49 @@
 package route
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
-	"hilight/internal/graph"
 	"hilight/internal/grid"
 )
 
 // heapSearch is the A* kernel as a plain heap search: per-vertex state
 // in four slices, and a push and a pop for every improved neighbor. It
-// is the oracle AStar.search, with its one-record state, its two-level
-// open set and its heap-skipping expansion, must match decision for
-// decision.
+// is the oracle AStar.search, with its one-record state and its
+// two-level open set over vertex ids or congestion ranks, must match
+// decision for decision.
 type heapSearch struct {
 	cong     []int32
-	open     graph.MinHeap
+	open     openHeap
 	gScore   []int
 	cameFrom []int
 	closed   []bool
 	stamp    []int
 	epoch    int
 	stats    SearchStats
+}
+
+// openEntry is one entry of heapSearch's open set.
+type openEntry struct{ pri, v int }
+
+// openHeap is a container/heap of open entries, least priority first,
+// ties broken by lower vertex id.
+type openHeap []openEntry
+
+func (h openHeap) Len() int { return len(h) }
+func (h openHeap) Less(i, j int) bool {
+	return h[i].pri < h[j].pri || h[i].pri == h[j].pri && h[i].v < h[j].v
+}
+func (h openHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *openHeap) Push(x any)   { *h = append(*h, x.(openEntry)) }
+func (h *openHeap) Pop() any {
+	e := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return e
 }
 
 func (a *heapSearch) pri(f, v int) int {
@@ -58,13 +77,13 @@ func (a *heapSearch) search(g *grid.Grid, occ *Occupancy, src, dst int) (Path, b
 	}
 	a.stats.Searches++
 	a.epoch++
-	a.open.Reset()
+	a.open = a.open[:0]
 	a.touch(src)
 	a.gScore[src] = 0
-	a.open.Push(graph.PackKey(src, a.pri(g.VertexDist(src, dst), src)))
+	heap.Push(&a.open, openEntry{a.pri(g.VertexDist(src, dst), src), src})
 	var nbr []int
 	for a.open.Len() > 0 {
-		cur := a.open.Pop().Value()
+		cur := heap.Pop(&a.open).(openEntry).v
 		a.stats.Pops++
 		if cur == dst {
 			var p Path
@@ -87,7 +106,7 @@ func (a *heapSearch) search(g *grid.Grid, occ *Occupancy, src, dst int) (Path, b
 			if t := a.gScore[cur] + 1; t < a.gScore[nb] {
 				a.gScore[nb] = t
 				a.cameFrom[nb] = cur
-				a.open.Push(graph.PackKey(nb, a.pri(t+g.VertexDist(nb, dst), nb)))
+				heap.Push(&a.open, openEntry{a.pri(t+g.VertexDist(nb, dst), nb), nb})
 			}
 		}
 	}
@@ -99,7 +118,9 @@ func (a *heapSearch) search(g *grid.Grid, occ *Occupancy, src, dst int) (Path, b
 // 64-bit words, braids added as the searches succeed), without and with
 // a congestion field: the same ok, the same path, and the same Searches
 // and Pops per call. Some runs start the stamps just below their restart,
-// so searches cross it.
+// so searches cross it. Halfway through, the field is rewritten in place
+// and attached again, as the speculative step does every cycle, so the
+// rank must follow the field's contents, not its slice.
 func TestAStarMatchesHeapSearch(t *testing.T) {
 	calls := 0
 	f := func(seed int64) bool {
@@ -114,11 +135,18 @@ func TestAStarMatchesHeapSearch(t *testing.T) {
 			var a AStar
 			var ref heapSearch
 			if withCong {
-				a.Cong, ref.cong = cong, cong
+				a.SetCong(cong)
+				ref.cong = cong
 			}
 			for trial := 0; trial < 40; trial++ {
 				if trial == 1 && rng.Intn(2) == 0 {
 					a.epoch = math.MaxInt32 - 2
+				}
+				if trial == 20 && withCong {
+					for i := range cong {
+						cong[i] = int32(rng.Intn(1100))
+					}
+					a.SetCong(cong)
 				}
 				src, dst := rng.Intn(n), rng.Intn(n)
 				before, refBefore := a.stats, ref.stats
@@ -198,20 +226,21 @@ func FuzzAStarMatchesHeapSearch(f *testing.F) {
 				}
 				src, dst := u16(i)%n, u16(i+2)%n
 				i += 4
-				a.Cong, ref.cong = nil, nil
+				ref.cong = nil
 				if op>>6 == 1 {
-					a.Cong, ref.cong = cong, cong
+					ref.cong = cong
 				}
+				a.SetCong(ref.cong)
 				before, refBefore := a.stats, ref.stats
 				p, ok := a.search(g, occ, src, dst, nil)
 				want, wantOK := ref.search(g, occ, src, dst)
 				if ok != wantOK || !slices.Equal(p, want) {
-					t.Fatalf("cong %v: search(%d, %d) = %v %v, heap search %v %v", a.Cong != nil, src, dst, p, ok, want, wantOK)
+					t.Fatalf("cong %v: search(%d, %d) = %v %v, heap search %v %v", ref.cong != nil, src, dst, p, ok, want, wantOK)
 				}
 				got := SearchStats{a.stats.Searches - before.Searches, a.stats.Pops - before.Pops}
 				exp := SearchStats{ref.stats.Searches - refBefore.Searches, ref.stats.Pops - refBefore.Pops}
 				if got != exp {
-					t.Fatalf("cong %v: search(%d, %d) counted %+v, heap search %+v", a.Cong != nil, src, dst, got, exp)
+					t.Fatalf("cong %v: search(%d, %d) counted %+v, heap search %+v", ref.cong != nil, src, dst, got, exp)
 				}
 				if ok {
 					last = p

@@ -57,15 +57,47 @@ func congestedLattice(g *grid.Grid, seed int64) *Occupancy {
 	return occ
 }
 
+// congWindowed is a Windowed that attaches its congestion field again
+// before every Find, as the speculative step does every cycle, so each
+// Find that searches ranks the field anew.
+type congWindowed struct {
+	Windowed
+	cong []int32
+}
+
+// newCongWindowed returns a congWindowed whose field gives each of g's
+// vertices a seeded count in [0, 8), the range of the speculative
+// step's lookahead counts.
+func newCongWindowed(g *grid.Grid) *congWindowed {
+	rng := rand.New(rand.NewSource(1))
+	cong := make([]int32, g.NumVertices())
+	for v := range cong {
+		cong[v] = int32(rng.Intn(8))
+	}
+	return &congWindowed{cong: cong}
+}
+
+// Name implements Finder.
+func (w *congWindowed) Name() string { return "windowed-cong" }
+
+// Find implements Finder.
+func (w *congWindowed) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Path) (Path, bool) {
+	w.SetCong(w.cong)
+	return w.Windowed.Find(g, occ, ctlTile, tgtTile, buf)
+}
+
 // BenchmarkFinderFind measures one corner-to-corner search per finder on
 // a 24×24 grid (the Fig. 9 scalability regime), reusing the finder,
 // occupancy, and path buffer the way the router's inner loop does: on
 // the empty lattice, and (the congested sub-benchmarks) on
 // congestedLattice, where the search winds through about half the
 // vertices taken. L-shape finds no path there; it is timed failing.
+// Windowed runs without and with a congestion field, which it attaches
+// before every Find; on the empty lattice its corridor fast path answers
+// without a search.
 func BenchmarkFinderFind(b *testing.B) {
 	g := grid.New(24, 24)
-	finders := []Finder{&AStar{}, &Full16{}, &StackDFS{}, LShape{}}
+	finders := []Finder{&AStar{}, &Full16{}, &StackDFS{}, LShape{}, &Windowed{}, newCongWindowed(g)}
 	for _, f := range finders {
 		b.Run(f.Name()+"/congested", func(b *testing.B) {
 			occ := congestedLattice(g, 1)

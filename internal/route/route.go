@@ -18,8 +18,9 @@
 // The package is built for an allocation-free steady state: Occupancy is
 // bit words, one bit per vertex and per channel with the permanent
 // defects and closed channels in base words (every probe is one word
-// load, and Reset restores only the words the cycle dirtied); the plain
-// A* keeps its open set in two vertex bitsets, one per f-level; and
+// load, and Reset restores only the words the cycle dirtied); A* keeps
+// its open set in two bitsets, one per f-level, over vertex ids or, under
+// a congestion field, over the vertices' congestion ranks; and
 // Finder.Find writes the result into a caller-owned buffer so the
 // router's inner loop never touches the heap. See the "Performance
 // architecture" section of DESIGN.md for the ownership rules.
@@ -31,7 +32,6 @@ import (
 	"math"
 	"math/bits"
 
-	"hilight/internal/graph"
 	"hilight/internal/grid"
 )
 
@@ -390,7 +390,7 @@ type SearchStats struct {
 	// single Find may start several: one per corner pair probed).
 	Searches int64
 	// Pops is the number of frontier nodes expanded across all searches
-	// (A* open-heap pops, DFS stack pops).
+	// (A* open-set pops, DFS stack pops).
 	Pops int64
 }
 
@@ -411,29 +411,66 @@ type StatsReporter interface {
 // near-identical latency (Fig. 8c). Pairs its free-component labels
 // separate are skipped (freeLabels).
 //
-// Every search expands vertices in the order of the packed heap key
-// (f, vertex id). Without a congestion field the open set is two bitsets
-// over vertex ids, one per f-level (searchLevels); with one it is a
-// graph.MinHeap, whose keys hold vertex ids, so the lattice may have at
-// most graph.HeapValueLimit vertices; a compile refuses larger grids
-// before routing. The zero value is ready to use; a single instance
-// reuses its internal buffers and is not safe for concurrent use.
+// Every search expands vertices in the order of a heap keyed by f and
+// then vertex id, or, under a congestion field (SetCong), by f, then
+// min(cong, 1023), then id. Its open set is two bitsets, one per
+// f-level, over the vertices' keys: the vertex id, or the vertex's rank
+// in the field's order (search). The zero value is ready to use; a
+// single instance reuses its internal buffers and is not safe for
+// concurrent use.
 type AStar struct {
-	// Cong, when non-nil, is a per-vertex congestion field that breaks
-	// ties between equal-length paths: the heap priority becomes
-	// f<<10 | min(cong, 1023), so a lower f still strictly dominates and
-	// path-length optimality is untouched — congestion only picks among
-	// shortest paths. Nil (the default, and the paper-faithful sequential
-	// configuration) orders by f alone, on the two-level open set. Set by
-	// the windowed-lookahead router.
-	Cong []int32
+	cong     []int32 // the attached congestion field, nil when none
+	stale    bool    // keyOf and vertexOf do not yet rank cong's contents
+	keyOf    []int32 // vertex → rank by (min(cong, 1023), id)
+	vertexOf []int32 // rank → vertex
 
-	levels [2]openLevel  // the open set without Cong
-	open   graph.MinHeap // the open set with Cong
+	levels [2]openLevel
 	nodes  []searchNode
 	epoch  int32
 	stats  SearchStats
 	labels freeLabels
+}
+
+// SetCong attaches cong, a per-vertex congestion field over the grid
+// searched, or detaches the field when cong is nil. The field breaks
+// ties between equal-length paths: a search under it pops the vertices
+// of one f-level by (min(cong, 1023), id) instead of by id, as a heap
+// keyed f<<10 | min(cong, 1023) would, so a lower f still strictly
+// dominates and congestion only picks among shortest paths. The field
+// must be non-negative; the speculative step's is, since its
+// computeCongestion sums rectangle counts. Without a field (the default,
+// and the paper-faithful sequential configuration) a level pops by id.
+//
+// SetCong only marks the rank stale, and the next search ranks every
+// vertex, so a caller that rewrites its field in place attaches it
+// again. Most of the speculative step's fields see no search at all.
+func (a *AStar) SetCong(cong []int32) {
+	a.cong, a.stale = cong, true
+}
+
+// rank orders the n vertices of the grid searched by (min(cong, 1023),
+// id) with one stable counting sort, into keyOf and vertexOf.
+func (a *AStar) rank(n int) {
+	a.keyOf, a.vertexOf = sized(a.keyOf, n), sized(a.vertexOf, n)
+	cong, keyOf, vertexOf := a.cong[:n], a.keyOf, a.vertexOf
+	var next [1024]int32 // per congestion class: its count, then its next rank
+	hi := int32(0)       // the highest class present
+	for _, c := range cong {
+		c = min(c, 1023)
+		next[c]++
+		hi = max(hi, c)
+	}
+	r := int32(0)
+	for c, count := range next[:hi+1] {
+		next[c] = r
+		r += count
+	}
+	for v, c := range cong {
+		c = min(c, 1023)
+		keyOf[v], vertexOf[next[c]] = next[c], int32(v)
+		next[c]++
+	}
+	a.stale = false
 }
 
 // searchNode is one vertex's A* state, kept in one record so a relaxation
@@ -593,19 +630,24 @@ var pairOrders = func() (t [9]pairOrder) {
 	return t
 }()
 
-// pri scales an f-score into searchHeap's priority: equal-f vertices
-// order by congestion while any lower f still wins (strict dominance via
-// the shift).
-func (a *AStar) pri(f, v int) int {
-	c := a.Cong[v]
-	if c > 1023 {
-		c = 1023
-	}
-	return f<<10 | int(c)
-}
-
 // search runs A* from src to dst over unoccupied vertices and channels,
 // writing the path into buf's storage.
+//
+// Its open set is two openLevels: now holds the keys of the vertices at
+// the f of the last pop, later those at f+2, and when now empties the
+// two swap. *Why this pops in the heap's order* (see AStar): the
+// Manhattan heuristic is consistent on unit channels and changes by
+// exactly one per step, so a relaxation from a vertex popped at f lands
+// at f (a step toward the target) or at f+2 (a step away), and no open
+// vertex is ever below f or above f+2. A vertex is pushed again only
+// with a strictly smaller g, hence a smaller f, so it sits at most once
+// in each level. Within a level the heap orders vertices by id, or under
+// a field by (min(cong, 1023), id), since its key f<<10 | min(cong, 1023)
+// holds one f; that is the order of their keys, which pop takes. A
+// vertex popped closed from the later level was superseded by a push at
+// the lower f, as a heap's stale entry is, and counts one pop as that
+// entry does, so Searches, Pops, every predecessor and every path are
+// the heap search's.
 func (a *AStar) search(g *grid.Grid, occ *Occupancy, src, dst int, buf Path) (Path, bool) {
 	if occ.VertexUsed(src) || occ.VertexUsed(dst) {
 		return nil, false
@@ -629,50 +671,34 @@ func (a *AStar) search(g *grid.Grid, occ *Occupancy, src, dst int, buf Path) (Pa
 	a.epoch++
 	a.stats.Searches++
 	a.nodes[src] = searchNode{stamp: a.epoch, from: -1}
-	var found bool
-	if a.Cong == nil {
-		found = a.searchLevels(g, occ, src, dst)
-	} else {
-		found = a.searchHeap(g, occ, src, dst)
+	var vertexOf []int32 // nil without a field: a key is its vertex
+	if a.cong != nil {
+		if a.stale {
+			a.rank(g.NumVertices())
+		}
+		vertexOf = a.vertexOf
 	}
-	if !found {
-		return nil, false
-	}
-	return a.reconstruct(dst, buf), true
-}
 
-// searchLevels is search's loop without a congestion field. Its open set
-// is two openLevels: now holds the vertices at the f of the last pop,
-// later those at f+2, and when now empties the two swap. *Why this pops
-// in the packed heap key's (f, id) order:* the Manhattan heuristic is
-// consistent on unit channels and changes by exactly one per step, so a
-// relaxation from a vertex popped at f lands at f (a step toward the
-// target) or at f+2 (a step away), and no open vertex is ever below f or
-// above f+2. A vertex is pushed again only with a strictly smaller g,
-// hence a smaller f, so it sits at most once in each level; and within a
-// level the key orders by id, which is the order pop takes. A vertex
-// popped closed from the later level was superseded by a push at the
-// lower f, as a heap's stale entry is, and counts one pop as that entry
-// does, so Searches, Pops, every predecessor and every path are the heap
-// search's.
-func (a *AStar) searchLevels(g *grid.Grid, occ *Occupancy, src, dst int) bool {
 	now, later := &a.levels[0], &a.levels[1]
 	now.clear()
 	later.clear()
-	now.push(src)
+	now.push(a.key(src))
 	tx, ty := g.VertexXY(dst)
 	vw := g.VW()
 	for {
 		if now.n == 0 {
 			if later.n == 0 {
-				return false
+				return nil, false
 			}
 			now, later = later, now
 		}
 		cur := now.pop()
+		if vertexOf != nil {
+			cur = int(vertexOf[cur])
+		}
 		a.stats.Pops++
 		if cur == dst {
-			return true
+			return a.reconstruct(dst, buf), true
 		}
 		n := &a.nodes[cur]
 		if n.closed {
@@ -698,12 +724,21 @@ func (a *AStar) searchLevels(g *grid.Grid, occ *Occupancy, src, dst int) bool {
 	}
 }
 
-// step is searchLevels' relaxation toward an in-bounds neighbor whose
+// key is vertex v's key in the open set: its rank under a congestion
+// field, v itself without one.
+func (a *AStar) key(v int) int {
+	if a.cong != nil {
+		return int(a.keyOf[v])
+	}
+	return v
+}
+
+// step is search's relaxation toward an in-bounds neighbor whose
 // connecting channel is already known to be open: it records g-score t
-// and pushes nb on now for a step toward the target, on later for a step
-// away. The vertex bit is tested before the record: an occupied vertex
-// is never relaxed, popped or on a predecessor chain, so its record is
-// never read.
+// and pushes nb's key on now for a step toward the target, on later for
+// a step away. The vertex bit is tested before the record: an occupied
+// vertex is never relaxed, popped or on a predecessor chain, so its
+// record is never read.
 func (a *AStar) step(occ *Occupancy, cur, nb int, t int32, toward bool, now, later *openLevel) {
 	if occ.VertexUsed(nb) {
 		return
@@ -717,29 +752,29 @@ func (a *AStar) step(occ *Occupancy, cur, nb int, t int32, toward bool, now, lat
 	}
 	n.g, n.from = t, int32(cur)
 	if toward {
-		now.push(nb)
+		now.push(a.key(nb))
 	} else {
-		later.push(nb)
+		later.push(a.key(nb))
 	}
 }
 
-// openLevel is one f-level of searchLevels' open set: a bitset over
-// vertex ids with its member count, and the range of words holding them.
+// openLevel is one f-level of search's open set: a bitset over keys
+// with its member count, and the range of words holding them.
 type openLevel struct {
 	words  []uint64
 	lo, hi int // every member lies in words[lo..hi]
 	n      int
 }
 
-// push adds vertex v, which is not a member.
-func (l *openLevel) push(v int) {
-	w := v >> 6
+// push adds key k, which is not a member.
+func (l *openLevel) push(k int) {
+	w := k >> 6
 	if l.n == 0 {
 		l.lo, l.hi = w, w
 	} else {
 		l.lo, l.hi = min(l.lo, w), max(l.hi, w)
 	}
-	l.words[w] |= 1 << (uint(v) & 63)
+	l.words[w] |= 1 << (uint(k) & 63)
 	l.n++
 }
 
@@ -763,98 +798,6 @@ func (l *openLevel) clear() {
 	}
 }
 
-// searchHeap is search's loop with a congestion field, over a heap of
-// packed (priority, id) keys.
-//
-// An expansion holds back the improved neighbor with the smallest key and
-// expands it next without a push and a pop when it orders below the open
-// set's minimum (or the set is empty): a heap would pop exactly that key
-// next. Keys are distinct — a vertex is pushed again only with a strictly
-// smaller g, so a strictly smaller priority — so the expansion order,
-// every predecessor and the returned path are the plain heap search's,
-// and so are Searches and Pops: the skipped pop counts as one.
-func (a *AStar) searchHeap(g *grid.Grid, occ *Occupancy, src, dst int) bool {
-	a.open.Reset()
-	tx, ty := g.VertexXY(dst)
-	vw := g.VW()
-	// The source is the first pop: the open set holds nothing else.
-	for cur := src; ; {
-		a.stats.Pops++
-		if cur == dst {
-			return true
-		}
-		// A closed pop is a stale heap entry; a popped or held-back vertex
-		// was stamped when its g improved, so its record is current.
-		if n := &a.nodes[cur]; !n.closed {
-			n.closed = true
-			next := a.expand(g, occ, cur, int(n.g)+1, tx, ty, vw)
-			if next < a.open.Min() {
-				cur = next.Value()
-				continue
-			}
-			if next != graph.NoHeapKey {
-				a.open.Push(next)
-			}
-		}
-		if a.open.Len() == 0 {
-			return false
-		}
-		cur = a.open.Pop().Value()
-	}
-}
-
-// expand relaxes cur's neighbors at g-score tentative toward the target
-// at (tx, ty). It pushes every improved neighbor but the one with the
-// smallest key, which it returns (graph.NoHeapKey when none improved).
-// Expansion probes the channel words: a set bit bakes occupied,
-// defective, unroutable, and off-lattice in one load, so no
-// InBounds/EdgeRoutable/EdgeID work remains on the hot path. The N, E, S,
-// W order matches VertexNeighbors, and each neighbor's heuristic follows
-// from cur's coordinates.
-func (a *AStar) expand(g *grid.Grid, occ *Occupancy, cur, tentative, tx, ty, vw int) graph.HeapKey {
-	cx, cy := g.VertexXY(cur)
-	held := graph.NoHeapKey
-	if cur >= vw && !occ.SouthBlocked(cur-vw) {
-		held = a.relax(occ, cur, cur-vw, tentative, tentative+abs(cx-tx)+abs(cy-1-ty), held)
-	}
-	if !occ.EastBlocked(cur) {
-		held = a.relax(occ, cur, cur+1, tentative, tentative+abs(cx+1-tx)+abs(cy-ty), held)
-	}
-	if !occ.SouthBlocked(cur) {
-		held = a.relax(occ, cur, cur+vw, tentative, tentative+abs(cx-tx)+abs(cy+1-ty), held)
-	}
-	if cur > 0 && !occ.EastBlocked(cur-1) {
-		held = a.relax(occ, cur, cur-1, tentative, tentative+abs(cx-1-tx)+abs(cy-ty), held)
-	}
-	return held
-}
-
-// relax is searchHeap's edge relaxation toward an in-bounds neighbor
-// whose connecting channel is already known to be open, with f-score f.
-// Of the improved neighbor's key and held it returns the smaller and
-// pushes the other.
-func (a *AStar) relax(occ *Occupancy, cur, nb, tentative, f int, held graph.HeapKey) graph.HeapKey {
-	if occ.VertexUsed(nb) {
-		return held
-	}
-	n := &a.nodes[nb]
-	if n.stamp != a.epoch {
-		*n = searchNode{stamp: a.epoch, g: unreached, from: -1}
-	}
-	if n.closed || tentative >= int(n.g) {
-		return held
-	}
-	n.g, n.from = int32(tentative), int32(cur)
-	k := graph.PackKey(nb, a.pri(f, nb))
-	if k < held {
-		k, held = held, k
-	}
-	if k != graph.NoHeapKey {
-		a.open.Push(k)
-	}
-	return held
-}
-
 // reconstruct writes the src→dst path into buf by walking the predecessor
 // chain backwards and reversing in place.
 func (a *AStar) reconstruct(dst int, buf Path) Path {
@@ -866,14 +809,6 @@ func (a *AStar) reconstruct(dst int, buf Path) Path {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
 	return buf
-}
-
-// abs returns |x|.
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // --- exhaustive 16-pair search (Fig. 9 "baseline") --------------------------
@@ -933,15 +868,14 @@ func (f *Full16) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Pa
 // baseline's ResUtil in Table 1. The DFS is complete, so it prunes corner
 // pairs with free-component labels exactly as AStar does.
 type StackDFS struct {
-	visited []bool
-	stampV  []int
-	epoch   int
-	nbrBuf  []int
-	frames  []dfsFrame
-	stack   []int
-	stats   SearchStats
-	labels  freeLabels
-	pairs   [16]cornerPair
+	stampV []int // stampV[v] == epoch: this search visited v
+	epoch  int
+	nbrBuf []int
+	frames []dfsFrame
+	stack  []int
+	stats  SearchStats
+	labels freeLabels
+	pairs  [16]cornerPair
 }
 
 // Stats implements StatsReporter.
@@ -972,31 +906,13 @@ func (s *StackDFS) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf 
 	return nil, false
 }
 
-// visit reports whether v was already visited this epoch, initializing
-// its state lazily.
-func (s *StackDFS) visit(v int) bool {
-	if s.stampV[v] != s.epoch {
-		s.stampV[v] = s.epoch
-		s.visited[v] = false
-	}
-	return s.visited[v]
-}
-
-// mark flags v as visited this epoch.
-func (s *StackDFS) mark(v int) {
-	s.stampV[v] = s.epoch
-	s.visited[v] = true
-}
-
 // dfs runs one stack-based search between two free corners, writing the
 // path into buf's storage.
 func (s *StackDFS) dfs(g *grid.Grid, occ *Occupancy, src, dst int, buf Path) (Path, bool) {
 	if src == dst {
 		return append(buf[:0], src), true
 	}
-	n := g.NumVertices()
-	if len(s.visited) < n {
-		s.visited = make([]bool, n)
+	if n := g.NumVertices(); len(s.stampV) < n {
 		s.stampV = make([]int, n)
 	}
 	s.stats.Searches++
@@ -1007,7 +923,7 @@ func (s *StackDFS) dfs(g *grid.Grid, occ *Occupancy, src, dst int, buf Path) (Pa
 	// they pop first.
 	s.frames = append(s.frames[:0], dfsFrame{vertex: src, parent: -1})
 	s.stack = append(s.stack[:0], 0)
-	s.mark(src)
+	s.stampV[src] = s.epoch
 	for len(s.stack) > 0 {
 		fi := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
@@ -1034,10 +950,10 @@ func (s *StackDFS) dfs(g *grid.Grid, occ *Occupancy, src, dst int, buf Path) (Pa
 				if (pass == 1) != goalward {
 					continue
 				}
-				if s.visit(nb) || occ.VertexUsed(nb) || occ.EdgeUsed(g, cur, nb) {
+				if s.stampV[nb] == s.epoch || occ.VertexUsed(nb) || occ.EdgeUsed(g, cur, nb) {
 					continue
 				}
-				s.mark(nb)
+				s.stampV[nb] = s.epoch
 				s.frames = append(s.frames, dfsFrame{vertex: nb, parent: fi})
 				s.stack = append(s.stack, len(s.frames)-1)
 			}

@@ -180,29 +180,37 @@ func (cc *Components) Connected(u, v int) bool {
 //     (HRunFree). An axis-aligned hit has exactly the pair's Manhattan
 //     length — the global lower bound — so taking it preserves A*'s
 //     shortest-path quality while skipping the search entirely.
-//  3. Windowed-lookahead congestion (Cong): with a congestion field
+//  3. Windowed-lookahead congestion (SetCong): with a congestion field
 //     attached, equal-distance corner pairs, the two L-bend orientations,
 //     and equal-length A* expansions all tie-break toward less congested
 //     vertices, steering braids away from corridors the next k dependency
 //     layers are about to need.
 //
-// Both hooks are optional and read-only during Find: with Comp and Cong
-// nil, Windowed accepts and rejects exactly like AStar (paths may differ
-// among equal-length choices). A Windowed is not safe for concurrent
-// use; distinct instances may share one Comp and Cong, which Find only
-// reads. The speculative route step runs on one goroutine and drives one
-// instance through both its speculation and its finish phase.
+// Both hooks are optional and read-only during Find: with no Comp and
+// no field, Windowed accepts and rejects exactly like AStar (paths may
+// differ among equal-length choices). A Windowed is not safe for
+// concurrent use; distinct instances may share one Comp and one field,
+// which Find only reads. The speculative route step runs on one
+// goroutine and drives one instance through both its speculation and its
+// finish phase.
 type Windowed struct {
 	// Comp, when non-nil, prunes disconnected corner pairs. It must be
 	// recomputed whenever the occupancy changes; a stale labeling breaks
 	// the no-failed-search guarantee and can mis-defer gates.
 	Comp *Components
-	// Cong, when non-nil, is the per-vertex congestion field used for
-	// tie-breaking. Shared read-only with the embedded A* core.
-	Cong []int32
 
+	cong  []int32 // the congestion field SetCong attached, nil when none
 	astar AStar
 	pairs [16]cornerPair
+}
+
+// SetCong attaches cong, a non-negative per-vertex congestion field used
+// for tie-breaking, to w and its A* core, or detaches the field when
+// cong is nil. A caller that rewrites its field in place attaches it
+// again (AStar.SetCong).
+func (w *Windowed) SetCong(cong []int32) {
+	w.cong = cong
+	w.astar.SetCong(cong)
 }
 
 // Name implements Finder.
@@ -216,7 +224,7 @@ func (w *Windowed) Stats() SearchStats { return w.astar.stats }
 func (w *Windowed) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf Path) (Path, bool) {
 	pairs := &w.pairs
 	cornerPairsByDistance(g, ctlTile, tgtTile, pairs)
-	if w.Cong != nil {
+	if w.cong != nil {
 		// Stable secondary sort: congestion orders pairs only within
 		// equal-distance runs, so the paper's distance-first pair
 		// preference is preserved.
@@ -227,7 +235,6 @@ func (w *Windowed) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf 
 			}
 		}
 	}
-	w.astar.Cong = w.Cong
 	for _, pr := range pairs {
 		if occ.VertexUsed(pr.u) || occ.VertexUsed(pr.v) {
 			continue
@@ -250,7 +257,7 @@ func (w *Windowed) Find(g *grid.Grid, occ *Occupancy, ctlTile, tgtTile int, buf 
 
 // pairCong is a corner pair's congestion key: the sum at its endpoints.
 func (w *Windowed) pairCong(pr cornerPair) int32 {
-	return w.Cong[pr.u] + w.Cong[pr.v]
+	return w.cong[pr.u] + w.cong[pr.v]
 }
 
 // corridor tries the axis-aligned paths between two free corners: the
@@ -265,9 +272,9 @@ func (w *Windowed) corridor(g *grid.Grid, occ *Occupancy, src, dst int, buf Path
 		hFirst = false
 	case sy == dy:
 	default:
-		if w.Cong != nil {
+		if w.cong != nil {
 			// Prefer the bend whose pivot corner is less congested.
-			if w.Cong[g.VertexID(sx, dy)] < w.Cong[g.VertexID(dx, sy)] {
+			if w.cong[g.VertexID(sx, dy)] < w.cong[g.VertexID(dx, sy)] {
 				hFirst = false
 			}
 		}

@@ -248,11 +248,15 @@ func TestWindowedAgreesWithAStar(t *testing.T) {
 		for i := range cong {
 			cong[i] = int32(rng.Intn(5))
 		}
+		congested := func(w *Windowed) *Windowed {
+			w.SetCong(cong)
+			return w
+		}
 		variants := []*Windowed{
-			{},                        // bare: pure A* semantics
-			{Comp: &comp},             // component pruning
-			{Comp: &comp, Cong: cong}, // pruning + congestion ties
-			{Cong: cong},              // congestion ties only
+			{},                                // bare: pure A* semantics
+			{Comp: &comp},                     // component pruning
+			congested(&Windowed{Comp: &comp}), // pruning + congestion ties
+			congested(&Windowed{}),            // congestion ties only
 		}
 		for trial := 0; trial < 40; trial++ {
 			a, b := rng.Intn(g.Tiles()), rng.Intn(g.Tiles())
@@ -266,7 +270,7 @@ func TestWindowedAgreesWithAStar(t *testing.T) {
 				if !wok {
 					continue
 				}
-				if w.Cong == nil && len(wp) != len(ap) {
+				if w.cong == nil && len(wp) != len(ap) {
 					t.Logf("seed %d: tiles (%d,%d): windowed len %d, astar len %d", seed, a, b, len(wp), len(ap))
 					return false
 				}
